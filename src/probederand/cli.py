@@ -5,7 +5,9 @@ over built-in defaults. Every output file starts with a comment line
 recording the tool version and the full effective configuration, and
 identical inputs with the same seed produce byte-identical outputs.
 
-Exit codes: 0 success, 1 processing error, 2 usage error.
+Exit codes: 0 success, 1 processing error, 2 usage error (bad flags,
+a config file that is not a JSON object of correctly typed values, or
+fewer than two labelled devices for ``evaluate`` and ``tune``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -25,6 +27,8 @@ from .clustering import (
     write_labeling_file,
 )
 from .features import (
+    DEFAULT_BURST_GAP,
+    Burst,
     group_bursts,
     ie_stability_violations,
     read_feature_file,
@@ -35,6 +39,7 @@ from .metrics import (
     METHOD_TWO_STAGE,
     METHODS,
     EvalConfig,
+    group_by_device,
     run_protocol,
     tune_dbscan,
     write_report_files,
@@ -45,27 +50,44 @@ from .pcap import ParseDiagnostics, read_dataset
 from .randomness import DEFAULT_SEED
 from .synth import generate_scenario, load_scenario
 
+# The library's defaults, plus the CLI-only method and jobs settings.
 DEFAULTS = {
-    "eps": 0.05,
-    "min_pts": 10,
-    "k_max": 5,
-    "d": 10,
-    "gap_seconds": 2.0,
+    **asdict(DbscanConfig()),
+    "k_max": KmeansConfig().k_max,
+    "d": EvalConfig().d,
+    "gap_seconds": DEFAULT_BURST_GAP,
     "seed": DEFAULT_SEED,
     "method": METHOD_TWO_STAGE,
     "jobs": 1,
 }
 
 
+class UsageError(Exception):
+    """Input the command cannot be run on as given (exit code 2)."""
+
+
 def _effective_config(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Merge defaults, config-file values, and explicit flags."""
-    config = {k: DEFAULTS[k] for k in keys if k in DEFAULTS}
-    if getattr(args, "config", None):
+    """Merge defaults, config-file values, and explicit flags.
+
+    A config-file value must have its default's type (an integer may
+    stand for a float).
+    """
+    config = {k: DEFAULTS[k] for k in keys}
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config file {args.config} must hold a JSON object")
         for k in keys:
-            if k in loaded:
-                config[k] = loaded[k]
+            if k not in loaded:
+                continue
+            expected = (int, float) if isinstance(DEFAULTS[k], float) else type(DEFAULTS[k])
+            if isinstance(loaded[k], bool) or not isinstance(loaded[k], expected):
+                raise UsageError(
+                    f"config file {args.config}: {k} must be a "
+                    f"{type(DEFAULTS[k]).__name__}, not {loaded[k]!r}"
+                )
+            config[k] = loaded[k]
     for k in keys:
         value = getattr(args, k, None)
         if value is not None:
@@ -76,6 +98,15 @@ def _effective_config(args: argparse.Namespace, keys: list[str]) -> dict:
 def _header(subcommand: str, config: dict) -> str:
     settings = " ".join(f"{k}={config[k]}" for k in sorted(config))
     return f"probederand {__version__} | {subcommand} | {settings} | ie_encoding=byte-sum"
+
+
+def _read_labelled(path) -> list[Burst]:
+    """Bursts of a feature file labelled with at least two devices."""
+    bursts = read_feature_file(path)
+    n_devices = len(group_by_device(bursts))
+    if n_devices < 2:
+        raise UsageError(f"{path}: the subset protocol needs at least 2 labelled devices, found {n_devices}")
+    return bursts
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -153,7 +184,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     keys = ["eps", "min_pts", "k_max", "d", "seed", "jobs"]
     config = _effective_config(args, keys)
-    bursts = read_feature_file(args.features)
+    bursts = _read_labelled(args.features)
     dbscan_cfg = DbscanConfig(eps=config["eps"], min_pts=config["min_pts"])
     kmeans_cfg = KmeansConfig(k_max=config["k_max"], seed=config["seed"])
     eval_cfg = EvalConfig(d=config["d"], seed=config["seed"])
@@ -178,7 +209,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_tune(args: argparse.Namespace) -> int:
     keys = ["d", "seed"]
     config = _effective_config(args, keys)
-    bursts = read_feature_file(args.features)
+    bursts = _read_labelled(args.features)
     eps_grid = [float(x) for x in args.eps_grid.split(",") if x != ""]
     minpts_grid = [int(x) for x in args.minpts_grid.split(",") if x != ""]
     eval_cfg = EvalConfig(d=config["d"], seed=config["seed"])
@@ -241,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--min-pts", dest="min_pts", type=int, default=None)
     p_eval.add_argument("--k-max", dest="k_max", type=int, default=None)
     p_eval.add_argument("--d", type=int, default=None, help="subsets per population size")
-    p_eval.add_argument("--jobs", type=int, default=None, help="parallel protocol runs")
+    p_eval.add_argument("--jobs", type=int, default=None, help="parallel protocol runs (at most one per CPU)")
     _add_common(p_eval)
     p_eval.set_defaults(func=cmd_evaluate, inputs=["features"])
 
@@ -270,9 +301,9 @@ def main(argv=None) -> int:
             parser.error(f"{name} path does not exist: {getattr(args, name)}")
     try:
         return args.func(args)
-    except (CaptureError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, CaptureError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -9,21 +9,24 @@ pool's internal cosine similarity.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .features import Burst, normalize_ie_matrix, pad_matrix
+from .features import Burst, normalize_ie_matrix, pad_matrix, write_table
 from .pcap import mac_to_str
 from .randomness import DEFAULT_SEED, STREAM_KMEANS, substream
 
 NOISE = -1
 
-DISTORTION_SQUARED = "squared"
-DISTORTION_LINEAR = "linear"
+# Fixed by the method, not tunable: k-means iteration cap and seeded
+# restarts per k, and the elbow threshold 0.4 + 0.6 * (1 - max(0, s)).
+MAX_ITERATIONS = 100
+RESTARTS = 8
+THRESHOLD_BASE = 0.4
+THRESHOLD_SPAN = 0.6
 
 
 @dataclass(frozen=True)
@@ -42,29 +45,14 @@ class DbscanConfig:
 
 @dataclass(frozen=True)
 class KmeansConfig:
-    """Fine-stage k-means and elbow-rule tunables.
-
-    ``distortion`` selects the per-point penalty: squared cosine
-    distance (default) or plain cosine distance.
-    """
+    """Fine-stage tunables: the largest k tried per pool and the seed."""
 
     k_max: int = 5
-    max_iterations: int = 100
-    restarts: int = 8
     seed: int = DEFAULT_SEED
-    threshold_base: float = 0.4
-    threshold_span: float = 0.6
-    distortion: str = DISTORTION_SQUARED
 
     def __post_init__(self) -> None:
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
-        if self.max_iterations < 1 or self.restarts < 1:
-            raise ValueError("iterations and restarts must be positive")
-        if self.threshold_base + self.threshold_span > 1.0 + 1e-9:
-            raise ValueError("threshold_base + threshold_span must not exceed 1")
-        if self.distortion not in (DISTORTION_SQUARED, DISTORTION_LINEAR):
-            raise ValueError(f"unknown distortion rule {self.distortion!r}")
 
 
 @dataclass(frozen=True)
@@ -76,19 +64,6 @@ class ClusterLabeling:
 
     def labels_for(self, burst_ids: Sequence[int]) -> list[int]:
         return [self.assignments[b] for b in burst_ids]
-
-
-def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
-    """dot(a, b) / (|a||b|), guarding against zero vectors."""
-    va = np.asarray(a, dtype=float)
-    vb = np.asarray(b, dtype=float)
-    if va.shape != vb.shape:
-        raise ValueError("vectors must have the same length")
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    if na == 0 or nb == 0:
-        raise ValueError("cosine similarity undefined for a zero vector")
-    return float(np.clip(va @ vb / (na * nb), -1.0, 1.0))
 
 
 def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -174,11 +149,10 @@ def _seed_centers(unit: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return unit[chosen].copy()
 
 
-def _distortion(own_similarity: np.ndarray, rule: str) -> float:
+def _distortion(own_similarity: np.ndarray) -> float:
+    """Sum of squared cosine distances to the assigned centers."""
     gap = 1.0 - np.clip(own_similarity, -1.0, 1.0)
-    if rule == DISTORTION_SQUARED:
-        return float((gap * gap).sum())
-    return float(gap.sum())
+    return float((gap * gap).sum())
 
 
 def _fix_empty_clusters(sims: np.ndarray, labels: np.ndarray, k: int) -> None:
@@ -210,18 +184,17 @@ def _update_centers(unit: np.ndarray, labels: np.ndarray, k: int, old: np.ndarra
 def _kmeans_single(
     unit: np.ndarray,
     k: int,
-    config: KmeansConfig,
     rng: np.random.Generator,
     trace: Optional[list[float]],
 ) -> tuple[np.ndarray, np.ndarray, float]:
     n = unit.shape[0]
     centers = _seed_centers(unit, k, rng)
     best: Optional[tuple[np.ndarray, np.ndarray, float]] = None
-    for _ in range(config.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         sims = unit @ centers.T
         labels = sims.argmax(axis=1)
         _fix_empty_clusters(sims, labels, k)
-        distortion = _distortion(sims[np.arange(n), labels], config.distortion)
+        distortion = _distortion(sims[np.arange(n), labels])
         # The spherical update optimizes the plain cosine gap; under the
         # squared metric it can overshoot, so keep the better iterate.
         if best is not None and distortion > best[2] + 1e-12:
@@ -244,9 +217,10 @@ def spherical_kmeans(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """k-means on the unit sphere, maximizing cosine similarity.
 
-    Runs ``config.restarts`` seeded restarts and keeps the lowest
-    distortion (earlier run wins ties). ``history``, when given,
-    receives one per-iteration distortion trace per restart.
+    Runs ``RESTARTS`` seeded restarts and keeps the lowest distortion
+    (earlier run wins ties); ``config.seed`` seeds them when no ``rng``
+    is given. ``history``, when given, receives one per-iteration
+    distortion trace per restart.
     """
     data = np.asarray(rows, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -257,9 +231,9 @@ def spherical_kmeans(
     if rng is None:
         rng = substream(config.seed, STREAM_KMEANS)
     best: Optional[tuple[np.ndarray, np.ndarray, float]] = None
-    for _ in range(config.restarts):
+    for _ in range(RESTARTS):
         trace: Optional[list[float]] = [] if history is not None else None
-        result = _kmeans_single(unit, k, config, rng, trace)
+        result = _kmeans_single(unit, k, rng, trace)
         if history is not None:
             history.append(trace or [])
         if best is None or result[2] < best[2]:
@@ -268,11 +242,9 @@ def spherical_kmeans(
     return best
 
 
-def dynamic_threshold(
-    avg_similarity: float, base: float = 0.4, span: float = 0.6
-) -> float:
+def dynamic_threshold(avg_similarity: float) -> float:
     """Elbow crossing threshold adapted to a cluster's cohesion."""
-    return base + span * (1.0 - max(0.0, avg_similarity))
+    return THRESHOLD_BASE + THRESHOLD_SPAN * (1.0 - max(0.0, avg_similarity))
 
 
 # Total distortion drop below this is indistinguishable from the
@@ -324,9 +296,7 @@ def _refine_labels(
     n = rows.shape[0]
     if n == 1:
         return np.zeros(1, dtype=int)
-    threshold = dynamic_threshold(
-        average_pairwise_similarity(rows), config.threshold_base, config.threshold_span
-    )
+    threshold = dynamic_threshold(average_pairwise_similarity(rows))
     k_max = min(config.k_max, n)
     labelings = []
     distortions = []
@@ -336,26 +306,6 @@ def _refine_labels(
         labelings.append(labels)
         distortions.append(distortion)
     return labelings[elbow_select_k(distortions, threshold) - 1]
-
-
-def refine_cluster(
-    rows: np.ndarray,
-    config: KmeansConfig,
-    ids: Optional[Sequence[int]] = None,
-    seed_key: tuple[int, ...] = (),
-) -> ClusterLabeling:
-    """Split one coarse cluster into sub-clusters by probing pattern."""
-    data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[0] == 0:
-        raise ValueError("expected a non-empty row matrix")
-    labels = _refine_labels(data, config, seed_key)
-    keys = list(ids) if ids is not None else list(range(len(labels)))
-    if len(keys) != len(labels):
-        raise ValueError("ids must parallel rows")
-    return ClusterLabeling(
-        {key: int(label) for key, label in zip(keys, labels)},
-        int(labels.max()) + 1,
-    )
 
 
 def _sorted_bursts(bursts: Sequence[Burst]) -> list[Burst]:
@@ -431,18 +381,14 @@ def write_labeling_file(
 ) -> None:
     """CSV of per-burst coarse and final labels (noise rendered as -1)."""
     ordered = _sorted_bursts(bursts)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(LABELING_FIELDS)
-        for burst in ordered:
-            writer.writerow(
-                [
-                    burst.burst_id,
-                    mac_to_str(burst.source_mac),
-                    burst.truth_device or "",
-                    coarse.assignments[burst.burst_id],
-                    final.assignments[burst.burst_id],
-                ]
-            )
+    rows = (
+        [
+            burst.burst_id,
+            mac_to_str(burst.source_mac),
+            burst.truth_device or "",
+            coarse.assignments[burst.burst_id],
+            final.assignments[burst.burst_id],
+        ]
+        for burst in ordered
+    )
+    write_table(path, LABELING_FIELDS, rows, header_comment)

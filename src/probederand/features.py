@@ -25,15 +25,6 @@ from .pcap import (
     mac_to_str,
 )
 
-# Canonical fingerprint order. Every kind maps to the byte-sum rule;
-# the map is the single place to swap in an alternate encoding.
-IE_KINDS = ("ht", "extended", "vendor")
-IE_KIND_IDS = {
-    "ht": IE_HT_CAPABILITIES,
-    "extended": IE_EXTENDED_CAPABILITIES,
-    "vendor": IE_VENDOR_SPECIFIC,
-}
-
 DEFAULT_BURST_GAP = 2.0
 
 
@@ -57,13 +48,9 @@ def encode_value(value) -> float:
     raise TypeError(f"no encoding rule for {type(value).__name__}")
 
 
-def encode_ie(ie: Optional[InformationElement], kind: str) -> float:
-    """Encode one IE under the rule registered for ``kind``."""
-    if kind not in IE_KIND_IDS:
-        raise ValueError(f"unknown IE kind {kind!r}")
-    if ie is None:
-        return 0
-    return encode_value(ie.body)
+def encode_ie(ie: Optional[InformationElement]) -> float:
+    """Byte-sum encoding of one IE body; an absent IE encodes to 0."""
+    return 0 if ie is None else encode_value(ie.body)
 
 
 def build_ie_features(frame: ProbeRequestFrame) -> tuple[float, float, float]:
@@ -74,12 +61,8 @@ def build_ie_features(frame: ProbeRequestFrame) -> tuple[float, float, float]:
     """
     ht = next((ie for ie in frame.ies if ie.ie_id == IE_HT_CAPABILITIES), None)
     ext = next((ie for ie in frame.ies if ie.ie_id == IE_EXTENDED_CAPABILITIES), None)
-    vendor = sum(
-        encode_ie(ie, "vendor")
-        for ie in frame.ies
-        if ie.ie_id == IE_VENDOR_SPECIFIC
-    )
-    return (encode_ie(ht, "ht"), encode_ie(ext, "extended"), vendor)
+    vendor = sum(encode_ie(ie) for ie in frame.ies if ie.ie_id == IE_VENDOR_SPECIFIC)
+    return (encode_ie(ht), encode_ie(ext), vendor)
 
 
 @dataclass(frozen=True)
@@ -119,13 +102,6 @@ def channel_entries(frames: Sequence[ProbeRequestFrame]) -> tuple[int, ...]:
             ch = frame.capture_channel if frame.capture_channel is not None else 0
         entries.append(ch)
     return tuple(entries)
-
-
-def build_channel_vector(burst: Burst) -> list[int]:
-    """Recompute a burst's arrival-order channel vector from its frames."""
-    if not burst.frames:
-        return list(burst.channel_vector)
-    return list(channel_entries(burst.frames))
 
 
 def group_bursts(
@@ -232,26 +208,33 @@ def _format_number(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
-def write_feature_file(bursts: Sequence[Burst], path, header_comment: str | None = None) -> None:
-    """Write the per-burst intermediate feature file (CSV, UTF-8)."""
+def write_table(path, fields: Sequence[str], rows, header_comment: str | None = None) -> None:
+    """Write a UTF-8 CSV table: an optional ``# comment`` line, the field
+    names, then ``rows`` (csv's default ``\\r\\n`` row endings)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh)
-        writer.writerow(FEATURE_FIELDS)
-        for burst in bursts:
-            writer.writerow(
-                [
-                    burst.burst_id,
-                    mac_to_str(burst.source_mac),
-                    burst.truth_device or "",
-                    burst.length,
-                    _format_number(burst.ie_features[0]),
-                    _format_number(burst.ie_features[1]),
-                    _format_number(burst.ie_features[2]),
-                    ";".join(str(c) for c in burst.channel_vector),
-                ]
-            )
+        writer.writerow(fields)
+        writer.writerows(rows)
+
+
+def write_feature_file(bursts: Sequence[Burst], path, header_comment: str | None = None) -> None:
+    """Write the per-burst intermediate feature file (CSV, UTF-8)."""
+    rows = (
+        [
+            burst.burst_id,
+            mac_to_str(burst.source_mac),
+            burst.truth_device or "",
+            burst.length,
+            _format_number(burst.ie_features[0]),
+            _format_number(burst.ie_features[1]),
+            _format_number(burst.ie_features[2]),
+            ";".join(str(c) for c in burst.channel_vector),
+        ]
+        for burst in bursts
+    )
+    write_table(path, FEATURE_FIELDS, rows, header_comment)
 
 
 def read_feature_file(path) -> list[Burst]:

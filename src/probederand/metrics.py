@@ -8,7 +8,7 @@ aggregates it over repeated draws.
 
 from __future__ import annotations
 
-import csv
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -22,7 +22,7 @@ from .clustering import (
     ie_only_cluster,
     two_stage_cluster,
 )
-from .features import Burst
+from .features import Burst, write_table
 from .randomness import DEFAULT_SEED, STREAM_KMEANS, STREAM_SAMPLING, child_seed, substream
 
 METHOD_TWO_STAGE = "two-stage"
@@ -163,6 +163,17 @@ def draw_subsets(
     return draws
 
 
+def _protocol_pools(
+    bursts: Sequence[Burst], eval_cfg: EvalConfig
+) -> list[tuple[int, int, list[Burst]]]:
+    """(p, subset index, pooled bursts in id order) for every draw."""
+    by_device = group_by_device(bursts)
+    return [
+        (p, s, sorted((b for name in subset for b in by_device[name]), key=lambda b: b.burst_id))
+        for p, s, subset in draw_subsets(list(by_device), eval_cfg)
+    ]
+
+
 def _cluster_pool(
     pool: list[Burst],
     method: str,
@@ -209,19 +220,15 @@ def run_protocol(
     Each run pools the bursts of the drawn devices and clusters them
     with a k-means seed derived from (protocol seed, p, subset), so
     reports are reproducible and independent of execution order.
+    ``jobs`` worker processes (at most one per CPU) share the runs.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    by_device = group_by_device(bursts)
-    draws = draw_subsets(list(by_device), eval_cfg)
     tasks = []
-    for p, s, subset in draws:
-        pool = sorted(
-            (b for name in subset for b in by_device[name]),
-            key=lambda b: b.burst_id,
-        )
+    for p, s, pool in _protocol_pools(bursts, eval_cfg):
         run_cfg = replace(kmeans_cfg, seed=child_seed(eval_cfg.seed, STREAM_KMEANS, p, s))
         tasks.append((p, s, pool, method, dbscan_cfg, run_cfg))
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
             reports = list(pool_exec.map(_score_subset, tasks))
@@ -293,15 +300,7 @@ def tune_dbscan(
     """
     if len(eps_grid) == 0 or len(minpts_grid) == 0:
         raise ValueError("hyperparameter grids must be non-empty")
-    by_device = group_by_device(bursts)
-    draws = draw_subsets(list(by_device), eval_cfg)
-    pools = []
-    for p, s, subset in draws:
-        pool = sorted(
-            (b for name in subset for b in by_device[name]),
-            key=lambda b: b.burst_id,
-        )
-        pools.append((p, pool))
+    pools = _protocol_pools(bursts, eval_cfg)
 
     rows = []
     for eps in eps_grid:
@@ -309,7 +308,7 @@ def tune_dbscan(
             cfg = DbscanConfig(eps=eps, min_pts=min_pts)
             v_scores = []
             abs_deltas = []
-            for p, pool in pools:
+            for p, _, pool in pools:
                 labeling = ie_only_cluster(pool, cfg)
                 truth = [b.truth_device for b in pool]
                 pred = [labeling.assignments[b.burst_id] for b in pool]
@@ -354,54 +353,26 @@ def write_report_files(
     header_comment: str | None = None,
 ) -> None:
     """Write per-run rows and per-p summary rows as two CSV files."""
-    with open(runs_path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(RUN_FIELDS)
-        for method, reports in sections:
-            for r in reports:
-                writer.writerow(
-                    [
-                        method,
-                        r.p,
-                        r.subset_index,
-                        _fmt(r.homogeneity),
-                        _fmt(r.completeness),
-                        _fmt(r.v_measure),
-                        r.n_clusters,
-                        r.delta,
-                    ]
-                )
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_FIELDS)
-        for method, reports in sections:
-            for row in summarize(reports):
-                writer.writerow(
-                    [
-                        method,
-                        row.p,
-                        _fmt(row.mean_v),
-                        _fmt(row.std_v),
-                        _fmt(row.mean_h),
-                        _fmt(row.std_h),
-                        _fmt(row.mean_c),
-                        _fmt(row.std_c),
-                        _fmt(row.rmse),
-                    ]
-                )
+    run_rows = (
+        [method, r.p, r.subset_index, _fmt(r.homogeneity), _fmt(r.completeness),
+         _fmt(r.v_measure), r.n_clusters, r.delta]
+        for method, reports in sections
+        for r in reports
+    )
+    write_table(runs_path, RUN_FIELDS, run_rows, header_comment)
+    summary_rows = (
+        [method, row.p, _fmt(row.mean_v), _fmt(row.std_v), _fmt(row.mean_h),
+         _fmt(row.std_h), _fmt(row.mean_c), _fmt(row.std_c), _fmt(row.rmse)]
+        for method, reports in sections
+        for row in summarize(reports)
+    )
+    write_table(summary_path, SUMMARY_FIELDS, summary_rows, header_comment)
 
 
 def write_tuning_file(rows: Sequence[TuneRow], path, header_comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(TUNE_FIELDS)
-        for row in rows:
-            writer.writerow(
-                [_fmt(row.eps), row.min_pts, _fmt(row.mean_v), _fmt(row.mean_abs_delta)]
-            )
+    """Write the sweep table, best grid point first."""
+    table = (
+        [_fmt(row.eps), row.min_pts, _fmt(row.mean_v), _fmt(row.mean_abs_delta)]
+        for row in rows
+    )
+    write_table(path, TUNE_FIELDS, table, header_comment)

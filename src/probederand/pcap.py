@@ -219,12 +219,6 @@ def parse_radiotap_fields(buf: bytes) -> tuple[int, Optional[int], Optional[int]
     return header_len, channel, flags
 
 
-def parse_radiotap(buf: bytes) -> tuple[int, Optional[int]]:
-    """(header_length, capture channel or None) for a Radiotap header."""
-    header_len, channel, _ = parse_radiotap_fields(buf)
-    return header_len, channel
-
-
 def parse_ies(
     buf: bytes, diagnostics: Optional[ParseDiagnostics] = None
 ) -> list[InformationElement]:
@@ -353,10 +347,16 @@ def read_capture(
     return frames
 
 
-def _merge_tagged(
+def merge_captures(
     streams: Iterable[tuple[CaptureMeta, list[ProbeRequestFrame], object]],
 ) -> list[tuple[ProbeRequestFrame, object]]:
-    """Merge frame streams by (timestamp, channel, input order)."""
+    """Single time-ordered stream of (frame, tag) pairs from per-sniffer
+    (meta, frames, tag) captures.
+
+    Ties are broken by capture channel ascending, then by input order.
+    Frames missing a channel inherit the file's declared channel;
+    failing that the merge aborts naming the offending file.
+    """
     decorated = []
     position = 0
     for meta, frames, tag in streams:
@@ -372,19 +372,6 @@ def _merge_tagged(
             position += 1
     decorated.sort(key=lambda item: item[:3])
     return [(frame, tag) for _, _, _, frame, tag in decorated]
-
-
-def merge_captures(
-    streams: list[tuple[CaptureMeta, list[ProbeRequestFrame]]],
-) -> list[ProbeRequestFrame]:
-    """Single time-ordered stream from per-sniffer captures.
-
-    Ties are broken by capture channel ascending, then by input order.
-    Frames missing a channel inherit the file's declared channel;
-    failing that the merge aborts naming the offending file.
-    """
-    tagged = _merge_tagged((meta, frames, None) for meta, frames in streams)
-    return [frame for frame, _ in tagged]
 
 
 def _channel_sort_key(path: Path) -> tuple[int, str]:
@@ -428,4 +415,4 @@ def read_dataset(
         raise FormatError(
             f"no captures under {root}; expected <root>/<device-id>/<channel>.pcap"
         )
-    return [(frame, str(tag)) for frame, tag in _merge_tagged(streams)]
+    return merge_captures(streams)

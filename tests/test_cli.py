@@ -1,10 +1,11 @@
 """Command-line driver: subcommands, exit codes, reproducible outputs."""
 
 import json
+import os
 
 import pytest
 
-from probederand import __version__
+from probederand import __version__, metrics
 from probederand.cli import main
 from probederand.clustering import DbscanConfig, KmeansConfig, two_stage_labelings, write_labeling_file
 from probederand.features import read_feature_file
@@ -134,6 +135,77 @@ class TestConfigPrecedence:
         assert "eps=0.07" in first  # flag wins
         assert "min_pts=3" in first  # config file beats default
         assert "k_max=5" in first  # untouched default
+
+
+class TestUsageErrors:
+    """Bad configuration or too little input ends with exit 2 and one line."""
+
+    def assert_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("content", ['{"eps": "0.1"}', '{"min_pts": 2.5}', '{"k_max": true}'])
+    def test_config_value_of_wrong_type(self, workspace, tmp_path, capsys, content):
+        config = tmp_path / "cfg.json"
+        config.write_text(content)
+        argv = ["cluster", str(workspace["features"]), "--out", str(tmp_path / "o"), "--config", str(config)]
+        key = next(iter(json.loads(content)))
+        assert key in self.assert_usage_error(argv, capsys)
+
+    def test_config_that_is_not_an_object(self, workspace, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text("[1, 2]")
+        argv = ["cluster", str(workspace["features"]), "--out", str(tmp_path / "o"), "--config", str(config)]
+        assert "JSON object" in self.assert_usage_error(argv, capsys)
+
+    def test_integer_config_value_for_float_setting(self, workspace, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"eps": 1}))
+        out = tmp_path / "o"
+        assert main(["cluster", str(workspace["features"]), "--out", str(out), "--config", str(config)]) == 0
+        assert "eps=1 " in (out / "labeling.csv").read_text().splitlines()[0]
+
+    @pytest.mark.parametrize(
+        "command", [["evaluate"], ["tune", "--eps-grid", "0.05", "--minpts-grid", "5"]]
+    )
+    def test_single_device_dataset(self, workspace, tmp_path, capsys, command):
+        single = tmp_path / "one-device.csv"
+        lines = workspace["features"].read_text().splitlines()
+        header_at = 1 if lines[0].startswith("#") else 0
+        rows = [row for row in lines[header_at + 1 :] if row.split(",")[2] == "uniq0"]
+        single.write_text("\n".join(lines[: header_at + 1] + rows) + "\n")
+        argv = [command[0], str(single), "--out", str(tmp_path / "o"), *command[1:]]
+        assert "at least 2 labelled devices" in self.assert_usage_error(argv, capsys)
+
+
+class TestJobs:
+    @pytest.mark.parametrize("requested, cpus, workers", [(64, 2, 2), (2, 4, 2), (3, 1, None), (0, 4, None)])
+    def test_clamped_to_cpu_count(self, workspace, tmp_path, monkeypatch, requested, cpus, workers):
+        started = []
+
+        class RecordingExecutor:
+            """Stands in for ProcessPoolExecutor and runs tasks in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(metrics, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        argv = ["evaluate", str(workspace["features"]), "--out", str(tmp_path / "o"), "--d", "1"]
+        assert main(argv + ["--jobs", str(requested)]) == 0
+        # one executor per method, or none when the runs stay serial
+        assert started == ([] if workers is None else [workers, workers])
 
 
 class TestEvaluate:

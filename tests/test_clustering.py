@@ -14,17 +14,16 @@ import pytest
 
 from probederand.clustering import (
     NOISE,
+    RESTARTS,
     ClusterLabeling,
     DbscanConfig,
     KmeansConfig,
     average_pairwise_similarity,
-    cosine_similarity,
     dbscan,
     dbscan_labels,
     dynamic_threshold,
     elbow_select_k,
     ie_only_cluster,
-    refine_cluster,
     spherical_kmeans,
     two_stage_cluster,
     two_stage_labelings,
@@ -142,22 +141,29 @@ class TestDbscan:
 
 
 class TestCosine:
+    """Cosine similarity as the fine stage measures it: the mean over the
+    single pair of a two-row pool."""
+
+    @staticmethod
+    def cosine(a, b):
+        return average_pairwise_similarity([a, b])
+
     def test_self_similarity(self):
-        assert cosine_similarity([1, 6, 11], [1, 6, 11]) == pytest.approx(1.0)
+        assert self.cosine([1, 6, 11], [1, 6, 11]) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert cosine_similarity([1, 0], [0, 1]) == pytest.approx(0.0)
+        assert self.cosine([1, 0], [0, 1]) == pytest.approx(0.0)
 
     def test_magnitude_invariance(self):
-        assert cosine_similarity([1, 1], [2, 2]) == pytest.approx(1.0)
+        assert self.cosine([1, 1], [2, 2]) == pytest.approx(1.0)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            cosine_similarity([0, 0], [1, 0])
+            self.cosine([0, 0], [1, 0])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            cosine_similarity([1, 2], [1, 2, 3])
+            self.cosine([1, 2], [1, 2, 3])
 
 
 def enumerate_best_distortion(rows, k):
@@ -208,8 +214,8 @@ class TestSphericalKmeans:
         rng = np.random.default_rng(17)
         rows = rng.uniform(0.1, 1.0, size=(40, 6))
         history = []
-        spherical_kmeans(rows, 4, KmeansConfig(seed=8, restarts=3), history=history)
-        assert len(history) == 3
+        spherical_kmeans(rows, 4, KmeansConfig(seed=8), history=history)
+        assert len(history) == RESTARTS
         for trace in history:
             for earlier, later in zip(trace, trace[1:]):
                 assert later <= earlier + 1e-9
@@ -270,21 +276,24 @@ class TestElbow:
         assert elbow_select_k([10, 1, 1.5, 0.9, 0.95], 0.95) == 2
 
 
+def refine(vectors):
+    """Fine-stage labels of bursts that all share one coarse pool."""
+    bursts = [make_burst(i, (1, 1, 1), vector) for i, vector in enumerate(vectors)]
+    coarse, final = two_stage_labelings(bursts, DbscanConfig(min_pts=1), KmeansConfig(seed=4))
+    assert coarse.n_clusters == 1
+    return [final.assignments[b.burst_id] for b in bursts]
+
+
 class TestRefine:
     def test_single_row(self):
-        labeling = refine_cluster(np.array([[1.0, 6.0]]), KmeansConfig(seed=4))
-        assert labeling.n_clusters == 1
+        assert refine([(1, 6)]) == [0]
 
     def test_identical_rows_stay_together(self):
-        rows = np.tile([2.0, 5.0, 2.0], (30, 1))
-        labeling = refine_cluster(rows, KmeansConfig(seed=4))
-        assert labeling.n_clusters == 1
+        assert set(refine([(2, 5, 2)] * 30)) == {0}
 
     def test_orthogonal_groups_split(self):
-        rows = np.array([[1.0, 0.0]] * 15 + [[0.0, 1.0]] * 15)
-        labeling = refine_cluster(rows, KmeansConfig(seed=4))
-        assert labeling.n_clusters == 2
-        labels = [labeling.assignments[i] for i in range(30)]
+        labels = refine([(1, 0)] * 15 + [(0, 1)] * 15)
+        assert len(set(labels)) == 2
         assert len(set(labels[:15])) == 1 and len(set(labels[15:])) == 1
 
     def test_average_similarity_singleton(self):
@@ -376,10 +385,6 @@ class TestConfigs:
     def test_kmeans_config_validation(self):
         with pytest.raises(ValueError):
             KmeansConfig(k_max=0)
-        with pytest.raises(ValueError):
-            KmeansConfig(threshold_base=0.6, threshold_span=0.6)
-        with pytest.raises(ValueError):
-            KmeansConfig(distortion="cubed")
 
     def test_labeling_lookup(self):
         labeling = ClusterLabeling({1: 0, 2: 1}, 2)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from probederand.features import (
     Burst,
-    build_channel_vector,
     build_ie_features,
     channel_entries,
     encode_ie,
@@ -33,7 +32,7 @@ def ie(ie_id, body):
 class TestEncoding:
     def test_absent_encodes_to_zero(self):
         assert encode_value(None) == 0
-        assert encode_ie(None, "ht") == 0
+        assert encode_ie(None) == 0
 
     def test_numeric_keeps_value(self):
         assert encode_value(42) == 42
@@ -45,11 +44,7 @@ class TestEncoding:
         assert encode_value("AB") == 131
 
     def test_empty_body_is_zero(self):
-        assert encode_ie(ie(45, b""), "ht") == 0
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            encode_ie(ie(45, b"\x01"), "rsn")
+        assert encode_ie(ie(45, b"")) == 0
 
     @given(st.binary(min_size=1, max_size=40), st.randoms())
     @settings(max_examples=100, deadline=None)
@@ -137,14 +132,14 @@ class TestChannelVector:
         bare = ProbeRequestFrame(0.0, b"\x02\x00\x00\x00\x00\x01", None, 0, ())
         assert channel_entries([bare]) == (0,)
 
-    def test_build_channel_vector_single_frame(self):
+    def test_single_frame_burst_vector(self):
         bursts = group_bursts([frame(ies=[ie(3, [6])])], 2.0)
-        assert build_channel_vector(bursts[0]) == [6]
+        assert bursts[0].channel_vector == (6,)
 
     def test_matches_stored_vector(self):
         frames = [frame(0.0, ies=[ie(3, [1])]), frame(0.01, ies=[ie(3, [6])])]
         burst = group_bursts(frames, 2.0)[0]
-        assert tuple(build_channel_vector(burst)) == burst.channel_vector == (1, 6)
+        assert channel_entries(burst.frames) == burst.channel_vector == (1, 6)
 
 
 class TestPadMatrix:

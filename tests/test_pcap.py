@@ -17,7 +17,7 @@ from probederand.pcap import (
     TruncationError,
     merge_captures,
     parse_ies,
-    parse_radiotap,
+    parse_radiotap_fields,
     read_capture,
 )
 
@@ -140,38 +140,36 @@ class TestReadCapture:
 
 class TestRadiotap:
     def test_minimal_header(self):
-        assert parse_radiotap(bytes.fromhex("00 00 08 00 00 00 00 00".replace(" ", ""))) == (8, None)
+        assert parse_radiotap_fields(bytes.fromhex("0000080000000000")) == (8, None, None)
 
     def test_channel_2437_is_6(self):
-        header_len, channel = parse_radiotap(radiotap_channel(6))
-        assert (header_len, channel) == (12, 6)
+        assert parse_radiotap_fields(radiotap_channel(6)) == (12, 6, None)
 
     def test_channel_2412_is_1(self):
-        assert parse_radiotap(radiotap_channel(1))[1] == 1
+        assert parse_radiotap_fields(radiotap_channel(1))[1] == 1
 
     def test_non_2ghz_frequency_yields_no_channel(self):
         buf = struct.pack("<BBHIHH", 0, 0, 12, 1 << 3, 5180, 0x0100)
-        assert parse_radiotap(buf) == (12, None)
+        assert parse_radiotap_fields(buf) == (12, None, None)
 
     def test_extended_presence_bitmap_shifts_fields(self):
         # Extension bit set: channel data starts after the second word.
         buf = struct.pack("<BBHIIHH", 0, 0, 16, (1 << 3) | (1 << 31), 0, 2437, 0x0080)
-        assert parse_radiotap(buf) == (16, 6)
+        assert parse_radiotap_fields(buf) == (16, 6, None)
 
     def test_alignment_after_tsft_and_flags(self):
         # TSFT (8 bytes, align 8) + flags + rate, then channel aligned to 2.
         present = (1 << 0) | (1 << 1) | (1 << 2) | (1 << 3)
         buf = struct.pack("<BBHIQBBHH", 0, 0, 22, present, 42, 0, 2, 2462, 0x0080)
-        header_len, channel = parse_radiotap(buf)
-        assert (header_len, channel) == (22, 11)
+        assert parse_radiotap_fields(buf) == (22, 11, 0)
 
     def test_declared_length_beyond_buffer(self):
         with pytest.raises(TruncationError):
-            parse_radiotap(struct.pack("<BBHI", 0, 0, 99, 0))
+            parse_radiotap_fields(struct.pack("<BBHI", 0, 0, 99, 0))
 
     def test_wrong_version(self):
         with pytest.raises(FormatError):
-            parse_radiotap(b"\x01\x00\x08\x00\x00\x00\x00\x00")
+            parse_radiotap_fields(b"\x01\x00\x08\x00\x00\x00\x00\x00")
 
 
 class TestParseIes:
@@ -203,38 +201,40 @@ def frame(ts, channel=1, mac=b"\x02\x00\x00\x00\x00\x01"):
 class TestMergeCaptures:
     def test_sorted_by_timestamp(self):
         streams = [
-            (meta(), [frame(3.0)]),
-            (meta(), [frame(1.0)]),
-            (meta(), [frame(2.0)]),
+            (meta(), [frame(3.0)], "c"),
+            (meta(), [frame(1.0)], "a"),
+            (meta(), [frame(2.0)], "b"),
         ]
-        assert [f.timestamp for f in merge_captures(streams)] == [1.0, 2.0, 3.0]
+        merged = merge_captures(streams)
+        assert [(f.timestamp, tag) for f, tag in merged] == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
 
     def test_tie_broken_by_channel(self):
-        streams = [(meta(), [frame(1.0, channel=11)]), (meta(), [frame(1.0, channel=1)])]
-        assert [f.capture_channel for f in merge_captures(streams)] == [1, 11]
+        streams = [(meta(), [frame(1.0, channel=11)], 0), (meta(), [frame(1.0, channel=1)], 1)]
+        assert [(f.capture_channel, tag) for f, tag in merge_captures(streams)] == [(1, 1), (11, 0)]
 
     def test_empty_stream_is_identity(self):
         frames = [frame(0.1), frame(0.2), frame(0.3)]
-        assert merge_captures([(meta(), []), (meta(), frames)]) == frames
+        merged = merge_captures([(meta(), [], "empty"), (meta(), frames, "full")])
+        assert merged == [(f, "full") for f in frames]
 
     def test_unresolvable_channel_names_file(self):
         bad = ProbeRequestFrame(0.0, b"\x02\x00\x00\x00\x00\x01", None, 0, ())
         with pytest.raises(ChannelResolutionError, match="orphan.pcap"):
-            merge_captures([(CaptureMeta("orphan.pcap"), [bad])])
+            merge_captures([(CaptureMeta("orphan.pcap"), [bad], None)])
 
     def test_declared_channel_inherited(self):
         bad = ProbeRequestFrame(0.0, b"\x02\x00\x00\x00\x00\x01", None, 0, ())
-        merged = merge_captures([(CaptureMeta("x.pcap", declared_channel=6), [bad])])
-        assert merged[0].capture_channel == 6
+        merged = merge_captures([(CaptureMeta("x.pcap", declared_channel=6), [bad], None)])
+        assert merged[0][0].capture_channel == 6
 
     def test_permutation_of_union(self):
         streams = [
-            (meta(), [frame(0.5), frame(0.7)]),
-            (meta(), [frame(0.1), frame(0.6), frame(0.9)]),
+            (meta(), [frame(0.5), frame(0.7)], "x"),
+            (meta(), [frame(0.1), frame(0.6), frame(0.9)], "y"),
         ]
         merged = merge_captures(streams)
         assert len(merged) == 5
-        assert sorted(f.timestamp for f in merged) == [f.timestamp for f in merged]
+        assert sorted(f.timestamp for f, _ in merged) == [f.timestamp for f, _ in merged]
 
 
 class TestFuzz:
@@ -263,7 +263,7 @@ class TestFuzz:
     @settings(max_examples=300, deadline=None)
     def test_parse_radiotap_contained(self, blob):
         try:
-            header_len, channel = parse_radiotap(blob)
+            header_len, channel, _ = parse_radiotap_fields(blob)
         except Error:
             return
         assert header_len <= len(blob)
