@@ -1,9 +1,18 @@
 """Golden outputs: every file the CLI writes, pinned byte for byte.
 
-One small pinned scenario (three twin pairs plus six unique devices,
-90 s) runs through ``generate``, ``ingest``, ``cluster``, ``evaluate``
-and ``tune`` with the built-in defaults, so the header comment lines pin
-the effective default configuration as well as the table rows.
+Three small pinned scenarios run through ``generate``, ``ingest``,
+``cluster`` and ``evaluate --d 2`` with the built-in defaults, so the
+header comment lines pin the effective default configuration as well
+as the table rows:
+
+* mixed: three twin pairs plus six unique devices, 90 s; it also runs
+  ``tune`` (files directly under ``golden/``);
+* twin: seven jitter-free twin pairs, 90 s (``golden/twin/``);
+* twin-jitter: the same pairs with channel jitter 0.05
+  (``golden/twin-jitter/``).
+
+The twin scenarios pin the k-means path: every coarse pool holds a twin
+pair that only the fine stage can split.
 
 Re-pin after an intended output change with ``python tests/test_golden.py``
 from the repository root (``src`` on ``PYTHONPATH``).
@@ -17,7 +26,7 @@ import pytest
 from probederand.cli import main
 from probederand.synth import scenario_to_dict
 
-from scenarios import mixed_scenario
+from scenarios import mixed_scenario, twin_scenario
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_FILES = (
@@ -28,12 +37,31 @@ GOLDEN_FILES = (
     "report_summary.csv",
     "tuning.csv",
 )
+TWIN_FILES = GOLDEN_FILES[:-1]
+
+# name -> (scenario, golden directory, pinned files, whether to run tune)
+SCENARIOS = {
+    "mixed": (lambda: mixed_scenario(seed=31, duration=90.0), GOLDEN_DIR, GOLDEN_FILES, True),
+    "twin": (
+        lambda: twin_scenario(424242, duration=90.0, jitter=0.0),
+        GOLDEN_DIR / "twin",
+        TWIN_FILES,
+        False,
+    ),
+    "twin-jitter": (
+        lambda: twin_scenario(424242, duration=90.0, jitter=0.05),
+        GOLDEN_DIR / "twin-jitter",
+        TWIN_FILES,
+        False,
+    ),
+}
 
 
-def run_pipeline(base: Path) -> Path:
-    """Run every CLI command on the pinned scenario; return the output dir."""
+def run_pipeline(name: str, base: Path) -> Path:
+    """Run the CLI commands on one pinned scenario; return the output dir."""
+    build, _, _, tune = SCENARIOS[name]
     scenario_path = base / "scenario.json"
-    scenario_path.write_text(json.dumps(scenario_to_dict(mixed_scenario(seed=31, duration=90.0))))
+    scenario_path.write_text(json.dumps(scenario_to_dict(build())))
     dataset, out = base / "dataset", base / "out"
     features = str(out / "bursts.csv")
     commands = [
@@ -41,29 +69,48 @@ def run_pipeline(base: Path) -> Path:
         ["ingest", str(dataset), "--out", str(out)],
         ["cluster", features, "--out", str(out)],
         ["evaluate", features, "--out", str(out), "--d", "2"],
-        ["tune", features, "--out", str(out), "--eps-grid", "0.02,0.05", "--minpts-grid", "3,10", "--d", "2"],
     ]
+    if tune:
+        commands.append(
+            ["tune", features, "--out", str(out), "--eps-grid", "0.02,0.05", "--minpts-grid", "3,10", "--d", "2"]
+        )
     for argv in commands:
         assert main(argv) == 0, argv
     return out
 
 
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    return run_pipeline(tmp_path_factory.mktemp("golden"))
+def produced(tmp_path_factory):
+    """Output directory of a scenario, each scenario run once per module."""
+    cache = {}
+
+    def get(name: str) -> Path:
+        if name not in cache:
+            cache[name] = run_pipeline(name, tmp_path_factory.mktemp(name))
+        return cache[name]
+
+    return get
 
 
 @pytest.mark.parametrize("name", GOLDEN_FILES)
-def test_output_matches_golden(outputs, name):
-    assert (outputs / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+def test_output_matches_golden(produced, name):
+    assert (produced("mixed") / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", TWIN_FILES)
+@pytest.mark.parametrize("scenario", ("twin", "twin-jitter"))
+def test_twin_output_matches_golden(produced, scenario, name):
+    golden = SCENARIOS[scenario][1]
+    assert (produced(scenario) / name).read_bytes() == (golden / name).read_bytes()
 
 
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as scratch:
-        produced = run_pipeline(Path(scratch))
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        for name in GOLDEN_FILES:
-            (GOLDEN_DIR / name).write_bytes((produced / name).read_bytes())
-    print(f"re-pinned {len(GOLDEN_FILES)} files under {GOLDEN_DIR}")
+    for scenario, (_, golden, files, _) in SCENARIOS.items():
+        with tempfile.TemporaryDirectory() as scratch:
+            out = run_pipeline(scenario, Path(scratch))
+            golden.mkdir(exist_ok=True)
+            for name in files:
+                (golden / name).write_bytes((out / name).read_bytes())
+        print(f"re-pinned {len(files)} files under {golden}")
