@@ -5,9 +5,10 @@ over built-in defaults. Every output file starts with a comment line
 recording the tool version and the full effective configuration, and
 identical inputs with the same seed produce byte-identical outputs.
 
-Exit codes: 0 success, 1 processing error, 2 usage error (bad flags,
-a config file that is not a JSON object of correctly typed values, or
-fewer than two labelled devices for ``evaluate`` and ``tune``).
+Exit codes: 0 success, 1 processing error, 2 usage error (bad flags or
+setting values, a config file that is not a JSON object of correctly
+typed values, or fewer than two labelled devices for ``evaluate`` and
+``tune``).
 """
 
 from __future__ import annotations
@@ -15,14 +16,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .clustering import (
+    NOISE,
     DbscanConfig,
     KmeansConfig,
     ie_only_cluster,
+    n_clusters,
     two_stage_labelings,
     write_labeling_file,
 )
@@ -64,6 +70,16 @@ DEFAULTS = {
 
 class UsageError(Exception):
     """Input the command cannot be run on as given (exit code 2)."""
+
+
+@contextmanager
+def _settings():
+    """Scope that reads a command's settings: a ValueError raised in it
+    (a value out of range, a grid that does not parse) is a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _effective_config(args: argparse.Namespace, keys: list[str]) -> dict:
@@ -116,7 +132,10 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    config = _effective_config(args, ["gap_seconds"])
+    with _settings():
+        config = _effective_config(args, ["gap_seconds"])
+        if not config["gap_seconds"] > 0:
+            raise ValueError("gap_seconds must be positive")
     diagnostics = ParseDiagnostics()
     labeled = read_dataset(args.dataset_root, diagnostics)
     frames = [frame for frame, _ in labeled]
@@ -147,47 +166,40 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    keys = ["eps", "min_pts", "k_max", "seed", "method"]
-    config = _effective_config(args, keys)
+    with _settings():
+        config = _effective_config(args, ["eps", "min_pts", "k_max", "seed", "method"])
+        dbscan_cfg = DbscanConfig(eps=config["eps"], min_pts=config["min_pts"])
+        kmeans_cfg = KmeansConfig(k_max=config["k_max"], seed=config["seed"])
     bursts = read_feature_file(args.features)
-    dbscan_cfg = DbscanConfig(eps=config["eps"], min_pts=config["min_pts"])
-    kmeans_cfg = KmeansConfig(k_max=config["k_max"], seed=config["seed"])
     if config["method"] == METHOD_IE_ONLY:
-        coarse = ie_only_cluster(bursts, dbscan_cfg)
-        final = coarse
+        coarse = final = ie_only_cluster(bursts, dbscan_cfg)
     else:
         coarse, final = two_stage_labelings(bursts, dbscan_cfg, kmeans_cfg)
     out = _out_dir(args)
     write_labeling_file(bursts, coarse, final, out / "labeling.csv", _header("cluster", config))
 
-    sizes: dict[int, int] = {}
-    noise = 0
-    for label in final.assignments.values():
-        if label < 0:
-            noise += 1
-        else:
-            sizes[label] = sizes.get(label, 0) + 1
+    noise = int((final == NOISE).sum())
     summary = {
-        "n_clusters": final.n_clusters,
-        "n_coarse_clusters": coarse.n_clusters,
+        "n_clusters": n_clusters(final),
+        "n_coarse_clusters": n_clusters(coarse),
         "noise_bursts": noise,
-        "cluster_sizes": [sizes[k] for k in sorted(sizes)],
+        "cluster_sizes": np.bincount(final[final != NOISE]).tolist(),
     }
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(f"clusters: {final.n_clusters}  noise bursts: {noise}")
+    print(f"clusters: {summary['n_clusters']}  noise bursts: {noise}")
     print(f"wrote {out / 'labeling.csv'} and {out / 'summary.json'}")
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    keys = ["eps", "min_pts", "k_max", "d", "seed", "jobs"]
-    config = _effective_config(args, keys)
+    with _settings():
+        config = _effective_config(args, ["eps", "min_pts", "k_max", "d", "seed", "jobs"])
+        dbscan_cfg = DbscanConfig(eps=config["eps"], min_pts=config["min_pts"])
+        kmeans_cfg = KmeansConfig(k_max=config["k_max"], seed=config["seed"])
+        eval_cfg = EvalConfig(d=config["d"], seed=config["seed"])
     bursts = _read_labelled(args.features)
-    dbscan_cfg = DbscanConfig(eps=config["eps"], min_pts=config["min_pts"])
-    kmeans_cfg = KmeansConfig(k_max=config["k_max"], seed=config["seed"])
-    eval_cfg = EvalConfig(d=config["d"], seed=config["seed"])
     sections = [
         (method, run_protocol(bursts, eval_cfg, dbscan_cfg, kmeans_cfg, method, config["jobs"]))
         for method in METHODS
@@ -207,12 +219,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    keys = ["d", "seed"]
-    config = _effective_config(args, keys)
+    with _settings():
+        config = _effective_config(args, ["d", "seed"])
+        eval_cfg = EvalConfig(d=config["d"], seed=config["seed"])
+        eps_grid = [float(x) for x in args.eps_grid.split(",") if x != ""]
+        minpts_grid = [int(x) for x in args.minpts_grid.split(",") if x != ""]
+        if not eps_grid or not minpts_grid:
+            raise ValueError("hyperparameter grids must be non-empty")
+        for eps in eps_grid:
+            for min_pts in minpts_grid:
+                DbscanConfig(eps=eps, min_pts=min_pts)
     bursts = _read_labelled(args.features)
-    eps_grid = [float(x) for x in args.eps_grid.split(",") if x != ""]
-    minpts_grid = [int(x) for x in args.minpts_grid.split(",") if x != ""]
-    eval_cfg = EvalConfig(d=config["d"], seed=config["seed"])
     rows = tune_dbscan(bursts, eps_grid, minpts_grid, eval_cfg)
     out = _out_dir(args)
     config["eps_grid"] = args.eps_grid

@@ -55,17 +55,6 @@ class KmeansConfig:
             raise ValueError("k_max must be at least 1")
 
 
-@dataclass(frozen=True)
-class ClusterLabeling:
-    """Assignment of burst ids to contiguous cluster labels (NOISE = -1)."""
-
-    assignments: dict[int, int]
-    n_clusters: int
-
-    def labels_for(self, burst_ids: Sequence[int]) -> list[int]:
-        return [self.assignments[b] for b in burst_ids]
-
-
 def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Density-based labels over Euclidean distance.
 
@@ -106,22 +95,14 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     return labels
 
 
-def dbscan(
-    points: np.ndarray,
-    config: DbscanConfig,
-    ids: Optional[Sequence[int]] = None,
-) -> ClusterLabeling:
-    """DBSCAN over normalized feature rows, keyed by ``ids`` (row index
-    by default; callers pass burst ids in ascending order)."""
-    data = np.asarray(points, dtype=float)
-    if data.ndim != 2 or data.shape[0] == 0:
-        raise ValueError("expected a non-empty point matrix")
-    labels = dbscan_labels(data, config.eps, config.min_pts)
-    keys = list(ids) if ids is not None else list(range(len(labels)))
-    if len(keys) != len(labels):
-        raise ValueError("ids must parallel point rows")
-    n_clusters = int(labels.max()) + 1 if labels.size and labels.max() >= 0 else 0
-    return ClusterLabeling({k: int(l) for k, l in zip(keys, labels)}, n_clusters)
+def dbscan(points: np.ndarray, config: DbscanConfig) -> np.ndarray:
+    """DBSCAN labels of normalized feature rows under ``config``."""
+    return dbscan_labels(points, config.eps, config.min_pts)
+
+
+def n_clusters(labels: np.ndarray) -> int:
+    """Number of clusters in contiguous labels; noise is not a cluster."""
+    return int(np.max(labels, initial=NOISE)) + 1
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -317,55 +298,49 @@ def _sorted_bursts(bursts: Sequence[Burst]) -> list[Burst]:
     return ordered
 
 
-def ie_only_cluster(bursts: Sequence[Burst], dbscan_cfg: DbscanConfig) -> ClusterLabeling:
-    """Coarse stage alone: DBSCAN over normalized IE fingerprints."""
+def ie_only_cluster(bursts: Sequence[Burst], dbscan_cfg: DbscanConfig) -> np.ndarray:
+    """Coarse stage alone: DBSCAN over normalized IE fingerprints.
+
+    Labels are in ascending burst-id order (noise = ``NOISE``).
+    """
     ordered = _sorted_bursts(bursts)
-    points = normalize_ie_matrix([b.ie_features for b in ordered])
-    return dbscan(points, dbscan_cfg, ids=[b.burst_id for b in ordered])
+    return dbscan(normalize_ie_matrix([b.ie_features for b in ordered]), dbscan_cfg)
 
 
 def two_stage_labelings(
     bursts: Sequence[Burst],
     dbscan_cfg: DbscanConfig,
     kmeans_cfg: KmeansConfig,
-) -> tuple[ClusterLabeling, ClusterLabeling]:
-    """(coarse, final) labelings of the full two-stage pipeline.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(coarse, final) labels of the full two-stage pipeline, in
+    ascending burst-id order.
 
     Each coarse cluster is refined independently; final labels are the
     disjoint union of all sub-clusters, renumbered contiguously. Noise
     bursts stay noise and are excluded from the cluster count.
     """
     ordered = _sorted_bursts(bursts)
-    ids = [b.burst_id for b in ordered]
     points = normalize_ie_matrix([b.ie_features for b in ordered])
     coarse = dbscan_labels(points, dbscan_cfg.eps, dbscan_cfg.min_pts)
     padded = pad_matrix([b.channel_vector for b in ordered])
 
     final = np.full(len(ordered), NOISE, dtype=int)
     next_label = 0
-    n_coarse = int(coarse.max()) + 1 if coarse.size and coarse.max() >= 0 else 0
-    for c in range(n_coarse):
+    for c in range(n_clusters(coarse)):
         members = np.flatnonzero(coarse == c)
         sub = _refine_labels(padded[members], kmeans_cfg, seed_key=(c,))
         for s in range(int(sub.max()) + 1):
             final[members[sub == s]] = next_label
             next_label += 1
-
-    coarse_labeling = ClusterLabeling(
-        {i: int(l) for i, l in zip(ids, coarse)}, n_coarse
-    )
-    final_labeling = ClusterLabeling(
-        {i: int(l) for i, l in zip(ids, final)}, next_label
-    )
-    return coarse_labeling, final_labeling
+    return coarse, final
 
 
 def two_stage_cluster(
     bursts: Sequence[Burst],
     dbscan_cfg: DbscanConfig,
     kmeans_cfg: KmeansConfig,
-) -> ClusterLabeling:
-    """Final labeling of the two-stage pipeline."""
+) -> np.ndarray:
+    """Final labels of the two-stage pipeline, in ascending burst-id order."""
     return two_stage_labelings(bursts, dbscan_cfg, kmeans_cfg)[1]
 
 
@@ -374,21 +349,18 @@ LABELING_FIELDS = ("burst_id", "source_mac", "truth_device", "coarse_label", "fi
 
 def write_labeling_file(
     bursts: Sequence[Burst],
-    coarse: ClusterLabeling,
-    final: ClusterLabeling,
+    coarse: np.ndarray,
+    final: np.ndarray,
     path,
     header_comment: str | None = None,
 ) -> None:
-    """CSV of per-burst coarse and final labels (noise rendered as -1)."""
-    ordered = _sorted_bursts(bursts)
+    """CSV of per-burst coarse and final labels (noise rendered as -1).
+
+    The labels are in ascending burst-id order, as the clustering
+    functions return them.
+    """
     rows = (
-        [
-            burst.burst_id,
-            mac_to_str(burst.source_mac),
-            burst.truth_device or "",
-            coarse.assignments[burst.burst_id],
-            final.assignments[burst.burst_id],
-        ]
-        for burst in ordered
+        [b.burst_id, mac_to_str(b.source_mac), b.truth_device or "", c, f]
+        for b, c, f in zip(_sorted_bursts(bursts), coarse, final, strict=True)
     )
     write_table(path, LABELING_FIELDS, rows, header_comment)

@@ -28,29 +28,9 @@ from .pcap import (
 DEFAULT_BURST_GAP = 2.0
 
 
-def encode_value(value) -> float:
-    """Numeric encoding of one IE payload.
-
-    Absent or empty values encode to 0, numbers keep their value, byte
-    arrays become the sum of their bytes, strings the sum of their
-    character codes.
-    """
-    if value is None:
-        return 0
-    if isinstance(value, bool):
-        raise TypeError("booleans have no IE encoding")
-    if isinstance(value, (int, float)):
-        return value
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        return sum(bytes(value))
-    if isinstance(value, str):
-        return sum(ord(ch) for ch in value)
-    raise TypeError(f"no encoding rule for {type(value).__name__}")
-
-
-def encode_ie(ie: Optional[InformationElement]) -> float:
+def encode_ie(ie: Optional[InformationElement]) -> int:
     """Byte-sum encoding of one IE body; an absent IE encodes to 0."""
-    return 0 if ie is None else encode_value(ie.body)
+    return 0 if ie is None else sum(ie.body)
 
 
 def build_ie_features(frame: ProbeRequestFrame) -> tuple[float, float, float]:

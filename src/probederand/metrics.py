@@ -11,15 +11,15 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .clustering import (
-    ClusterLabeling,
     DbscanConfig,
     KmeansConfig,
     ie_only_cluster,
+    n_clusters,
     two_stage_cluster,
 )
 from .features import Burst, write_table
@@ -38,7 +38,6 @@ class MetricReport:
     completeness: float
     v_measure: float
     n_clusters: int
-    n_truth_devices: int
     delta: int
     p: int
     subset_index: int
@@ -49,21 +48,11 @@ class EvalConfig:
     """Subset-drawing protocol: d draws per population size p."""
 
     d: int = 10
-    p_range: Optional[tuple[int, ...]] = None
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ValueError("d must be at least 1")
-
-    def resolve_p_range(self, n_devices: int) -> tuple[int, ...]:
-        if self.p_range is None:
-            return tuple(range(1, n_devices))
-        if any(p < 1 or p > n_devices - 1 for p in self.p_range):
-            raise ValueError(
-                f"p_range must lie within 1..{n_devices - 1} for {n_devices} devices"
-            )
-        return tuple(self.p_range)
 
 
 def _contingency(truth: Sequence, pred: Sequence) -> np.ndarray:
@@ -147,16 +136,16 @@ def group_by_device(bursts: Sequence[Burst]) -> dict[str, list[Burst]]:
 def draw_subsets(
     devices: Sequence[str], eval_cfg: EvalConfig
 ) -> list[tuple[int, int, tuple[str, ...]]]:
-    """All (p, subset_index, device subset) draws of the protocol.
+    """All (p, subset_index, device subset) draws of the protocol, for
+    every population size p from 1 to one less than the device count.
 
     Devices within a subset are drawn uniformly without replacement;
     the d subsets of one population size may overlap each other.
     """
     universe = sorted(devices)
-    p_range = eval_cfg.resolve_p_range(len(universe))
     rng = substream(eval_cfg.seed, STREAM_SAMPLING)
     draws = []
-    for p in p_range:
+    for p in range(1, len(universe)):
         for s in range(eval_cfg.d):
             picked = rng.choice(len(universe), size=p, replace=False)
             draws.append((p, s, tuple(universe[i] for i in sorted(picked))))
@@ -174,37 +163,30 @@ def _protocol_pools(
     ]
 
 
-def _cluster_pool(
-    pool: list[Burst],
-    method: str,
-    dbscan_cfg: DbscanConfig,
-    kmeans_cfg: KmeansConfig,
-) -> ClusterLabeling:
-    if method == METHOD_TWO_STAGE:
-        return two_stage_cluster(pool, dbscan_cfg, kmeans_cfg)
-    if method == METHOD_IE_ONLY:
-        return ie_only_cluster(pool, dbscan_cfg)
-    raise ValueError(f"unknown method {method!r}")
+def _score(p: int, subset_index: int, pool: list[Burst], labels: np.ndarray) -> MetricReport:
+    """Scores of the labels of one pool (bursts and labels in id order)."""
+    h, c, v = homogeneity_completeness_v([b.truth_device for b in pool], labels)
+    count = n_clusters(labels)
+    return MetricReport(
+        homogeneity=h,
+        completeness=c,
+        v_measure=v,
+        n_clusters=count,
+        delta=delta_error(count, p),
+        p=p,
+        subset_index=subset_index,
+    )
 
 
 def _score_subset(
     task: tuple[int, int, list[Burst], str, DbscanConfig, KmeansConfig],
 ) -> MetricReport:
     p, subset_index, pool, method, dbscan_cfg, kmeans_cfg = task
-    labeling = _cluster_pool(pool, method, dbscan_cfg, kmeans_cfg)
-    truth = [b.truth_device for b in pool]
-    pred = [labeling.assignments[b.burst_id] for b in pool]
-    h, c, v = homogeneity_completeness_v(truth, pred)
-    return MetricReport(
-        homogeneity=h,
-        completeness=c,
-        v_measure=v,
-        n_clusters=labeling.n_clusters,
-        n_truth_devices=len(set(truth)),
-        delta=delta_error(labeling.n_clusters, p),
-        p=p,
-        subset_index=subset_index,
-    )
+    if method == METHOD_TWO_STAGE:
+        labels = two_stage_cluster(pool, dbscan_cfg, kmeans_cfg)
+    else:
+        labels = ie_only_cluster(pool, dbscan_cfg)
+    return _score(p, subset_index, pool, labels)
 
 
 def run_protocol(
@@ -306,21 +288,13 @@ def tune_dbscan(
     for eps in eps_grid:
         for min_pts in minpts_grid:
             cfg = DbscanConfig(eps=eps, min_pts=min_pts)
-            v_scores = []
-            abs_deltas = []
-            for p, _, pool in pools:
-                labeling = ie_only_cluster(pool, cfg)
-                truth = [b.truth_device for b in pool]
-                pred = [labeling.assignments[b.burst_id] for b in pool]
-                _, _, v = homogeneity_completeness_v(truth, pred)
-                v_scores.append(v)
-                abs_deltas.append(abs(delta_error(labeling.n_clusters, p)))
+            reports = [_score(p, s, pool, ie_only_cluster(pool, cfg)) for p, s, pool in pools]
             rows.append(
                 TuneRow(
                     eps=float(eps),
                     min_pts=int(min_pts),
-                    mean_v=float(np.mean(v_scores)),
-                    mean_abs_delta=float(np.mean(abs_deltas)),
+                    mean_v=float(np.mean([r.v_measure for r in reports])),
+                    mean_abs_delta=float(np.mean([abs(r.delta) for r in reports])),
                 )
             )
     rows.sort(key=lambda r: (-r.mean_v, r.mean_abs_delta, r.eps, r.min_pts))

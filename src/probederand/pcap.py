@@ -109,7 +109,6 @@ class CaptureMeta:
 
     path: str
     declared_channel: Optional[int] = None
-    link_type: Optional[int] = None
 
 
 @dataclass
@@ -125,17 +124,6 @@ class ParseDiagnostics:
     ie_overruns: int = 0
     truncated_tail: int = 0
     empty_files: list[str] = field(default_factory=list)
-
-    def merge(self, other: "ParseDiagnostics") -> None:
-        self.records_total += other.records_total
-        self.probe_requests += other.probe_requests
-        self.skipped_other += other.skipped_other
-        self.skipped_fcs_bad += other.skipped_fcs_bad
-        self.skipped_truncated += other.skipped_truncated
-        self.skipped_bad_radiotap += other.skipped_bad_radiotap
-        self.ie_overruns += other.ie_overruns
-        self.truncated_tail += other.truncated_tail
-        self.empty_files.extend(other.empty_files)
 
 
 def mac_to_str(mac: bytes) -> str:
@@ -266,20 +254,18 @@ def _unpack_global_header(data: bytes) -> tuple[str, bool, int]:
 
 
 def read_capture(
-    source,
+    data: bytes,
     meta: CaptureMeta,
     diagnostics: Optional[ParseDiagnostics] = None,
 ) -> list[ProbeRequestFrame]:
-    """Parse a pcap byte stream and return its Probe Request frames.
+    """Parse the bytes of a pcap file and return its Probe Request frames.
 
     Non-probe frames are skipped silently; truncated or FCS-bad frames
     are skipped and tallied. A record header promising more bytes than
     remain stops the walk with the partial result.
     """
     diag = diagnostics if diagnostics is not None else ParseDiagnostics()
-    data = source.read() if hasattr(source, "read") else bytes(source)
     order, nanos, network = _unpack_global_header(data)
-    meta.link_type = network
 
     frames: list[ProbeRequestFrame] = []
     offset = 24

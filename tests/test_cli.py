@@ -7,7 +7,13 @@ import pytest
 
 from probederand import __version__, metrics
 from probederand.cli import main
-from probederand.clustering import DbscanConfig, KmeansConfig, two_stage_labelings, write_labeling_file
+from probederand.clustering import (
+    DbscanConfig,
+    KmeansConfig,
+    n_clusters,
+    two_stage_labelings,
+    write_labeling_file,
+)
 from probederand.features import read_feature_file
 from probederand.metrics import (
     METHOD_IE_ONLY,
@@ -79,7 +85,7 @@ class TestCluster:
         assert (out / "labeling.csv").read_bytes() == expected.read_bytes()
 
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["n_clusters"] == final.n_clusters
+        assert summary["n_clusters"] == n_clusters(final)
 
     def test_reruns_are_byte_identical(self, workspace, tmp_path):
         args = ["cluster", str(workspace["features"]), "--seed", "7"]
@@ -159,6 +165,40 @@ class TestUsageErrors:
         config.write_text("[1, 2]")
         argv = ["cluster", str(workspace["features"]), "--out", str(tmp_path / "o"), "--config", str(config)]
         assert "JSON object" in self.assert_usage_error(argv, capsys)
+
+    def test_config_that_is_not_json(self, workspace, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text("{eps: 0.1}")
+        argv = ["cluster", str(workspace["features"]), "--out", str(tmp_path / "o"), "--config", str(config)]
+        self.assert_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["cluster", "--eps", "-1"],
+            ["cluster", "--k-max", "0"],
+            ["evaluate", "--d", "0"],
+            ["ingest", "--gap-seconds", "0"],
+            ["tune", "--eps-grid", "0.05", "--minpts-grid", "0"],
+            ["tune", "--eps-grid", "abc", "--minpts-grid", "5"],
+            ["tune", "--eps-grid", ",", "--minpts-grid", "5"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_flag_value(self, workspace, tmp_path, capsys, command):
+        source = workspace["dataset" if command[0] == "ingest" else "features"]
+        self.assert_usage_error([command[0], str(source), "--out", str(tmp_path / "o"), *command[1:]], capsys)
+
+    @pytest.mark.parametrize(
+        "command, content",
+        [("cluster", '{"eps": -1}'), ("evaluate", '{"min_pts": 0}'), ("ingest", '{"gap_seconds": 0}')],
+    )
+    def test_config_value_out_of_range(self, workspace, tmp_path, capsys, command, content):
+        config = tmp_path / "cfg.json"
+        config.write_text(content)
+        source = workspace["dataset" if command == "ingest" else "features"]
+        argv = [command, str(source), "--out", str(tmp_path / "o"), "--config", str(config)]
+        self.assert_usage_error(argv, capsys)
 
     def test_integer_config_value_for_float_setting(self, workspace, tmp_path):
         config = tmp_path / "cfg.json"
@@ -295,7 +335,7 @@ class TestTune:
                 "--minpts-grid",
                 "5",
             ]
-        ) == 1
+        ) == 2
 
 
 class TestGenerate:

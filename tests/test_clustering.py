@@ -15,7 +15,6 @@ import pytest
 from probederand.clustering import (
     NOISE,
     RESTARTS,
-    ClusterLabeling,
     DbscanConfig,
     KmeansConfig,
     average_pairwise_similarity,
@@ -24,6 +23,7 @@ from probederand.clustering import (
     dynamic_threshold,
     elbow_select_k,
     ie_only_cluster,
+    n_clusters,
     spherical_kmeans,
     two_stage_cluster,
     two_stage_labelings,
@@ -76,15 +76,15 @@ def make_burst(burst_id, ie, vector, mac_tail=None, truth=None):
 class TestDbscan:
     def test_identical_points_form_one_cluster(self):
         points = np.zeros((20, 3))
-        labeling = dbscan(points, DbscanConfig(eps=0.05, min_pts=10))
-        assert labeling.n_clusters == 1
-        assert set(labeling.assignments.values()) == {0}
+        labels = dbscan(points, DbscanConfig(eps=0.05, min_pts=10))
+        assert n_clusters(labels) == 1
+        assert set(labels) == {0}
 
     def test_below_min_pts_is_noise(self):
         points = np.zeros((5, 3))
-        labeling = dbscan(points, DbscanConfig(eps=0.05, min_pts=10))
-        assert labeling.n_clusters == 0
-        assert set(labeling.assignments.values()) == {NOISE}
+        labels = dbscan(points, DbscanConfig(eps=0.05, min_pts=10))
+        assert n_clusters(labels) == 0
+        assert set(labels) == {NOISE}
 
     def test_two_separated_groups(self):
         rng = np.random.default_rng(7)
@@ -132,12 +132,15 @@ class TestDbscan:
         assert canonical_partition(unshuffled)[0] == base
 
     def test_labeling_keys_are_ids(self):
-        labeling = dbscan(np.zeros((3, 2)), DbscanConfig(eps=0.1, min_pts=1), ids=[7, 9, 11])
-        assert set(labeling.assignments) == {7, 9, 11}
+        """Label i belongs to the burst with the i-th smallest id,
+        whatever order the bursts come in."""
+        bursts = [make_burst(i, (10 * (i % 2), 0, 0), (1,)) for i in (9, 7, 12, 8)]
+        labels = ie_only_cluster(bursts, DbscanConfig(eps=0.1, min_pts=1))
+        assert labels.tolist() == [0, 1, 0, 1]  # ids 7, 8, 9, 12
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            dbscan(np.zeros((0, 3)), DbscanConfig())
+            ie_only_cluster([], DbscanConfig())
 
 
 class TestCosine:
@@ -280,8 +283,8 @@ def refine(vectors):
     """Fine-stage labels of bursts that all share one coarse pool."""
     bursts = [make_burst(i, (1, 1, 1), vector) for i, vector in enumerate(vectors)]
     coarse, final = two_stage_labelings(bursts, DbscanConfig(min_pts=1), KmeansConfig(seed=4))
-    assert coarse.n_clusters == 1
-    return [final.assignments[b.burst_id] for b in bursts]
+    assert n_clusters(coarse) == 1
+    return final.tolist()
 
 
 class TestRefine:
@@ -321,17 +324,17 @@ def twin_bursts(n_per=20, jiggle=None):
 class TestTwoStage:
     def test_single_population_single_cluster(self):
         bursts = [make_burst(i, (3, 2, 1), (1, 6, 11)) for i in range(15)]
-        labeling = two_stage_cluster(bursts, DbscanConfig(), KmeansConfig(seed=6))
-        assert labeling.n_clusters == 1
+        labels = two_stage_cluster(bursts, DbscanConfig(), KmeansConfig(seed=6))
+        assert n_clusters(labels) == 1
 
     def test_twins_split_in_stage_two(self):
         bursts = twin_bursts()
         coarse, final = two_stage_labelings(bursts, DbscanConfig(), KmeansConfig(seed=6))
-        assert coarse.n_clusters == 1
-        assert final.n_clusters == 2
+        assert n_clusters(coarse) == 1
+        assert n_clusters(final) == 2
         by_truth = {}
-        for burst in bursts:
-            by_truth.setdefault(burst.truth_device, set()).add(final.assignments[burst.burst_id])
+        for burst, label in zip(bursts, final):
+            by_truth.setdefault(burst.truth_device, set()).add(label)
         assert all(len(v) == 1 for v in by_truth.values())
         assert by_truth["twin-a"] != by_truth["twin-b"]
 
@@ -339,8 +342,8 @@ class TestTwoStage:
         bursts = [make_burst(i, (10, 0, 0), (1, 6, 11), truth="a") for i in range(15)]
         bursts += [make_burst(15 + i, (200, 9, 9), (1, 6, 11), truth="b") for i in range(15)]
         coarse, final = two_stage_labelings(bursts, DbscanConfig(), KmeansConfig(seed=6))
-        assert coarse.n_clusters == 2
-        assert final.n_clusters == 2
+        assert n_clusters(coarse) == 2
+        assert n_clusters(final) == 2
 
     def test_refinement_never_merges(self):
         rng = np.random.default_rng(19)
@@ -352,27 +355,27 @@ class TestTwoStage:
         coarse, final = two_stage_labelings(
             bursts, DbscanConfig(eps=0.1, min_pts=3), KmeansConfig(seed=21)
         )
-        assert final.n_clusters >= coarse.n_clusters
+        assert n_clusters(final) >= n_clusters(coarse)
 
     def test_noise_stays_noise(self):
         bursts = [make_burst(i, (i * 40, 0, 0), (1, 6)) for i in range(4)]
         coarse, final = two_stage_labelings(bursts, DbscanConfig(eps=0.05, min_pts=3), KmeansConfig(seed=1))
-        assert coarse.n_clusters == 0
-        assert set(final.assignments.values()) == {NOISE}
-        assert final.n_clusters == 0
+        assert n_clusters(coarse) == 0
+        assert set(final) == {NOISE}
+        assert n_clusters(final) == 0
 
     def test_deterministic_for_fixed_seed(self):
         bursts = twin_bursts(jiggle=0.2)
         runs = [
-            two_stage_cluster(bursts, DbscanConfig(), KmeansConfig(seed=33)).assignments
+            two_stage_cluster(bursts, DbscanConfig(), KmeansConfig(seed=33)).tolist()
             for _ in range(3)
         ]
         assert runs[0] == runs[1] == runs[2]
 
     def test_ie_only_is_stage_one(self):
         bursts = twin_bursts()
-        labeling = ie_only_cluster(bursts, DbscanConfig())
-        assert labeling.n_clusters == 1
+        labels = ie_only_cluster(bursts, DbscanConfig())
+        assert n_clusters(labels) == 1
 
 
 class TestConfigs:
@@ -386,6 +389,9 @@ class TestConfigs:
         with pytest.raises(ValueError):
             KmeansConfig(k_max=0)
 
-    def test_labeling_lookup(self):
-        labeling = ClusterLabeling({1: 0, 2: 1}, 2)
-        assert labeling.labels_for([2, 1]) == [1, 0]
+
+
+def test_n_clusters_ignores_noise():
+    assert n_clusters(np.array([], dtype=int)) == 0
+    assert n_clusters(np.array([NOISE, NOISE])) == 0
+    assert n_clusters(np.array([0, NOISE, 2, 1])) == 3

@@ -10,7 +10,6 @@ from probederand.features import (
     build_ie_features,
     channel_entries,
     encode_ie,
-    encode_value,
     group_bursts,
     ie_stability_violations,
     normalize_ie_matrix,
@@ -31,17 +30,10 @@ def ie(ie_id, body):
 
 class TestEncoding:
     def test_absent_encodes_to_zero(self):
-        assert encode_value(None) == 0
         assert encode_ie(None) == 0
 
-    def test_numeric_keeps_value(self):
-        assert encode_value(42) == 42
-
     def test_byte_array_sums(self):
-        assert encode_value(bytes([1, 2, 3])) == 6
-
-    def test_string_sums_character_codes(self):
-        assert encode_value("AB") == 131
+        assert encode_ie(ie(45, [1, 2, 3])) == 6
 
     def test_empty_body_is_zero(self):
         assert encode_ie(ie(45, b"")) == 0
@@ -51,7 +43,7 @@ class TestEncoding:
     def test_byte_sum_is_permutation_invariant(self, body, rnd):
         shuffled = bytearray(body)
         rnd.shuffle(shuffled)
-        assert encode_value(bytes(shuffled)) == encode_value(body)
+        assert encode_ie(ie(221, shuffled)) == encode_ie(ie(221, body))
 
 
 class TestIeFeatures:

@@ -160,34 +160,24 @@ class TestProtocol:
 
     def test_single_device_is_perfect(self):
         bursts = synthetic_bursts(n_devices=3, bursts_per=15)
-        cfg = EvalConfig(d=4, p_range=(1,), seed=5)
+        cfg = EvalConfig(d=4, seed=5)
         for method in (METHOD_TWO_STAGE, METHOD_IE_ONLY):
-            for report in run_protocol(bursts, cfg, DbscanConfig(), KmeansConfig(seed=5), method):
+            reports = run_protocol(bursts, cfg, DbscanConfig(), KmeansConfig(seed=5), method)
+            for report in (r for r in reports if r.p == 1):
                 assert (report.homogeneity, report.completeness, report.v_measure) == (1, 1, 1)
                 assert report.delta == 0
 
     def test_reports_reproducible(self):
         bursts = synthetic_bursts(n_devices=6, bursts_per=12, twins=True)
-        cfg = EvalConfig(d=3, p_range=(2, 4), seed=11)
+        cfg = EvalConfig(d=3, seed=11)
         args = (bursts, cfg, DbscanConfig(min_pts=5), KmeansConfig(seed=11), METHOD_TWO_STAGE)
         assert run_protocol(*args) == run_protocol(*args)
 
     def test_parallel_equals_serial(self):
         bursts = synthetic_bursts(n_devices=5, bursts_per=12)
-        cfg = EvalConfig(d=3, p_range=(2, 3), seed=13)
+        cfg = EvalConfig(d=3, seed=13)
         args = (bursts, cfg, DbscanConfig(min_pts=5), KmeansConfig(seed=13), METHOD_TWO_STAGE)
         assert run_protocol(*args, jobs=1) == run_protocol(*args, jobs=2)
-
-    def test_p_out_of_range_rejected(self):
-        bursts = synthetic_bursts(n_devices=4)
-        with pytest.raises(ValueError):
-            run_protocol(
-                bursts,
-                EvalConfig(d=2, p_range=(4,), seed=1),
-                DbscanConfig(),
-                KmeansConfig(),
-                METHOD_IE_ONLY,
-            )
 
     def test_unlabeled_bursts_rejected(self):
         burst = Burst(0, b"\x02\x00\x00\x00\x00\x01", (1.0, 2.0, 3.0), (1, 6))
@@ -204,8 +194,8 @@ class TestProtocol:
 
     def test_summary_rows(self):
         reports = [
-            MetricReport(1.0, 1.0, 1.0, 5, 5, 0, 5, 0),
-            MetricReport(0.5, 1.0, 2 / 3, 3, 5, -2, 5, 1),
+            MetricReport(1.0, 1.0, 1.0, 5, 0, 5, 0),
+            MetricReport(0.5, 1.0, 2 / 3, 3, -2, 5, 1),
         ]
         (row,) = summarize(reports)
         assert row.p == 5
@@ -254,8 +244,5 @@ class TestEvalConfig:
             EvalConfig(d=0)
 
     def test_default_p_range(self):
-        assert EvalConfig(seed=1).resolve_p_range(5) == (1, 2, 3, 4)
-
-    def test_explicit_p_range_checked(self):
-        with pytest.raises(ValueError):
-            EvalConfig(p_range=(5,), seed=1).resolve_p_range(5)
+        draws = draw_subsets([f"d{i}" for i in range(5)], EvalConfig(seed=1))
+        assert sorted({p for p, _, _ in draws}) == [1, 2, 3, 4]
