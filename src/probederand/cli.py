@@ -152,6 +152,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         f"probe_requests={diagnostics.probe_requests} "
         f"skipped_other={diagnostics.skipped_other} "
         f"truncated={diagnostics.skipped_truncated} "
+        f"truncated_tail={diagnostics.truncated_tail} "
         f"fcs_bad={diagnostics.skipped_fcs_bad} "
         f"bad_radiotap={diagnostics.skipped_bad_radiotap} "
         f"ie_overruns={diagnostics.ie_overruns}"

@@ -65,14 +65,10 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """
     data = np.asarray(points, dtype=float)
     n = data.shape[0]
-    if n <= 1024:
-        diff = data[:, None, :] - data[None, :, :]
-        squared = (diff * diff).sum(axis=2)
-    else:
-        # avoid the n x n x dims intermediate on large captures
-        sq = (data * data).sum(axis=1)
-        squared = sq[:, None] + sq[None, :] - 2.0 * (data @ data.T)
-        np.maximum(squared, 0.0, out=squared)
+    # summed a dimension at a time: no n x n x dims intermediate
+    squared = np.zeros((n, n))
+    for column in data.T:
+        squared += (column[:, None] - column[None, :]) ** 2
     within = squared <= eps * eps
     core = within.sum(axis=1) >= min_pts
 
@@ -85,12 +81,10 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         frontier = deque([seed])
         while frontier:
             point = frontier.popleft()
-            if not core[point]:
-                continue
-            for neighbor in np.flatnonzero(within[point]):
-                if labels[neighbor] == NOISE:
-                    labels[neighbor] = cluster
-                    frontier.append(neighbor)
+            if core[point]:
+                reached = np.flatnonzero(within[point] & (labels == NOISE))
+                labels[reached] = cluster
+                frontier.extend(reached)
         cluster += 1
     return labels
 
@@ -186,22 +180,22 @@ def _kmeans_single(
             return labels, centers, distortion
         best = (labels, centers, distortion)
         centers = _update_centers(unit, labels, k, centers)
-    return best if best is not None else (np.zeros(n, dtype=int), centers, 0.0)
+    assert best is not None  # MAX_ITERATIONS >= 1
+    return best
 
 
 def spherical_kmeans(
     rows: np.ndarray,
     k: int,
-    config: KmeansConfig,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
+    *,
     history: Optional[list[list[float]]] = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """k-means on the unit sphere, maximizing cosine similarity.
 
-    Runs ``RESTARTS`` seeded restarts and keeps the lowest distortion
-    (earlier run wins ties); ``config.seed`` seeds them when no ``rng``
-    is given. ``history``, when given, receives one per-iteration
-    distortion trace per restart.
+    Runs ``RESTARTS`` restarts seeded from ``rng`` and keeps the lowest
+    distortion (earlier run wins ties). ``history``, when given,
+    receives one per-iteration distortion trace per restart.
     """
     data = np.asarray(rows, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -209,8 +203,6 @@ def spherical_kmeans(
     if not 1 <= k <= data.shape[0]:
         raise ValueError(f"k={k} outside [1, {data.shape[0]}]")
     unit = _unit_rows(data)
-    if rng is None:
-        rng = substream(config.seed, STREAM_KMEANS)
     best: Optional[tuple[np.ndarray, np.ndarray, float]] = None
     for _ in range(RESTARTS):
         trace: Optional[list[float]] = [] if history is not None else None
@@ -283,7 +275,7 @@ def _refine_labels(
     distortions = []
     for k in range(1, k_max + 1):
         rng = substream(config.seed, STREAM_KMEANS, *seed_key, k)
-        labels, _, distortion = spherical_kmeans(rows, k, config, rng=rng)
+        labels, _, distortion = spherical_kmeans(rows, k, rng)
         labelings.append(labels)
         distortions.append(distortion)
     return labelings[elbow_select_k(distortions, threshold) - 1]

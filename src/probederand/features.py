@@ -237,10 +237,13 @@ def read_feature_file(path) -> list[Burst]:
             if len(row) != len(FEATURE_FIELDS):
                 raise ValueError(f"expected {len(FEATURE_FIELDS)} fields, got {len(row)}")
             channel_vector = tuple(int(c) for c in row[7].split(";") if c != "")
+            ie_features = (float(row[4]), float(row[5]), float(row[6]))
+            if not np.all(np.isfinite(ie_features)):
+                raise ValueError(f"IE features must be finite, got {ie_features}")
             burst = Burst(
                 burst_id=int(row[0]),
                 source_mac=mac_from_str(row[1]),
-                ie_features=(float(row[4]), float(row[5]), float(row[6])),
+                ie_features=ie_features,
                 channel_vector=channel_vector,
                 truth_device=row[2] or None,
             )

@@ -56,8 +56,8 @@ class EvalConfig:
 
 
 def _contingency(truth: Sequence, pred: Sequence) -> np.ndarray:
-    t_classes, t_idx = np.unique(np.asarray(truth, dtype=object), return_inverse=True)
-    p_classes, p_idx = np.unique(np.asarray(pred, dtype=object), return_inverse=True)
+    t_classes, t_idx = np.unique(np.asarray(truth), return_inverse=True)
+    p_classes, p_idx = np.unique(np.asarray(pred), return_inverse=True)
     table = np.zeros((len(t_classes), len(p_classes)), dtype=float)
     np.add.at(table, (t_idx, p_idx), 1.0)
     return table

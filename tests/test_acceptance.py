@@ -6,14 +6,10 @@ complete. The heavyweight fixtures (synthetic datasets and protocol
 runs) are module-scoped so reruns for the determinism gate stay cheap.
 """
 
-import math
-from collections import deque
-
 import numpy as np
 import pytest
 
 from probederand.clustering import (
-    NOISE,
     DbscanConfig,
     KmeansConfig,
     dbscan_labels,
@@ -41,6 +37,7 @@ from probederand.synth import (
     write_capture,
 )
 
+from oracles import canonical_partition, oracle_hcv, reference_dbscan
 from scenarios import hetero_scenario, mixed_scenario, twin_scenario
 
 # Pinned experiment seeds. The protocol seed is chosen so that every
@@ -139,40 +136,6 @@ def test_criterion_2_reference_burst_vector(tmp_path):
     print("ACCEPTANCE 2 reference-burst-vector: PASS")
 
 
-def reference_dbscan(points, eps, min_pts):
-    points = [tuple(p) for p in points]
-    n = len(points)
-    neighbors = [
-        [j for j in range(n) if math.dist(points[i], points[j]) <= eps] for i in range(n)
-    ]
-    core = [len(nb) >= min_pts for nb in neighbors]
-    labels = [NOISE] * n
-    cluster = 0
-    for i in range(n):
-        if labels[i] != NOISE or not core[i]:
-            continue
-        labels[i] = cluster
-        queue = deque([i])
-        while queue:
-            q = queue.popleft()
-            if not core[q]:
-                continue
-            for j in neighbors[q]:
-                if labels[j] == NOISE:
-                    labels[j] = cluster
-                    queue.append(j)
-        cluster += 1
-    return labels
-
-
-def partition_of(labels):
-    groups = {}
-    for i, label in enumerate(labels):
-        groups.setdefault(label, set()).add(i)
-    noise = frozenset(groups.pop(NOISE, set()))
-    return frozenset(frozenset(g) for g in groups.values()), noise
-
-
 def test_criterion_3_dbscan_matches_bruteforce():
     rng = np.random.default_rng(777)
     for case in range(100):
@@ -185,27 +148,10 @@ def test_criterion_3_dbscan_matches_bruteforce():
             points = rng.uniform(0, 1, size=(n, 3))
         eps = float(rng.uniform(0.03, 0.5))
         min_pts = int(rng.integers(1, 12))
-        got = partition_of(dbscan_labels(points, eps, min_pts))
-        want = partition_of(reference_dbscan(points, eps, min_pts))
+        got = canonical_partition(dbscan_labels(points, eps, min_pts))
+        want = canonical_partition(reference_dbscan(points, eps, min_pts))
         assert got == want, f"case {case}: eps={eps} min_pts={min_pts} n={n}"
     print("ACCEPTANCE 3 dbscan-oracle-equivalence: PASS")
-
-
-def oracle_hcv(truth, pred):
-    from collections import Counter
-
-    n = len(truth)
-    joint = Counter(zip(truth, pred))
-    t_counts = Counter(truth)
-    p_counts = Counter(pred)
-    h_truth = -sum(c / n * math.log(c / n) for c in t_counts.values())
-    h_pred = -sum(c / n * math.log(c / n) for c in p_counts.values())
-    h_t_given_p = -sum(c / n * math.log(c / p_counts[p]) for (t, p), c in joint.items())
-    h_p_given_t = -sum(c / n * math.log(c / t_counts[t]) for (t, p), c in joint.items())
-    h = 1.0 if h_truth == 0 else 1.0 - h_t_given_p / h_truth
-    c = 1.0 if h_pred == 0 else 1.0 - h_p_given_t / h_pred
-    v = 0.0 if h + c == 0 else 2 * h * c / (h + c)
-    return h, c, v
 
 
 def test_criterion_4_metric_oracle_equivalence():

@@ -384,3 +384,17 @@ class TestIngestDiagnostics:
         stdout = capsys.readouterr().out
         assert "empty captures" in stdout
         assert "1.pcap" in stdout
+
+    def test_truncated_last_record_reported(self, tmp_path, capsys):
+        scenario = mixed_scenario(seed=31, duration=60.0)
+        scenario_path = tmp_path / "scn.json"
+        scenario_path.write_text(json.dumps(scenario_to_dict(scenario)))
+        dataset = tmp_path / "ds"
+        assert main(["generate", str(scenario_path), "--out", str(dataset)]) == 0
+        out = tmp_path / "out"
+        assert main(["ingest", str(dataset), "--out", str(out)]) == 0
+        assert "truncated_tail=0 " in capsys.readouterr().out
+        victim = max(dataset.rglob("*.pcap"), key=lambda p: p.stat().st_size)
+        victim.write_bytes(victim.read_bytes()[:-10])
+        assert main(["ingest", str(dataset), "--out", str(out)]) == 0
+        assert "truncated_tail=1 " in capsys.readouterr().out

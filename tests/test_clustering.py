@@ -1,13 +1,12 @@
 """Clustering engine: DBSCAN, cosine k-means, elbow rule, two-stage pipeline.
 
-Reference implementations here are deliberately plain Python (math.dist
-loops, exhaustive assignment enumeration) so they share no code with
-the vectorized library paths they check.
+The references (``oracles.reference_dbscan``, exhaustive assignment
+enumeration here) are deliberately plain Python so they share no code
+with the vectorized library paths they check.
 """
 
 import itertools
 import math
-from collections import deque
 
 import numpy as np
 import pytest
@@ -29,43 +28,9 @@ from probederand.clustering import (
     two_stage_labelings,
 )
 from probederand.features import Burst
+from probederand.randomness import DEFAULT_SEED, STREAM_KMEANS, substream
 
-
-def reference_dbscan(points, eps, min_pts):
-    """Brute-force neighborhood scan + BFS expansion, pure Python."""
-    points = [tuple(p) for p in points]
-    n = len(points)
-    neighbors = [
-        [j for j in range(n) if math.dist(points[i], points[j]) <= eps]
-        for i in range(n)
-    ]
-    core = [len(nb) >= min_pts for nb in neighbors]
-    labels = [NOISE] * n
-    cluster = 0
-    for i in range(n):
-        if labels[i] != NOISE or not core[i]:
-            continue
-        labels[i] = cluster
-        queue = deque([i])
-        while queue:
-            q = queue.popleft()
-            if not core[q]:
-                continue
-            for j in neighbors[q]:
-                if labels[j] == NOISE:
-                    labels[j] = cluster
-                    queue.append(j)
-        cluster += 1
-    return labels
-
-
-def canonical_partition(labels):
-    """Frozen partition of indices by label, noise kept apart."""
-    groups = {}
-    for idx, label in enumerate(labels):
-        groups.setdefault(label, set()).add(idx)
-    noise = frozenset(groups.pop(NOISE, set()))
-    return frozenset(frozenset(g) for g in groups.values()), noise
+from oracles import canonical_partition, reference_dbscan
 
 
 def make_burst(burst_id, ie, vector, mac_tail=None, truth=None):
@@ -107,6 +72,34 @@ class TestDbscan:
             got = canonical_partition(dbscan_labels(points, eps, min_pts))
             want = canonical_partition(reference_dbscan(points, eps, min_pts))
             assert got == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_on_duplicate_heavy_input(self, seed):
+        """Over a thousand points on 45 grid rows plus a few singletons,
+        shuffled: the exact labels, scan-order border rule included."""
+        rng = np.random.default_rng(seed)
+        cells = rng.choice(6**3, size=40, replace=False)
+        rows = np.stack(np.unravel_index(cells, (6, 6, 6)), axis=1) * 0.05
+        counts = rng.permutation([110] * 10 + [6] * 6 + [3] * 8 + [1] * 16)
+        # two clusters that both reach the chain's middle (border) row
+        chain = np.array([[x, 0.9, 0.9] for x in (0.6, 0.65, 0.7, 0.75, 0.8)])
+        points = np.vstack([
+            np.repeat(rows, counts, axis=0),
+            np.repeat(chain, [8, 4, 1, 4, 8], axis=0),
+            rng.uniform(0, 1, size=(5, 3)),
+        ])
+        points = points[rng.permutation(len(points))]
+        eps, min_pts = 0.06, 12  # grid neighbours along one axis only
+        want = reference_dbscan(points, eps, min_pts)
+        assert dbscan_labels(points, eps, min_pts).tolist() == want
+
+        within = np.linalg.norm(points[:, None] - points[None], axis=2) <= eps
+        core = within.sum(axis=1) >= min_pts
+        labels = np.array(want)
+        border = np.flatnonzero(~core & (labels != NOISE))
+        contested = [i for i in border if len(set(labels[within[i] & core])) > 1]
+        assert len(points) >= 1100
+        assert core.any() and (labels == NOISE).any() and contested
 
     def test_core_points_invariant_under_permutation(self):
         rng = np.random.default_rng(3)
@@ -189,12 +182,12 @@ def enumerate_best_distortion(rows, k):
 class TestSphericalKmeans:
     def test_identical_rows_zero_distortion(self):
         rows = np.tile([1.0, 6.0, 11.0], (8, 1))
-        _, _, distortion = spherical_kmeans(rows, 1, KmeansConfig(seed=1))
+        _, _, distortion = spherical_kmeans(rows, 1, substream(1, STREAM_KMEANS))
         assert distortion == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_pairs_split_perfectly(self):
         rows = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], float)
-        labels, _, distortion = spherical_kmeans(rows, 2, KmeansConfig(seed=2))
+        labels, _, distortion = spherical_kmeans(rows, 2, substream(2, STREAM_KMEANS))
         assert distortion == pytest.approx(0.0, abs=1e-12)
         assert labels[0] == labels[1] != labels[2] == labels[3]
 
@@ -208,7 +201,7 @@ class TestSphericalKmeans:
         rows = np.array(
             [np.asarray(b, float) + rng.uniform(0, 0.05, 5) for b in bases for _ in range(3)]
         )
-        labels, _, distortion = spherical_kmeans(rows, 3, KmeansConfig(seed=5))
+        labels, _, distortion = spherical_kmeans(rows, 3, substream(5, STREAM_KMEANS))
         assert distortion == pytest.approx(enumerate_best_distortion(rows, 3), abs=1e-9)
         groups = {frozenset(int(i) for i in np.flatnonzero(labels == j)) for j in range(3)}
         assert groups == {frozenset({0, 1, 2}), frozenset({3, 4, 5}), frozenset({6, 7, 8})}
@@ -217,7 +210,7 @@ class TestSphericalKmeans:
         rng = np.random.default_rng(17)
         rows = rng.uniform(0.1, 1.0, size=(40, 6))
         history = []
-        spherical_kmeans(rows, 4, KmeansConfig(seed=8), history=history)
+        spherical_kmeans(rows, 4, substream(8, STREAM_KMEANS), history=history)
         assert len(history) == RESTARTS
         for trace in history:
             for earlier, later in zip(trace, trace[1:]):
@@ -226,18 +219,20 @@ class TestSphericalKmeans:
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(23)
         rows = rng.uniform(0.1, 1.0, size=(25, 4))
-        first = spherical_kmeans(rows, 3, KmeansConfig(seed=77))
-        second = spherical_kmeans(rows, 3, KmeansConfig(seed=77))
+        first = spherical_kmeans(rows, 3, substream(77, STREAM_KMEANS))
+        second = spherical_kmeans(rows, 3, substream(77, STREAM_KMEANS))
         assert np.array_equal(first[0], second[0])
         assert first[2] == second[2]
 
     def test_k_above_rows_rejected(self):
         with pytest.raises(ValueError):
-            spherical_kmeans(np.ones((2, 2)), 3, KmeansConfig())
+            spherical_kmeans(np.ones((2, 2)), 3, substream(DEFAULT_SEED, STREAM_KMEANS))
 
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError):
-            spherical_kmeans(np.array([[1.0, 0.0], [0.0, 0.0]]), 1, KmeansConfig())
+            spherical_kmeans(
+                np.array([[1.0, 0.0], [0.0, 0.0]]), 1, substream(DEFAULT_SEED, STREAM_KMEANS)
+            )
 
 
 class TestDynamicThreshold:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probederand.features import (
+    FEATURE_FIELDS,
     Burst,
     build_ie_features,
     channel_entries,
@@ -203,11 +204,17 @@ class TestFeatureFile:
             assert back.truth_device == original.truth_device
             assert back.frames == ()
 
-    def test_malformed_row_reports_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "column, value",
+        [("channel_vector", "eleven"), ("ie_ht", "nan"), ("ie_vendor", "inf")],
+    )
+    def test_malformed_row_reports_line(self, tmp_path, column, value):
         path = tmp_path / "bad.csv"
         write_feature_file(self.make_bursts(), path)
         lines = path.read_text().splitlines()
-        lines[2] = lines[2].replace(",11", ",eleven")
+        row = lines[2].split(",")
+        row[FEATURE_FIELDS.index(column)] = value
+        lines[2] = ",".join(row)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=":3:"):
             read_feature_file(path)

@@ -1,7 +1,6 @@
 """Evaluation metrics and the random-subset protocol."""
 
 import math
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -24,29 +23,7 @@ from probederand.metrics import (
     tune_dbscan,
 )
 
-
-def oracle_hcv(truth, pred):
-    """Entropy-based scores from the contingency table, plain Python."""
-    n = len(truth)
-    joint = Counter(zip(truth, pred))
-    t_counts = Counter(truth)
-    p_counts = Counter(pred)
-
-    def entropy(counts):
-        return -sum(c / n * math.log(c / n) for c in counts.values() if c)
-
-    h_truth = entropy(t_counts)
-    h_pred = entropy(p_counts)
-    h_t_given_p = -sum(
-        c / n * math.log(c / p_counts[p]) for (t, p), c in joint.items()
-    )
-    h_p_given_t = -sum(
-        c / n * math.log(c / t_counts[t]) for (t, p), c in joint.items()
-    )
-    h = 1.0 if h_truth == 0 else 1.0 - h_t_given_p / h_truth
-    c = 1.0 if h_pred == 0 else 1.0 - h_p_given_t / h_pred
-    v = 0.0 if h + c == 0 else 2 * h * c / (h + c)
-    return h, c, v
+from oracles import oracle_hcv
 
 
 class TestHomogeneityCompletenessV:

@@ -12,6 +12,7 @@ import probederand.cli  # noqa: F401  (the tracer looks up probederand.cli)
 from probederand.clustering import DbscanConfig, KmeansConfig
 from probederand.features import Burst
 from probederand.metrics import METHODS, EvalConfig
+from probederand.randomness import DEFAULT_SEED, STREAM_KMEANS, substream
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -32,7 +33,9 @@ def test_every_site_resolves():
 def test_spherical_kmeans_history_is_counted():
     tracer = load_tracer().Tracer()
     with tracer.installed(probederand):
-        probederand.clustering.spherical_kmeans(np.eye(3) + 0.1, 2, KmeansConfig())
+        probederand.clustering.spherical_kmeans(
+            np.eye(3) + 0.1, 2, substream(DEFAULT_SEED, STREAM_KMEANS)
+        )
     (span,) = [s for s in tracer.records() if s["name"] == "clustering.spherical_kmeans"]
     assert span["counts"]["iterations"] > 0
 
