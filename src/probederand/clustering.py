@@ -28,6 +28,9 @@ RESTARTS = 8
 THRESHOLD_BASE = 0.4
 THRESHOLD_SPAN = 0.6
 
+# Rows of the distance matrix DBSCAN computes at a time.
+DBSCAN_BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class DbscanConfig:
@@ -65,11 +68,17 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """
     data = np.asarray(points, dtype=float)
     n = data.shape[0]
-    # summed a dimension at a time: no n x n x dims intermediate
-    squared = np.zeros((n, n))
-    for column in data.T:
-        squared += (column[:, None] - column[None, :]) ** 2
-    within = squared <= eps * eps
+    # The n x n booleans are filled DBSCAN_BLOCK_ROWS rows at a time, so
+    # no n x n float buffer exists. Each squared distance is summed a
+    # dimension at a time in column order; another order can move a pair
+    # across eps.
+    within = np.empty((n, n), dtype=bool)
+    for start in range(0, n, DBSCAN_BLOCK_ROWS):
+        block = data[start : start + DBSCAN_BLOCK_ROWS]
+        squared = np.zeros((block.shape[0], n))
+        for block_column, column in zip(block.T, data.T):
+            squared += (block_column[:, None] - column[None, :]) ** 2
+        within[start : start + block.shape[0]] = squared <= eps * eps
     core = within.sum(axis=1) >= min_pts
 
     labels = np.full(n, NOISE, dtype=int)
@@ -266,11 +275,12 @@ def average_pairwise_similarity(rows: np.ndarray) -> float:
 def _refine_labels(
     rows: np.ndarray, config: KmeansConfig, seed_key: tuple[int, ...]
 ) -> np.ndarray:
-    n = rows.shape[0]
-    if n == 1:
-        return np.zeros(1, dtype=int)
+    # Once k reaches the pool's distinct rows, D² seeding has a centre on
+    # each and the distortion is zero, so the elbow never picks a larger k.
+    k_max = min(config.k_max, len({row.tobytes() for row in rows}))
+    if k_max == 1:
+        return np.zeros(rows.shape[0], dtype=int)
     threshold = dynamic_threshold(average_pairwise_similarity(rows))
-    k_max = min(config.k_max, n)
     labelings = []
     distortions = []
     for k in range(1, k_max + 1):

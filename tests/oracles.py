@@ -1,13 +1,22 @@
 """Plain-Python reference implementations the tests check the library against.
 
 They are deliberately naive (math.dist loops, Counter-based entropies) so
-they share no code with the vectorized paths they check.
+they share no code with the vectorized paths they check. The fine-stage
+reference is the exception: it reuses the library's k-means and elbow and
+drops only the shortcut it checks.
 """
 
 import math
 from collections import Counter, deque
 
-from probederand.clustering import NOISE
+from probederand.clustering import (
+    NOISE,
+    average_pairwise_similarity,
+    dynamic_threshold,
+    elbow_select_k,
+    spherical_kmeans,
+)
+from probederand.randomness import STREAM_KMEANS, substream
 
 
 def reference_dbscan(points, eps, min_pts):
@@ -36,6 +45,20 @@ def reference_dbscan(points, eps, min_pts):
                     queue.append(j)
         cluster += 1
     return labels
+
+
+def reference_refine_labels(rows, config, seed_key):
+    """Fine-stage labels trying every k up to ``min(k_max, n)``, with no
+    cap at the pool's distinct rows."""
+    threshold = dynamic_threshold(average_pairwise_similarity(rows))
+    labelings = []
+    distortions = []
+    for k in range(1, min(config.k_max, len(rows)) + 1):
+        rng = substream(config.seed, STREAM_KMEANS, *seed_key, k)
+        labels, _, distortion = spherical_kmeans(rows, k, rng)
+        labelings.append(labels)
+        distortions.append(distortion)
+    return labelings[elbow_select_k(distortions, threshold) - 1]
 
 
 def canonical_partition(labels):

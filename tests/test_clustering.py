@@ -7,15 +7,18 @@ with the vectorized library paths they check.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from probederand.clustering import (
+    DBSCAN_BLOCK_ROWS,
     NOISE,
     RESTARTS,
     DbscanConfig,
     KmeansConfig,
+    _refine_labels,
     average_pairwise_similarity,
     dbscan,
     dbscan_labels,
@@ -30,7 +33,7 @@ from probederand.clustering import (
 from probederand.features import Burst
 from probederand.randomness import DEFAULT_SEED, STREAM_KMEANS, substream
 
-from oracles import canonical_partition, reference_dbscan
+from oracles import canonical_partition, reference_dbscan, reference_refine_labels
 
 
 def make_burst(burst_id, ie, vector, mac_tail=None, truth=None):
@@ -100,6 +103,49 @@ class TestDbscan:
         contested = [i for i in border if len(set(labels[within[i] & core])) > 1]
         assert len(points) >= 1100
         assert core.any() and (labels == NOISE).any() and contested
+
+    def test_matches_reference_across_row_blocks(self):
+        """Two block edges, and neighbours exactly eps apart (spacing eps,
+        where every difference and square is exact): 30 cells of a grid,
+        a chain whose every interior point is a core that holds it
+        together, and far-off noise. The rows next to each block edge are
+        chain points, so a wrong row there splits the chain."""
+        rng = np.random.default_rng(1)
+        n = 2 * DBSCAN_BLOCK_ROWS + 1
+        eps, min_pts = 0.25, 3
+        chain = np.array([[x * eps, 5.0, 5.0] for x in range(41)])
+        noise = rng.uniform(20, 30, size=(5, 3))
+        cells = rng.choice(5**3, size=30, replace=False)
+        grid = np.stack(np.unravel_index(cells, (5, 5, 5)), axis=1) * eps
+        grid = grid[rng.integers(0, 30, size=n - len(chain) - len(noise))]
+        grid[:40] += rng.uniform(0, 0.2, size=(40, 3))
+        points = np.vstack([chain, noise, grid])
+        order = rng.permutation(n)
+        edges = [DBSCAN_BLOCK_ROWS - 1, DBSCAN_BLOCK_ROWS, n - 2, n - 1]
+        for row, chain_point in zip(edges, (5, 15, 25, 35)):
+            swap = int(np.flatnonzero(order == chain_point)[0])
+            order[[row, swap]] = order[[swap, row]]
+        points = points[order]
+
+        labels = dbscan_labels(points, eps, min_pts)
+        assert labels.tolist() == reference_dbscan(points, eps, min_pts)
+        assert len(set(labels[np.isin(order, range(len(chain)))])) == 1
+        assert (labels == NOISE).any() and n_clusters(labels) > 2
+        # the pairs exactly eps apart decide the labels
+        assert dbscan_labels(points, np.nextafter(eps, 0), min_pts).tolist() != labels.tolist()
+
+    def test_distance_phase_memory_is_bounded(self):
+        """Peak traced allocation stays below the n x n float64 buffer
+        that summing all pairwise distances at once would need."""
+        n = 3000
+        points = np.random.default_rng(4).uniform(0, 1, size=(n, 3))
+        tracemalloc.start()
+        try:
+            dbscan_labels(points, 0.05, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
     def test_core_points_invariant_under_permutation(self):
         rng = np.random.default_rng(3)
@@ -296,6 +342,39 @@ class TestRefine:
 
     def test_average_similarity_singleton(self):
         assert average_pairwise_similarity(np.array([[1.0, 2.0]])) == 1.0
+
+    def test_distinct_row_cap_matches_uncapped_reference(self):
+        """Capping k at the pool's distinct rows gives the labels of trying
+        every k up to min(k_max, n), on shuffled duplicate-heavy pools."""
+        rng = np.random.default_rng(5)
+        pools = [
+            # [1,1,1] and [6,6,6]: distinct rows with one direction
+            (np.array([[1, 1, 1]] * 12 + [[6, 6, 6]] * 5 + [[1, 6, 11]] * 9, float), 5),
+            (np.array([[1, 6, 11], [11, 6, 1], [1, 6, 11]], float), 8),
+        ]
+        while len(pools) < 200:
+            width, count = int(rng.integers(3, 6)), int(rng.integers(1, 7))
+            distinct = []
+            while len(distinct) < count:
+                row = rng.choice([0, 1, 6, 11, 13], size=width).tolist()
+                if any(row) and row not in distinct:
+                    distinct.append(row)
+            rows = np.repeat(np.array(distinct, float), rng.integers(1, 31, len(distinct)), axis=0)
+            pools.append((rows, int(rng.integers(1, 9))))
+
+        capped = picked_distinct = k_above_n = 0
+        for i, (rows, k_max) in enumerate(pools):
+            rows = rows[rng.permutation(len(rows))]
+            config = KmeansConfig(k_max=k_max, seed=i)
+            want = reference_refine_labels(rows, config, seed_key=(i,))
+            assert _refine_labels(rows, config, seed_key=(i,)).tolist() == want.tolist()
+            distinct = len(np.unique(rows, axis=0))
+            capped += distinct < min(k_max, len(rows))
+            picked_distinct += 1 < distinct == len(set(want.tolist()))
+            k_above_n += k_max > len(rows)
+        # the cap skipped k, a cap one lower would have cut a chosen k, and
+        # some pools were smaller than k_max
+        assert capped >= 50 and picked_distinct >= 10 and k_above_n >= 2
 
 
 def twin_bursts(n_per=20, jiggle=None):
