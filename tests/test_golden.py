@@ -3,7 +3,9 @@
 Three small pinned scenarios run through ``generate``, ``ingest``,
 ``cluster`` and ``evaluate --d 2`` with the built-in defaults, so the
 header comment lines pin the effective default configuration as well
-as the table rows:
+as the table rows. ``ingest.txt`` pins what ``ingest`` prints (parse
+diagnostics and the IE-instability audit), with the dataset and output
+directories written as ``<dataset>`` and ``<out>``:
 
 * mixed: three twin pairs plus six unique devices, 90 s; it also runs
   ``tune`` (files directly under ``golden/``);
@@ -18,6 +20,8 @@ Re-pin after an intended output change with ``python tests/test_golden.py``
 from the repository root (``src`` on ``PYTHONPATH``).
 """
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -30,6 +34,7 @@ from scenarios import mixed_scenario, twin_scenario
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_FILES = (
+    "ingest.txt",
     "bursts.csv",
     "labeling.csv",
     "summary.json",
@@ -75,7 +80,12 @@ def run_pipeline(name: str, base: Path) -> Path:
             ["tune", features, "--out", str(out), "--eps-grid", "0.02,0.05", "--minpts-grid", "3,10", "--d", "2"]
         )
     for argv in commands:
-        assert main(argv) == 0, argv
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0, argv
+        if argv[0] == "ingest":
+            printed = stdout.getvalue().replace(str(dataset), "<dataset>").replace(str(out), "<out>")
+            (out / "ingest.txt").write_text(printed, encoding="utf-8")
     return out
 
 
