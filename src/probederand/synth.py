@@ -303,15 +303,17 @@ def _spec_to_json(spec):
     return {"fixed": spec}
 
 
-def _spec_from_json(value, integral: bool):
+def _spec_from_json(entry: dict, key: str, default, integral: bool):
+    value = entry.get(key, default)
+    cast = int if integral else float
     if isinstance(value, dict):
         if "fixed" in value:
-            return int(value["fixed"]) if integral else float(value["fixed"])
-        if "uniform" in value:
+            return cast(value["fixed"])
+        if "uniform" in value and len(value["uniform"]) == 2:
             a, b = value["uniform"]
-            return (int(a), int(b)) if integral else (float(a), float(b))
-        raise ValueError(f"distribution must be 'fixed' or 'uniform', got {value}")
-    return int(value) if integral else float(value)
+            return (cast(a), cast(b))
+        raise ValueError(f"{key} must be {{'fixed': x}} or {{'uniform': [a, b]}}, got {value}")
+    return cast(value)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -344,6 +346,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    if not isinstance(data, dict):
+        raise ValueError("a scenario must be a JSON object")
     profiles = []
     for entry in data["profiles"]:
         ie = entry.get("ie", {})
@@ -357,9 +361,9 @@ def scenario_from_dict(data: dict) -> Scenario:
                 device_id=str(entry["device_id"]),
                 ie_template=template,
                 pnl_pattern=tuple(int(c) for c in entry["pnl_pattern"]),
-                burst_length=_spec_from_json(entry.get("burst_length", 8), integral=True),
+                burst_length=_spec_from_json(entry, "burst_length", 8, integral=True),
                 inter_burst_interval=_spec_from_json(
-                    entry.get("inter_burst_interval", 10.0), integral=False
+                    entry, "inter_burst_interval", 10.0, integral=False
                 ),
                 intra_burst_gap=float(entry.get("intra_burst_gap", 0.005)),
                 randomize_mac=bool(entry.get("randomize_mac", True)),
@@ -375,6 +379,12 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Read a scenario description from a JSON document."""
+    """Read a scenario description from a JSON document; a document that
+    does not describe a scenario raises ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
+        try:
+            return scenario_from_dict(json.load(fh))
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing field {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None

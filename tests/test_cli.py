@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import pytest
 
@@ -22,7 +23,8 @@ from probederand.metrics import (
     run_protocol,
     write_report_files,
 )
-from probederand.synth import scenario_to_dict
+from probederand.pcap import mac_to_str
+from probederand.synth import DeviceProfile, IeTemplate, Scenario, generate_scenario, scenario_to_dict
 
 from scenarios import hetero_scenario, mixed_scenario
 
@@ -357,6 +359,33 @@ class TestGenerate:
         assert first.read_bytes() == twin.read_bytes()
 
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda data: [1, 2], "JSON object"),
+            (lambda data: data.pop("profiles"), "'profiles'"),
+            (lambda data: data.pop("duration"), "'duration'"),
+            (lambda data: data["profiles"][0].pop("device_id"), "'device_id'"),
+            (lambda data: data["profiles"][0].pop("pnl_pattern"), "'pnl_pattern'"),
+            (lambda data: data["profiles"][0].update(burst_length={"uniform": [1]}), "burst_length"),
+            (lambda data: data["profiles"][0]["ie"].update(ht="zz"), "non-hexadecimal"),
+        ],
+        ids=["not-an-object", "no-profiles", "no-duration", "no-device-id", "no-pnl-pattern",
+             "one-bound-uniform", "bad-hex"],
+    )
+    def test_malformed_scenario_is_one_line(self, workspace, tmp_path, capsys, edit, named):
+        """``edit`` changes the scenario in place, or returns the whole
+        document when it is not an object."""
+        data = json.loads(workspace["scenario"].read_text())
+        replaced = edit(data)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(replaced if replaced == [1, 2] else data))
+        assert main(["generate", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert named in err
+
+
 class TestIngestDiagnostics:
     def test_truth_labels_from_directory_names(self, workspace):
         bursts = read_feature_file(workspace["features"])
@@ -398,3 +427,52 @@ class TestIngestDiagnostics:
         victim.write_bytes(victim.read_bytes()[:-10])
         assert main(["ingest", str(dataset), "--out", str(out)]) == 0
         assert "truncated_tail=1 " in capsys.readouterr().out
+
+    def test_instability_and_overrun_lines(self, tmp_path, capsys):
+        template = IeTemplate(ht=bytes([0xAD, 0x01]), extended=bytes([0x04]), vendor=(bytes([0x50, 0xF2]),))
+        scenario = Scenario(
+            profiles=(
+                DeviceProfile("steady", template, pnl_pattern=(6,), burst_length=4),
+                DeviceProfile("other", template, pnl_pattern=(1, 11), burst_length=2),
+            ),
+            duration=40.0,
+            seed=3,
+        )
+        dataset = generate_scenario(scenario, tmp_path / "ds")
+        # the second frame of the steady device's third burst gains a vendor
+        # tag: its fingerprint now differs from the burst's first frame
+        planted = edit_record(dataset / "steady" / "6.pcap", 9, lambda r: r + bytes([221, 2, 7, 7]))
+        # the other device's first frame ends in a tag declaring more bytes
+        # than the record holds
+        edit_record(dataset / "other" / "1.pcap", 0, lambda r: r + bytes([221, 40, 1]))
+
+        out = tmp_path / "out"
+        assert main(["ingest", str(dataset), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        (diagnostics,) = [line for line in printed if line.startswith("diagnostics: ")]
+        assert "ie_overruns=1" in diagnostics.split()
+        mac = mac_to_str(planted[RADIOTAP_LEN + 10 : RADIOTAP_LEN + 16])
+        (k,) = [b.burst_id for b in read_feature_file(out / "bursts.csv") if mac_to_str(b.source_mac) == mac]
+        audit = [line for line in printed if line.startswith("ie-feature")]
+        assert audit == [f"ie-feature instability in 1 burst(s): [{k}]"]
+
+
+RADIOTAP_LEN = 12  # the generator's Radiotap header: channel field only
+
+
+def edit_record(path, index, edit):
+    """Rewrite record ``index`` of a little-endian pcap file as
+    ``edit(record)``; returns the original record."""
+    data = path.read_bytes()
+    out, offset, i, original = bytearray(data[:24]), 24, 0, None
+    while offset < len(data):
+        ts_sec, ts_usec, length, _ = struct.unpack_from("<IIII", data, offset)
+        record = data[offset + 16 : offset + 16 + length]
+        offset += 16 + length
+        if i == index:
+            original, record = record, edit(record)
+        out += struct.pack("<IIII", ts_sec, ts_usec, len(record), len(record)) + record
+        i += 1
+    assert original is not None
+    path.write_bytes(bytes(out))
+    return original
