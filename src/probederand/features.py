@@ -14,35 +14,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .pcap import (
-    IE_EXTENDED_CAPABILITIES,
-    IE_HT_CAPABILITIES,
-    IE_VENDOR_SPECIFIC,
-    InformationElement,
-    ProbeRequestFrame,
-    ds_channel,
-    mac_from_str,
-    mac_to_str,
-)
+from .pcap import ProbeRequestFrame, ie_fields, mac_from_str, mac_to_str
 
 DEFAULT_BURST_GAP = 2.0
-
-
-def encode_ie(ie: Optional[InformationElement]) -> int:
-    """Byte-sum encoding of one IE body; an absent IE encodes to 0."""
-    return 0 if ie is None else sum(ie.body)
-
-
-def build_ie_features(frame: ProbeRequestFrame) -> tuple[float, float, float]:
-    """Fingerprint vector [ht, extended, vendor] for one frame.
-
-    Multiple vendor-specific elements are each encoded and summed into
-    the single vendor entry.
-    """
-    ht = next((ie for ie in frame.ies if ie.ie_id == IE_HT_CAPABILITIES), None)
-    ext = next((ie for ie in frame.ies if ie.ie_id == IE_EXTENDED_CAPABILITIES), None)
-    vendor = sum(encode_ie(ie) for ie in frame.ies if ie.ie_id == IE_VENDOR_SPECIFIC)
-    return (encode_ie(ht), encode_ie(ext), vendor)
 
 
 @dataclass(frozen=True)
@@ -51,7 +25,8 @@ class Burst:
 
     ``channel_vector`` records the DS Channel of each frame in arrival
     order (capture channel when the DS Parameter Set is missing).
-    Bursts loaded back from a feature file carry no frames.
+    ``ie_stable`` is False when a later frame's IE features differ from
+    the first frame's; bursts loaded back from a feature file are stable.
     """
 
     burst_id: int
@@ -59,29 +34,15 @@ class Burst:
     ie_features: tuple[float, float, float]
     channel_vector: tuple[int, ...]
     truth_device: Optional[str] = None
-    frames: tuple[ProbeRequestFrame, ...] = ()
+    ie_stable: bool = True
 
     def __post_init__(self) -> None:
         if len(self.channel_vector) < 1:
             raise ValueError("a burst holds at least one frame")
-        if self.frames and len(self.frames) != len(self.channel_vector):
-            raise ValueError("channel_vector length must match frame count")
 
     @property
     def length(self) -> int:
         return len(self.channel_vector)
-
-
-def channel_entries(frames: Sequence[ProbeRequestFrame]) -> tuple[int, ...]:
-    """Arrival-order channel per frame: DS Channel, falling back to the
-    capture channel, then 0 when neither is known."""
-    entries = []
-    for frame in frames:
-        ch = ds_channel(frame)
-        if ch is None:
-            ch = frame.capture_channel if frame.capture_channel is not None else 0
-        entries.append(ch)
-    return tuple(entries)
 
 
 def group_bursts(
@@ -94,7 +55,9 @@ def group_bursts(
     Frames are split by source MAC; within one MAC a new burst starts
     whenever the inter-frame gap exceeds ``gap_seconds`` (devices that
     never randomize reuse one MAC across many bursts). Burst IE
-    features are taken from the first frame of the burst.
+    features are taken from the first frame of the burst. Each channel
+    vector entry is the frame's DS channel, else its capture channel,
+    else 0.
     """
     if gap_seconds <= 0:
         raise ValueError("gap_seconds must be positive")
@@ -119,15 +82,19 @@ def group_bursts(
 
     bursts = []
     for burst_id, indices in enumerate(groups):
-        members = tuple(frames[i] for i in indices)
+        fields = [ie_fields(frames[i].ies) for i in indices]
+        features = fields[0][0]
         bursts.append(
             Burst(
                 burst_id=burst_id,
-                source_mac=members[0].source_mac,
-                ie_features=build_ie_features(members[0]),
-                channel_vector=channel_entries(members),
+                source_mac=frames[indices[0]].source_mac,
+                ie_features=features,
+                channel_vector=tuple(
+                    channel if channel is not None else frames[i].capture_channel or 0
+                    for (_, channel, _), i in zip(fields, indices)
+                ),
                 truth_device=truths[indices[0]] if truths is not None else None,
-                frames=members,
+                ie_stable=all(f == features for f, _, _ in fields),
             )
         )
     return bursts
@@ -139,11 +106,7 @@ def ie_stability_violations(bursts: Sequence[Burst]) -> list[int]:
     The fingerprint is expected to be stable within a burst; violations
     are reported for auditing rather than treated as fatal.
     """
-    violations = []
-    for burst in bursts:
-        if any(build_ie_features(f) != burst.ie_features for f in burst.frames[1:]):
-            violations.append(burst.burst_id)
-    return violations
+    return [burst.burst_id for burst in bursts if not burst.ie_stable]
 
 
 def pad_matrix(vectors: Sequence[Sequence[int]]) -> np.ndarray:

@@ -7,8 +7,9 @@ merges per-channel sniffer captures into one time-ordered stream.
 
 Only the fields the burst pipeline consumes are decoded: capture
 timestamp, source MAC (Address 2), capture channel, sequence number,
-and the tagged Information Elements. No FCS validation is attempted;
-frames that Radiotap flags as FCS-bad are dropped.
+and the tagged Information Elements, kept as raw bytes and read by
+:func:`ie_fields`. No FCS validation is attempted; frames that Radiotap
+flags as FCS-bad are dropped.
 
 pcap global header (24 bytes): magic, version major/minor, thiszone,
 sigfigs, snaplen, network. Record header (16 bytes): ts_sec, ts_frac,
@@ -62,37 +63,20 @@ class ChannelResolutionError(Error):
 
 
 @dataclass(frozen=True)
-class InformationElement:
-    """One tagged parameter (TLV) from a management frame body."""
-
-    ie_id: int
-    body: bytes
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.ie_id <= 255:
-            raise ValueError(f"IE id out of range: {self.ie_id}")
-        if len(self.body) > 255:
-            raise ValueError(f"IE body too long: {len(self.body)} bytes")
-
-    @property
-    def length(self) -> int:
-        return len(self.body)
-
-
-@dataclass(frozen=True)
 class ProbeRequestFrame:
     """One parsed Probe Request.
 
     ``capture_channel`` is the sniffer channel the frame was captured
     on (Radiotap channel field when present, else the per-file declared
     channel); it may be None until :func:`merge_captures` resolves it.
+    ``ies`` is the raw tagged-parameter region, whole elements only.
     """
 
     timestamp: float
     source_mac: bytes
     capture_channel: Optional[int]
     sequence_number: int
-    ies: tuple[InformationElement, ...]
+    ies: bytes
 
     def __post_init__(self) -> None:
         if len(self.source_mac) != 6:
@@ -138,12 +122,36 @@ def mac_from_str(text: str) -> bytes:
     return bytes(int(p, 16) for p in parts)
 
 
-def ds_channel(frame: ProbeRequestFrame) -> Optional[int]:
-    """Current Channel from the first DS Parameter Set IE, if any."""
-    for ie in frame.ies:
-        if ie.ie_id == IE_DS_PARAMETER_SET and ie.length >= 1:
-            return ie.body[0]
-    return None
+def ie_fields(ies: bytes) -> tuple[tuple[int, int, int], Optional[int], int]:
+    """One TLV walk over a tagged-parameter region.
+
+    Returns the IE fingerprint ``(ht, extended, vendor)``, the DS channel
+    and the end of the last whole element. Each fingerprint entry is a
+    byte sum: the first HT Capabilities and the first Extended
+    Capabilities element count (0 when absent), and every Vendor-Specific
+    element is summed. The DS channel is the first byte of the first DS
+    Parameter Set with a body, else None. The walk stops at an element
+    whose declared length overruns the region.
+    """
+    ht = ext = channel = None
+    vendor = 0
+    i, n = 0, len(ies)
+    while i + 2 <= n:
+        tag, end = ies[i], i + 2 + ies[i + 1]
+        if end > n:
+            break
+        if tag == IE_HT_CAPABILITIES:
+            if ht is None:
+                ht = sum(ies[i + 2 : end])
+        elif tag == IE_EXTENDED_CAPABILITIES:
+            if ext is None:
+                ext = sum(ies[i + 2 : end])
+        elif tag == IE_VENDOR_SPECIFIC:
+            vendor += sum(ies[i + 2 : end])
+        elif tag == IE_DS_PARAMETER_SET and channel is None and end > i + 2:
+            channel = ies[i + 2]
+        i = end
+    return (ht or 0, ext or 0, vendor), channel, i
 
 
 # Radiotap fields preceding (and including) the channel field, in
@@ -207,28 +215,6 @@ def parse_radiotap_fields(buf: bytes) -> tuple[int, Optional[int], Optional[int]
     return header_len, channel, flags
 
 
-def parse_ies(
-    buf: bytes, diagnostics: Optional[ParseDiagnostics] = None
-) -> list[InformationElement]:
-    """Sequential TLV walk over a tagged-parameters region.
-
-    An element whose declared length overruns the buffer is dropped and
-    the walk stops; the drop is tallied when diagnostics are supplied.
-    """
-    elements: list[InformationElement] = []
-    i = 0
-    n = len(buf)
-    while i < n:
-        if i + 2 > n or i + 2 + buf[i + 1] > n:
-            if diagnostics is not None:
-                diagnostics.ie_overruns += 1
-            break
-        length = buf[i + 1]
-        elements.append(InformationElement(buf[i], bytes(buf[i + 2 : i + 2 + length])))
-        i += 2 + length
-    return elements
-
-
 def _unpack_global_header(data: bytes) -> tuple[str, bool, int]:
     """(byte-order char, nanosecond flag, link type) from a pcap header."""
     if len(data) < 24:
@@ -262,7 +248,9 @@ def read_capture(
 
     Non-probe frames are skipped silently; truncated or FCS-bad frames
     are skipped and tallied. A record header promising more bytes than
-    remain stops the walk with the partial result.
+    remain stops the walk with the partial result. A frame's IE region
+    is cut after its last whole element, and the cut is tallied as an
+    ``ie_overrun``.
     """
     diag = diagnostics if diagnostics is not None else ParseDiagnostics()
     order, nanos, network = _unpack_global_header(data)
@@ -315,7 +303,11 @@ def read_capture(
 
         source_mac = bytes(body[10:16])
         seq_ctl = struct.unpack_from("<H", body, 22)[0]
-        ies = parse_ies(body[_MGMT_HEADER_LEN:], diag)
+        ies = body[_MGMT_HEADER_LEN:]
+        _, _, whole = ie_fields(ies)
+        if whole < len(ies):
+            diag.ie_overruns += 1
+            ies = ies[:whole]
         if channel is None:
             channel = meta.declared_channel
         frames.append(
@@ -324,7 +316,7 @@ def read_capture(
                 source_mac=source_mac,
                 capture_channel=channel,
                 sequence_number=seq_ctl >> 4,
-                ies=tuple(ies),
+                ies=ies,
             )
         )
         diag.probe_requests += 1

@@ -28,9 +28,8 @@ from .pcap import (
     IE_SSID,
     IE_VENDOR_SPECIFIC,
     LINKTYPE_RADIOTAP,
-    InformationElement,
     ProbeRequestFrame,
-    ds_channel,
+    ie_fields,
 )
 from .randomness import DEFAULT_SEED, STREAM_GENERATION, substream
 
@@ -51,6 +50,10 @@ class IeTemplate:
     ht: Optional[bytes] = None
     extended: Optional[bytes] = None
     vendor: tuple[bytes, ...] = ()
+
+    def __post_init__(self) -> None:
+        if any(len(body or b"") > 255 for body in (self.ht, self.extended, *self.vendor)):
+            raise ValueError("an IE body holds at most 255 bytes")
 
 
 @dataclass(frozen=True)
@@ -123,18 +126,15 @@ def _quantize(seconds: float) -> float:
     return round(seconds * 1e6) / 1e6
 
 
-def _frame_ies(template: IeTemplate, channel: int) -> tuple[InformationElement, ...]:
-    ies = [
-        InformationElement(IE_SSID, b""),
-        InformationElement(IE_DS_PARAMETER_SET, bytes([channel])),
-    ]
+def _frame_ies(template: IeTemplate, channel: int) -> bytes:
+    """TLV bytes: wildcard SSID, DS Parameter Set, then the template's IEs."""
+    elements = [(IE_SSID, b""), (IE_DS_PARAMETER_SET, bytes([channel]))]
     if template.ht is not None:
-        ies.append(InformationElement(IE_HT_CAPABILITIES, template.ht))
+        elements.append((IE_HT_CAPABILITIES, template.ht))
     if template.extended is not None:
-        ies.append(InformationElement(IE_EXTENDED_CAPABILITIES, template.extended))
-    for body in template.vendor:
-        ies.append(InformationElement(IE_VENDOR_SPECIFIC, body))
-    return tuple(ies)
+        elements.append((IE_EXTENDED_CAPABILITIES, template.extended))
+    elements += [(IE_VENDOR_SPECIFIC, body) for body in template.vendor]
+    return b"".join(bytes([ie_id, len(body)]) + body for ie_id, body in elements)
 
 
 def generate_device(
@@ -183,7 +183,7 @@ def assign_to_sniffers(
     channel matches its own; everything else is lost."""
     captured: dict[int, list[ProbeRequestFrame]] = {s: [] for s in sniffer_channels}
     for frame in frames:
-        channel = ds_channel(frame)
+        _, channel, _ = ie_fields(frame.ies)
         if channel in captured:
             captured[channel].append(replace(frame, capture_channel=channel))
     return captured
@@ -222,8 +222,7 @@ def write_capture(
         dot11 += frame.source_mac
         dot11 += b"\xff" * 6  # Address 3: wildcard BSSID
         dot11 += struct.pack("<H", (frame.sequence_number << 4) & 0xFFFF)
-        for ie in frame.ies:
-            dot11 += bytes([ie.ie_id, ie.length]) + ie.body
+        dot11 += frame.ies
         total_us = round(frame.timestamp * 1e6)
         sec, usec = divmod(total_us, 1_000_000)
         record = radiotap + dot11

@@ -1,7 +1,8 @@
 """Plain-Python reference implementations the tests check the library against.
 
-They are deliberately naive (math.dist loops, Counter-based entropies) so
-they share no code with the vectorized paths they check. The fine-stage
+They are deliberately naive (math.dist loops, Counter-based entropies,
+an IE walk that builds one (id, body) pair per element) so they share
+no code with the paths they check. The fine-stage
 reference is the exception: it reuses the library's k-means and elbow and
 drops only the shortcut it checks.
 """
@@ -17,6 +18,43 @@ from probederand.clustering import (
     spherical_kmeans,
 )
 from probederand.randomness import STREAM_KMEANS, substream
+
+IE_DS_PARAMETER_SET, IE_HT, IE_EXTENDED, IE_VENDOR = 3, 45, 127, 221
+
+
+def reference_parse_ies(region):
+    """(id, body) pairs of the whole elements of an IE region, and 1 when
+    an element overruns the region (the walk stops there), else 0."""
+    elements = []
+    i = 0
+    while i < len(region):
+        if i + 2 > len(region) or i + 2 + region[i + 1] > len(region):
+            return elements, 1
+        length = region[i + 1]
+        elements.append((region[i], bytes(region[i + 2 : i + 2 + length])))
+        i += 2 + length
+    return elements, 0
+
+
+def reference_ie_features(elements):
+    """Byte sums of the first HT and first Extended Capabilities element
+    (0 when absent) and of every Vendor-Specific element."""
+    ht = [body for ie_id, body in elements if ie_id == IE_HT]
+    ext = [body for ie_id, body in elements if ie_id == IE_EXTENDED]
+    vendor = [body for ie_id, body in elements if ie_id == IE_VENDOR]
+    return (
+        sum(ht[0]) if ht else 0,
+        sum(ext[0]) if ext else 0,
+        sum(sum(body) for body in vendor),
+    )
+
+
+def reference_ds_channel(elements):
+    """First byte of the first DS Parameter Set with a body, else None."""
+    for ie_id, body in elements:
+        if ie_id == IE_DS_PARAMETER_SET and len(body) >= 1:
+            return body[0]
+    return None
 
 
 def reference_dbscan(points, eps, min_pts):

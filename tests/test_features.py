@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 from probederand.features import (
     FEATURE_FIELDS,
     Burst,
-    build_ie_features,
-    channel_entries,
-    encode_ie,
     group_bursts,
     ie_stability_violations,
     normalize_ie_matrix,
@@ -18,50 +15,60 @@ from probederand.features import (
     read_feature_file,
     write_feature_file,
 )
-from probederand.pcap import InformationElement, ProbeRequestFrame
+from probederand.pcap import ProbeRequestFrame, ie_fields
 
 
 def frame(ts=0.0, mac=b"\x02\x00\x00\x00\x00\x01", channel=1, ies=()):
-    return ProbeRequestFrame(ts, mac, channel, 0, tuple(ies))
+    return ProbeRequestFrame(ts, mac, channel, 0, tlv(*ies))
 
 
 def ie(ie_id, body):
-    return InformationElement(ie_id, bytes(body))
+    return ie_id, bytes(body)
+
+
+def tlv(*elements):
+    """IE region bytes for (id, body) pairs."""
+    return b"".join(bytes([ie_id, len(body)]) + body for ie_id, body in elements)
+
+
+def features(*elements):
+    return ie_fields(tlv(*elements))[0]
 
 
 class TestEncoding:
     def test_absent_encodes_to_zero(self):
-        assert encode_ie(None) == 0
+        assert features(ie(127, [5]))[0] == 0
 
     def test_byte_array_sums(self):
-        assert encode_ie(ie(45, [1, 2, 3])) == 6
+        assert features(ie(45, [1, 2, 3]))[0] == 6
 
     def test_empty_body_is_zero(self):
-        assert encode_ie(ie(45, b"")) == 0
+        assert features(ie(45, b"")) == (0, 0, 0)
 
     @given(st.binary(min_size=1, max_size=40), st.randoms())
     @settings(max_examples=100, deadline=None)
     def test_byte_sum_is_permutation_invariant(self, body, rnd):
         shuffled = bytearray(body)
         rnd.shuffle(shuffled)
-        assert encode_ie(ie(221, shuffled)) == encode_ie(ie(221, body))
+        assert features(ie(221, shuffled)) == features(ie(221, body))
 
 
 class TestIeFeatures:
     def test_all_absent(self):
-        assert build_ie_features(frame()) == (0, 0, 0)
+        assert features() == (0, 0, 0)
 
     def test_ht_only(self):
-        f = frame(ies=[ie(45, [0xAD, 0x01])])
-        assert build_ie_features(f) == (174, 0, 0)
+        assert features(ie(45, [0xAD, 0x01])) == (174, 0, 0)
 
     def test_vendor_elements_combine(self):
-        f = frame(ies=[ie(221, [4, 6]), ie(221, [10, 12])])
-        assert build_ie_features(f) == (0, 0, 32)
+        assert features(ie(221, [4, 6]), ie(221, [10, 12])) == (0, 0, 32)
 
     def test_canonical_order(self):
-        f = frame(ies=[ie(221, [1]), ie(127, [2]), ie(45, [3])])
-        assert build_ie_features(f) == (3, 2, 1)
+        assert features(ie(221, [1]), ie(127, [2]), ie(45, [3])) == (3, 2, 1)
+
+    def test_first_ht_and_extended_count(self):
+        elements = [ie(45, [0]), ie(127, [2]), ie(45, [9]), ie(127, [7])]
+        assert features(*elements) == (0, 2, 0)
 
 
 class TestGroupBursts:
@@ -98,6 +105,7 @@ class TestGroupBursts:
         ]
         bursts = group_bursts(frames, 2.0)
         assert bursts[0].ie_features == (1, 0, 0)
+        assert not bursts[0].ie_stable
         assert ie_stability_violations(bursts) == [0]
 
     def test_truth_labels_attach(self):
@@ -113,17 +121,23 @@ class TestGroupBursts:
             group_bursts([frame(0.0)], 0.0)
 
 
+def channel_vector(*frames):
+    (burst,) = group_bursts(frames, 2.0)
+    return burst.channel_vector
+
+
 class TestChannelVector:
     def test_ds_channel_preferred(self):
-        f = frame(channel=11, ies=[ie(3, [6])])
-        assert channel_entries([f]) == (6,)
+        assert channel_vector(frame(channel=11, ies=[ie(3, [6])])) == (6,)
 
     def test_capture_channel_fallback(self):
-        assert channel_entries([frame(channel=11)]) == (11,)
+        assert channel_vector(frame(channel=11), frame(0.1, channel=6, ies=[ie(3, b"")])) == (11, 6)
 
     def test_missing_everything_yields_zero(self):
-        bare = ProbeRequestFrame(0.0, b"\x02\x00\x00\x00\x00\x01", None, 0, ())
-        assert channel_entries([bare]) == (0,)
+        assert channel_vector(frame(channel=None)) == (0,)
+
+    def test_first_ds_parameter_set_counts(self):
+        assert channel_vector(frame(ies=[ie(3, b""), ie(3, [6]), ie(3, [11])])) == (6,)
 
     def test_single_frame_burst_vector(self):
         bursts = group_bursts([frame(ies=[ie(3, [6])])], 2.0)
@@ -132,7 +146,7 @@ class TestChannelVector:
     def test_matches_stored_vector(self):
         frames = [frame(0.0, ies=[ie(3, [1])]), frame(0.01, ies=[ie(3, [6])])]
         burst = group_bursts(frames, 2.0)[0]
-        assert channel_entries(burst.frames) == burst.channel_vector == (1, 6)
+        assert tuple(ie_fields(f.ies)[1] for f in frames) == burst.channel_vector == (1, 6)
 
 
 class TestPadMatrix:
@@ -202,7 +216,7 @@ class TestFeatureFile:
             assert back.ie_features == original.ie_features
             assert back.channel_vector == original.channel_vector
             assert back.truth_device == original.truth_device
-            assert back.frames == ()
+            assert back.ie_stable
 
     @pytest.mark.parametrize(
         "column, value",

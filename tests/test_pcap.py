@@ -11,15 +11,16 @@ from probederand.pcap import (
     ChannelResolutionError,
     Error,
     FormatError,
-    InformationElement,
     ParseDiagnostics,
     ProbeRequestFrame,
     TruncationError,
+    ie_fields,
     merge_captures,
-    parse_ies,
     parse_radiotap_fields,
     read_capture,
 )
+
+from oracles import reference_ds_channel, reference_ie_features, reference_parse_ies
 
 
 def pcap_header(order="<", nanos=False, linktype=127, snaplen=65535):
@@ -123,7 +124,8 @@ class TestReadCapture:
     def test_fcs_present_flag_strips_trailer(self):
         body = radiotap_channel(6, flags=0x10) + dot11_probe(ies=b"\x03\x01\x0b") + b"\xde\xad\xbe\xef"
         frames = read_capture(pcap_header() + pcap_record(body), meta())
-        assert [ie.ie_id for ie in frames[0].ies] == [3]
+        assert frames[0].ies == b"\x03\x01\x0b"
+        assert [ie_id for ie_id, _ in reference_parse_ies(frames[0].ies)[0]] == [3]
 
     def test_declared_channel_fallback(self):
         rt = struct.pack("<BBHI", 0, 0, 8, 0)  # no channel field
@@ -135,7 +137,7 @@ class TestReadCapture:
         data = pcap_header(linktype=105) + pcap_record(dot11_probe(ies=b"\x00\x00"))
         frames = read_capture(data, meta(channel=1))
         assert frames[0].capture_channel == 1
-        assert frames[0].ies[0].ie_id == 0
+        assert frames[0].ies == b"\x00\x00"
 
 
 class TestRadiotap:
@@ -172,30 +174,35 @@ class TestRadiotap:
             parse_radiotap_fields(b"\x01\x00\x08\x00\x00\x00\x00\x00")
 
 
+def read_region(region):
+    """(IE region kept by read_capture, ie_overruns) for one probe whose
+    tagged parameters are ``region``."""
+    diag = ParseDiagnostics()
+    data = pcap_header(linktype=105) + pcap_record(dot11_probe(ies=region))
+    (frame,) = read_capture(data, meta(channel=1), diag)
+    return frame.ies, diag.ie_overruns
+
+
 class TestParseIes:
     def test_ds_parameter_set(self):
-        elements = parse_ies(bytes([0x03, 0x01, 0x0B]))
-        assert elements == [InformationElement(3, b"\x0b")]
+        assert read_region(bytes([0x03, 0x01, 0x0B])) == (b"\x03\x01\x0b", 0)
+        assert ie_fields(b"\x03\x01\x0b") == ((0, 0, 0), 11, 3)
 
     def test_wildcard_ssid(self):
-        elements = parse_ies(bytes([0x00, 0x00]))
-        assert elements == [InformationElement(0, b"")]
+        assert read_region(bytes([0x00, 0x00])) == (b"\x00\x00", 0)
+        assert ie_fields(b"\x00\x00") == ((0, 0, 0), None, 2)
 
     def test_overrunning_element_dropped(self):
-        diag = ParseDiagnostics()
         buf = bytes([0x2D, 0x01, 0xFF, 0x7F, 0x05, 0x01, 0x02])
-        elements = parse_ies(buf, diag)
-        assert elements == [InformationElement(0x2D, b"\xff")]
-        assert diag.ie_overruns == 1
+        assert read_region(buf) == (b"\x2d\x01\xff", 1)
+        assert ie_fields(buf) == ((0xFF, 0, 0), None, 3)
 
     def test_dangling_byte_counted(self):
-        diag = ParseDiagnostics()
-        assert parse_ies(b"\x03", diag) == []
-        assert diag.ie_overruns == 1
+        assert read_region(b"\x03") == (b"", 1)
 
 
 def frame(ts, channel=1, mac=b"\x02\x00\x00\x00\x00\x01"):
-    return ProbeRequestFrame(ts, mac, channel, 0, ())
+    return ProbeRequestFrame(ts, mac, channel, 0, b"")
 
 
 class TestMergeCaptures:
@@ -218,12 +225,12 @@ class TestMergeCaptures:
         assert merged == [(f, "full") for f in frames]
 
     def test_unresolvable_channel_names_file(self):
-        bad = ProbeRequestFrame(0.0, b"\x02\x00\x00\x00\x00\x01", None, 0, ())
+        bad = ProbeRequestFrame(0.0, b"\x02\x00\x00\x00\x00\x01", None, 0, b"")
         with pytest.raises(ChannelResolutionError, match="orphan.pcap"):
             merge_captures([(CaptureMeta("orphan.pcap"), [bad], None)])
 
     def test_declared_channel_inherited(self):
-        bad = ProbeRequestFrame(0.0, b"\x02\x00\x00\x00\x00\x01", None, 0, ())
+        bad = ProbeRequestFrame(0.0, b"\x02\x00\x00\x00\x00\x01", None, 0, b"")
         merged = merge_captures([(CaptureMeta("x.pcap", declared_channel=6), [bad], None)])
         assert merged[0][0].capture_channel == 6
 
@@ -235,6 +242,16 @@ class TestMergeCaptures:
         merged = merge_captures(streams)
         assert len(merged) == 5
         assert sorted(f.timestamp for f, _ in merged) == [f.timestamp for f, _ in merged]
+
+
+@st.composite
+def truncated_elements(draw):
+    """Well-formed IE regions, mostly of the tags the walk reads, cut at a
+    random point."""
+    ie_ids = st.one_of(st.sampled_from((3, 45, 127, 221)), st.integers(0, 255))
+    elements = draw(st.lists(st.tuples(ie_ids, st.binary(max_size=40)), max_size=8))
+    region = b"".join(bytes([ie_id, len(body)]) + body for ie_id, body in elements)
+    return region[: draw(st.integers(0, len(region)))]
 
 
 class TestFuzz:
@@ -253,11 +270,18 @@ class TestFuzz:
         frames = read_capture(pcap_header() + blob, meta(channel=1))
         assert all(isinstance(f, ProbeRequestFrame) for f in frames)
 
-    @given(st.binary(max_size=300))
-    @settings(max_examples=300, deadline=None)
-    def test_parse_ies_total(self, blob):
-        for ie in parse_ies(blob):
-            assert ie.length == len(ie.body)
+    @given(st.one_of(st.binary(max_size=300), truncated_elements()))
+    @settings(max_examples=500, deadline=None)
+    def test_ie_walk_matches_reference(self, region):
+        kept, overruns = read_region(region)
+        elements, expected_overruns = reference_parse_ies(region)
+        assert overruns == expected_overruns
+        assert kept == b"".join(bytes([ie_id, len(body)]) + body for ie_id, body in elements)
+        features, channel, whole = ie_fields(kept)
+        assert features == reference_ie_features(elements)
+        assert channel == reference_ds_channel(elements)
+        assert whole == len(kept)
+        assert ie_fields(region) == (features, channel, whole)
 
     @given(st.binary(max_size=64))
     @settings(max_examples=300, deadline=None)

@@ -10,7 +10,7 @@ from probederand.features import group_bursts
 from probederand.pcap import (
     CaptureMeta,
     ParseDiagnostics,
-    ds_channel,
+    ie_fields,
     read_capture,
     read_dataset,
 )
@@ -50,7 +50,7 @@ class TestGenerateDevice:
         pairs = generate_device(profile(), 60.0, np.random.default_rng(1))
         frames = [f for f, _ in pairs]
         for i in range(0, len(frames), 3):
-            assert [ds_channel(f) for f in frames[i : i + 3]] == [1, 6, 11]
+            assert [ie_fields(f.ies)[1] for f in frames[i : i + 3]] == [1, 6, 11]
 
     def test_fresh_local_mac_per_burst(self):
         pairs = generate_device(profile(inter_burst_interval=5.0), 50.0, np.random.default_rng(2))
@@ -81,7 +81,7 @@ class TestGenerateDevice:
         pairs = generate_device(profile(channel_jitter=1.0), 60.0, np.random.default_rng(6))
         frames = [f for f, _ in pairs]
         for i in range(0, len(frames), 3):
-            swept = [ds_channel(f) for f in frames[i : i + 3]]
+            swept = [ie_fields(f.ies)[1] for f in frames[i : i + 3]]
             assert sum(a != b for a, b in zip(swept, [1, 6, 11])) == 1
 
     def test_labels_attached(self):
