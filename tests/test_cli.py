@@ -369,9 +369,10 @@ class TestGenerate:
             (lambda data: data["profiles"][0].pop("pnl_pattern"), "'pnl_pattern'"),
             (lambda data: data["profiles"][0].update(burst_length={"uniform": [1]}), "burst_length"),
             (lambda data: data["profiles"][0]["ie"].update(ht="zz"), "non-hexadecimal"),
+            (lambda data: data["profiles"][0]["ie"].update(ht="00" * 256), "255 bytes"),
         ],
         ids=["not-an-object", "no-profiles", "no-duration", "no-device-id", "no-pnl-pattern",
-             "one-bound-uniform", "bad-hex"],
+             "one-bound-uniform", "bad-hex", "long-body"],
     )
     def test_malformed_scenario_is_one_line(self, workspace, tmp_path, capsys, edit, named):
         """``edit`` changes the scenario in place, or returns the whole
