@@ -65,25 +65,40 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     lie within ``eps``. Clusters are grown breadth-first from core
     points in ascending scan order, so border points attach to the
     first cluster that reaches them.
+
+    The work runs over the distinct rows, in first-occurrence order,
+    each weighted by its multiplicity. Copies of a row are at distance
+    0 from each other, so they share their neighbours, their core test
+    and, in scan order, their cluster: the labels are those of the scan
+    over every row. Rows are compared by value, so 0.0 and -0.0 are one
+    row; both give the same squared differences.
     """
     data = np.asarray(points, dtype=float)
-    n = data.shape[0]
-    # The n x n booleans are filled DBSCAN_BLOCK_ROWS rows at a time, so
-    # no n x n float buffer exists. Each squared distance is summed a
-    # dimension at a time in column order; another order can move a pair
-    # across eps.
-    within = np.empty((n, n), dtype=bool)
-    for start in range(0, n, DBSCAN_BLOCK_ROWS):
-        block = data[start : start + DBSCAN_BLOCK_ROWS]
-        squared = np.zeros((block.shape[0], n))
-        for block_column, column in zip(block.T, data.T):
+    _, first, inverse, counts = np.unique(
+        data, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    distinct = data[first[order]]
+    weights = counts[order]
+    u = distinct.shape[0]
+    # The u x u booleans and the weighted neighbour counts are filled
+    # DBSCAN_BLOCK_ROWS rows at a time, so no u x u float or integer
+    # buffer exists. Each squared distance is summed a dimension at a
+    # time in column order; another order can move a pair across eps.
+    within = np.empty((u, u), dtype=bool)
+    core = np.empty(u, dtype=bool)
+    for start in range(0, u, DBSCAN_BLOCK_ROWS):
+        block = distinct[start : start + DBSCAN_BLOCK_ROWS]
+        squared = np.zeros((block.shape[0], u))
+        for block_column, column in zip(block.T, distinct.T):
             squared += (block_column[:, None] - column[None, :]) ** 2
-        within[start : start + block.shape[0]] = squared <= eps * eps
-    core = within.sum(axis=1) >= min_pts
+        rows = slice(start, start + block.shape[0])
+        within[rows] = squared <= eps * eps
+        core[rows] = within[rows] @ weights >= min_pts
 
-    labels = np.full(n, NOISE, dtype=int)
+    labels = np.full(u, NOISE, dtype=int)
     cluster = 0
-    for seed in range(n):
+    for seed in range(u):
         if labels[seed] != NOISE or not core[seed]:
             continue
         labels[seed] = cluster
@@ -95,7 +110,7 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
                 labels[reached] = cluster
                 frontier.extend(reached)
         cluster += 1
-    return labels
+    return labels[np.argsort(order)[inverse]]
 
 
 def dbscan(points: np.ndarray, config: DbscanConfig) -> np.ndarray:

@@ -2,15 +2,19 @@
 
 They are deliberately naive (math.dist loops, Counter-based entropies,
 an IE walk that builds one (id, body) pair per element) so they share
-no code with the paths they check. The fine-stage
-reference is the exception: it reuses the library's k-means and elbow and
-drops only the shortcut it checks.
+no code with the paths they check. The two shortcut references are the
+exception: the fine-stage one reuses the library's k-means and elbow, and
+the all-rows DBSCAN is the library's vectorized kernel before it ran over
+distinct rows; each drops only the shortcut it checks.
 """
 
 import math
 from collections import Counter, deque
 
+import numpy as np
+
 from probederand.clustering import (
+    DBSCAN_BLOCK_ROWS,
     NOISE,
     average_pairwise_similarity,
     dynamic_threshold,
@@ -81,6 +85,38 @@ def reference_dbscan(points, eps, min_pts):
                 if labels[j] == NOISE:
                     labels[j] = cluster
                     queue.append(j)
+        cluster += 1
+    return labels
+
+
+def all_rows_dbscan(points, eps, min_pts):
+    """DBSCAN labels from an n x n neighbour matrix over every row, with no
+    collapsing of repeated rows: the same column-order squared sums, row
+    blocks and masked expansion as ``dbscan_labels``."""
+    data = np.asarray(points, dtype=float)
+    n = data.shape[0]
+    within = np.empty((n, n), dtype=bool)
+    for start in range(0, n, DBSCAN_BLOCK_ROWS):
+        block = data[start : start + DBSCAN_BLOCK_ROWS]
+        squared = np.zeros((block.shape[0], n))
+        for block_column, column in zip(block.T, data.T):
+            squared += (block_column[:, None] - column[None, :]) ** 2
+        within[start : start + block.shape[0]] = squared <= eps * eps
+    core = within.sum(axis=1) >= min_pts
+
+    labels = np.full(n, NOISE, dtype=int)
+    cluster = 0
+    for seed in range(n):
+        if labels[seed] != NOISE or not core[seed]:
+            continue
+        labels[seed] = cluster
+        frontier = deque([seed])
+        while frontier:
+            point = frontier.popleft()
+            if core[point]:
+                reached = np.flatnonzero(within[point] & (labels == NOISE))
+                labels[reached] = cluster
+                frontier.extend(reached)
         cluster += 1
     return labels
 

@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probederand.clustering import (
     DBSCAN_BLOCK_ROWS,
@@ -33,12 +35,55 @@ from probederand.clustering import (
 from probederand.features import Burst
 from probederand.randomness import DEFAULT_SEED, STREAM_KMEANS, substream
 
-from oracles import canonical_partition, reference_dbscan, reference_refine_labels
+from oracles import (
+    all_rows_dbscan,
+    canonical_partition,
+    reference_dbscan,
+    reference_refine_labels,
+)
 
 
 def make_burst(burst_id, ie, vector, mac_tail=None, truth=None):
     mac = bytes([0x02, 0, 0, 0, 0, mac_tail if mac_tail is not None else burst_id % 256])
     return Burst(burst_id, mac, tuple(ie), tuple(vector), truth_device=truth)
+
+
+def weighted_count(rows, counts, i, eps):
+    """Copies of rows within ``eps`` of ``rows[i]``, itself included."""
+    return sum(c for row, c in zip(rows, counts) if math.dist(rows[i], row) <= eps)
+
+
+@st.composite
+def duplicate_heavy_instances(draw):
+    """A few distinct integer-lattice rows with large multiplicities,
+    shuffled; eps is an integer, so some pairs sit exactly at eps, and
+    min_pts equals one row's weighted count or is one above it."""
+    dim = draw(st.integers(1, 3))
+    cell = st.tuples(*[st.integers(0, 3)] * dim)
+    rows = draw(st.lists(cell, min_size=1, max_size=8, unique=True))
+    counts = draw(st.lists(st.integers(1, 25), min_size=len(rows), max_size=len(rows)))
+    eps = draw(st.sampled_from([1.0, 2.0]))
+    i = draw(st.integers(0, len(rows) - 1))
+    min_pts = weighted_count(rows, counts, i, eps) + draw(st.integers(0, 1))
+    points = [row for row, c in zip(rows, counts) for _ in range(c)]
+    return draw(st.permutations(points)), eps, min_pts
+
+
+@st.composite
+def contested_chains(draw):
+    """Five rows one eps apart on a line: heavy ends, light inner rows,
+    and min_pts one above the middle row's weighted count, so the middle
+    row is a border that the clusters on both sides reach. Some lattice
+    rows lie beyond eps of the chain; the rows are shuffled."""
+    inner = draw(st.lists(st.integers(1, 5), min_size=3, max_size=3))
+    ends = draw(st.lists(st.integers(10, 25), min_size=2, max_size=2))
+    counts = [ends[0], *inner, ends[1]]
+    rows = [(float(x), 0.0) for x in range(5)]
+    extra = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(2, 4)), max_size=4, unique=True))
+    extra_counts = draw(st.lists(st.integers(1, 12), min_size=len(extra), max_size=len(extra)))
+    min_pts = sum(inner) + 1
+    points = [row for row, c in zip(rows + extra, counts + extra_counts) for _ in range(c)]
+    return draw(st.permutations(points)), 1.0, min_pts
 
 
 class TestDbscan:
@@ -146,6 +191,62 @@ class TestDbscan:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8
+
+    @given(duplicate_heavy_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_rows_match_all_rows_on_duplicate_heavy_input(self, instance):
+        points, eps, min_pts = instance
+        got = dbscan_labels(np.array(points), eps, min_pts).tolist()
+        assert got == all_rows_dbscan(np.array(points), eps, min_pts).tolist()
+        assert got == reference_dbscan(points, eps, min_pts)
+
+    @given(contested_chains())
+    @settings(max_examples=100, deadline=None)
+    def test_distinct_rows_match_all_rows_on_contested_borders(self, instance):
+        points, eps, min_pts = instance
+        got = dbscan_labels(np.array(points), eps, min_pts)
+        assert got.tolist() == all_rows_dbscan(np.array(points), eps, min_pts).tolist()
+        assert got.tolist() == reference_dbscan(points, eps, min_pts)
+        middle = [i for i, p in enumerate(points) if p == (2.0, 0.0)]
+        left = [i for i, p in enumerate(points) if p == (1.0, 0.0)]
+        right = [i for i, p in enumerate(points) if p == (3.0, 0.0)]
+        assert got[left[0]] != got[right[0]]
+        assert got[middle[0]] == min(got[left[0]], got[right[0]])
+
+    @pytest.mark.parametrize(
+        "points, min_pts",
+        [
+            (np.zeros((0, 3)), 1),
+            (np.array([[0.3, 0.1, 0.7]]), 1),
+            (np.array([[0.3, 0.1, 0.7]]), 2),
+            # 0.0 and -0.0 are one distinct row: only counted together do
+            # they reach min_pts
+            (np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.5, 1.0]]), 4),
+        ],
+    )
+    def test_edge_cases_match_all_rows(self, points, min_pts):
+        got = dbscan_labels(points, 0.05, min_pts)
+        assert got.dtype == all_rows_dbscan(points, 0.05, min_pts).dtype
+        assert got.tolist() == all_rows_dbscan(points, 0.05, min_pts).tolist()
+        assert got.tolist() == reference_dbscan(points, 0.05, min_pts)
+
+    def test_duplicate_heavy_memory_is_bounded(self):
+        """On 12 000 rows with at most 50 distinct ones, peak traced
+        allocation stays below the n x n booleans of a matrix over every
+        row."""
+        n = 12_000
+        rng = np.random.default_rng(5)
+        cells = rng.choice(6**3, size=50, replace=False)
+        rows = np.stack(np.unravel_index(cells, (6, 6, 6)), axis=1) * 0.05
+        points = rows[rng.integers(0, len(rows), size=n)]
+        tracemalloc.start()
+        try:
+            labels = dbscan_labels(points, 0.05, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n
+        assert n_clusters(labels) >= 1
 
     def test_core_points_invariant_under_permutation(self):
         rng = np.random.default_rng(3)
