@@ -180,14 +180,13 @@ def _update_centers(unit: np.ndarray, labels: np.ndarray, k: int, old: np.ndarra
     return updated
 
 
-def _kmeans_single(
-    unit: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    trace: Optional[list[float]],
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _lloyd(
+    unit: np.ndarray, k: int, centers: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray, float], list[float]]:
+    """Lloyd iterations from seeded ``centers``: the (labels, centers,
+    distortion) result and the distortion of each iteration kept."""
     n = unit.shape[0]
-    centers = _seed_centers(unit, k, rng)
+    trace: list[float] = []
     best: Optional[tuple[np.ndarray, np.ndarray, float]] = None
     for _ in range(MAX_ITERATIONS):
         sims = unit @ centers.T
@@ -197,15 +196,14 @@ def _kmeans_single(
         # The spherical update optimizes the plain cosine gap; under the
         # squared metric it can overshoot, so keep the better iterate.
         if best is not None and distortion > best[2] + 1e-12:
-            return best
-        if trace is not None:
-            trace.append(distortion)
+            return best, trace
+        trace.append(distortion)
         if best is not None and np.array_equal(labels, best[0]):
-            return labels, centers, distortion
+            return (labels, centers, distortion), trace
         best = (labels, centers, distortion)
         centers = _update_centers(unit, labels, k, centers)
     assert best is not None  # MAX_ITERATIONS >= 1
-    return best
+    return best, trace
 
 
 def spherical_kmeans(
@@ -218,8 +216,11 @@ def spherical_kmeans(
     """k-means on the unit sphere, maximizing cosine similarity.
 
     Runs ``RESTARTS`` restarts seeded from ``rng`` and keeps the lowest
-    distortion (earlier run wins ties). ``history``, when given,
-    receives one per-iteration distortion trace per restart.
+    distortion (earlier run wins ties). A restart whose seeded centres
+    repeat an earlier restart's reuses that Lloyd run: the iterations
+    draw nothing from ``rng`` and depend only on the rows and centres.
+    ``history``, when given, still receives one per-iteration distortion
+    trace per restart.
     """
     data = np.asarray(rows, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -227,12 +228,16 @@ def spherical_kmeans(
     if not 1 <= k <= data.shape[0]:
         raise ValueError(f"k={k} outside [1, {data.shape[0]}]")
     unit = _unit_rows(data)
+    runs: dict[bytes, tuple[tuple[np.ndarray, np.ndarray, float], list[float]]] = {}
     best: Optional[tuple[np.ndarray, np.ndarray, float]] = None
     for _ in range(RESTARTS):
-        trace: Optional[list[float]] = [] if history is not None else None
-        result = _kmeans_single(unit, k, rng, trace)
+        centers = _seed_centers(unit, k, rng)
+        key = centers.tobytes()
+        if key not in runs:
+            runs[key] = _lloyd(unit, k, centers)
+        result, trace = runs[key]
         if history is not None:
-            history.append(trace or [])
+            history.append(list(trace))
         if best is None or result[2] < best[2]:
             best = result
     assert best is not None

@@ -24,7 +24,8 @@ class Burst:
     """A maximal run of frames sharing one source MAC.
 
     ``channel_vector`` records the DS Channel of each frame in arrival
-    order (capture channel when the DS Parameter Set is missing).
+    order (capture channel when the DS Parameter Set is missing or says
+    channel 0).
     ``ie_stable`` is False when a later frame's IE features differ from
     the first frame's; bursts loaded back from a feature file are stable.
     """
@@ -56,8 +57,8 @@ def group_bursts(
     whenever the inter-frame gap exceeds ``gap_seconds`` (devices that
     never randomize reuse one MAC across many bursts). Burst IE
     features are taken from the first frame of the burst. Each channel
-    vector entry is the frame's DS channel, else its capture channel,
-    else 0.
+    vector entry is the frame's DS channel, else (no DS channel, or a DS
+    channel of 0) its capture channel, else 0.
     """
     if gap_seconds <= 0:
         raise ValueError("gap_seconds must be positive")
@@ -90,7 +91,7 @@ def group_bursts(
                 source_mac=frames[indices[0]].source_mac,
                 ie_features=features,
                 channel_vector=tuple(
-                    channel if channel is not None else frames[i].capture_channel or 0
+                    channel or frames[i].capture_channel or 0
                     for (_, channel, _), i in zip(fields, indices)
                 ),
                 truth_device=truths[indices[0]] if truths is not None else None,
@@ -200,6 +201,10 @@ def read_feature_file(path) -> list[Burst]:
             if len(row) != len(FEATURE_FIELDS):
                 raise ValueError(f"expected {len(FEATURE_FIELDS)} fields, got {len(row)}")
             channel_vector = tuple(int(c) for c in row[7].split(";") if c != "")
+            if channel_vector and (min(channel_vector) < 0 or max(channel_vector) == 0):
+                raise ValueError(
+                    f"channel_vector needs a positive entry and no negative one, got {row[7]!r}"
+                )
             ie_features = (float(row[4]), float(row[5]), float(row[6]))
             if not np.all(np.isfinite(ie_features)):
                 raise ValueError(f"IE features must be finite, got {ie_features}")

@@ -2,10 +2,13 @@
 
 They are deliberately naive (math.dist loops, Counter-based entropies,
 an IE walk that builds one (id, body) pair per element) so they share
-no code with the paths they check. The two shortcut references are the
-exception: the fine-stage one reuses the library's k-means and elbow, and
-the all-rows DBSCAN is the library's vectorized kernel before it ran over
-distinct rows; each drops only the shortcut it checks.
+no code with the paths they check. The three shortcut references are the
+exception, and each drops only the shortcut it checks:
+``reference_refine_labels`` reuses the library's k-means and elbow with
+no distinct-row cap on k; ``all_rows_dbscan`` is the library's vectorized
+kernel before it ran over distinct rows; ``plain_spherical_kmeans``
+reuses the library's seeding and Lloyd loop and runs Lloyd for every
+restart, with no memo of repeated seeded centres.
 """
 
 import math
@@ -16,6 +19,10 @@ import numpy as np
 from probederand.clustering import (
     DBSCAN_BLOCK_ROWS,
     NOISE,
+    RESTARTS,
+    _lloyd,
+    _seed_centers,
+    _unit_rows,
     average_pairwise_similarity,
     dynamic_threshold,
     elbow_select_k,
@@ -133,6 +140,20 @@ def reference_refine_labels(rows, config, seed_key):
         labelings.append(labels)
         distortions.append(distortion)
     return labelings[elbow_select_k(distortions, threshold) - 1]
+
+
+def plain_spherical_kmeans(rows, k, rng, history):
+    """``spherical_kmeans`` with every restart seeded and run through
+    Lloyd: the lowest distortion wins, the earlier restart on ties, and
+    ``history`` gets each restart's trace."""
+    unit = _unit_rows(np.asarray(rows, dtype=float))
+    best = None
+    for _ in range(RESTARTS):
+        result, trace = _lloyd(unit, k, _seed_centers(unit, k, rng))
+        history.append(trace)
+        if best is None or result[2] < best[2]:
+            best = result
+    return best
 
 
 def canonical_partition(labels):

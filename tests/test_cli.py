@@ -121,6 +121,18 @@ class TestCluster:
         broken.write_text("\n".join(lines) + "\n")
         assert main(["cluster", str(broken), "--out", str(tmp_path / "x")]) == 1
 
+    def test_all_zero_channel_vector_is_one_line(self, workspace, tmp_path, capsys):
+        broken = tmp_path / "zero.csv"
+        lines = workspace["features"].read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[3], fields[-1] = "3", "0;0;0"
+        lines[2] = ",".join(fields)
+        broken.write_text("\n".join(lines) + "\n")
+        assert main(["cluster", str(broken), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {broken}:3: ") and err.count("\n") == 1
+        assert "channel_vector" in err
+
 
 class TestConfigPrecedence:
     def test_flag_overrides_config_file_overrides_default(self, workspace, tmp_path):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probederand import clustering
 from probederand.clustering import (
     DBSCAN_BLOCK_ROWS,
     NOISE,
@@ -32,12 +33,14 @@ from probederand.clustering import (
     two_stage_cluster,
     two_stage_labelings,
 )
-from probederand.features import Burst
+from probederand.features import Burst, group_bursts
+from probederand.pcap import ProbeRequestFrame
 from probederand.randomness import DEFAULT_SEED, STREAM_KMEANS, substream
 
 from oracles import (
     all_rows_dbscan,
     canonical_partition,
+    plain_spherical_kmeans,
     reference_dbscan,
     reference_refine_labels,
 )
@@ -326,6 +329,39 @@ def enumerate_best_distortion(rows, k):
     return best
 
 
+@st.composite
+def duplicate_heavy_pools(draw):
+    """Up to 6 distinct nonzero small-integer rows (parallel ones share a
+    direction) with multiplicities up to 20, shuffled."""
+    dim = draw(st.integers(2, 4))
+    cell = st.tuples(*[st.integers(0, 3)] * dim).filter(any)
+    rows = draw(st.lists(cell, min_size=1, max_size=6, unique=True))
+    counts = draw(st.lists(st.integers(1, 20), min_size=len(rows), max_size=len(rows)))
+    pool = [row for row, c in zip(rows, counts) for _ in range(c)]
+    return np.array(draw(st.permutations(pool)), dtype=float), len(rows)
+
+
+@st.composite
+def distinct_pools(draw):
+    """All-distinct random rows in the positive orthant."""
+    n = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).uniform(0.05, 1.0, size=(n, dim))
+
+
+def assert_matches_plain(rows, k, seed):
+    """Labels, centres and distortion bitwise equal to the plain restart
+    loop's, and ``history`` equal trace for trace."""
+    history, plain_history = [], []
+    got = spherical_kmeans(rows, k, substream(seed, STREAM_KMEANS), history=history)
+    want = plain_spherical_kmeans(rows, k, substream(seed, STREAM_KMEANS), plain_history)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+    assert history == plain_history
+
+
 class TestSphericalKmeans:
     def test_identical_rows_zero_distortion(self):
         rows = np.tile([1.0, 6.0, 11.0], (8, 1))
@@ -370,6 +406,55 @@ class TestSphericalKmeans:
         second = spherical_kmeans(rows, 3, substream(77, STREAM_KMEANS))
         assert np.array_equal(first[0], second[0])
         assert first[2] == second[2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(duplicate_heavy_pools(), st.integers(0, 2**16))
+    def test_memo_matches_plain_restarts_on_duplicate_heavy_pools(self, pool, seed):
+        rows, distinct = pool
+        for k in range(1, distinct + 1):
+            assert_matches_plain(rows, k, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(distinct_pools(), st.integers(0, 2**16))
+    def test_memo_matches_plain_restarts_on_distinct_pools(self, rows, seed):
+        for k in range(1, min(len(rows), 5) + 1):
+            assert_matches_plain(rows, k, seed)
+
+    def test_memo_matches_plain_restarts_when_a_cluster_empties(self, monkeypatch):
+        """[1,1] and [2,2] share a direction, so at k = 3 the third seeded
+        centre repeats one and ``_fix_empty_clusters`` moves a row."""
+        rows = np.array([[1, 1]] * 15 + [[2, 2], [1, 0]], float)
+        emptied = []
+        fix = clustering._fix_empty_clusters
+
+        def counting_fix(sims, labels, k):
+            emptied.append(len(np.unique(labels)) < k)
+            fix(sims, labels, k)
+
+        monkeypatch.setattr(clustering, "_fix_empty_clusters", counting_fix)
+        assert_matches_plain(rows, 3, seed=3)
+        assert any(emptied)
+
+    def test_repeated_seeds_reuse_one_lloyd_run(self, monkeypatch):
+        """Two distinct rows at k = 2 seed at most two centre orders, so
+        Lloyd runs fewer than ``RESTARTS`` times while ``history`` keeps
+        one trace per restart and the plain loop's iteration count."""
+        rows = np.array([[1, 6, 11]] * 9 + [[11, 6, 1]] * 7, float)
+        plain_history = []
+        plain_spherical_kmeans(rows, 2, substream(6, STREAM_KMEANS), plain_history)
+        runs = []
+        lloyd = clustering._lloyd
+
+        def counting_lloyd(unit, k, centers):
+            runs.append(k)
+            return lloyd(unit, k, centers)
+
+        monkeypatch.setattr(clustering, "_lloyd", counting_lloyd)
+        history = []
+        spherical_kmeans(rows, 2, substream(6, STREAM_KMEANS), history=history)
+        assert 1 <= len(runs) < RESTARTS
+        assert len(history) == RESTARTS
+        assert sum(map(len, history)) == sum(map(len, plain_history))
 
     def test_k_above_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -546,6 +631,32 @@ class TestTwoStage:
             for _ in range(3)
         ]
         assert runs[0] == runs[1] == runs[2]
+
+    def test_ds_channel_zero_clusters_as_capture_channel(self):
+        """A device whose probes all say DS channel 0 clusters as if they
+        named the channel they were captured on."""
+        sweeps = {"dev-a": (1, 6, 11), "dev-b": (11, 6, 1), "dev-c": (13, 13, 1)}
+
+        def bursts(ds_zero):
+            frames, truths, t = [], [], 0.0
+            for b in range(4):
+                for d, (name, sweep) in enumerate(sweeps.items()):
+                    for channel in sweep:
+                        ds = 0 if ds_zero and name == "dev-c" else channel
+                        ies = bytes([45, 2, 0xAD, 0x01, 3, 1, ds])
+                        frames.append(ProbeRequestFrame(t, bytes([2, 0, 0, 0, d, b]), channel, 0, ies))
+                        truths.append(name)
+                        t += 0.01
+                    t += 5.0
+            return group_bursts(frames, 2.0, truths)
+
+        zero, named = bursts(ds_zero=True), bursts(ds_zero=False)
+        assert [b.channel_vector for b in zero] == [b.channel_vector for b in named]
+        configs = DbscanConfig(min_pts=2), KmeansConfig(seed=7)
+        got = two_stage_labelings(zero, *configs)
+        want = two_stage_labelings(named, *configs)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert n_clusters(got[1]) >= 2
 
     def test_ie_only_is_stage_one(self):
         bursts = twin_bursts()

@@ -133,6 +133,10 @@ class TestChannelVector:
     def test_capture_channel_fallback(self):
         assert channel_vector(frame(channel=11), frame(0.1, channel=6, ies=[ie(3, b"")])) == (11, 6)
 
+    def test_ds_channel_zero_falls_back_to_capture_channel(self):
+        frames = frame(channel=11, ies=[ie(3, [0])]), frame(0.1, channel=6, ies=[ie(3, [1])])
+        assert channel_vector(*frames) == (11, 1)
+
     def test_missing_everything_yields_zero(self):
         assert channel_vector(frame(channel=None)) == (0,)
 
@@ -220,7 +224,13 @@ class TestFeatureFile:
 
     @pytest.mark.parametrize(
         "column, value",
-        [("channel_vector", "eleven"), ("ie_ht", "nan"), ("ie_vendor", "inf")],
+        [
+            ("channel_vector", "eleven"),
+            ("channel_vector", "0"),
+            ("channel_vector", "-6"),
+            ("ie_ht", "nan"),
+            ("ie_vendor", "inf"),
+        ],
     )
     def test_malformed_row_reports_line(self, tmp_path, column, value):
         path = tmp_path / "bad.csv"
