@@ -201,18 +201,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         kmeans_cfg = KmeansConfig(k_max=config["k_max"], seed=config["seed"])
         eval_cfg = EvalConfig(d=config["d"], seed=config["seed"])
     bursts = _read_labelled(args.features)
-    sections = [
-        (method, run_protocol(bursts, eval_cfg, dbscan_cfg, kmeans_cfg, method, config["jobs"]))
-        for method in METHODS
-    ]
+    sections = run_protocol(bursts, eval_cfg, dbscan_cfg, kmeans_cfg, config["jobs"])
     out = _out_dir(args)
     write_report_files(
-        sections,
+        sections.items(),
         out / "report_runs.csv",
         out / "report_summary.csv",
         _header("evaluate", config),
     )
-    for method, reports in sections:
+    for method, reports in sections.items():
         mean_v = sum(r.v_measure for r in reports) / len(reports)
         print(f"{method}: {len(reports)} runs, mean V-measure {mean_v:.4f}")
     print(f"wrote {out / 'report_runs.csv'} and {out / 'report_summary.csv'}")

@@ -134,7 +134,7 @@ def _seed_centers(unit: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     """Distance-weighted (D²) seeding over cosine distance."""
     n = unit.shape[0]
     chosen = [int(rng.integers(n))]
-    nearest = np.clip(1.0 - unit @ unit[chosen[0]], 0.0, None)
+    nearest = np.maximum(1.0 - unit @ unit[chosen[0]], 0.0)
     for _ in range(1, k):
         weights = nearest * nearest
         total = float(weights.sum())
@@ -144,7 +144,7 @@ def _seed_centers(unit: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
             pick = int(np.searchsorted(np.cumsum(weights), rng.random() * total, side="right"))
             pick = min(pick, n - 1)
         chosen.append(pick)
-        nearest = np.minimum(nearest, np.clip(1.0 - unit @ unit[pick], 0.0, None))
+        nearest = np.minimum(nearest, np.maximum(1.0 - unit @ unit[pick], 0.0))
     return unit[chosen].copy()
 
 
@@ -156,6 +156,8 @@ def _distortion(own_similarity: np.ndarray) -> float:
 
 def _fix_empty_clusters(sims: np.ndarray, labels: np.ndarray, k: int) -> None:
     """Reseed each empty cluster with the row worst-fitted to its center."""
+    if np.bincount(labels, minlength=k).all():
+        return
     taken: set[int] = set()
     for j in range(k):
         if np.any(labels == j):
@@ -329,23 +331,20 @@ def ie_only_cluster(bursts: Sequence[Burst], dbscan_cfg: DbscanConfig) -> np.nda
     return dbscan(normalize_ie_matrix([b.ie_features for b in ordered]), dbscan_cfg)
 
 
-def two_stage_labelings(
-    bursts: Sequence[Burst],
-    dbscan_cfg: DbscanConfig,
-    kmeans_cfg: KmeansConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(coarse, final) labels of the full two-stage pipeline, in
-    ascending burst-id order.
+def two_stage_cluster(
+    bursts: Sequence[Burst], coarse: np.ndarray, kmeans_cfg: KmeansConfig
+) -> np.ndarray:
+    """Fine stage: refine the ``coarse`` labels (ascending burst-id
+    order, as ``ie_only_cluster`` returns them) into the final labels.
 
     Each coarse cluster is refined independently; final labels are the
     disjoint union of all sub-clusters, renumbered contiguously. Noise
     bursts stay noise and are excluded from the cluster count.
     """
     ordered = _sorted_bursts(bursts)
-    points = normalize_ie_matrix([b.ie_features for b in ordered])
-    coarse = dbscan_labels(points, dbscan_cfg.eps, dbscan_cfg.min_pts)
+    if len(coarse) != len(ordered):
+        raise ValueError(f"{len(coarse)} coarse labels for {len(ordered)} bursts")
     padded = pad_matrix([b.channel_vector for b in ordered])
-
     final = np.full(len(ordered), NOISE, dtype=int)
     next_label = 0
     for c in range(n_clusters(coarse)):
@@ -354,16 +353,18 @@ def two_stage_labelings(
         for s in range(int(sub.max()) + 1):
             final[members[sub == s]] = next_label
             next_label += 1
-    return coarse, final
+    return final
 
 
-def two_stage_cluster(
+def two_stage_labelings(
     bursts: Sequence[Burst],
     dbscan_cfg: DbscanConfig,
     kmeans_cfg: KmeansConfig,
-) -> np.ndarray:
-    """Final labels of the two-stage pipeline, in ascending burst-id order."""
-    return two_stage_labelings(bursts, dbscan_cfg, kmeans_cfg)[1]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(coarse, final) labels of the full two-stage pipeline, in
+    ascending burst-id order."""
+    coarse = ie_only_cluster(bursts, dbscan_cfg)
+    return coarse, two_stage_cluster(bursts, coarse, kmeans_cfg)
 
 
 LABELING_FIELDS = ("burst_id", "source_mac", "truth_device", "coarse_label", "final_label")

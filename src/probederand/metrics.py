@@ -179,14 +179,15 @@ def _score(p: int, subset_index: int, pool: list[Burst], labels: np.ndarray) -> 
 
 
 def _score_subset(
-    task: tuple[int, int, list[Burst], str, DbscanConfig, KmeansConfig],
-) -> MetricReport:
-    p, subset_index, pool, method, dbscan_cfg, kmeans_cfg = task
-    if method == METHOD_TWO_STAGE:
-        labels = two_stage_cluster(pool, dbscan_cfg, kmeans_cfg)
-    else:
-        labels = ie_only_cluster(pool, dbscan_cfg)
-    return _score(p, subset_index, pool, labels)
+    task: tuple[int, int, list[Burst], DbscanConfig, KmeansConfig],
+) -> dict[str, MetricReport]:
+    p, subset_index, pool, dbscan_cfg, kmeans_cfg = task
+    coarse = ie_only_cluster(pool, dbscan_cfg)
+    final = two_stage_cluster(pool, coarse, kmeans_cfg)
+    return {
+        METHOD_TWO_STAGE: _score(p, subset_index, pool, final),
+        METHOD_IE_ONLY: _score(p, subset_index, pool, coarse),
+    }
 
 
 def run_protocol(
@@ -194,30 +195,28 @@ def run_protocol(
     eval_cfg: EvalConfig,
     dbscan_cfg: DbscanConfig,
     kmeans_cfg: KmeansConfig,
-    method: str = METHOD_TWO_STAGE,
     jobs: int = 1,
-) -> list[MetricReport]:
-    """Score a method over every protocol draw.
+) -> dict[str, list[MetricReport]]:
+    """Score both methods over every protocol draw: ``{method: reports}``
+    in ``METHODS`` order, each list in (p, subset) order.
 
-    Each run pools the bursts of the drawn devices and clusters them
-    with a k-means seed derived from (protocol seed, p, subset), so
-    reports are reproducible and independent of execution order.
-    ``jobs`` worker processes (at most one per CPU) share the runs.
+    Each draw's pool is clustered once: its coarse labels are the ie-only
+    run, and their refinement, with a k-means seed derived from (protocol
+    seed, p, subset), is the two-stage run, so reports are reproducible
+    and independent of execution order. ``jobs`` worker processes (at
+    most one per CPU) share the draws.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
     tasks = []
     for p, s, pool in _protocol_pools(bursts, eval_cfg):
         run_cfg = replace(kmeans_cfg, seed=child_seed(eval_cfg.seed, STREAM_KMEANS, p, s))
-        tasks.append((p, s, pool, method, dbscan_cfg, run_cfg))
+        tasks.append((p, s, pool, dbscan_cfg, run_cfg))
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
-            reports = list(pool_exec.map(_score_subset, tasks))
+            draws = list(pool_exec.map(_score_subset, tasks))
     else:
-        reports = [_score_subset(task) for task in tasks]
-    reports.sort(key=lambda r: (r.p, r.subset_index))
-    return reports
+        draws = [_score_subset(task) for task in tasks]
+    return {method: [draw[method] for draw in draws] for method in METHODS}
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .pcap import (
     IE_VENDOR_SPECIFIC,
     LINKTYPE_RADIOTAP,
     ProbeRequestFrame,
-    ie_fields,
 )
 from .randomness import DEFAULT_SEED, STREAM_GENERATION, substream
 
@@ -179,13 +178,13 @@ def generate_device(
 def assign_to_sniffers(
     frames: Sequence[ProbeRequestFrame], sniffer_channels: Sequence[int]
 ) -> dict[int, list[ProbeRequestFrame]]:
-    """Idealized capture: a sniffer hears exactly the frames whose DS
-    channel matches its own; everything else is lost."""
+    """Idealized capture: a sniffer hears exactly the frames sent on its
+    channel (``capture_channel``, which ``generate_device`` sets to the
+    frame's DS channel); everything else is lost."""
     captured: dict[int, list[ProbeRequestFrame]] = {s: [] for s in sniffer_channels}
     for frame in frames:
-        _, channel, _ = ie_fields(frame.ies)
-        if channel in captured:
-            captured[channel].append(replace(frame, capture_channel=channel))
+        if frame.capture_channel in captured:
+            captured[frame.capture_channel].append(frame)
     return captured
 
 
@@ -302,9 +301,7 @@ def _spec_to_json(spec):
     return {"fixed": spec}
 
 
-def _spec_from_json(entry: dict, key: str, default, integral: bool):
-    value = entry.get(key, default)
-    cast = int if integral else float
+def _spec_from_json(value, key: str, cast):
     if isinstance(value, dict):
         if "fixed" in value:
             return cast(value["fixed"])
@@ -313,6 +310,17 @@ def _spec_from_json(entry: dict, key: str, default, integral: bool):
             return (cast(a), cast(b))
         raise ValueError(f"{key} must be {{'fixed': x}} or {{'uniform': [a, b]}}, got {value}")
     return cast(value)
+
+
+# Casts of the optional document keys; an absent key keeps its default.
+_PROFILE_FIELDS = {
+    "burst_length": lambda v: _spec_from_json(v, "burst_length", int),
+    "inter_burst_interval": lambda v: _spec_from_json(v, "inter_burst_interval", float),
+    "intra_burst_gap": float,
+    "randomize_mac": bool,
+    "channel_jitter": float,
+}
+_SCENARIO_FIELDS = {"seed": int, "sniffer_channels": lambda v: tuple(int(c) for c in v)}
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -360,20 +368,13 @@ def scenario_from_dict(data: dict) -> Scenario:
                 device_id=str(entry["device_id"]),
                 ie_template=template,
                 pnl_pattern=tuple(int(c) for c in entry["pnl_pattern"]),
-                burst_length=_spec_from_json(entry, "burst_length", 8, integral=True),
-                inter_burst_interval=_spec_from_json(
-                    entry, "inter_burst_interval", 10.0, integral=False
-                ),
-                intra_burst_gap=float(entry.get("intra_burst_gap", 0.005)),
-                randomize_mac=bool(entry.get("randomize_mac", True)),
-                channel_jitter=float(entry.get("channel_jitter", 0.0)),
+                **{k: cast(entry[k]) for k, cast in _PROFILE_FIELDS.items() if k in entry},
             )
         )
     return Scenario(
         profiles=tuple(profiles),
         duration=float(data["duration"]),
-        seed=int(data.get("seed", DEFAULT_SEED)),
-        sniffer_channels=tuple(int(c) for c in data.get("sniffer_channels", SNIFFERS_DEFAULT)),
+        **{k: cast(data[k]) for k, cast in _SCENARIO_FIELDS.items() if k in data},
     )
 
 

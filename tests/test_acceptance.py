@@ -78,10 +78,7 @@ def twin_setup(tmp_path_factory):
 def run_twin_protocols(bursts):
     eval_cfg = EvalConfig(d=10, seed=PROTOCOL_SEED)
     kmeans_cfg = KmeansConfig(seed=PROTOCOL_SEED)
-    return {
-        method: run_protocol(bursts, eval_cfg, DbscanConfig(), kmeans_cfg, method)
-        for method in (METHOD_TWO_STAGE, METHOD_IE_ONLY)
-    }
+    return run_protocol(bursts, eval_cfg, DbscanConfig(), kmeans_cfg)
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +97,8 @@ def mixed_setup(tmp_path_factory):
 def run_mixed_protocol(bursts):
     eval_cfg = EvalConfig(d=10, seed=PROTOCOL_SEED)
     return run_protocol(
-        bursts, eval_cfg, DbscanConfig(), KmeansConfig(seed=PROTOCOL_SEED), METHOD_TWO_STAGE
-    )
+        bursts, eval_cfg, DbscanConfig(), KmeansConfig(seed=PROTOCOL_SEED)
+    )[METHOD_TWO_STAGE]
 
 
 @pytest.fixture(scope="module")

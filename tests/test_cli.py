@@ -17,8 +17,6 @@ from probederand.clustering import (
 )
 from probederand.features import read_feature_file
 from probederand.metrics import (
-    METHOD_IE_ONLY,
-    METHOD_TWO_STAGE,
     EvalConfig,
     run_protocol,
     write_report_files,
@@ -258,8 +256,8 @@ class TestJobs:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         argv = ["evaluate", str(workspace["features"]), "--out", str(tmp_path / "o"), "--d", "1"]
         assert main(argv + ["--jobs", str(requested)]) == 0
-        # one executor per method, or none when the runs stay serial
-        assert started == ([] if workers is None else [workers, workers])
+        # one executor per evaluate, or none when the runs stay serial
+        assert started == ([] if workers is None else [workers])
 
 
 class TestEvaluate:
@@ -302,15 +300,12 @@ class TestEvaluate:
         ) == 0
         bursts = read_feature_file(workspace["features"])
         eval_cfg = EvalConfig(d=2, seed=3)
-        sections = [
-            (m, run_protocol(bursts, eval_cfg, DbscanConfig(), KmeansConfig(seed=3), m))
-            for m in (METHOD_TWO_STAGE, METHOD_IE_ONLY)
-        ]
+        sections = run_protocol(bursts, eval_cfg, DbscanConfig(), KmeansConfig(seed=3))
         header = (
             f"probederand {__version__} | evaluate | d=2 eps=0.05 jobs=1 k_max=5 "
             "min_pts=10 seed=3 | ie_encoding=byte-sum"
         )
-        write_report_files(sections, tmp_path / "runs.csv", tmp_path / "summary.csv", header)
+        write_report_files(sections.items(), tmp_path / "runs.csv", tmp_path / "summary.csv", header)
         assert (out / "report_runs.csv").read_bytes() == (tmp_path / "runs.csv").read_bytes()
         assert (out / "report_summary.csv").read_bytes() == (tmp_path / "summary.csv").read_bytes()
 

@@ -584,7 +584,8 @@ def twin_bursts(n_per=20, jiggle=None):
 class TestTwoStage:
     def test_single_population_single_cluster(self):
         bursts = [make_burst(i, (3, 2, 1), (1, 6, 11)) for i in range(15)]
-        labels = two_stage_cluster(bursts, DbscanConfig(), KmeansConfig(seed=6))
+        coarse = ie_only_cluster(bursts, DbscanConfig())
+        labels = two_stage_cluster(bursts, coarse, KmeansConfig(seed=6))
         assert n_clusters(labels) == 1
 
     def test_twins_split_in_stage_two(self):
@@ -626,10 +627,8 @@ class TestTwoStage:
 
     def test_deterministic_for_fixed_seed(self):
         bursts = twin_bursts(jiggle=0.2)
-        runs = [
-            two_stage_cluster(bursts, DbscanConfig(), KmeansConfig(seed=33)).tolist()
-            for _ in range(3)
-        ]
+        coarse = ie_only_cluster(bursts, DbscanConfig())
+        runs = [two_stage_cluster(bursts, coarse, KmeansConfig(seed=33)).tolist() for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
 
     def test_ds_channel_zero_clusters_as_capture_channel(self):
@@ -662,6 +661,20 @@ class TestTwoStage:
         bursts = twin_bursts()
         labels = ie_only_cluster(bursts, DbscanConfig())
         assert n_clusters(labels) == 1
+        coarse, _ = two_stage_labelings(bursts, DbscanConfig(), KmeansConfig(seed=6))
+        assert np.array_equal(coarse, labels)
+
+    def test_fine_stage_refines_the_given_coarse_labels(self):
+        """``two_stage_cluster`` splits only what the coarse labels pool:
+        bursts given as noise stay noise, in any input order."""
+        bursts = twin_bursts()
+        coarse = ie_only_cluster(bursts, DbscanConfig())
+        coarse[: len(coarse) // 2] = NOISE
+        final = two_stage_cluster(bursts[::-1], coarse, KmeansConfig(seed=6))
+        assert np.array_equal(final == NOISE, coarse == NOISE)
+        assert n_clusters(final) >= 1
+        with pytest.raises(ValueError, match="coarse labels"):
+            two_stage_cluster(bursts, coarse[1:], KmeansConfig(seed=6))
 
 
 class TestConfigs:

@@ -6,13 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from probederand.clustering import DbscanConfig, KmeansConfig
+from probederand import clustering
+from probederand.clustering import DbscanConfig, KmeansConfig, ie_only_cluster
 from probederand.features import Burst
 from probederand.metrics import (
     METHOD_IE_ONLY,
     METHOD_TWO_STAGE,
+    METHODS,
     EvalConfig,
     MetricReport,
+    _protocol_pools,
+    _score,
     delta_error,
     draw_subsets,
     group_by_device,
@@ -131,15 +135,18 @@ class TestProtocol:
     def test_report_arithmetic(self):
         bursts = synthetic_bursts()
         cfg = EvalConfig(d=10, seed=3)
-        reports = run_protocol(bursts, cfg, DbscanConfig(min_pts=5), KmeansConfig(seed=3), METHOD_IE_ONLY)
-        assert len(reports) == 130  # p = 1..13, ten subsets each
-        assert {r.p for r in reports} == set(range(1, 14))
+        results = run_protocol(bursts, cfg, DbscanConfig(min_pts=5), KmeansConfig(seed=3))
+        assert list(results) == list(METHODS)
+        for reports in results.values():
+            assert len(reports) == 130  # p = 1..13, ten subsets each
+            assert [(r.p, r.subset_index) for r in reports] == [
+                (p, s) for p in range(1, 14) for s in range(10)
+            ]
 
     def test_single_device_is_perfect(self):
         bursts = synthetic_bursts(n_devices=3, bursts_per=15)
         cfg = EvalConfig(d=4, seed=5)
-        for method in (METHOD_TWO_STAGE, METHOD_IE_ONLY):
-            reports = run_protocol(bursts, cfg, DbscanConfig(), KmeansConfig(seed=5), method)
+        for reports in run_protocol(bursts, cfg, DbscanConfig(), KmeansConfig(seed=5)).values():
             for report in (r for r in reports if r.p == 1):
                 assert (report.homogeneity, report.completeness, report.v_measure) == (1, 1, 1)
                 assert report.delta == 0
@@ -147,14 +154,38 @@ class TestProtocol:
     def test_reports_reproducible(self):
         bursts = synthetic_bursts(n_devices=6, bursts_per=12, twins=True)
         cfg = EvalConfig(d=3, seed=11)
-        args = (bursts, cfg, DbscanConfig(min_pts=5), KmeansConfig(seed=11), METHOD_TWO_STAGE)
+        args = (bursts, cfg, DbscanConfig(min_pts=5), KmeansConfig(seed=11))
         assert run_protocol(*args) == run_protocol(*args)
 
     def test_parallel_equals_serial(self):
         bursts = synthetic_bursts(n_devices=5, bursts_per=12)
         cfg = EvalConfig(d=3, seed=13)
-        args = (bursts, cfg, DbscanConfig(min_pts=5), KmeansConfig(seed=13), METHOD_TWO_STAGE)
-        assert run_protocol(*args, jobs=1) == run_protocol(*args, jobs=2)
+        args = (bursts, cfg, DbscanConfig(min_pts=5), KmeansConfig(seed=13))
+        serial = run_protocol(*args, jobs=1)
+        assert list(serial) == list(METHODS)
+        for method, reports in run_protocol(*args, jobs=2).items():
+            assert reports == serial[method]
+
+    def test_one_dbscan_per_draw_scores_both_methods(self, monkeypatch):
+        """Each draw runs DBSCAN once; its coarse labels are the ie-only run."""
+        bursts = synthetic_bursts(n_devices=5, bursts_per=12, twins=True)
+        cfg = EvalConfig(d=3, seed=17)
+        dbscan_cfg = DbscanConfig(min_pts=5)
+        pools = _protocol_pools(bursts, cfg)
+        want = [_score(p, s, pool, ie_only_cluster(pool, dbscan_cfg)) for p, s, pool in pools]
+
+        calls = []
+        original = clustering.dbscan_labels
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(clustering, "dbscan_labels", counted)
+        results = run_protocol(bursts, cfg, dbscan_cfg, KmeansConfig(seed=17), jobs=1)
+        assert calls == [len(pool) for _, _, pool in pools]
+        assert results[METHOD_IE_ONLY] == want
+        assert len(results[METHOD_TWO_STAGE]) == len(pools)
 
     def test_unlabeled_bursts_rejected(self):
         burst = Burst(0, b"\x02\x00\x00\x00\x00\x01", (1.0, 2.0, 3.0), (1, 6))

@@ -116,6 +116,13 @@ class TestAssignToSniffers:
         captured = assign_to_sniffers([f for f, _ in pairs], SNIFFERS_LOSSLESS)
         assert sum(len(v) for v in captured.values()) == len(pairs)
 
+    def test_capture_channel_is_ds_channel(self):
+        """The sniffers group frames by ``capture_channel``, so it must
+        name the DS channel even when every burst is perturbed."""
+        pairs = generate_device(profile(channel_jitter=1.0), 60.0, np.random.default_rng(5))
+        assert pairs
+        assert all(ie_fields(f.ies)[1] == f.capture_channel for f, _ in pairs)
+
     def test_capture_channel_set_to_sniffer(self):
         pairs = generate_device(profile(), 10.0, np.random.default_rng(4))
         captured = assign_to_sniffers([f for f, _ in pairs], SNIFFERS_DEFAULT)
@@ -249,6 +256,11 @@ class TestScenarioSerialization:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario_to_dict(two_device_scenario())))
         assert load_scenario(path) == two_device_scenario()
+
+    def test_absent_keys_take_dataclass_defaults(self):
+        data = {"duration": 30, "profiles": [{"device_id": "a", "pnl_pattern": [1, 6]}]}
+        want = Scenario(profiles=(DeviceProfile("a", IeTemplate(), (1, 6)),), duration=30.0)
+        assert scenario_from_dict(data) == want
 
     def test_distribution_forms(self):
         data = scenario_to_dict(two_device_scenario())

@@ -11,7 +11,7 @@ import probederand
 import probederand.cli  # noqa: F401  (the tracer looks up probederand.cli)
 from probederand.clustering import DbscanConfig, KmeansConfig
 from probederand.features import Burst
-from probederand.metrics import METHODS, EvalConfig
+from probederand.metrics import EvalConfig
 from probederand.randomness import DEFAULT_SEED, STREAM_KMEANS, substream
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -43,21 +43,20 @@ def test_spherical_kmeans_history_is_counted():
 def test_protocol_runs_are_traced():
     """Each protocol run's clustering call is a child of ``run_protocol``
     (the spans behind ``metrics.cluster_run_ms``), and the IE-only path
-    still goes through ``dbscan``."""
+    still goes through ``dbscan``, once per draw."""
     bursts = [
         Burst(i, bytes([2, 0, 0, 0, 0, i]), (10.0 * (i % 3), 0.0, 0.0), (1, 6, 11), f"dev{i % 3}")
         for i in range(12)
     ]
     tracer = load_tracer().Tracer()
     with tracer.installed(probederand):
-        for method in METHODS:
-            probederand.cli.run_protocol(
-                bursts, EvalConfig(d=1), DbscanConfig(min_pts=2), KmeansConfig(), method, 1
-            )
+        probederand.cli.run_protocol(
+            bursts, EvalConfig(d=1), DbscanConfig(min_pts=2), KmeansConfig(), 1
+        )
     spans = tracer.records()
     names = [s["name"] for s in spans]
     for name in ("clustering.two_stage_cluster", "clustering.ie_only_cluster"):
         runs = [s for s in spans if s["name"] == name]
         assert len(runs) == 2  # p = 1, 2 with d = 1
         assert all(names[s["parent"]] == "metrics.run_protocol" for s in runs)
-    assert "clustering.dbscan" in names
+    assert names.count("clustering.dbscan") == names.count("clustering.dbscan_labels") == 2
