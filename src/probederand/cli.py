@@ -169,6 +169,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_cluster(args: argparse.Namespace) -> int:
     with _settings():
         config = _effective_config(args, ["eps", "min_pts", "k_max", "seed", "method"])
+        if config["method"] not in METHODS:
+            raise ValueError(f"method must be one of {', '.join(METHODS)}, got {config['method']!r}")
         dbscan_cfg = DbscanConfig(eps=config["eps"], min_pts=config["min_pts"])
         kmeans_cfg = KmeansConfig(k_max=config["k_max"], seed=config["seed"])
     bursts = read_feature_file(args.features)
@@ -197,6 +199,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     with _settings():
         config = _effective_config(args, ["eps", "min_pts", "k_max", "d", "seed", "jobs"])
+        if config["jobs"] < 1:
+            raise ValueError("jobs must be at least 1")
         dbscan_cfg = DbscanConfig(eps=config["eps"], min_pts=config["min_pts"])
         kmeans_cfg = KmeansConfig(k_max=config["k_max"], seed=config["seed"])
         eval_cfg = EvalConfig(d=config["d"], seed=config["seed"])
@@ -314,6 +318,8 @@ def main(argv=None) -> int:
     for name in args.inputs:
         if not Path(getattr(args, name)).exists():
             parser.error(f"{name} path does not exist: {getattr(args, name)}")
+    if args.config is not None and not Path(args.config).exists():
+        parser.error(f"config path does not exist: {args.config}")
     try:
         return args.func(args)
     except (UsageError, CaptureError, ValueError, OSError) as exc:

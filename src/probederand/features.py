@@ -24,8 +24,8 @@ class Burst:
     """A maximal run of frames sharing one source MAC.
 
     ``channel_vector`` records the DS Channel of each frame in arrival
-    order (capture channel when the DS Parameter Set is missing or says
-    channel 0).
+    order, or its capture channel when the DS Parameter Set is missing
+    or says channel 0.
     ``ie_stable`` is False when a later frame's IE features differ from
     the first frame's; bursts loaded back from a feature file are stable.
     """
@@ -58,7 +58,7 @@ def group_bursts(
     never randomize reuse one MAC across many bursts). Burst IE
     features are taken from the first frame of the burst. Each channel
     vector entry is the frame's DS channel, else (no DS channel, or a DS
-    channel of 0) its capture channel, else 0.
+    channel of 0) its capture channel.
     """
     if gap_seconds <= 0:
         raise ValueError("gap_seconds must be positive")
@@ -91,7 +91,7 @@ def group_bursts(
                 source_mac=frames[indices[0]].source_mac,
                 ie_features=features,
                 channel_vector=tuple(
-                    channel or frames[i].capture_channel or 0
+                    channel or frames[i].capture_channel
                     for (_, channel, _), i in zip(fields, indices)
                 ),
                 truth_device=truths[indices[0]] if truths is not None else None,

@@ -4,6 +4,8 @@ Reads classic pcap files (libpcap format, both byte orders, microsecond
 and nanosecond timestamp magic) with link type 127 (Radiotap over
 802.11) or 105 (bare 802.11), keeps only Probe Request frames, and
 merges per-channel sniffer captures into one time-ordered stream.
+:func:`read_capture` alone gives a frame its capture channel: the
+Radiotap channel field, else the channel the file declares.
 
 Only the fields the burst pipeline consumes are decoded: capture
 timestamp, source MAC (Address 2), capture channel, sequence number,
@@ -19,7 +21,7 @@ incl_len, orig_len.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -59,7 +61,7 @@ class TruncationError(Error):
 
 
 class ChannelResolutionError(Error):
-    """A frame's capture channel cannot be determined from any source."""
+    """A frame has no Radiotap channel and its file declares none."""
 
 
 @dataclass(frozen=True)
@@ -67,21 +69,21 @@ class ProbeRequestFrame:
     """One parsed Probe Request.
 
     ``capture_channel`` is the sniffer channel the frame was captured
-    on (Radiotap channel field when present, else the per-file declared
-    channel); it may be None until :func:`merge_captures` resolves it.
+    on, 1..13; :func:`read_capture` takes it from the Radiotap channel
+    field, else from the file's declared channel.
     ``ies`` is the raw tagged-parameter region, whole elements only.
     """
 
     timestamp: float
     source_mac: bytes
-    capture_channel: Optional[int]
+    capture_channel: int
     sequence_number: int
     ies: bytes
 
     def __post_init__(self) -> None:
         if len(self.source_mac) != 6:
             raise ValueError("source_mac must be exactly 6 bytes")
-        if self.capture_channel is not None and not 1 <= self.capture_channel <= 13:
+        if not 1 <= self.capture_channel <= 13:
             raise ValueError(f"capture_channel out of range: {self.capture_channel}")
         if not 0 <= self.sequence_number <= 4095:
             raise ValueError(f"sequence_number out of range: {self.sequence_number}")
@@ -250,7 +252,9 @@ def read_capture(
     are skipped and tallied. A record header promising more bytes than
     remain stops the walk with the partial result. A frame's IE region
     is cut after its last whole element, and the cut is tallied as an
-    ``ie_overrun``.
+    ``ie_overrun``. A frame's capture channel is its Radiotap channel,
+    else ``meta.declared_channel``; a frame with neither raises
+    :class:`ChannelResolutionError` naming ``meta.path``.
     """
     diag = diagnostics if diagnostics is not None else ParseDiagnostics()
     order, nanos, network = _unpack_global_header(data)
@@ -310,6 +314,10 @@ def read_capture(
             ies = ies[:whole]
         if channel is None:
             channel = meta.declared_channel
+        if channel is None:
+            raise ChannelResolutionError(
+                f"frame in {meta.path} has no Radiotap channel and the file declares none"
+            )
         frames.append(
             ProbeRequestFrame(
                 timestamp=timestamp,
@@ -326,30 +334,17 @@ def read_capture(
 
 
 def merge_captures(
-    streams: Iterable[tuple[CaptureMeta, list[ProbeRequestFrame], object]],
+    streams: Iterable[tuple[list[ProbeRequestFrame], object]],
 ) -> list[tuple[ProbeRequestFrame, object]]:
     """Single time-ordered stream of (frame, tag) pairs from per-sniffer
-    (meta, frames, tag) captures.
+    (frames, tag) captures.
 
-    Ties are broken by capture channel ascending, then by input order.
-    Frames missing a channel inherit the file's declared channel;
-    failing that the merge aborts naming the offending file.
+    Ties are broken by capture channel ascending, then by input order
+    (the sort is stable).
     """
-    decorated = []
-    position = 0
-    for meta, frames, tag in streams:
-        for frame in frames:
-            if frame.capture_channel is None:
-                if meta.declared_channel is None:
-                    raise ChannelResolutionError(
-                        f"frame in {meta.path} has no Radiotap channel and the "
-                        "file declares none"
-                    )
-                frame = replace(frame, capture_channel=meta.declared_channel)
-            decorated.append((frame.timestamp, frame.capture_channel, position, frame, tag))
-            position += 1
-    decorated.sort(key=lambda item: item[:3])
-    return [(frame, tag) for _, _, _, frame, tag in decorated]
+    merged = [(frame, tag) for frames, tag in streams for frame in frames]
+    merged.sort(key=lambda pair: (pair[0].timestamp, pair[0].capture_channel))
+    return merged
 
 
 def _channel_sort_key(path: Path) -> tuple[int, str]:
@@ -387,8 +382,7 @@ def read_dataset(
     streams = []
     for label, path, declared in iter_dataset_files(root):
         meta = CaptureMeta(str(path), declared_channel=declared)
-        frames = read_capture(path.read_bytes(), meta, diagnostics)
-        streams.append((meta, frames, label))
+        streams.append((read_capture(path.read_bytes(), meta, diagnostics), label))
     if not streams:
         raise FormatError(
             f"no captures under {root}; expected <root>/<device-id>/<channel>.pcap"

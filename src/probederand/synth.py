@@ -67,6 +67,8 @@ class DeviceProfile:
     channel_jitter: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.device_id in ("", ".", "..") or "/" in self.device_id or "\\" in self.device_id:
+            raise ValueError(f"device_id must name one directory, got {self.device_id!r}")
         if not self.pnl_pattern:
             raise ValueError("pnl_pattern must not be empty")
         if any(not 1 <= c <= 13 for c in self.pnl_pattern):
@@ -90,6 +92,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.duration <= 0:
             raise ValueError("duration must be positive")
+        if any(not 1 <= c <= 13 for c in self.sniffer_channels):
+            raise ValueError("sniffer_channels entries must be channels 1..13")
         names = [p.device_id for p in self.profiles]
         if len(set(names)) != len(names):
             raise ValueError("device ids must be distinct")
@@ -188,14 +192,13 @@ def assign_to_sniffers(
     return captured
 
 
-def write_capture(
-    frames: Sequence[ProbeRequestFrame], path, declared_channel: Optional[int] = None
-) -> None:
+def write_capture(frames: Sequence[ProbeRequestFrame], path) -> None:
     """Serialize frames as a pcap file (link type 127, minimal Radiotap).
 
-    The Radiotap header carries only the channel field; reading the
-    file back reproduces timestamps (to 1 us), MACs, channels, sequence
-    numbers and IE bytes exactly.
+    The Radiotap header carries only the channel field, set to each
+    frame's ``capture_channel``; reading the file back reproduces
+    timestamps (to 1 us), MACs, channels, sequence numbers and IE bytes
+    exactly.
     """
     out = bytearray()
     out += struct.pack(
@@ -206,13 +209,8 @@ def write_capture(
         if previous is not None and frame.timestamp < previous:
             raise ValueError("frames must be time-ordered")
         previous = frame.timestamp
-        channel = frame.capture_channel
-        if channel is None:
-            channel = declared_channel
-        if channel is None:
-            raise ValueError("frame has no channel and no declared fallback")
         radiotap = struct.pack(
-            "<BBHIHH", 0, 0, 12, 1 << 3, 2407 + 5 * channel, _CHANNEL_FLAGS_2GHZ
+            "<BBHIHH", 0, 0, 12, 1 << 3, 2407 + 5 * frame.capture_channel, _CHANNEL_FLAGS_2GHZ
         )
         dot11 = bytearray()
         dot11 += bytes([0x40, 0x00])  # Frame Control: Probe Request
@@ -282,7 +280,7 @@ def generate_scenario(scenario: Scenario, root, overwrite: bool = False) -> Path
         frames = [frame for frame, _ in pairs]
         captured = assign_to_sniffers(frames, scenario.sniffer_channels)
         for channel in scenario.sniffer_channels:
-            write_capture(captured[channel], device_dir / f"{channel}.pcap", channel)
+            write_capture(captured[channel], device_dir / f"{channel}.pcap")
 
     manifest = {
         "generator": {"name": "probederand", "version": __version__},

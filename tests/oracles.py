@@ -68,6 +68,19 @@ def reference_ds_channel(elements):
     return None
 
 
+def decorated_merge(streams):
+    """(frame, tag) pairs of (frames, tag) streams, ordered by sorting
+    explicit (timestamp, channel, input position) keys."""
+    decorated = []
+    position = 0
+    for frames, tag in streams:
+        for frame in frames:
+            decorated.append((frame.timestamp, frame.capture_channel, position, frame, tag))
+            position += 1
+    decorated.sort(key=lambda item: item[:3])
+    return [(frame, tag) for _, _, _, frame, tag in decorated]
+
+
 def reference_dbscan(points, eps, min_pts):
     """Brute-force neighborhood scan + BFS expansion, pure Python."""
     points = [tuple(p) for p in points]

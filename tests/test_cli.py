@@ -51,6 +51,14 @@ class TestExitCodes:
         assert excinfo.value.code == 2
         assert "usage" in capsys.readouterr().err
 
+    def test_missing_config_is_usage_error(self, workspace, tmp_path, capsys):
+        argv = ["cluster", str(workspace["features"]), "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--config", str(tmp_path / "nowhere.json")])
+        assert excinfo.value.code == 2
+        assert "config path does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])
@@ -190,6 +198,7 @@ class TestUsageErrors:
             ["cluster", "--eps", "-1"],
             ["cluster", "--k-max", "0"],
             ["evaluate", "--d", "0"],
+            ["evaluate", "--jobs", "0"],
             ["ingest", "--gap-seconds", "0"],
             ["tune", "--eps-grid", "0.05", "--minpts-grid", "0"],
             ["tune", "--eps-grid", "abc", "--minpts-grid", "5"],
@@ -203,7 +212,13 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "command, content",
-        [("cluster", '{"eps": -1}'), ("evaluate", '{"min_pts": 0}'), ("ingest", '{"gap_seconds": 0}')],
+        [
+            ("cluster", '{"eps": -1}'),
+            ("cluster", '{"method": "bogus"}'),
+            ("evaluate", '{"min_pts": 0}'),
+            ("evaluate", '{"jobs": 0}'),
+            ("ingest", '{"gap_seconds": 0}'),
+        ],
     )
     def test_config_value_out_of_range(self, workspace, tmp_path, capsys, command, content):
         config = tmp_path / "cfg.json"
@@ -233,7 +248,7 @@ class TestUsageErrors:
 
 
 class TestJobs:
-    @pytest.mark.parametrize("requested, cpus, workers", [(64, 2, 2), (2, 4, 2), (3, 1, None), (0, 4, None)])
+    @pytest.mark.parametrize("requested, cpus, workers", [(64, 2, 2), (2, 4, 2), (3, 1, None), (1, 4, None)])
     def test_clamped_to_cpu_count(self, workspace, tmp_path, monkeypatch, requested, cpus, workers):
         started = []
 
@@ -377,9 +392,12 @@ class TestGenerate:
             (lambda data: data["profiles"][0].update(burst_length={"uniform": [1]}), "burst_length"),
             (lambda data: data["profiles"][0]["ie"].update(ht="zz"), "non-hexadecimal"),
             (lambda data: data["profiles"][0]["ie"].update(ht="00" * 256), "255 bytes"),
+            (lambda data: data["profiles"][0].update(device_id="../../escape"), "device_id"),
+            (lambda data: data.update(sniffer_channels=[0, 14]), "sniffer_channels"),
         ],
         ids=["not-an-object", "no-profiles", "no-duration", "no-device-id", "no-pnl-pattern",
-             "one-bound-uniform", "bad-hex", "long-body"],
+             "one-bound-uniform", "bad-hex", "long-body", "escaping-device-id",
+             "sniffer-channel-out-of-range"],
     )
     def test_malformed_scenario_is_one_line(self, workspace, tmp_path, capsys, edit, named):
         """``edit`` changes the scenario in place, or returns the whole
@@ -392,6 +410,7 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert named in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestIngestDiagnostics:

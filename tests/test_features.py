@@ -137,9 +137,6 @@ class TestChannelVector:
         frames = frame(channel=11, ies=[ie(3, [0])]), frame(0.1, channel=6, ies=[ie(3, [1])])
         assert channel_vector(*frames) == (11, 1)
 
-    def test_missing_everything_yields_zero(self):
-        assert channel_vector(frame(channel=None)) == (0,)
-
     def test_first_ds_parameter_set_counts(self):
         assert channel_vector(frame(ies=[ie(3, b""), ie(3, [6]), ie(3, [11])])) == (6,)
 

@@ -20,7 +20,12 @@ from probederand.pcap import (
     read_capture,
 )
 
-from oracles import reference_ds_channel, reference_ie_features, reference_parse_ies
+from oracles import (
+    decorated_merge,
+    reference_ds_channel,
+    reference_ie_features,
+    reference_parse_ies,
+)
 
 
 def pcap_header(order="<", nanos=False, linktype=127, snaplen=65535):
@@ -50,6 +55,9 @@ def dot11_probe(mac=b"\x02\x00\x00\x00\x00\x01", seq=7, ies=b"", fc0=0x40):
         + struct.pack("<H", seq << 4)
         + ies
     )
+
+
+RADIOTAP_NO_CHANNEL = struct.pack("<BBHI", 0, 0, 8, 0)
 
 
 def meta(channel=None):
@@ -128,10 +136,24 @@ class TestReadCapture:
         assert [ie_id for ie_id, _ in reference_parse_ies(frames[0].ies)[0]] == [3]
 
     def test_declared_channel_fallback(self):
-        rt = struct.pack("<BBHI", 0, 0, 8, 0)  # no channel field
-        data = pcap_header() + pcap_record(rt + dot11_probe())
+        data = pcap_header() + pcap_record(RADIOTAP_NO_CHANNEL + dot11_probe())
         frames = read_capture(data, meta(channel=11))
         assert frames[0].capture_channel == 11
+
+    def test_declared_channel_inherited(self):
+        """Only the frame without a Radiotap channel takes the declared one."""
+        data = (
+            pcap_header()
+            + pcap_record(radiotap_channel(1) + dot11_probe())
+            + pcap_record(RADIOTAP_NO_CHANNEL + dot11_probe(), ts_sec=1)
+        )
+        frames = read_capture(data, CaptureMeta("x.pcap", declared_channel=6))
+        assert [f.capture_channel for f in frames] == [1, 6]
+
+    def test_unresolvable_channel_names_file(self):
+        data = pcap_header() + pcap_record(RADIOTAP_NO_CHANNEL + dot11_probe())
+        with pytest.raises(ChannelResolutionError, match="orphan.pcap"):
+            read_capture(data, CaptureMeta("orphan.pcap"))
 
     def test_bare_dot11_linktype(self):
         data = pcap_header(linktype=105) + pcap_record(dot11_probe(ies=b"\x00\x00"))
@@ -207,41 +229,44 @@ def frame(ts, channel=1, mac=b"\x02\x00\x00\x00\x00\x01"):
 
 class TestMergeCaptures:
     def test_sorted_by_timestamp(self):
-        streams = [
-            (meta(), [frame(3.0)], "c"),
-            (meta(), [frame(1.0)], "a"),
-            (meta(), [frame(2.0)], "b"),
-        ]
+        streams = [([frame(3.0)], "c"), ([frame(1.0)], "a"), ([frame(2.0)], "b")]
         merged = merge_captures(streams)
         assert [(f.timestamp, tag) for f, tag in merged] == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
 
     def test_tie_broken_by_channel(self):
-        streams = [(meta(), [frame(1.0, channel=11)], 0), (meta(), [frame(1.0, channel=1)], 1)]
+        streams = [([frame(1.0, channel=11)], 0), ([frame(1.0, channel=1)], 1)]
         assert [(f.capture_channel, tag) for f, tag in merge_captures(streams)] == [(1, 1), (11, 0)]
 
     def test_empty_stream_is_identity(self):
         frames = [frame(0.1), frame(0.2), frame(0.3)]
-        merged = merge_captures([(meta(), [], "empty"), (meta(), frames, "full")])
+        merged = merge_captures([([], "empty"), (frames, "full")])
         assert merged == [(f, "full") for f in frames]
 
-    def test_unresolvable_channel_names_file(self):
-        bad = ProbeRequestFrame(0.0, b"\x02\x00\x00\x00\x00\x01", None, 0, b"")
-        with pytest.raises(ChannelResolutionError, match="orphan.pcap"):
-            merge_captures([(CaptureMeta("orphan.pcap"), [bad], None)])
-
-    def test_declared_channel_inherited(self):
-        bad = ProbeRequestFrame(0.0, b"\x02\x00\x00\x00\x00\x01", None, 0, b"")
-        merged = merge_captures([(CaptureMeta("x.pcap", declared_channel=6), [bad], None)])
-        assert merged[0][0].capture_channel == 6
-
     def test_permutation_of_union(self):
-        streams = [
-            (meta(), [frame(0.5), frame(0.7)], "x"),
-            (meta(), [frame(0.1), frame(0.6), frame(0.9)], "y"),
-        ]
+        streams = [([frame(0.5), frame(0.7)], "x"), ([frame(0.1), frame(0.6), frame(0.9)], "y")]
         merged = merge_captures(streams)
         assert len(merged) == 5
         assert sorted(f.timestamp for f, _ in merged) == [f.timestamp for f, _ in merged]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.tuples(st.sampled_from((0.0, 0.5, 1.0)), st.sampled_from((1, 6, 11)))),
+                st.sampled_from("ab"),
+            ),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_decorated_sort(self, spec):
+        """Same frame objects and tags in the same order as sorting
+        (timestamp, channel, input position), under heavy ties."""
+        streams = [
+            ([frame(ts, channel) for ts, channel in stream], tag) for stream, tag in spec
+        ]
+        merged = merge_captures(streams)
+        expected = decorated_merge(streams)
+        assert [(id(f), tag) for f, tag in merged] == [(id(f), tag) for f, tag in expected]
 
 
 @st.composite
