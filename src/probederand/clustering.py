@@ -350,7 +350,7 @@ def two_stage_cluster(
     for c in range(n_clusters(coarse)):
         members = np.flatnonzero(coarse == c)
         sub = _refine_labels(padded[members], kmeans_cfg, seed_key=(c,))
-        for s in range(int(sub.max()) + 1):
+        for s in np.flatnonzero(np.bincount(sub)):
             final[members[sub == s]] = next_label
             next_label += 1
     return final

@@ -9,6 +9,7 @@ vector used by the fine clustering stage.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -68,11 +69,16 @@ def group_bursts(
     groups: list[list[int]] = []
     open_group: dict[bytes, int] = {}
     last_seen: dict[bytes, float] = {}
+    # one walk per distinct IE region; frames from read_capture share
+    # their region objects, so most lookups are identity hits
+    walked: dict[bytes, tuple] = {}
     previous_ts = None
     for idx, frame in enumerate(frames):
         if previous_ts is not None and frame.timestamp < previous_ts:
             raise ValueError("frames must be sorted by timestamp")
         previous_ts = frame.timestamp
+        if frame.ies not in walked:
+            walked[frame.ies] = ie_fields(frame.ies)
         mac = frame.source_mac
         if mac in open_group and frame.timestamp - last_seen[mac] <= gap_seconds:
             groups[open_group[mac]].append(idx)
@@ -83,7 +89,7 @@ def group_bursts(
 
     bursts = []
     for burst_id, indices in enumerate(groups):
-        fields = [ie_fields(frames[i].ies) for i in indices]
+        fields = [walked[frames[i].ies] for i in indices]
         features = fields[0][0]
         bursts.append(
             Burst(
@@ -206,7 +212,7 @@ def read_feature_file(path) -> list[Burst]:
                     f"channel_vector needs a positive entry and no negative one, got {row[7]!r}"
                 )
             ie_features = (float(row[4]), float(row[5]), float(row[6]))
-            if not np.all(np.isfinite(ie_features)):
+            if not all(math.isfinite(x) for x in ie_features):
                 raise ValueError(f"IE features must be finite, got {ie_features}")
             burst = Burst(
                 burst_id=int(row[0]),

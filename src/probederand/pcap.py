@@ -252,13 +252,18 @@ def read_capture(
     are skipped and tallied. A record header promising more bytes than
     remain stops the walk with the partial result. A frame's IE region
     is cut after its last whole element, and the cut is tallied as an
-    ``ie_overrun``. A frame's capture channel is its Radiotap channel,
-    else ``meta.declared_channel``; a frame with neither raises
+    ``ie_overrun``. Each distinct IE region is walked once per call, and
+    frames with equal regions share one kept bytes object. A frame's
+    capture channel is its Radiotap channel, else
+    ``meta.declared_channel``; a frame with neither raises
     :class:`ChannelResolutionError` naming ``meta.path``.
     """
     diag = diagnostics if diagnostics is not None else ParseDiagnostics()
     order, nanos, network = _unpack_global_header(data)
 
+    unpack_record = struct.Struct(order + "IIII").unpack_from
+    # raw IE region -> the region kept for it
+    kept_regions: dict[bytes, bytes] = {}
     frames: list[ProbeRequestFrame] = []
     offset = 24
     total = len(data)
@@ -266,9 +271,7 @@ def read_capture(
         if offset + 16 > total:
             diag.truncated_tail += 1
             break
-        ts_sec, ts_frac, incl_len, _orig_len = struct.unpack_from(
-            order + "IIII", data, offset
-        )
+        ts_sec, ts_frac, incl_len, _orig_len = unpack_record(data, offset)
         offset += 16
         if incl_len > total - offset:
             diag.truncated_tail += 1
@@ -307,11 +310,13 @@ def read_capture(
 
         source_mac = bytes(body[10:16])
         seq_ctl = struct.unpack_from("<H", body, 22)[0]
-        ies = body[_MGMT_HEADER_LEN:]
-        _, _, whole = ie_fields(ies)
-        if whole < len(ies):
+        region = body[_MGMT_HEADER_LEN:]
+        ies = kept_regions.get(region)
+        if ies is None:
+            whole = ie_fields(region)[2]
+            ies = kept_regions[region] = region[:whole] if whole < len(region) else region
+        if len(ies) < len(region):
             diag.ie_overruns += 1
-            ies = ies[:whole]
         if channel is None:
             channel = meta.declared_channel
         if channel is None:

@@ -676,6 +676,20 @@ class TestTwoStage:
         with pytest.raises(ValueError, match="coarse labels"):
             two_stage_cluster(bursts, coarse[1:], KmeansConfig(seed=6))
 
+    def test_empty_sub_cluster_leaves_no_gap(self, monkeypatch):
+        """A refinement with an empty sub-cluster (``spherical_kmeans``
+        gives ``[3, 0, 1, 0, 0]`` for k = 4 on ``[[1,3],[1,0],[0,3],
+        [3,0],[3,0]]`` under ``default_rng(764)``) still numbers the
+        final labels contiguously."""
+        repro = np.array([[1, 3], [1, 0], [0, 3], [3, 0], [3, 0]], float)
+        labels, _, _ = spherical_kmeans(repro, 4, np.random.default_rng(764))
+        assert sorted(set(labels.tolist())) == [0, 1, 3]
+        monkeypatch.setattr(clustering, "_refine_labels", lambda rows, config, seed_key: labels)
+        bursts = [make_burst(i, (3, 2, 1), (1, 6, 11)) for i in range(5)]
+        final = two_stage_cluster(bursts, np.zeros(5, dtype=int), KmeansConfig(seed=6))
+        assert final.tolist() == [2, 0, 1, 0, 0]
+        assert n_clusters(final) == 3
+
 
 class TestConfigs:
     def test_dbscan_config_validation(self):

@@ -108,6 +108,26 @@ class TestGroupBursts:
         assert not bursts[0].ie_stable
         assert ie_stability_violations(bursts) == [0]
 
+    def test_shared_ies_objects_match_fresh_copies(self):
+        """Frames that share one ``ies`` object, as ``read_capture``
+        gives them, group exactly as frames holding equal fresh bytes."""
+        regions = [tlv(ie(45, [1, 2]), ie(3, [6])), tlv(ie(45, [9])), b""]
+        rng = np.random.default_rng(11)
+        shared, fresh = [], []
+        t = 0.0
+        for _ in range(120):
+            t += float(rng.uniform(0.01, 3.0))
+            mac = bytes([0x02, 0, 0, 0, 0, int(rng.integers(3))])
+            region = regions[int(rng.integers(len(regions)))]
+            channel = int(rng.integers(1, 14))
+            shared.append(ProbeRequestFrame(t, mac, channel, 0, region))
+            fresh.append(ProbeRequestFrame(t, mac, channel, 0, bytes(bytearray(region))))
+        assert len({id(f.ies) for f in shared}) == len(regions)
+        assert len({id(f.ies) for f in fresh if f.ies}) == sum(1 for f in fresh if f.ies)
+        bursts = group_bursts(shared, 2.0)
+        assert bursts == group_bursts(fresh, 2.0)
+        assert not all(b.ie_stable for b in bursts)
+
     def test_truth_labels_attach(self):
         bursts = group_bursts([frame(0.0)], 2.0, truths=["phone-1"])
         assert bursts[0].truth_device == "phone-1"

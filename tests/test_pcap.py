@@ -308,6 +308,27 @@ class TestFuzz:
         assert whole == len(kept)
         assert ie_fields(region) == (features, channel, whole)
 
+    @given(
+        st.lists(truncated_elements(), min_size=1, max_size=4),
+        st.lists(st.integers(0, 3), min_size=1, max_size=60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_repeated_regions_walked_once(self, regions, picks):
+        """One capture of repeated regions keeps what one-probe captures
+        keep, counts an overrun per frame, and shares the kept bytes."""
+        chosen = [regions[i % len(regions)] for i in picks]
+        data = pcap_header(linktype=105) + b"".join(
+            pcap_record(dot11_probe(ies=region), ts_sec=t) for t, region in enumerate(chosen)
+        )
+        diag = ParseDiagnostics()
+        frames = read_capture(data, meta(channel=1), diag)
+        alone = [read_region(region) for region in chosen]
+        assert [f.ies for f in frames] == [kept for kept, _ in alone]
+        assert diag.ie_overruns == sum(overruns for _, overruns in alone)
+        first = {}
+        for region, f in zip(chosen, frames):
+            assert first.setdefault(region, f.ies) is f.ies
+
     @given(st.binary(max_size=64))
     @settings(max_examples=300, deadline=None)
     def test_parse_radiotap_contained(self, blob):
