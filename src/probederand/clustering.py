@@ -58,6 +58,61 @@ class KmeansConfig:
             raise ValueError("k_max must be at least 1")
 
 
+def _dbscan_prepare(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct rows in first-occurrence order, their multiplicities,
+    the distinct-row index of every input row)."""
+    data = np.asarray(points, dtype=float)
+    _, first, inverse, counts = np.unique(
+        data, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    return data[first[order]], counts[order], np.argsort(order)[inverse]
+
+
+def _dbscan_neighbours(
+    distinct: np.ndarray, weights: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(u x u booleans: distinct rows within ``eps`` of each other, each
+    row's weighted neighbour count, itself included)."""
+    u = distinct.shape[0]
+    # The booleans and the counts are filled DBSCAN_BLOCK_ROWS rows at a
+    # time, so no u x u float or integer buffer exists. Each squared
+    # distance is summed a dimension at a time in column order; another
+    # order can move a pair across eps.
+    within = np.empty((u, u), dtype=bool)
+    reach = np.empty(u, dtype=weights.dtype)
+    for start in range(0, u, DBSCAN_BLOCK_ROWS):
+        block = distinct[start : start + DBSCAN_BLOCK_ROWS]
+        squared = np.zeros((block.shape[0], u))
+        for block_column, column in zip(block.T, distinct.T):
+            squared += (block_column[:, None] - column[None, :]) ** 2
+        rows = slice(start, start + block.shape[0])
+        within[rows] = squared <= eps * eps
+        reach[rows] = within[rows] @ weights
+    return within, reach
+
+
+def _dbscan_scan(within: np.ndarray, reach: np.ndarray, min_pts: int) -> np.ndarray:
+    """Labels of the distinct rows: clusters grown breadth-first from
+    the core rows in scan order."""
+    core = reach >= min_pts
+    labels = np.full(len(core), NOISE, dtype=int)
+    cluster = 0
+    for seed in range(len(core)):
+        if labels[seed] != NOISE or not core[seed]:
+            continue
+        labels[seed] = cluster
+        frontier = deque([seed])
+        while frontier:
+            point = frontier.popleft()
+            if core[point]:
+                reached = np.flatnonzero(within[point] & (labels == NOISE))
+                labels[reached] = cluster
+                frontier.extend(reached)
+        cluster += 1
+    return labels
+
+
 def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Density-based labels over Euclidean distance.
 
@@ -72,45 +127,15 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     and, in scan order, their cluster: the labels are those of the scan
     over every row. Rows are compared by value, so 0.0 and -0.0 are one
     row; both give the same squared differences.
-    """
-    data = np.asarray(points, dtype=float)
-    _, first, inverse, counts = np.unique(
-        data, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first)
-    distinct = data[first[order]]
-    weights = counts[order]
-    u = distinct.shape[0]
-    # The u x u booleans and the weighted neighbour counts are filled
-    # DBSCAN_BLOCK_ROWS rows at a time, so no u x u float or integer
-    # buffer exists. Each squared distance is summed a dimension at a
-    # time in column order; another order can move a pair across eps.
-    within = np.empty((u, u), dtype=bool)
-    core = np.empty(u, dtype=bool)
-    for start in range(0, u, DBSCAN_BLOCK_ROWS):
-        block = distinct[start : start + DBSCAN_BLOCK_ROWS]
-        squared = np.zeros((block.shape[0], u))
-        for block_column, column in zip(block.T, distinct.T):
-            squared += (block_column[:, None] - column[None, :]) ** 2
-        rows = slice(start, start + block.shape[0])
-        within[rows] = squared <= eps * eps
-        core[rows] = within[rows] @ weights >= min_pts
 
-    labels = np.full(u, NOISE, dtype=int)
-    cluster = 0
-    for seed in range(u):
-        if labels[seed] != NOISE or not core[seed]:
-            continue
-        labels[seed] = cluster
-        frontier = deque([seed])
-        while frontier:
-            point = frontier.popleft()
-            if core[point]:
-                reached = np.flatnonzero(within[point] & (labels == NOISE))
-                labels[reached] = cluster
-                frontier.extend(reached)
-        cluster += 1
-    return labels[np.argsort(order)[inverse]]
+    It is three steps: the distinct rows depend on ``points`` alone,
+    the neighbour booleans and weighted counts also on ``eps``, and
+    only the core test and scan on ``min_pts``. ``tune_dbscan`` runs
+    each step once per pool, per (pool, eps) and per grid point.
+    """
+    distinct, weights, inverse = _dbscan_prepare(points)
+    within, reach = _dbscan_neighbours(distinct, weights, eps)
+    return _dbscan_scan(within, reach, min_pts)[inverse]
 
 
 def dbscan(points: np.ndarray, config: DbscanConfig) -> np.ndarray:
@@ -322,13 +347,17 @@ def _sorted_bursts(bursts: Sequence[Burst]) -> list[Burst]:
     return ordered
 
 
+def _ie_rows(bursts: Sequence[Burst]) -> np.ndarray:
+    """Normalized IE fingerprints of the bursts in ascending burst-id order."""
+    return normalize_ie_matrix([b.ie_features for b in _sorted_bursts(bursts)])
+
+
 def ie_only_cluster(bursts: Sequence[Burst], dbscan_cfg: DbscanConfig) -> np.ndarray:
     """Coarse stage alone: DBSCAN over normalized IE fingerprints.
 
     Labels are in ascending burst-id order (noise = ``NOISE``).
     """
-    ordered = _sorted_bursts(bursts)
-    return dbscan(normalize_ie_matrix([b.ie_features for b in ordered]), dbscan_cfg)
+    return dbscan(_ie_rows(bursts), dbscan_cfg)
 
 
 def two_stage_cluster(

@@ -18,6 +18,10 @@ import numpy as np
 from .clustering import (
     DbscanConfig,
     KmeansConfig,
+    _dbscan_neighbours,
+    _dbscan_prepare,
+    _dbscan_scan,
+    _ie_rows,
     ie_only_cluster,
     n_clusters,
     two_stage_cluster,
@@ -55,12 +59,10 @@ class EvalConfig:
             raise ValueError("d must be at least 1")
 
 
-def _contingency(truth: Sequence, pred: Sequence) -> np.ndarray:
-    t_classes, t_idx = np.unique(np.asarray(truth), return_inverse=True)
-    p_classes, p_idx = np.unique(np.asarray(pred), return_inverse=True)
-    table = np.zeros((len(t_classes), len(p_classes)), dtype=float)
-    np.add.at(table, (t_idx, p_idx), 1.0)
-    return table
+def _encode(labels: Sequence) -> tuple[int, np.ndarray]:
+    """(number of classes, each label's index among the sorted classes)."""
+    classes, codes = np.unique(np.asarray(labels), return_inverse=True)
+    return len(classes), codes
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -83,6 +85,23 @@ def _conditional_entropy(table: np.ndarray) -> float:
     return value
 
 
+def _hcv(truth: tuple[int, np.ndarray], pred: Sequence) -> tuple[float, float, float]:
+    """``homogeneity_completeness_v`` of ``pred`` against truth labels
+    already encoded by ``_encode``."""
+    n_truth, t_idx = truth
+    n_pred, p_idx = _encode(pred)
+    joint = np.bincount(t_idx * n_pred + p_idx, minlength=n_truth * n_pred)
+    table = joint.reshape(n_truth, n_pred).astype(float)
+    h_truth = _entropy(table.sum(axis=1))
+    h_pred = _entropy(table.sum(axis=0))
+    h = 1.0 if h_truth == 0 else 1.0 - _conditional_entropy(table) / h_truth
+    c = 1.0 if h_pred == 0 else 1.0 - _conditional_entropy(table.T) / h_pred
+    h = min(1.0, max(0.0, h))
+    c = min(1.0, max(0.0, c))
+    v = 0.0 if h + c == 0 else 2.0 * h * c / (h + c)
+    return float(h), float(c), float(v)
+
+
 def homogeneity_completeness_v(
     truth: Sequence, pred: Sequence
 ) -> tuple[float, float, float]:
@@ -94,15 +113,7 @@ def homogeneity_completeness_v(
         raise ValueError("truth and predicted labelings must cover the same bursts")
     if len(truth) == 0:
         raise ValueError("cannot score an empty labeling")
-    table = _contingency(truth, pred)
-    h_truth = _entropy(table.sum(axis=1))
-    h_pred = _entropy(table.sum(axis=0))
-    h = 1.0 if h_truth == 0 else 1.0 - _conditional_entropy(table) / h_truth
-    c = 1.0 if h_pred == 0 else 1.0 - _conditional_entropy(table.T) / h_pred
-    h = min(1.0, max(0.0, h))
-    c = min(1.0, max(0.0, c))
-    v = 0.0 if h + c == 0 else 2.0 * h * c / (h + c)
-    return float(h), float(c), float(v)
+    return _hcv(_encode(truth), pred)
 
 
 def delta_error(n_clusters: int, cardinality: int) -> int:
@@ -163,9 +174,16 @@ def _protocol_pools(
     ]
 
 
-def _score(p: int, subset_index: int, pool: list[Burst], labels: np.ndarray) -> MetricReport:
-    """Scores of the labels of one pool (bursts and labels in id order)."""
-    h, c, v = homogeneity_completeness_v([b.truth_device for b in pool], labels)
+def _truth_codes(pool: list[Burst]) -> tuple[int, np.ndarray]:
+    """The pool's ground-truth devices (id order), encoded for ``_score``."""
+    return _encode([b.truth_device for b in pool])
+
+
+def _score(
+    p: int, subset_index: int, truth: tuple[int, np.ndarray], labels: np.ndarray
+) -> MetricReport:
+    """Scores of the labels of one pool against its ``_truth_codes``."""
+    h, c, v = _hcv(truth, labels)
     count = n_clusters(labels)
     return MetricReport(
         homogeneity=h,
@@ -184,9 +202,10 @@ def _score_subset(
     p, subset_index, pool, dbscan_cfg, kmeans_cfg = task
     coarse = ie_only_cluster(pool, dbscan_cfg)
     final = two_stage_cluster(pool, coarse, kmeans_cfg)
+    truth = _truth_codes(pool)
     return {
-        METHOD_TWO_STAGE: _score(p, subset_index, pool, final),
-        METHOD_IE_ONLY: _score(p, subset_index, pool, coarse),
+        METHOD_TWO_STAGE: _score(p, subset_index, truth, final),
+        METHOD_IE_ONLY: _score(p, subset_index, truth, coarse),
     }
 
 
@@ -277,25 +296,44 @@ def tune_dbscan(
 
     Every grid point is scored on the same subset draws; the table is
     sorted best-first: descending mean V-measure, then ascending mean
-    absolute Delta, then (eps, min_pts) for stable ties.
+    absolute Delta, then (eps, min_pts) for stable ties. Every grid
+    point is validated before any pool is clustered.
+
+    Each pool is normalized, collapsed to its distinct rows and has its
+    truth labels encoded once; its neighbour booleans are built once
+    per eps, and only the core test and scan run per grid point. The
+    labels are those ``ie_only_cluster`` gives at each grid point, and
+    each grid point's scores are averaged in pool order, as when every
+    grid point clusters every pool from scratch.
     """
     if len(eps_grid) == 0 or len(minpts_grid) == 0:
         raise ValueError("hyperparameter grids must be non-empty")
-    pools = _protocol_pools(bursts, eval_cfg)
+    # Per eps, per min_pts: the grid point's config and its V-measures
+    # and |Delta|s in pool order.
+    grid = [
+        [(DbscanConfig(eps=eps, min_pts=min_pts), [], []) for min_pts in minpts_grid]
+        for eps in eps_grid
+    ]
+    for p, _, pool in _protocol_pools(bursts, eval_cfg):
+        truth = _truth_codes(pool)
+        distinct, weights, inverse = _dbscan_prepare(_ie_rows(pool))
+        for same_eps in grid:
+            within, reach = _dbscan_neighbours(distinct, weights, same_eps[0][0].eps)
+            for cfg, v_measures, abs_deltas in same_eps:
+                labels = _dbscan_scan(within, reach, cfg.min_pts)[inverse]
+                v_measures.append(_hcv(truth, labels)[2])
+                abs_deltas.append(abs(delta_error(n_clusters(labels), p)))
 
-    rows = []
-    for eps in eps_grid:
-        for min_pts in minpts_grid:
-            cfg = DbscanConfig(eps=eps, min_pts=min_pts)
-            reports = [_score(p, s, pool, ie_only_cluster(pool, cfg)) for p, s, pool in pools]
-            rows.append(
-                TuneRow(
-                    eps=float(eps),
-                    min_pts=int(min_pts),
-                    mean_v=float(np.mean([r.v_measure for r in reports])),
-                    mean_abs_delta=float(np.mean([abs(r.delta) for r in reports])),
-                )
-            )
+    rows = [
+        TuneRow(
+            eps=float(cfg.eps),
+            min_pts=int(cfg.min_pts),
+            mean_v=float(np.mean(v_measures)),
+            mean_abs_delta=float(np.mean(abs_deltas)),
+        )
+        for same_eps in grid
+        for cfg, v_measures, abs_deltas in same_eps
+    ]
     rows.sort(key=lambda r: (-r.mean_v, r.mean_abs_delta, r.eps, r.min_pts))
     return rows
 

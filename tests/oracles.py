@@ -8,7 +8,9 @@ exception, and each drops only the shortcut it checks:
 no distinct-row cap on k; ``all_rows_dbscan`` is the library's vectorized
 kernel before it ran over distinct rows; ``plain_spherical_kmeans``
 reuses the library's seeding and Lloyd loop and runs Lloyd for every
-restart, with no memo of repeated seeded centres.
+restart, with no memo of repeated seeded centres; ``per_point_tune``
+reuses the library's protocol pools, coarse stage and scoring, and
+clusters every pool from scratch at every grid point.
 """
 
 import math
@@ -20,14 +22,17 @@ from probederand.clustering import (
     DBSCAN_BLOCK_ROWS,
     NOISE,
     RESTARTS,
+    DbscanConfig,
     _lloyd,
     _seed_centers,
     _unit_rows,
     average_pairwise_similarity,
     dynamic_threshold,
     elbow_select_k,
+    ie_only_cluster,
     spherical_kmeans,
 )
+from probederand.metrics import TuneRow, _protocol_pools, _score, _truth_codes
 from probederand.randomness import STREAM_KMEANS, substream
 
 IE_DS_PARAMETER_SET, IE_HT, IE_EXTENDED, IE_VENDOR = 3, 45, 127, 221
@@ -167,6 +172,33 @@ def plain_spherical_kmeans(rows, k, rng, history):
         if best is None or result[2] < best[2]:
             best = result
     return best
+
+
+def per_point_tune(bursts, eps_grid, minpts_grid, eval_cfg):
+    """``tune_dbscan`` running ``ie_only_cluster`` on every pool at every
+    grid point, in grid order."""
+    if len(eps_grid) == 0 or len(minpts_grid) == 0:
+        raise ValueError("hyperparameter grids must be non-empty")
+    pools = _protocol_pools(bursts, eval_cfg)
+
+    rows = []
+    for eps in eps_grid:
+        for min_pts in minpts_grid:
+            cfg = DbscanConfig(eps=eps, min_pts=min_pts)
+            reports = [
+                _score(p, s, _truth_codes(pool), ie_only_cluster(pool, cfg))
+                for p, s, pool in pools
+            ]
+            rows.append(
+                TuneRow(
+                    eps=float(eps),
+                    min_pts=int(min_pts),
+                    mean_v=float(np.mean([r.v_measure for r in reports])),
+                    mean_abs_delta=float(np.mean([abs(r.delta) for r in reports])),
+                )
+            )
+    rows.sort(key=lambda r: (-r.mean_v, r.mean_abs_delta, r.eps, r.min_pts))
+    return rows
 
 
 def canonical_partition(labels):

@@ -208,6 +208,7 @@ class TestUsageErrors:
             ["evaluate", "--jobs", "0"],
             ["ingest", "--gap-seconds", "0"],
             ["tune", "--eps-grid", "0.05", "--minpts-grid", "0"],
+            ["tune", "--eps-grid", "0.05", "--minpts-grid", "5,0"],
             ["tune", "--eps-grid", "abc", "--minpts-grid", "5"],
             ["tune", "--eps-grid", ",", "--minpts-grid", "5"],
         ],

@@ -21,6 +21,9 @@ from probederand.clustering import (
     RESTARTS,
     DbscanConfig,
     KmeansConfig,
+    _dbscan_neighbours,
+    _dbscan_prepare,
+    _dbscan_scan,
     _refine_labels,
     average_pairwise_similarity,
     dbscan,
@@ -184,16 +187,24 @@ class TestDbscan:
 
     def test_distance_phase_memory_is_bounded(self):
         """Peak traced allocation stays below the n x n float64 buffer
-        that summing all pairwise distances at once would need."""
+        that summing all pairwise distances at once would need, for the
+        whole kernel and for the neighbour step alone, whose weighted
+        counts would need an n x n integer buffer unblocked."""
         n = 3000
         points = np.random.default_rng(4).uniform(0, 1, size=(n, 3))
-        tracemalloc.start()
-        try:
-            dbscan_labels(points, 0.05, 10)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < n * n * 8
+        distinct, weights, _ = _dbscan_prepare(points)
+        assert len(distinct) == n
+        for run in (
+            lambda: dbscan_labels(points, 0.05, 10),
+            lambda: _dbscan_neighbours(distinct, weights, 0.05),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * 8
 
     @given(duplicate_heavy_instances())
     @settings(max_examples=200, deadline=None)
@@ -202,6 +213,22 @@ class TestDbscan:
         got = dbscan_labels(np.array(points), eps, min_pts).tolist()
         assert got == all_rows_dbscan(np.array(points), eps, min_pts).tolist()
         assert got == reference_dbscan(points, eps, min_pts)
+
+    @given(duplicate_heavy_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_split_steps_match_references_over_a_grid(self, instance):
+        """One preparation and one neighbour step per eps serve every
+        min_pts: each grid point's labels are those of the unsplit
+        references."""
+        points, eps, min_pts = instance
+        data = np.array(points)
+        distinct, weights, inverse = _dbscan_prepare(data)
+        for grid_eps in (eps, 1.5, 2.0):
+            within, reach = _dbscan_neighbours(distinct, weights, grid_eps)
+            for grid_min_pts in (1, min_pts, 30):
+                got = _dbscan_scan(within, reach, grid_min_pts)[inverse].tolist()
+                assert got == all_rows_dbscan(data, grid_eps, grid_min_pts).tolist()
+                assert got == reference_dbscan(points, grid_eps, grid_min_pts)
 
     @given(contested_chains())
     @settings(max_examples=100, deadline=None)

@@ -5,9 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from probederand import clustering
-from probederand.clustering import DbscanConfig, KmeansConfig, ie_only_cluster
+from probederand import clustering, metrics
+from probederand.clustering import (
+    DbscanConfig,
+    KmeansConfig,
+    ie_only_cluster,
+    n_clusters,
+    two_stage_cluster,
+)
 from probederand.features import Burst
 from probederand.metrics import (
     METHOD_IE_ONLY,
@@ -17,6 +25,8 @@ from probederand.metrics import (
     MetricReport,
     _protocol_pools,
     _score,
+    _score_subset,
+    _truth_codes,
     delta_error,
     draw_subsets,
     group_by_device,
@@ -27,7 +37,7 @@ from probederand.metrics import (
     tune_dbscan,
 )
 
-from oracles import oracle_hcv
+from oracles import oracle_hcv, per_point_tune
 
 
 class TestHomogeneityCompletenessV:
@@ -131,6 +141,32 @@ def synthetic_bursts(n_devices=14, bursts_per=12, twins=False):
     return bursts
 
 
+@st.composite
+def duplicate_heavy_tunes(draw):
+    """Labelled bursts on a few IE lattice rows with large multiplicities,
+    shared between devices and in shuffled id order, with unsorted grids
+    that may repeat a value. Every device carries the rows (0, 0, 0) and
+    (4, 4, 4), so every pool scales by 4 and eps 0.25 and 0.5 are exact
+    distances between pairs of rows."""
+    cell = st.tuples(*[st.integers(0, 4)] * 3)
+    vectors = st.sampled_from([(1, 6, 11), (11, 6, 1), (6, 6, 6)])
+    features = []
+    for d in range(draw(st.integers(2, 5))):
+        rows = [(0, 0, 0), (4, 4, 4), *draw(st.lists(cell, max_size=3))]
+        counts = draw(st.lists(st.integers(1, 12), min_size=len(rows), max_size=len(rows)))
+        vector = draw(vectors)
+        features += [(row, vector, f"dev{d}") for row, c in zip(rows, counts) for _ in range(c)]
+    ids = draw(st.permutations(range(len(features))))
+    bursts = [
+        Burst(i, bytes([2, 0, 0, 0, i // 256, i % 256]), row, vector, device)
+        for i, (row, vector, device) in zip(ids, features)
+    ]
+    eps_grid = draw(st.lists(st.sampled_from([0.25, 0.5, 0.3, 0.75, 2.0]), min_size=1, max_size=4))
+    minpts_grid = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))
+    cfg = EvalConfig(d=draw(st.integers(1, 3)), seed=draw(st.integers(0, 99)))
+    return bursts, eps_grid, minpts_grid, cfg
+
+
 class TestProtocol:
     def test_report_arithmetic(self):
         bursts = synthetic_bursts()
@@ -172,7 +208,10 @@ class TestProtocol:
         cfg = EvalConfig(d=3, seed=17)
         dbscan_cfg = DbscanConfig(min_pts=5)
         pools = _protocol_pools(bursts, cfg)
-        want = [_score(p, s, pool, ie_only_cluster(pool, dbscan_cfg)) for p, s, pool in pools]
+        want = [
+            _score(p, s, _truth_codes(pool), ie_only_cluster(pool, dbscan_cfg))
+            for p, s, pool in pools
+        ]
 
         calls = []
         original = clustering.dbscan_labels
@@ -186,6 +225,26 @@ class TestProtocol:
         assert calls == [len(pool) for _, _, pool in pools]
         assert results[METHOD_IE_ONLY] == want
         assert len(results[METHOD_TWO_STAGE]) == len(pools)
+
+    @given(duplicate_heavy_tunes())
+    @settings(max_examples=30, deadline=None)
+    def test_draw_scores_match_oracle(self, instance):
+        """Both methods of a draw are scored from one encoding of its
+        truth labels."""
+        bursts, eps_grid, minpts_grid, cfg = instance
+        dbscan_cfg = DbscanConfig(eps=eps_grid[0], min_pts=minpts_grid[0])
+        for p, s, pool in _protocol_pools(bursts, cfg):
+            kmeans_cfg = KmeansConfig(seed=s)
+            reports = _score_subset((p, s, pool, dbscan_cfg, kmeans_cfg))
+            coarse = ie_only_cluster(pool, dbscan_cfg)
+            final = two_stage_cluster(pool, coarse, kmeans_cfg)
+            truth = [b.truth_device for b in pool]
+            for method, labels in ((METHOD_TWO_STAGE, final), (METHOD_IE_ONLY, coarse)):
+                report = reports[method]
+                got = (report.homogeneity, report.completeness, report.v_measure)
+                assert got == pytest.approx(oracle_hcv(truth, labels.tolist()), abs=1e-9)
+                assert report.n_clusters == n_clusters(labels)
+                assert (report.delta, report.p, report.subset_index) == (n_clusters(labels) - p, p, s)
 
     def test_unlabeled_bursts_rejected(self):
         burst = Burst(0, b"\x02\x00\x00\x00\x00\x01", (1.0, 2.0, 3.0), (1, 6))
@@ -244,6 +303,47 @@ class TestTune:
         bursts = synthetic_bursts(n_devices=5, bursts_per=12)
         rows = tune_dbscan(bursts, [0.05, 5.0], [5], EvalConfig(d=3, seed=21))
         assert rows[0].mean_v >= rows[-1].mean_v
+
+    @given(duplicate_heavy_tunes())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_point_oracle(self, instance):
+        bursts, eps_grid, minpts_grid, cfg = instance
+        want = per_point_tune(bursts, eps_grid, minpts_grid, cfg)
+        assert tune_dbscan(bursts, eps_grid, minpts_grid, cfg) == want
+
+    @staticmethod
+    def count_steps(monkeypatch):
+        calls = {"_dbscan_prepare": 0, "_dbscan_neighbours": 0}
+
+        def counted(name):
+            original = getattr(metrics, name)
+
+            def step(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return step
+
+        for name in calls:
+            monkeypatch.setattr(metrics, name, counted(name))
+        return calls
+
+    def test_grid_validated_before_any_pool_is_clustered(self, monkeypatch):
+        calls = self.count_steps(monkeypatch)
+        bursts = synthetic_bursts(n_devices=3)
+        with pytest.raises(ValueError, match="min_pts"):
+            tune_dbscan(bursts, [0.05], [5, 0], EvalConfig(d=1, seed=1))
+        assert calls == {"_dbscan_prepare": 0, "_dbscan_neighbours": 0}
+
+    def test_each_pool_prepared_once_and_its_neighbours_once_per_eps(self, monkeypatch):
+        calls = self.count_steps(monkeypatch)
+        bursts = synthetic_bursts(n_devices=5, bursts_per=12)
+        cfg = EvalConfig(d=3, seed=21)
+        pools = len(_protocol_pools(bursts, cfg))
+        for _ in range(2):  # nothing carries over from one call to the next
+            tune_dbscan(bursts, [0.05, 0.3, 0.9], [5, 10], cfg)
+            assert calls == {"_dbscan_prepare": pools, "_dbscan_neighbours": 3 * pools}
+            calls.update({name: 0 for name in calls})
 
 
 class TestEvalConfig:
