@@ -5,10 +5,15 @@ over built-in defaults. Every output file starts with a comment line
 recording the tool version and the full effective configuration, and
 identical inputs with the same seed produce byte-identical outputs.
 
+Each subcommand's parser is the one record of the settings it takes:
+``ingest``, ``cluster``, ``evaluate`` and ``tune`` read ``--config``,
+and the commands that draw random numbers (``cluster``, ``evaluate``,
+``tune`` and ``generate``) take ``--seed``.
+
 Exit codes: 0 success, 1 processing error, 2 usage error (bad flags or
 setting values, a config file that is not a JSON object of correctly
-typed values, or fewer than two labelled devices for ``evaluate`` and
-``tune``).
+typed values or that holds a key no subcommand knows, or fewer than two
+labelled devices for ``evaluate`` and ``tune``).
 """
 
 from __future__ import annotations
@@ -82,30 +87,37 @@ def _settings():
         raise UsageError(str(exc)) from exc
 
 
-def _effective_config(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Merge defaults, config-file values, and explicit flags.
+def _effective_config(args: argparse.Namespace) -> dict:
+    """Merge defaults, config-file values, and explicit flags for every
+    ``DEFAULTS`` key the subcommand's parser defines.
 
-    A config-file value must have its default's type (an integer may
-    stand for a float).
+    A config file may hold any ``DEFAULTS`` key, so one file serves every
+    subcommand, and every command checks the whole file: a key outside
+    ``DEFAULTS``, or a value without its default's type (an integer may
+    stand for a float), is a usage error.
     """
+    keys = [k for k in DEFAULTS if k in vars(args)]
     config = {k: DEFAULTS[k] for k in keys}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
-        for k in keys:
-            if k not in loaded:
-                continue
+        for k, value in loaded.items():
+            if k not in DEFAULTS:
+                raise UsageError(
+                    f"config file {args.config}: unknown key {k!r} "
+                    f"(known keys: {', '.join(sorted(DEFAULTS))})"
+                )
             expected = (int, float) if isinstance(DEFAULTS[k], float) else type(DEFAULTS[k])
-            if isinstance(loaded[k], bool) or not isinstance(loaded[k], expected):
+            if isinstance(value, bool) or not isinstance(value, expected):
                 raise UsageError(
                     f"config file {args.config}: {k} must be a "
-                    f"{type(DEFAULTS[k]).__name__}, not {loaded[k]!r}"
+                    f"{type(DEFAULTS[k]).__name__}, not {value!r}"
                 )
-            config[k] = loaded[k]
+        config.update((k, loaded[k]) for k in keys if k in loaded)
     for k in keys:
-        value = getattr(args, k, None)
+        value = getattr(args, k)
         if value is not None:
             config[k] = value
     return config
@@ -133,7 +145,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     with _settings():
-        config = _effective_config(args, ["gap_seconds"])
+        config = _effective_config(args)
         if not config["gap_seconds"] > 0:
             raise ValueError("gap_seconds must be positive")
     diagnostics = ParseDiagnostics()
@@ -168,7 +180,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     with _settings():
-        config = _effective_config(args, ["eps", "min_pts", "k_max", "seed", "method"])
+        config = _effective_config(args)
         if config["method"] not in METHODS:
             raise ValueError(f"method must be one of {', '.join(METHODS)}, got {config['method']!r}")
         dbscan_cfg = DbscanConfig(eps=config["eps"], min_pts=config["min_pts"])
@@ -198,7 +210,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     with _settings():
-        config = _effective_config(args, ["eps", "min_pts", "k_max", "d", "seed", "jobs"])
+        config = _effective_config(args)
         if config["jobs"] < 1:
             raise ValueError("jobs must be at least 1")
         dbscan_cfg = DbscanConfig(eps=config["eps"], min_pts=config["min_pts"])
@@ -222,7 +234,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_tune(args: argparse.Namespace) -> int:
     with _settings():
-        config = _effective_config(args, ["d", "seed"])
+        config = _effective_config(args)
         eval_cfg = EvalConfig(d=config["d"], seed=config["seed"])
         eps_grid = [float(x) for x in args.eps_grid.split(",") if x != ""]
         minpts_grid = [int(x) for x in args.minpts_grid.split(",") if x != ""]
@@ -256,10 +268,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_settings(parser: argparse.ArgumentParser, *, seeded: bool) -> None:
+    """``--out`` and ``--config`` for a command that reads settings, and
+    ``--seed`` when the command draws random numbers."""
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--config", help="JSON config file (flags take precedence)")
-    parser.add_argument("--seed", type=int, default=None, help=f"run seed (default {DEFAULT_SEED})")
+    if seeded:
+        parser.add_argument("--seed", type=int, default=None, help=f"run seed (default {DEFAULT_SEED})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest = sub.add_parser("ingest", help="parse a dataset tree into a burst feature file")
     p_ingest.add_argument("dataset_root", help="directory laid out as <root>/<device-id>/<channel>.pcap")
     p_ingest.add_argument("--gap-seconds", dest="gap_seconds", type=float, default=None)
-    _add_common(p_ingest)
+    _add_settings(p_ingest, seeded=False)
     p_ingest.set_defaults(func=cmd_ingest, inputs=["dataset_root"])
 
     p_cluster = sub.add_parser("cluster", help="run the clustering pipeline on a feature file")
@@ -282,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--min-pts", dest="min_pts", type=int, default=None)
     p_cluster.add_argument("--k-max", dest="k_max", type=int, default=None)
     p_cluster.add_argument("--method", choices=METHODS, default=None)
-    _add_common(p_cluster)
+    _add_settings(p_cluster, seeded=True)
     p_cluster.set_defaults(func=cmd_cluster, inputs=["features"])
 
     p_eval = sub.add_parser("evaluate", help="run the subset protocol for both methods")
@@ -292,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--k-max", dest="k_max", type=int, default=None)
     p_eval.add_argument("--d", type=int, default=None, help="subsets per population size")
     p_eval.add_argument("--jobs", type=int, default=None, help="parallel protocol runs (at most one per CPU)")
-    _add_common(p_eval)
+    _add_settings(p_eval, seeded=True)
     p_eval.set_defaults(func=cmd_evaluate, inputs=["features"])
 
     p_tune = sub.add_parser("tune", help="sweep DBSCAN hyperparameters")
@@ -300,13 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--eps-grid", required=True, help="comma-separated eps values")
     p_tune.add_argument("--minpts-grid", required=True, help="comma-separated MinPts values")
     p_tune.add_argument("--d", type=int, default=None)
-    _add_common(p_tune)
+    _add_settings(p_tune, seeded=True)
     p_tune.set_defaults(func=cmd_tune, inputs=["features"])
 
     p_gen = sub.add_parser("generate", help="synthesize a labeled capture dataset")
     p_gen.add_argument("scenario", help="scenario JSON document")
+    p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--overwrite", action="store_true")
-    _add_common(p_gen)
+    p_gen.add_argument("--seed", type=int, default=None, help="seed that overrides the scenario's own")
     p_gen.set_defaults(func=cmd_generate, inputs=["scenario"])
 
     return parser
@@ -318,8 +334,9 @@ def main(argv=None) -> int:
     for name in args.inputs:
         if not Path(getattr(args, name)).exists():
             parser.error(f"{name} path does not exist: {getattr(args, name)}")
-    if args.config is not None and not Path(args.config).exists():
-        parser.error(f"config path does not exist: {args.config}")
+    config = getattr(args, "config", None)
+    if config is not None and not Path(config).exists():
+        parser.error(f"config path does not exist: {config}")
     try:
         return args.func(args)
     except (UsageError, CaptureError, ValueError, OSError) as exc:

@@ -188,7 +188,8 @@ def write_feature_file(bursts: Sequence[Burst], path, header_comment: str | None
 
 
 def read_feature_file(path) -> list[Burst]:
-    """Load bursts back from a feature file, reporting bad rows by line."""
+    """Load bursts back from a feature file, reporting bad rows (and a
+    ``burst_id`` that repeats an earlier row's) by line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         numbered = [
             (lineno, line)
@@ -201,6 +202,7 @@ def read_feature_file(path) -> list[Burst]:
     if tuple(header) != FEATURE_FIELDS:
         raise ValueError(f"{path}:{numbered[0][0]}: unexpected header {header}")
     bursts = []
+    first_line = {}  # burst_id -> line it first appears on
     for lineno, line in numbered[1:]:
         row = next(csv.reader([line]))
         try:
@@ -223,7 +225,12 @@ def read_feature_file(path) -> list[Burst]:
             )
             if burst.length != int(row[3]):
                 raise ValueError("L column disagrees with channel_vector")
+            if burst.burst_id in first_line:
+                raise ValueError(
+                    f"burst_id {burst.burst_id} repeats line {first_line[burst.burst_id]}"
+                )
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        first_line[burst.burst_id] = lineno
         bursts.append(burst)
     return bursts

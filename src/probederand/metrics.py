@@ -166,8 +166,16 @@ def draw_subsets(
 def _protocol_pools(
     bursts: Sequence[Burst], eval_cfg: EvalConfig
 ) -> list[tuple[int, int, list[Burst]]]:
-    """(p, subset index, pooled bursts in id order) for every draw."""
+    """(p, subset index, pooled bursts in id order) for every draw.
+
+    Raises ValueError when the bursts name fewer than two devices, which
+    leaves the protocol no draw to score.
+    """
     by_device = group_by_device(bursts)
+    if len(by_device) < 2:
+        raise ValueError(
+            f"the subset protocol needs at least 2 labelled devices, found {len(by_device)}"
+        )
     return [
         (p, s, sorted((b for name in subset for b in by_device[name]), key=lambda b: b.burst_id))
         for p, s, subset in draw_subsets(list(by_device), eval_cfg)
@@ -222,8 +230,10 @@ def run_protocol(
     Each draw's pool is clustered once: its coarse labels are the ie-only
     run, and their refinement, with a k-means seed derived from (protocol
     seed, p, subset), is the two-stage run, so reports are reproducible
-    and independent of execution order. ``jobs`` worker processes (at
-    most one per CPU) share the draws.
+    and independent of execution order. ``kmeans_cfg.seed`` is not read:
+    every draw's k-means seed comes from ``eval_cfg.seed``. ``jobs``
+    worker processes (at most one per CPU) share the draws. Raises
+    ValueError when the bursts name fewer than two devices.
     """
     tasks = []
     for p, s, pool in _protocol_pools(bursts, eval_cfg):
@@ -297,7 +307,8 @@ def tune_dbscan(
     Every grid point is scored on the same subset draws; the table is
     sorted best-first: descending mean V-measure, then ascending mean
     absolute Delta, then (eps, min_pts) for stable ties. Every grid
-    point is validated before any pool is clustered.
+    point is validated before any pool is clustered. Raises ValueError
+    when the bursts name fewer than two devices.
 
     Each pool is normalized, collapsed to its distinct rows and has its
     truth labels encoded once; its neighbour booleans are built once

@@ -114,7 +114,7 @@ class ParseDiagnostics:
 
 def mac_to_str(mac: bytes) -> str:
     """6 raw bytes to lowercase colon-separated form."""
-    return ":".join(f"{b:02x}" for b in mac)
+    return mac.hex(":")
 
 
 def mac_from_str(text: str) -> bytes:
@@ -186,19 +186,15 @@ def parse_radiotap_fields(buf: bytes) -> tuple[int, Optional[int], Optional[int]
     if header_len < 8:
         raise FormatError(f"Radiotap header length {header_len} below minimum")
 
-    offset = 4
-    present_words = []
-    while True:
-        if offset + 4 > header_len:
+    # Only the first presence word names fields this parser reads; step
+    # over the extension words (bit 31 set on the word before).
+    present = word = struct.unpack_from("<I", buf, 4)[0]
+    pos = 8
+    while word & 0x80000000:
+        if pos + 4 > header_len:
             raise FormatError("Radiotap presence bitmap overruns the header")
-        word = struct.unpack_from("<I", buf, offset)[0]
-        present_words.append(word)
-        offset += 4
-        if not word & 0x80000000:
-            break
-
-    present = present_words[0]
-    pos = offset
+        word = struct.unpack_from("<I", buf, pos)[0]
+        pos += 4
     channel: Optional[int] = None
     flags: Optional[int] = None
     for bit, align, size in _RT_FIELD_LAYOUT:

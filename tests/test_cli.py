@@ -81,6 +81,22 @@ class TestExitCodes:
     def test_success_is_zero(self, workspace, tmp_path):
         assert main(["cluster", str(workspace["features"]), "--out", str(tmp_path / "c")]) == 0
 
+    @pytest.mark.parametrize("command, flag", [("ingest", "--seed"), ("generate", "--config")])
+    def test_flag_the_command_does_not_read_is_usage_error(
+        self, workspace, tmp_path, capsys, command, flag
+    ):
+        """``ingest`` draws no random numbers and ``generate`` reads no
+        settings, so neither accepts the flag."""
+        config = tmp_path / "cfg.json"
+        config.write_text("{}")
+        source = workspace["dataset" if command == "ingest" else "scenario"]
+        value = {"--seed": "1", "--config": str(config)}[flag]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(source), "--out", str(tmp_path / "o"), flag, value])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestCluster:
     def test_outputs_match_direct_library_calls(self, workspace, tmp_path):
@@ -146,6 +162,17 @@ class TestCluster:
         assert err.startswith(f"error: {broken}:3: ") and err.count("\n") == 1
         assert "channel_vector" in err
 
+    @pytest.mark.parametrize("command", [["cluster"], ["evaluate", "--d", "1"]], ids=" ".join)
+    def test_repeated_burst_id_is_one_line(self, workspace, tmp_path, capsys, command):
+        repeated = tmp_path / "repeated.csv"
+        lines = workspace["features"].read_text().splitlines()
+        assert lines[0].startswith("#") and lines[2].split(",")[0] == "0"
+        repeated.write_text("\n".join([*lines, lines[2]]) + "\n")
+        argv = [command[0], str(repeated), "--out", str(tmp_path / "x"), *command[1:]]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {repeated}:{len(lines) + 1}: burst_id 0 repeats line 3\n"
+
 
 class TestConfigPrecedence:
     def test_flag_overrides_config_file_overrides_default(self, workspace, tmp_path):
@@ -179,7 +206,11 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         return err
 
-    @pytest.mark.parametrize("content", ['{"eps": "0.1"}', '{"min_pts": 2.5}', '{"k_max": true}'])
+    @pytest.mark.parametrize(
+        "content",
+        # d belongs to evaluate and tune; cluster checks it all the same.
+        ['{"eps": "0.1"}', '{"min_pts": 2.5}', '{"k_max": true}', '{"d": "ten"}'],
+    )
     def test_config_value_of_wrong_type(self, workspace, tmp_path, capsys, content):
         config = tmp_path / "cfg.json"
         config.write_text(content)
@@ -234,6 +265,44 @@ class TestUsageErrors:
         source = workspace["dataset" if command == "ingest" else "features"]
         argv = [command, str(source), "--out", str(tmp_path / "o"), "--config", str(config)]
         self.assert_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "command, content, key",
+        [
+            ("cluster", '{"min-pts": 3}', "'min-pts'"),
+            ("ingest", '{"gap_seconds": 1.0, "gap": 1.0}', "'gap'"),
+            ("tune", '{"eps_grid": "0.1"}', "'eps_grid'"),
+        ],
+    )
+    def test_unknown_config_key(self, workspace, tmp_path, capsys, command, content, key):
+        config = tmp_path / "cfg.json"
+        config.write_text(content)
+        source = workspace["dataset" if command == "ingest" else "features"]
+        argv = [command, str(source), "--out", str(tmp_path / "o"), "--config", str(config)]
+        if command == "tune":
+            argv += ["--eps-grid", "0.05", "--minpts-grid", "5"]
+        assert f"unknown key {key} " in self.assert_usage_error(argv, capsys)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, content, output",
+        [
+            ("ingest", {"seed": 5, "method": "ie-only", "d": 2}, "bursts.csv"),
+            ("cluster", {"gap_seconds": 3.0, "d": 2, "jobs": 2}, "labeling.csv"),
+        ],
+    )
+    def test_other_commands_config_keys_are_accepted(
+        self, workspace, tmp_path, command, content, output
+    ):
+        """One config file serves every command: keys that belong to
+        another command change nothing, header included."""
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(content))
+        source = workspace["dataset" if command == "ingest" else "features"]
+        plain, configured = tmp_path / "plain", tmp_path / "configured"
+        assert main([command, str(source), "--out", str(plain)]) == 0
+        assert main([command, str(source), "--out", str(configured), "--config", str(config)]) == 0
+        assert (configured / output).read_bytes() == (plain / output).read_bytes()
 
     def test_integer_config_value_for_float_setting(self, workspace, tmp_path):
         config = tmp_path / "cfg.json"

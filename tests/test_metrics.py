@@ -246,6 +246,18 @@ class TestProtocol:
                 assert report.n_clusters == n_clusters(labels)
                 assert (report.delta, report.p, report.subset_index) == (n_clusters(labels) - p, p, s)
 
+    @pytest.mark.parametrize("n_devices", [0, 1])
+    def test_fewer_than_two_devices_rejected(self, n_devices):
+        """With under two devices the protocol has no draw to score, so
+        both entry points say so instead of returning empty or NaN rows."""
+        bursts = synthetic_bursts(n_devices=n_devices)
+        cfg = EvalConfig(d=2, seed=1)
+        match = f"at least 2 labelled devices, found {n_devices}"
+        with pytest.raises(ValueError, match=match):
+            run_protocol(bursts, cfg, DbscanConfig(), KmeansConfig())
+        with pytest.raises(ValueError, match=match):
+            tune_dbscan(bursts, [0.05], [5], cfg)
+
     def test_unlabeled_bursts_rejected(self):
         burst = Burst(0, b"\x02\x00\x00\x00\x00\x01", (1.0, 2.0, 3.0), (1, 6))
         with pytest.raises(ValueError, match="ground-truth"):
