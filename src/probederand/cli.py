@@ -12,8 +12,8 @@ and the commands that draw random numbers (``cluster``, ``evaluate``,
 
 Exit codes: 0 success, 1 processing error, 2 usage error (bad flags or
 setting values, a config file that is not a JSON object of correctly
-typed values or that holds a key no subcommand knows, or fewer than two
-labelled devices for ``evaluate`` and ``tune``).
+typed, in-range values or that holds a key no subcommand knows, or
+fewer than two labelled devices for ``evaluate`` and ``tune``).
 """
 
 from __future__ import annotations
@@ -87,14 +87,28 @@ def _settings():
         raise UsageError(str(exc)) from exc
 
 
+def _check_ranges(settings: dict) -> None:
+    """Raise ValueError for the first value out of range among
+    ``settings``, which holds every ``DEFAULTS`` key."""
+    DbscanConfig(eps=settings["eps"], min_pts=settings["min_pts"])
+    KmeansConfig(k_max=settings["k_max"], seed=settings["seed"])
+    EvalConfig(d=settings["d"], seed=settings["seed"])
+    if settings["jobs"] < 1:
+        raise ValueError("jobs must be at least 1")
+    if not settings["gap_seconds"] > 0:
+        raise ValueError("gap_seconds must be positive")
+    if settings["method"] not in METHODS:
+        raise ValueError(f"method must be one of {', '.join(METHODS)}, got {settings['method']!r}")
+
+
 def _effective_config(args: argparse.Namespace) -> dict:
     """Merge defaults, config-file values, and explicit flags for every
     ``DEFAULTS`` key the subcommand's parser defines.
 
     A config file may hold any ``DEFAULTS`` key, so one file serves every
     subcommand, and every command checks the whole file: a key outside
-    ``DEFAULTS``, or a value without its default's type (an integer may
-    stand for a float), is a usage error.
+    ``DEFAULTS``, a value without its default's type (an integer may
+    stand for a float), or a value out of range is a usage error.
     """
     keys = [k for k in DEFAULTS if k in vars(args)]
     config = {k: DEFAULTS[k] for k in keys}
@@ -111,15 +125,21 @@ def _effective_config(args: argparse.Namespace) -> dict:
                 )
             expected = (int, float) if isinstance(DEFAULTS[k], float) else type(DEFAULTS[k])
             if isinstance(value, bool) or not isinstance(value, expected):
+                name = type(DEFAULTS[k]).__name__
+                article = "an" if name[0] in "aeiou" else "a"
                 raise UsageError(
-                    f"config file {args.config}: {k} must be a "
-                    f"{type(DEFAULTS[k]).__name__}, not {value!r}"
+                    f"config file {args.config}: {k} must be {article} {name}, not {value!r}"
                 )
+        try:
+            _check_ranges({**DEFAULTS, **loaded})
+        except ValueError as exc:
+            raise UsageError(f"config file {args.config}: {exc}") from exc
         config.update((k, loaded[k]) for k in keys if k in loaded)
     for k in keys:
         value = getattr(args, k)
         if value is not None:
             config[k] = value
+    _check_ranges({**DEFAULTS, **config})
     return config
 
 
@@ -146,8 +166,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def cmd_ingest(args: argparse.Namespace) -> int:
     with _settings():
         config = _effective_config(args)
-        if not config["gap_seconds"] > 0:
-            raise ValueError("gap_seconds must be positive")
     diagnostics = ParseDiagnostics()
     labeled = read_dataset(args.dataset_root, diagnostics)
     frames = [frame for frame, _ in labeled]
@@ -181,8 +199,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_cluster(args: argparse.Namespace) -> int:
     with _settings():
         config = _effective_config(args)
-        if config["method"] not in METHODS:
-            raise ValueError(f"method must be one of {', '.join(METHODS)}, got {config['method']!r}")
         dbscan_cfg = DbscanConfig(eps=config["eps"], min_pts=config["min_pts"])
         kmeans_cfg = KmeansConfig(k_max=config["k_max"], seed=config["seed"])
     bursts = read_feature_file(args.features)
@@ -211,8 +227,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     with _settings():
         config = _effective_config(args)
-        if config["jobs"] < 1:
-            raise ValueError("jobs must be at least 1")
         dbscan_cfg = DbscanConfig(eps=config["eps"], min_pts=config["min_pts"])
         kmeans_cfg = KmeansConfig(k_max=config["k_max"], seed=config["seed"])
         eval_cfg = EvalConfig(d=config["d"], seed=config["seed"])

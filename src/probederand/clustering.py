@@ -155,22 +155,69 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows / norms[:, None]
 
 
-def _seed_centers(unit: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Distance-weighted (D²) seeding over cosine distance."""
-    n = unit.shape[0]
-    chosen = [int(rng.integers(n))]
-    nearest = np.maximum(1.0 - unit @ unit[chosen[0]], 0.0)
+class _Pool:
+    """One fine-stage pool's rows, prepared once for every k and restart
+    that clusters them, and the memos of their D² seeding and Lloyd runs.
+
+    ``ids`` numbers each row's unit row by its bytes, so rows with one
+    direction share an id. ``distances`` maps an id to the cosine
+    distances of every row to that unit row; ``seedings`` maps a set of
+    picked ids to (the cumulative D² weights of the rows, their total);
+    ``runs`` maps the ids of seeded centres, in order, to ``_lloyd``'s
+    (result, trace). ``distinct_rows`` (raw rows, the k cap) and
+    ``similarity`` (s̄) are given by ``_refine_labels``.
+    """
+
+    def __init__(
+        self,
+        data: np.ndarray,
+        distinct_rows: Optional[int] = None,
+        similarity: Optional[float] = None,
+    ) -> None:
+        self.distinct_rows = distinct_rows
+        self.similarity = similarity
+        self.unit = _unit_rows(data)
+        first: dict[bytes, int] = {}
+        self.ids = [first.setdefault(row.tobytes(), len(first)) for row in self.unit]
+        self.distances: dict[int, np.ndarray] = {}
+        self.seedings: dict[frozenset[int], tuple[np.ndarray, float]] = {}
+        self.runs: dict[
+            tuple[int, ...], tuple[tuple[np.ndarray, np.ndarray, float], list[float]]
+        ] = {}
+
+    def seeding(self, picks: list[int]) -> tuple[np.ndarray, float]:
+        """(cumulative D² weights, total) of the rows given centres on
+        the ``picks`` rows. They depend only on the set of unit rows
+        picked: ``np.minimum`` is exact and order-free, equal unit rows
+        give equal distances, and a -0.0 distance squares to +0.0."""
+        key = frozenset(self.ids[row] for row in picks)
+        state = self.seedings.get(key)
+        if state is None:
+            for row in picks:
+                if self.ids[row] not in self.distances:
+                    distance = np.maximum(1.0 - self.unit @ self.unit[row], 0.0)
+                    self.distances[self.ids[row]] = distance
+            nearest = np.minimum.reduce([self.distances[i] for i in key])
+            weights = nearest * nearest
+            state = self.seedings[key] = (np.cumsum(weights), float(weights.sum()))
+        return state
+
+
+def _seed_rows(pool: _Pool, k: int, rng: np.random.Generator) -> list[int]:
+    """Distance-weighted (D²) seeding over cosine distance: the indices
+    of the rows picked as centres. The draws from ``rng`` are those of a
+    plain D² loop; the weights are looked up in ``pool``."""
+    n = len(pool.ids)
+    picks = [int(rng.integers(n))]
     for _ in range(1, k):
-        weights = nearest * nearest
-        total = float(weights.sum())
+        cumulative, total = pool.seeding(picks)
         if total <= 1e-12:
             pick = int(rng.integers(n))
         else:
-            pick = int(np.searchsorted(np.cumsum(weights), rng.random() * total, side="right"))
+            pick = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
             pick = min(pick, n - 1)
-        chosen.append(pick)
-        nearest = np.minimum(nearest, np.maximum(1.0 - unit @ unit[pick], 0.0))
-    return unit[chosen].copy()
+        picks.append(pick)
+    return picks
 
 
 def _distortion(own_similarity: np.ndarray) -> float:
@@ -239,30 +286,35 @@ def spherical_kmeans(
     rng: np.random.Generator,
     *,
     history: Optional[list[list[float]]] = None,
+    pool: Optional[_Pool] = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """k-means on the unit sphere, maximizing cosine similarity.
 
     Runs ``RESTARTS`` restarts seeded from ``rng`` and keeps the lowest
-    distortion (earlier run wins ties). A restart whose seeded centres
-    repeat an earlier restart's reuses that Lloyd run: the iterations
-    draw nothing from ``rng`` and depend only on the rows and centres.
-    ``history``, when given, still receives one per-iteration distortion
-    trace per restart.
+    distortion (earlier run wins ties). ``pool``, the ``rows`` prepared
+    by ``_refine_labels``, carries the seeding and Lloyd memos across
+    every call on the same rows; without it the call prepares its own.
+    A restart whose seeded centres repeat an earlier run's reuses that
+    Lloyd run: the iterations draw nothing from ``rng`` and depend only
+    on the unit rows and the centres, which the centres' unit-row ids
+    fix. The result may be shared with other calls on the same pool and
+    must not be changed. ``history``, when given, still receives one
+    per-iteration distortion trace per restart.
     """
     data = np.asarray(rows, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("expected a non-empty row matrix")
     if not 1 <= k <= data.shape[0]:
         raise ValueError(f"k={k} outside [1, {data.shape[0]}]")
-    unit = _unit_rows(data)
-    runs: dict[bytes, tuple[tuple[np.ndarray, np.ndarray, float], list[float]]] = {}
+    if pool is None:
+        pool = _Pool(data)
     best: Optional[tuple[np.ndarray, np.ndarray, float]] = None
     for _ in range(RESTARTS):
-        centers = _seed_centers(unit, k, rng)
-        key = centers.tobytes()
-        if key not in runs:
-            runs[key] = _lloyd(unit, k, centers)
-        result, trace = runs[key]
+        picks = _seed_rows(pool, k, rng)
+        key = tuple(pool.ids[row] for row in picks)
+        if key not in pool.runs:
+            pool.runs[key] = _lloyd(pool.unit, k, pool.unit[picks])
+        result, trace = pool.runs[key]
         if history is not None:
             history.append(list(trace))
         if best is None or result[2] < best[2]:
@@ -320,19 +372,30 @@ def average_pairwise_similarity(rows: np.ndarray) -> float:
 
 
 def _refine_labels(
-    rows: np.ndarray, config: KmeansConfig, seed_key: tuple[int, ...]
+    rows: np.ndarray,
+    config: KmeansConfig,
+    seed_key: tuple[int, ...],
+    pools: dict,
 ) -> np.ndarray:
+    """Fine-stage labels of one pool's rows. ``pools`` maps a pool's
+    (shape, bytes) to its ``_Pool``; the shape is part of the key
+    because each draw pads its rows to its own width."""
+    key = (rows.shape, rows.tobytes())
+    pool = pools.get(key)
     # Once k reaches the pool's distinct rows, D² seeding has a centre on
     # each and the distortion is zero, so the elbow never picks a larger k.
-    k_max = min(config.k_max, len({row.tobytes() for row in rows}))
+    distinct = pool.distinct_rows if pool is not None else len({row.tobytes() for row in rows})
+    k_max = min(config.k_max, distinct)
     if k_max == 1:
         return np.zeros(rows.shape[0], dtype=int)
-    threshold = dynamic_threshold(average_pairwise_similarity(rows))
+    if pool is None:
+        pool = pools[key] = _Pool(rows, distinct, average_pairwise_similarity(rows))
+    threshold = dynamic_threshold(pool.similarity)
     labelings = []
     distortions = []
     for k in range(1, k_max + 1):
         rng = substream(config.seed, STREAM_KMEANS, *seed_key, k)
-        labels, _, distortion = spherical_kmeans(rows, k, rng)
+        labels, _, distortion = spherical_kmeans(rows, k, rng, pool=pool)
         labelings.append(labels)
         distortions.append(distortion)
     return labelings[elbow_select_k(distortions, threshold) - 1]
@@ -361,7 +424,10 @@ def ie_only_cluster(bursts: Sequence[Burst], dbscan_cfg: DbscanConfig) -> np.nda
 
 
 def two_stage_cluster(
-    bursts: Sequence[Burst], coarse: np.ndarray, kmeans_cfg: KmeansConfig
+    bursts: Sequence[Burst],
+    coarse: np.ndarray,
+    kmeans_cfg: KmeansConfig,
+    pools: Optional[dict] = None,
 ) -> np.ndarray:
     """Fine stage: refine the ``coarse`` labels (ascending burst-id
     order, as ``ie_only_cluster`` returns them) into the final labels.
@@ -369,7 +435,11 @@ def two_stage_cluster(
     Each coarse cluster is refined independently; final labels are the
     disjoint union of all sub-clusters, renumbered contiguously. Noise
     bursts stay noise and are excluded from the cluster count.
+    ``pools``, a dict the caller owns (``run_protocol`` keeps one per
+    run), shares each prepared pool and its k-means memos between calls
+    that refine the same rows; without it the call keeps its own.
     """
+    pools = {} if pools is None else pools
     ordered = _sorted_bursts(bursts)
     if len(coarse) != len(ordered):
         raise ValueError(f"{len(coarse)} coarse labels for {len(ordered)} bursts")
@@ -378,7 +448,7 @@ def two_stage_cluster(
     next_label = 0
     for c in range(n_clusters(coarse)):
         members = np.flatnonzero(coarse == c)
-        sub = _refine_labels(padded[members], kmeans_cfg, seed_key=(c,))
+        sub = _refine_labels(padded[members], kmeans_cfg, seed_key=(c,), pools=pools)
         for s in np.flatnonzero(np.bincount(sub)):
             final[members[sub == s]] = next_label
             next_label += 1

@@ -205,16 +205,25 @@ def _score(
 
 
 def _score_subset(
-    task: tuple[int, int, list[Burst], DbscanConfig, KmeansConfig],
+    task: tuple[int, int, list[Burst], DbscanConfig, KmeansConfig], pools: dict
 ) -> dict[str, MetricReport]:
     p, subset_index, pool, dbscan_cfg, kmeans_cfg = task
     coarse = ie_only_cluster(pool, dbscan_cfg)
-    final = two_stage_cluster(pool, coarse, kmeans_cfg)
+    final = two_stage_cluster(pool, coarse, kmeans_cfg, pools=pools)
     truth = _truth_codes(pool)
     return {
         METHOD_TWO_STAGE: _score(p, subset_index, truth, final),
         METHOD_IE_ONLY: _score(p, subset_index, truth, coarse),
     }
+
+
+def _score_draws(
+    tasks: list[tuple[int, int, list[Burst], DbscanConfig, KmeansConfig]],
+) -> list[dict[str, MetricReport]]:
+    """``_score_subset`` of each task, in order, sharing one fine-stage
+    pool cache that is dropped on return."""
+    pools: dict = {}
+    return [_score_subset(task, pools) for task in tasks]
 
 
 def run_protocol(
@@ -234,6 +243,12 @@ def run_protocol(
     every draw's k-means seed comes from ``eval_cfg.seed``. ``jobs``
     worker processes (at most one per CPU) share the draws. Raises
     ValueError when the bursts name fewer than two devices.
+
+    Draws often refine the same fine-stage pool: a coarse pool is a
+    union of whole devices, and the same devices are drawn together
+    again. Each worker takes every ``jobs``-th draw and keeps one cache
+    of prepared pools, with their D² seeding and Lloyd memos, for its
+    draws; the caches are dropped before this call returns.
     """
     tasks = []
     for p, s, pool in _protocol_pools(bursts, eval_cfg):
@@ -242,9 +257,10 @@ def run_protocol(
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
-            draws = list(pool_exec.map(_score_subset, tasks))
+            chunks = list(pool_exec.map(_score_draws, [tasks[i::jobs] for i in range(jobs)]))
     else:
-        draws = [_score_subset(task) for task in tasks]
+        chunks = [_score_draws(tasks)]
+    draws = [chunks[i % len(chunks)][i // len(chunks)] for i in range(len(tasks))]
     return {method: [draw[method] for draw in draws] for method in METHODS}
 
 

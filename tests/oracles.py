@@ -7,8 +7,9 @@ exception, and each drops only the shortcut it checks:
 ``reference_refine_labels`` reuses the library's k-means and elbow with
 no distinct-row cap on k; ``all_rows_dbscan`` is the library's vectorized
 kernel before it ran over distinct rows; ``plain_spherical_kmeans``
-reuses the library's seeding and Lloyd loop and runs Lloyd for every
-restart, with no memo of repeated seeded centres; ``per_point_tune``
+reuses the library's Lloyd loop and runs it for every restart, seeded by
+``plain_seed_centers``, a D² loop with no memo of seeding states or of
+repeated seeded centres; ``per_point_tune``
 reuses the library's protocol pools, coarse stage and scoring, and
 clusters every pool from scratch at every grid point.
 """
@@ -24,7 +25,6 @@ from probederand.clustering import (
     RESTARTS,
     DbscanConfig,
     _lloyd,
-    _seed_centers,
     _unit_rows,
     average_pairwise_similarity,
     dynamic_threshold,
@@ -160,14 +160,34 @@ def reference_refine_labels(rows, config, seed_key):
     return labelings[elbow_select_k(distortions, threshold) - 1]
 
 
+def plain_seed_centers(unit, k, rng):
+    """Distance-weighted (D²) seeding over cosine distance: the picked
+    row indices, every distance computed afresh."""
+    n = unit.shape[0]
+    chosen = [int(rng.integers(n))]
+    nearest = np.maximum(1.0 - unit @ unit[chosen[0]], 0.0)
+    for _ in range(1, k):
+        weights = nearest * nearest
+        total = float(weights.sum())
+        if total <= 1e-12:
+            pick = int(rng.integers(n))
+        else:
+            pick = int(np.searchsorted(np.cumsum(weights), rng.random() * total, side="right"))
+            pick = min(pick, n - 1)
+        chosen.append(pick)
+        nearest = np.minimum(nearest, np.maximum(1.0 - unit @ unit[pick], 0.0))
+    return chosen
+
+
 def plain_spherical_kmeans(rows, k, rng, history):
-    """``spherical_kmeans`` with every restart seeded and run through
-    Lloyd: the lowest distortion wins, the earlier restart on ties, and
-    ``history`` gets each restart's trace."""
+    """``spherical_kmeans`` with every restart seeded by
+    ``plain_seed_centers`` and run through Lloyd: the lowest distortion
+    wins, the earlier restart on ties, and ``history`` gets each
+    restart's trace."""
     unit = _unit_rows(np.asarray(rows, dtype=float))
     best = None
     for _ in range(RESTARTS):
-        result, trace = _lloyd(unit, k, _seed_centers(unit, k, rng))
+        result, trace = _lloyd(unit, k, unit[plain_seed_centers(unit, k, rng)])
         history.append(trace)
         if best is None or result[2] < best[2]:
             best = result

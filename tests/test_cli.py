@@ -7,6 +7,7 @@ import os
 import shutil
 import struct
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -207,16 +208,20 @@ class TestUsageErrors:
         return err
 
     @pytest.mark.parametrize(
-        "content",
+        "content, message",
         # d belongs to evaluate and tune; cluster checks it all the same.
-        ['{"eps": "0.1"}', '{"min_pts": 2.5}', '{"k_max": true}', '{"d": "ten"}'],
+        [
+            pytest.param('{"eps": "0.1"}', "eps must be a float, not '0.1'", id='{"eps": "0.1"}'),
+            pytest.param('{"min_pts": 2.5}', "min_pts must be an int, not 2.5", id='{"min_pts": 2.5}'),
+            pytest.param('{"k_max": true}', "k_max must be an int, not True", id='{"k_max": true}'),
+            pytest.param('{"d": "ten"}', "d must be an int, not 'ten'", id='{"d": "ten"}'),
+        ],
     )
-    def test_config_value_of_wrong_type(self, workspace, tmp_path, capsys, content):
+    def test_config_value_of_wrong_type(self, workspace, tmp_path, capsys, content, message):
         config = tmp_path / "cfg.json"
         config.write_text(content)
         argv = ["cluster", str(workspace["features"]), "--out", str(tmp_path / "o"), "--config", str(config)]
-        key = next(iter(json.loads(content)))
-        assert key in self.assert_usage_error(argv, capsys)
+        assert message in self.assert_usage_error(argv, capsys)
 
     def test_config_that_is_not_an_object(self, workspace, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -265,6 +270,44 @@ class TestUsageErrors:
         source = workspace["dataset" if command == "ingest" else "features"]
         argv = [command, str(source), "--out", str(tmp_path / "o"), "--config", str(config)]
         self.assert_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "command, content, message",
+        [
+            ("cluster", '{"jobs": 0}', "jobs must be at least 1"),
+            ("cluster", '{"d": 0}', "d must be at least 1"),
+            ("cluster", '{"gap_seconds": -1.0}', "gap_seconds must be positive"),
+            ("ingest", '{"jobs": 0}', "jobs must be at least 1"),
+            ("ingest", '{"d": 0}', "d must be at least 1"),
+            ("ingest", '{"k_max": 0}', "k_max must be at least 1"),
+            ("ingest", '{"min_pts": 0}', "min_pts must be at least 1"),
+            ("ingest", '{"method": "bogus"}', "method must be one of"),
+            ("evaluate", '{"gap_seconds": 0}', "gap_seconds must be positive"),
+            ("tune", '{"eps": 0}', "eps must be positive"),
+            ("tune", '{"seed": 5, "jobs": -2}', "jobs must be at least 1"),
+        ],
+    )
+    def test_config_range_checked_by_every_command(
+        self, workspace, tmp_path, capsys, command, content, message
+    ):
+        """Every command range-checks every key of the file, also keys
+        it has no flag for, and names the file; nothing is written."""
+        config = tmp_path / "cfg.json"
+        config.write_text(content)
+        source = workspace["dataset" if command == "ingest" else "features"]
+        argv = [command, str(source), "--out", str(tmp_path / "o"), "--config", str(config)]
+        if command == "tune":
+            argv += ["--eps-grid", "0.05", "--minpts-grid", "5"]
+        err = self.assert_usage_error(argv, capsys)
+        assert f"config file {config}: {message}" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_flag_does_not_excuse_a_bad_config_value(self, workspace, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"jobs": 0}')
+        argv = ["evaluate", str(workspace["features"]), "--out", str(tmp_path / "o"),
+                "--config", str(config), "--jobs", "1"]
+        assert "jobs must be at least 1" in self.assert_usage_error(argv, capsys)
 
     @pytest.mark.parametrize(
         "command, content, key",
@@ -325,15 +368,15 @@ class TestUsageErrors:
 
 
 class TestJobs:
-    @pytest.mark.parametrize("requested, cpus, workers", [(64, 2, 2), (2, 4, 2), (3, 1, None), (1, 4, None)])
-    def test_clamped_to_cpu_count(self, workspace, tmp_path, monkeypatch, requested, cpus, workers):
-        started = []
+    @pytest.fixture
+    def executor(self, monkeypatch):
+        """Stands in for ProcessPoolExecutor and runs tasks in-process,
+        recording each executor's worker count and the tasks it maps."""
+        record = types.SimpleNamespace(started=[], mapped=[])
 
         class RecordingExecutor:
-            """Stands in for ProcessPoolExecutor and runs tasks in-process."""
-
             def __init__(self, max_workers):
-                started.append(max_workers)
+                record.started.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -342,14 +385,32 @@ class TestJobs:
                 return False
 
             def map(self, fn, tasks):
-                return map(fn, tasks)
+                record.mapped.append(list(tasks))
+                return map(fn, record.mapped[-1])
 
         monkeypatch.setattr(metrics, "ProcessPoolExecutor", RecordingExecutor)
+        return record
+
+    @pytest.mark.parametrize("requested, cpus, workers", [(64, 2, 2), (2, 4, 2), (3, 1, None), (1, 4, None)])
+    def test_clamped_to_cpu_count(self, workspace, tmp_path, monkeypatch, executor, requested, cpus, workers):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         argv = ["evaluate", str(workspace["features"]), "--out", str(tmp_path / "o"), "--d", "1"]
         assert main(argv + ["--jobs", str(requested)]) == 0
         # one executor per evaluate, or none when the runs stay serial
-        assert started == ([] if workers is None else [workers])
+        assert executor.started == ([] if workers is None else [workers])
+
+    def test_worker_chunks_match_serial(self, workspace, monkeypatch, executor):
+        """Each worker gets every jobs-th draw as one task (one fine-stage
+        cache per worker), and the reports equal a serial run's."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        bursts = read_feature_file(workspace["features"])
+        args = (bursts, EvalConfig(d=3, seed=4), DbscanConfig(min_pts=3), KmeansConfig())
+        serial = run_protocol(*args, jobs=1)
+        assert executor.started == []
+        assert run_protocol(*args, jobs=2) == serial
+        (chunks,) = executor.mapped
+        draws = [(r.p, r.subset_index) for r in serial["two-stage"]]
+        assert [[(p, s) for p, s, *_ in chunk] for chunk in chunks] == [draws[0::2], draws[1::2]]
 
 
 class TestEvaluate:

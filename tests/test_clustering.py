@@ -24,7 +24,10 @@ from probederand.clustering import (
     _dbscan_neighbours,
     _dbscan_prepare,
     _dbscan_scan,
+    _Pool,
     _refine_labels,
+    _seed_rows,
+    _unit_rows,
     average_pairwise_similarity,
     dbscan,
     dbscan_labels,
@@ -43,6 +46,7 @@ from probederand.randomness import DEFAULT_SEED, STREAM_KMEANS, substream
 from oracles import (
     all_rows_dbscan,
     canonical_partition,
+    plain_seed_centers,
     plain_spherical_kmeans,
     reference_dbscan,
     reference_refine_labels,
@@ -377,11 +381,69 @@ def distinct_pools(draw):
     return np.random.default_rng(seed).uniform(0.05, 1.0, size=(n, dim))
 
 
-def assert_matches_plain(rows, k, seed):
+@st.composite
+def identical_pools(draw):
+    """One nonzero row repeated: every D² weight is zero."""
+    row = draw(st.lists(st.integers(0, 13), min_size=1, max_size=5).filter(any))
+    return np.tile(np.array(row, dtype=float), (draw(st.integers(1, 10)), 1))
+
+
+@st.composite
+def shared_direction_pools(draw):
+    """Raw-distinct rows on a few directions (``[1,0,0]``, ``[2,0,0]``):
+    distinct rows whose unit rows are equal."""
+    directions = st.sampled_from([(1, 0, 0), (0, 1, 1), (1, 2, 3)])
+    bases = draw(st.lists(directions, min_size=1, max_size=3, unique=True))
+    rows = [
+        tuple(m * x for x in base)
+        for base in bases
+        for m in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+    ]
+    counts = draw(st.lists(st.integers(1, 6), min_size=len(rows), max_size=len(rows)))
+    pool = [row for row, c in zip(rows, counts) for _ in range(c)]
+    return np.array(draw(st.permutations(pool)), dtype=float)
+
+
+seeding_pools = st.one_of(
+    distinct_pools(),
+    duplicate_heavy_pools().map(lambda pool: pool[0]),
+    identical_pools(),
+    shared_direction_pools(),
+)
+
+
+class TestSeeding:
+    @settings(max_examples=120, deadline=None)
+    @given(seeding_pools, st.integers(0, 2**16))
+    def test_memoised_seeding_matches_plain(self, rows, seed):
+        """Over one prepared pool, every seeding for k = 1..6 picks the
+        plain D² loop's rows and leaves the generator where the plain
+        loop leaves it, while the memo fills up across k and repeats."""
+        pool = _Pool(rows)
+        unit = _unit_rows(rows)
+        for k in range(1, 7):
+            for restart in range(3):
+                rng = substream(seed, STREAM_KMEANS, k, restart)
+                plain_rng = substream(seed, STREAM_KMEANS, k, restart)
+                assert _seed_rows(pool, k, rng) == plain_seed_centers(unit, k, plain_rng)
+                assert rng.random() == plain_rng.random()
+
+    def test_one_state_per_set_of_directions(self):
+        """``[1,0,0]`` and ``[2,0,0]`` share a unit row, so picking either
+        reaches the same seeding state."""
+        rows = np.array([[1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 2, 0]], float)
+        pool = _Pool(rows)
+        assert pool.ids == [0, 0, 1, 1]
+        assert pool.seeding([0]) is pool.seeding([1])
+        assert pool.seeding([0, 2]) is pool.seeding([3, 1, 0])
+        assert len(pool.seedings) == 2
+
+
+def assert_matches_plain(rows, k, seed, pool=None):
     """Labels, centres and distortion bitwise equal to the plain restart
     loop's, and ``history`` equal trace for trace."""
     history, plain_history = [], []
-    got = spherical_kmeans(rows, k, substream(seed, STREAM_KMEANS), history=history)
+    got = spherical_kmeans(rows, k, substream(seed, STREAM_KMEANS), history=history, pool=pool)
     want = plain_spherical_kmeans(rows, k, substream(seed, STREAM_KMEANS), plain_history)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
@@ -446,6 +508,17 @@ class TestSphericalKmeans:
     def test_memo_matches_plain_restarts_on_distinct_pools(self, rows, seed):
         for k in range(1, min(len(rows), 5) + 1):
             assert_matches_plain(rows, k, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(duplicate_heavy_pools(), st.lists(st.integers(0, 2**16), min_size=2, max_size=4))
+    def test_shared_pool_matches_plain_across_calls(self, pool, seeds):
+        """One prepared pool carries its memos from call to call, under
+        different seeds and every k, as ``_refine_labels`` uses it."""
+        rows, distinct = pool
+        shared = _Pool(rows)
+        for seed in seeds:
+            for k in range(1, distinct + 1):
+                assert_matches_plain(rows, k, seed, pool=shared)
 
     def test_memo_matches_plain_restarts_when_a_cluster_empties(self, monkeypatch):
         """[1,1] and [2,2] share a direction, so at k = 3 the third seeded
@@ -580,7 +653,7 @@ class TestRefine:
             rows = rows[rng.permutation(len(rows))]
             config = KmeansConfig(k_max=k_max, seed=i)
             want = reference_refine_labels(rows, config, seed_key=(i,))
-            assert _refine_labels(rows, config, seed_key=(i,)).tolist() == want.tolist()
+            assert _refine_labels(rows, config, (i,), {}).tolist() == want.tolist()
             distinct = len(np.unique(rows, axis=0))
             capped += distinct < min(k_max, len(rows))
             picked_distinct += 1 < distinct == len(set(want.tolist()))
@@ -588,6 +661,30 @@ class TestRefine:
         # the cap skipped k, a cap one lower would have cut a chosen k, and
         # some pools were smaller than k_max
         assert capped >= 50 and picked_distinct >= 10 and k_above_n >= 2
+
+
+    def test_shared_cache_matches_uncached_reference(self):
+        """One cache over pools that recur under other seeds and seed
+        keys gives the reference labels. Two of the pools hold the same
+        bytes in different shapes, as draws padded to their own widths
+        can, and get a record each."""
+        rng = np.random.default_rng(8)
+        distinct = np.array([[1, 6, 11, 0], [11, 6, 1, 0], [6, 6, 1, 11], [2, 12, 22, 0]], float)
+        pools = []
+        for m in (2, 3, 4):
+            rows = np.repeat(distinct[:m], rng.integers(2, 12, m), axis=0)
+            pools.append(rows[rng.permutation(len(rows))])
+        flat = np.array([[1, 6], [11, 6], [1, 6], [6, 6], [1, 11], [6, 1]], float)
+        pools += [flat, flat.reshape(3, 4)]
+        cache = {}
+        for seed in range(4):
+            for rows in pools:
+                for c in range(2):
+                    config = KmeansConfig(seed=seed)
+                    want = reference_refine_labels(rows, config, seed_key=(c,))
+                    got = _refine_labels(rows, config, seed_key=(c,), pools=cache)
+                    assert got.tolist() == want.tolist()
+        assert len(cache) == len(pools)
 
 
 def twin_bursts(n_per=20, jiggle=None):
@@ -711,7 +808,9 @@ class TestTwoStage:
         repro = np.array([[1, 3], [1, 0], [0, 3], [3, 0], [3, 0]], float)
         labels, _, _ = spherical_kmeans(repro, 4, np.random.default_rng(764))
         assert sorted(set(labels.tolist())) == [0, 1, 3]
-        monkeypatch.setattr(clustering, "_refine_labels", lambda rows, config, seed_key: labels)
+        monkeypatch.setattr(
+            clustering, "_refine_labels", lambda rows, config, seed_key, pools: labels
+        )
         bursts = [make_burst(i, (3, 2, 1), (1, 6, 11)) for i in range(5)]
         final = two_stage_cluster(bursts, np.zeros(5, dtype=int), KmeansConfig(seed=6))
         assert final.tolist() == [2, 0, 1, 0, 0]

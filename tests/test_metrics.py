@@ -202,6 +202,36 @@ class TestProtocol:
         for method, reports in run_protocol(*args, jobs=2).items():
             assert reports == serial[method]
 
+    def test_one_fine_stage_cache_per_run(self, monkeypatch):
+        """Twin pools recur across draws, so one cache per run executes
+        fewer Lloyd runs than a memo per ``spherical_kmeans`` call; no
+        state survives a run, so a second run executes as many as the
+        first. The reports are the same every time."""
+        bursts = synthetic_bursts(n_devices=6, bursts_per=12, twins=True)
+        args = (bursts, EvalConfig(d=4, seed=2), DbscanConfig(min_pts=5), KmeansConfig())
+        runs = []
+        lloyd = clustering._lloyd
+
+        def counting_lloyd(unit, k, centers):
+            runs.append(k)
+            return lloyd(unit, k, centers)
+
+        monkeypatch.setattr(clustering, "_lloyd", counting_lloyd)
+        first = run_protocol(*args)
+        first_runs = len(runs)
+        assert run_protocol(*args) == first
+        second_runs = len(runs) - first_runs
+
+        kmeans = clustering.spherical_kmeans
+
+        def per_call_memo(rows, k, rng, history=None, pool=None):
+            return kmeans(rows, k, rng, history=history)
+
+        monkeypatch.setattr(clustering, "spherical_kmeans", per_call_memo)
+        runs.clear()
+        assert run_protocol(*args) == first
+        assert 0 < first_runs == second_runs < len(runs)
+
     def test_one_dbscan_per_draw_scores_both_methods(self, monkeypatch):
         """Each draw runs DBSCAN once; its coarse labels are the ie-only run."""
         bursts = synthetic_bursts(n_devices=5, bursts_per=12, twins=True)
@@ -233,9 +263,10 @@ class TestProtocol:
         truth labels."""
         bursts, eps_grid, minpts_grid, cfg = instance
         dbscan_cfg = DbscanConfig(eps=eps_grid[0], min_pts=minpts_grid[0])
+        pools = {}  # one fine-stage cache for every draw, as in run_protocol
         for p, s, pool in _protocol_pools(bursts, cfg):
             kmeans_cfg = KmeansConfig(seed=s)
-            reports = _score_subset((p, s, pool, dbscan_cfg, kmeans_cfg))
+            reports = _score_subset((p, s, pool, dbscan_cfg, kmeans_cfg), pools)
             coarse = ie_only_cluster(pool, dbscan_cfg)
             final = two_stage_cluster(pool, coarse, kmeans_cfg)
             truth = [b.truth_device for b in pool]

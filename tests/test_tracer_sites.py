@@ -14,6 +14,8 @@ from probederand.features import Burst
 from probederand.metrics import EvalConfig
 from probederand.randomness import DEFAULT_SEED, STREAM_KMEANS, substream
 
+from oracles import plain_spherical_kmeans
+
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -60,3 +62,34 @@ def test_protocol_runs_are_traced():
         assert len(runs) == 2  # p = 1, 2 with d = 1
         assert all(names[s["parent"]] == "metrics.run_protocol" for s in runs)
     assert names.count("clustering.dbscan") == names.count("clustering.dbscan_labels") == 2
+
+
+def test_protocol_iterations_count_every_restart(monkeypatch):
+    """Pools recur across draws and their Lloyd runs are memoised, but a
+    memo hit still adds its trace to ``history``: the traced protocol
+    counts the iterations of running every restart in full."""
+    bursts = [
+        Burst(i, bytes([2, 0, 0, 0, 0, i]), (10.0 * (i % 6 // 2), 0.0, 0.0),
+              ((1, 6, 11), (11, 6, 1), (6, 1, 11, 1))[i % 3], f"dev{i % 6}")
+        for i in range(36)
+    ]
+    args = (bursts, EvalConfig(d=3), DbscanConfig(min_pts=2), KmeansConfig(), 1)
+    tracer = load_tracer().Tracer()
+    with tracer.installed(probederand):
+        traced = probederand.cli.run_protocol(*args)
+    spans = [s for s in tracer.records() if s["name"] == "clustering.spherical_kmeans"]
+
+    plain_traces = []
+
+    def plain(rows, k, rng, history=None, pool=None):
+        history = [] if history is None else history
+        result = plain_spherical_kmeans(rows, k, rng, history)
+        plain_traces.append(history)
+        return result
+
+    monkeypatch.setattr(probederand.clustering, "spherical_kmeans", plain)
+    assert probederand.cli.run_protocol(*args) == traced
+    assert len(spans) == len(plain_traces) > 0
+    assert [s["counts"]["iterations"] for s in spans] == [
+        sum(map(len, history)) for history in plain_traces
+    ]
