@@ -10,10 +10,11 @@ Each subcommand's parser is the one record of the settings it takes:
 and the commands that draw random numbers (``cluster``, ``evaluate``,
 ``tune`` and ``generate``) take ``--seed``.
 
-Exit codes: 0 success, 1 processing error, 2 usage error (bad flags or
-setting values, a config file that is not a JSON object of correctly
-typed, in-range values or that holds a key no subcommand knows, or
-fewer than two labelled devices for ``evaluate`` and ``tune``).
+Exit codes: 0 success, 1 processing error, 2 usage error: bad flags or
+setting values, a missing input path, a config file that cannot be read
+or is not a JSON object of known keys with correctly typed, in-range
+values, or fewer than two labelled devices for ``evaluate`` and
+``tune``. ``main`` prints every error as one ``error: <message>`` line.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -32,6 +32,7 @@ from .clustering import (
     NOISE,
     DbscanConfig,
     KmeansConfig,
+    UsageError,
     ie_only_cluster,
     n_clusters,
     two_stage_labelings,
@@ -39,7 +40,6 @@ from .clustering import (
 )
 from .features import (
     DEFAULT_BURST_GAP,
-    Burst,
     group_bursts,
     ie_stability_violations,
     read_feature_file,
@@ -50,7 +50,6 @@ from .metrics import (
     METHOD_TWO_STAGE,
     METHODS,
     EvalConfig,
-    group_by_device,
     run_protocol,
     tune_dbscan,
     write_report_files,
@@ -73,32 +72,18 @@ DEFAULTS = {
 }
 
 
-class UsageError(Exception):
-    """Input the command cannot be run on as given (exit code 2)."""
-
-
-@contextmanager
-def _settings():
-    """Scope that reads a command's settings: a ValueError raised in it
-    (a value out of range, a grid that does not parse) is a usage error."""
-    try:
-        yield
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _check_ranges(settings: dict) -> None:
-    """Raise ValueError for the first value out of range among
+    """Raise UsageError for the first value out of range among
     ``settings``, which holds every ``DEFAULTS`` key."""
     DbscanConfig(eps=settings["eps"], min_pts=settings["min_pts"])
     KmeansConfig(k_max=settings["k_max"], seed=settings["seed"])
     EvalConfig(d=settings["d"], seed=settings["seed"])
     if settings["jobs"] < 1:
-        raise ValueError("jobs must be at least 1")
+        raise UsageError("jobs must be at least 1")
     if not settings["gap_seconds"] > 0:
-        raise ValueError("gap_seconds must be positive")
+        raise UsageError("gap_seconds must be positive")
     if settings["method"] not in METHODS:
-        raise ValueError(f"method must be one of {', '.join(METHODS)}, got {settings['method']!r}")
+        raise UsageError(f"method must be one of {', '.join(METHODS)}, got {settings['method']!r}")
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
@@ -106,15 +91,19 @@ def _effective_config(args: argparse.Namespace) -> dict:
     ``DEFAULTS`` key the subcommand's parser defines.
 
     A config file may hold any ``DEFAULTS`` key, so one file serves every
-    subcommand, and every command checks the whole file: a key outside
-    ``DEFAULTS``, a value without its default's type (an integer may
-    stand for a float), or a value out of range is a usage error.
+    subcommand, and every command checks the whole file: a file that
+    cannot be read or parsed, a key outside ``DEFAULTS``, a value without
+    its default's type (an integer may stand for a float), or a value
+    out of range is a usage error.
     """
     keys = [k for k in DEFAULTS if k in vars(args)]
     config = {k: DEFAULTS[k] for k in keys}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
         for k, value in loaded.items():
@@ -124,7 +113,9 @@ def _effective_config(args: argparse.Namespace) -> dict:
                     f"(known keys: {', '.join(sorted(DEFAULTS))})"
                 )
             expected = (int, float) if isinstance(DEFAULTS[k], float) else type(DEFAULTS[k])
-            if isinstance(value, bool) or not isinstance(value, expected):
+            # An integer stands for a float only if float() can convert it.
+            too_big = expected == (int, float) and type(value) is int and abs(value) > sys.float_info.max
+            if isinstance(value, bool) or not isinstance(value, expected) or too_big:
                 name = type(DEFAULTS[k]).__name__
                 article = "an" if name[0] in "aeiou" else "a"
                 raise UsageError(
@@ -132,7 +123,7 @@ def _effective_config(args: argparse.Namespace) -> dict:
                 )
         try:
             _check_ranges({**DEFAULTS, **loaded})
-        except ValueError as exc:
+        except UsageError as exc:
             raise UsageError(f"config file {args.config}: {exc}") from exc
         config.update((k, loaded[k]) for k in keys if k in loaded)
     for k in keys:
@@ -148,15 +139,6 @@ def _header(subcommand: str, config: dict) -> str:
     return f"probederand {__version__} | {subcommand} | {settings} | ie_encoding=byte-sum"
 
 
-def _read_labelled(path) -> list[Burst]:
-    """Bursts of a feature file labelled with at least two devices."""
-    bursts = read_feature_file(path)
-    n_devices = len(group_by_device(bursts))
-    if n_devices < 2:
-        raise UsageError(f"{path}: the subset protocol needs at least 2 labelled devices, found {n_devices}")
-    return bursts
-
-
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -164,8 +146,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    with _settings():
-        config = _effective_config(args)
+    config = _effective_config(args)
     diagnostics = ParseDiagnostics()
     labeled = read_dataset(args.dataset_root, diagnostics)
     frames = [frame for frame, _ in labeled]
@@ -197,10 +178,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    with _settings():
-        config = _effective_config(args)
-        dbscan_cfg = DbscanConfig(eps=config["eps"], min_pts=config["min_pts"])
-        kmeans_cfg = KmeansConfig(k_max=config["k_max"], seed=config["seed"])
+    config = _effective_config(args)
+    dbscan_cfg = DbscanConfig(eps=config["eps"], min_pts=config["min_pts"])
+    kmeans_cfg = KmeansConfig(k_max=config["k_max"], seed=config["seed"])
     bursts = read_feature_file(args.features)
     if config["method"] == METHOD_IE_ONLY:
         coarse = final = ie_only_cluster(bursts, dbscan_cfg)
@@ -225,12 +205,11 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    with _settings():
-        config = _effective_config(args)
-        dbscan_cfg = DbscanConfig(eps=config["eps"], min_pts=config["min_pts"])
-        kmeans_cfg = KmeansConfig(k_max=config["k_max"], seed=config["seed"])
-        eval_cfg = EvalConfig(d=config["d"], seed=config["seed"])
-    bursts = _read_labelled(args.features)
+    config = _effective_config(args)
+    dbscan_cfg = DbscanConfig(eps=config["eps"], min_pts=config["min_pts"])
+    kmeans_cfg = KmeansConfig(k_max=config["k_max"], seed=config["seed"])
+    eval_cfg = EvalConfig(d=config["d"], seed=config["seed"])
+    bursts = read_feature_file(args.features)
     sections = run_protocol(bursts, eval_cfg, dbscan_cfg, kmeans_cfg, config["jobs"])
     out = _out_dir(args)
     write_report_files(
@@ -247,17 +226,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    with _settings():
-        config = _effective_config(args)
-        eval_cfg = EvalConfig(d=config["d"], seed=config["seed"])
+    config = _effective_config(args)
+    eval_cfg = EvalConfig(d=config["d"], seed=config["seed"])
+    try:
         eps_grid = [float(x) for x in args.eps_grid.split(",") if x != ""]
         minpts_grid = [int(x) for x in args.minpts_grid.split(",") if x != ""]
-        if not eps_grid or not minpts_grid:
-            raise ValueError("hyperparameter grids must be non-empty")
-        for eps in eps_grid:
-            for min_pts in minpts_grid:
-                DbscanConfig(eps=eps, min_pts=min_pts)
-    bursts = _read_labelled(args.features)
+    except ValueError as exc:
+        raise UsageError(f"hyperparameter grid: {exc}") from exc
+    bursts = read_feature_file(args.features)
     rows = tune_dbscan(bursts, eps_grid, minpts_grid, eval_cfg)
     out = _out_dir(args)
     config["eps_grid"] = args.eps_grid
@@ -282,6 +258,21 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a UsageError instead of printing a
+    usage block and exiting, so ``main`` reports it like any other."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _existing_path(text: str) -> str:
+    """Argument type of an input path, which must exist."""
+    if not Path(text).exists():
+        raise argparse.ArgumentTypeError(f"path does not exist: {text}")
+    return text
+
+
 def _add_settings(parser: argparse.ArgumentParser, *, seeded: bool) -> None:
     """``--out`` and ``--config`` for a command that reads settings, and
     ``--seed`` when the command draws random numbers."""
@@ -292,7 +283,7 @@ def _add_settings(parser: argparse.ArgumentParser, *, seeded: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="probederand",
         description="De-randomize probe-request MAC addresses by two-stage burst clustering.",
     )
@@ -300,60 +291,55 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_ingest = sub.add_parser("ingest", help="parse a dataset tree into a burst feature file")
-    p_ingest.add_argument("dataset_root", help="directory laid out as <root>/<device-id>/<channel>.pcap")
+    p_ingest.add_argument(
+        "dataset_root", type=_existing_path, help="directory laid out as <root>/<device-id>/<channel>.pcap"
+    )
     p_ingest.add_argument("--gap-seconds", dest="gap_seconds", type=float, default=None)
     _add_settings(p_ingest, seeded=False)
-    p_ingest.set_defaults(func=cmd_ingest, inputs=["dataset_root"])
+    p_ingest.set_defaults(func=cmd_ingest)
 
     p_cluster = sub.add_parser("cluster", help="run the clustering pipeline on a feature file")
-    p_cluster.add_argument("features", help="burst feature file from ingest")
+    p_cluster.add_argument("features", type=_existing_path, help="burst feature file from ingest")
     p_cluster.add_argument("--eps", type=float, default=None)
     p_cluster.add_argument("--min-pts", dest="min_pts", type=int, default=None)
     p_cluster.add_argument("--k-max", dest="k_max", type=int, default=None)
     p_cluster.add_argument("--method", choices=METHODS, default=None)
     _add_settings(p_cluster, seeded=True)
-    p_cluster.set_defaults(func=cmd_cluster, inputs=["features"])
+    p_cluster.set_defaults(func=cmd_cluster)
 
     p_eval = sub.add_parser("evaluate", help="run the subset protocol for both methods")
-    p_eval.add_argument("features", help="labeled burst feature file")
+    p_eval.add_argument("features", type=_existing_path, help="labeled burst feature file")
     p_eval.add_argument("--eps", type=float, default=None)
     p_eval.add_argument("--min-pts", dest="min_pts", type=int, default=None)
     p_eval.add_argument("--k-max", dest="k_max", type=int, default=None)
     p_eval.add_argument("--d", type=int, default=None, help="subsets per population size")
     p_eval.add_argument("--jobs", type=int, default=None, help="parallel protocol runs (at most one per CPU)")
     _add_settings(p_eval, seeded=True)
-    p_eval.set_defaults(func=cmd_evaluate, inputs=["features"])
+    p_eval.set_defaults(func=cmd_evaluate)
 
     p_tune = sub.add_parser("tune", help="sweep DBSCAN hyperparameters")
-    p_tune.add_argument("features", help="labeled burst feature file")
+    p_tune.add_argument("features", type=_existing_path, help="labeled burst feature file")
     p_tune.add_argument("--eps-grid", required=True, help="comma-separated eps values")
     p_tune.add_argument("--minpts-grid", required=True, help="comma-separated MinPts values")
     p_tune.add_argument("--d", type=int, default=None)
     _add_settings(p_tune, seeded=True)
-    p_tune.set_defaults(func=cmd_tune, inputs=["features"])
+    p_tune.set_defaults(func=cmd_tune)
 
     p_gen = sub.add_parser("generate", help="synthesize a labeled capture dataset")
-    p_gen.add_argument("scenario", help="scenario JSON document")
+    p_gen.add_argument("scenario", type=_existing_path, help="scenario JSON document")
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--overwrite", action="store_true")
     p_gen.add_argument("--seed", type=int, default=None, help="seed that overrides the scenario's own")
-    p_gen.set_defaults(func=cmd_generate, inputs=["scenario"])
+    p_gen.set_defaults(func=cmd_generate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for name in args.inputs:
-        if not Path(getattr(args, name)).exists():
-            parser.error(f"{name} path does not exist: {getattr(args, name)}")
-    config = getattr(args, "config", None)
-    if config is not None and not Path(config).exists():
-        parser.error(f"config path does not exist: {config}")
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (UsageError, CaptureError, ValueError, OSError) as exc:
+    except (CaptureError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
 

@@ -32,6 +32,12 @@ THRESHOLD_SPAN = 0.6
 DBSCAN_BLOCK_ROWS = 256
 
 
+class UsageError(ValueError):
+    """Settings or input a call cannot be run on as given: a setting out
+    of range, an empty hyperparameter grid, or fewer than two labelled
+    devices for the subset protocol (the CLI's exit code 2)."""
+
+
 @dataclass(frozen=True)
 class DbscanConfig:
     """Coarse-stage neighborhood radius and density threshold."""
@@ -41,9 +47,9 @@ class DbscanConfig:
 
     def __post_init__(self) -> None:
         if not self.eps > 0:
-            raise ValueError("eps must be positive")
+            raise UsageError("eps must be positive")
         if self.min_pts < 1:
-            raise ValueError("min_pts must be at least 1")
+            raise UsageError("min_pts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,7 @@ class KmeansConfig:
 
     def __post_init__(self) -> None:
         if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
+            raise UsageError("k_max must be at least 1")
 
 
 def _dbscan_prepare(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

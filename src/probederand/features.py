@@ -209,9 +209,9 @@ def read_feature_file(path) -> list[Burst]:
             if len(row) != len(FEATURE_FIELDS):
                 raise ValueError(f"expected {len(FEATURE_FIELDS)} fields, got {len(row)}")
             channel_vector = tuple(int(c) for c in row[7].split(";") if c != "")
-            if channel_vector and (min(channel_vector) < 0 or max(channel_vector) == 0):
+            if channel_vector and (min(channel_vector) < 0 or not 0 < max(channel_vector) <= 255):
                 raise ValueError(
-                    f"channel_vector needs a positive entry and no negative one, got {row[7]!r}"
+                    f"channel_vector needs entries in 0..255 and a positive one, got {row[7]!r}"
                 )
             ie_features = (float(row[4]), float(row[5]), float(row[6]))
             if not all(math.isfinite(x) for x in ie_features):

@@ -18,6 +18,7 @@ import numpy as np
 from .clustering import (
     DbscanConfig,
     KmeansConfig,
+    UsageError,
     _dbscan_neighbours,
     _dbscan_prepare,
     _dbscan_scan,
@@ -56,7 +57,7 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         if self.d < 1:
-            raise ValueError("d must be at least 1")
+            raise UsageError("d must be at least 1")
 
 
 def _encode(labels: Sequence) -> tuple[int, np.ndarray]:
@@ -168,12 +169,12 @@ def _protocol_pools(
 ) -> list[tuple[int, int, list[Burst]]]:
     """(p, subset index, pooled bursts in id order) for every draw.
 
-    Raises ValueError when the bursts name fewer than two devices, which
+    Raises UsageError when the bursts name fewer than two devices, which
     leaves the protocol no draw to score.
     """
     by_device = group_by_device(bursts)
     if len(by_device) < 2:
-        raise ValueError(
+        raise UsageError(
             f"the subset protocol needs at least 2 labelled devices, found {len(by_device)}"
         )
     return [
@@ -242,7 +243,7 @@ def run_protocol(
     and independent of execution order. ``kmeans_cfg.seed`` is not read:
     every draw's k-means seed comes from ``eval_cfg.seed``. ``jobs``
     worker processes (at most one per CPU) share the draws. Raises
-    ValueError when the bursts name fewer than two devices.
+    UsageError when the bursts name fewer than two devices.
 
     Draws often refine the same fine-stage pool: a coarse pool is a
     union of whole devices, and the same devices are drawn together
@@ -323,8 +324,9 @@ def tune_dbscan(
     Every grid point is scored on the same subset draws; the table is
     sorted best-first: descending mean V-measure, then ascending mean
     absolute Delta, then (eps, min_pts) for stable ties. Every grid
-    point is validated before any pool is clustered. Raises ValueError
-    when the bursts name fewer than two devices.
+    point is validated before any pool is clustered. Raises UsageError
+    for an empty grid, a grid point out of range, or bursts that name
+    fewer than two devices.
 
     Each pool is normalized, collapsed to its distinct rows and has its
     truth labels encoded once; its neighbour booleans are built once
@@ -334,7 +336,7 @@ def tune_dbscan(
     grid point clusters every pool from scratch.
     """
     if len(eps_grid) == 0 or len(minpts_grid) == 0:
-        raise ValueError("hyperparameter grids must be non-empty")
+        raise UsageError("hyperparameter grids must be non-empty")
     # Per eps, per min_pts: the grid point's config and its V-measures
     # and |Delta|s in pool order.
     grid = [

@@ -11,11 +11,11 @@ import types
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probederand import __version__, metrics
-from probederand.cli import main
+from probederand.cli import DEFAULTS, main
 from probederand.clustering import (
     DbscanConfig,
     KmeansConfig,
@@ -52,25 +52,58 @@ def workspace(tmp_path_factory):
     return {"base": base, "scenario": scenario_path, "dataset": dataset, "features": features}
 
 
+def assert_usage_error(argv, capsys):
+    """``main(argv)`` returns 2 and prints one ``error:`` line, returned."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
 class TestExitCodes:
     def test_missing_input_is_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["ingest", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")])
-        assert excinfo.value.code == 2
-        assert "usage" in capsys.readouterr().err
+        missing = tmp_path / "nowhere"
+        err = assert_usage_error(["ingest", str(missing), "--out", str(tmp_path / "o")], capsys)
+        assert f"path does not exist: {missing}" in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_is_usage_error(self, workspace, tmp_path, capsys):
         argv = ["cluster", str(workspace["features"]), "--out", str(tmp_path / "o")]
-        with pytest.raises(SystemExit) as excinfo:
-            main([*argv, "--config", str(tmp_path / "nowhere.json")])
-        assert excinfo.value.code == 2
-        assert "config path does not exist" in capsys.readouterr().err
+        missing = tmp_path / "nowhere.json"
+        err = assert_usage_error([*argv, "--config", str(missing)], capsys)
+        assert f"config file {missing}: " in err and "No such file" in err
         assert not (tmp_path / "o").exists()
 
-    def test_no_subcommand_is_usage_error(self):
+    def test_no_subcommand_is_usage_error(self, capsys):
+        assert "subcommand" in assert_usage_error([], capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "{features}", "--out", "{out}", "--bogus"],
+            ["evaluate", "{features}", "--out", "{out}", "--d", "abc"],
+            ["cluster", "{features}"],
+            [],
+            ["cluster", "{tmp}/nowhere.csv", "--out", "{out}"],
+            ["cluster", "{features}", "--out", "{out}", "--config", "{tmp}/nowhere.json"],
+            ["cluster", "{features}", "--out", "{out}", "--config", "{tmp}"],
+        ],
+        ids=["unknown-flag", "bad-int", "no-out", "no-subcommand", "missing-input",
+             "missing-config", "config-is-a-directory"],
+    )
+    def test_usage_error_is_one_line(self, workspace, tmp_path, capsys, argv):
+        """argparse's errors, paths and unreadable config files end like
+        every other usage error: exit 2, one line, nothing written."""
+        fill = {"features": workspace["features"], "out": tmp_path / "o", "tmp": tmp_path}
+        assert_usage_error([arg.format(**fill) for arg in argv], capsys)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["cluster", "--help"]], ids=" ".join)
+    def test_help_and_version_exit_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
-            main([])
-        assert excinfo.value.code == 2
+            main(argv)
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out
 
     def test_processing_error_is_one(self, tmp_path):
         bad = tmp_path / "bad.pcap.d"
@@ -92,10 +125,8 @@ class TestExitCodes:
         config.write_text("{}")
         source = workspace["dataset" if command == "ingest" else "scenario"]
         value = {"--seed": "1", "--config": str(config)}[flag]
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, str(source), "--out", str(tmp_path / "o"), flag, value])
-        assert excinfo.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        err = assert_usage_error([command, str(source), "--out", str(tmp_path / "o"), flag, value], capsys)
+        assert f"unrecognized arguments: {flag}" in err
         assert not (tmp_path / "o").exists()
 
 
@@ -163,6 +194,21 @@ class TestCluster:
         assert err.startswith(f"error: {broken}:3: ") and err.count("\n") == 1
         assert "channel_vector" in err
 
+    @pytest.mark.parametrize("vector", ["1;256;6", "1;" + "9" * 400 + ";6"], ids=["256", "beyond-float"])
+    def test_channel_entry_beyond_a_byte_is_one_line(self, workspace, tmp_path, capsys, vector):
+        """Channel numbers fit a byte; an entry too large for a float once
+        ended in a traceback from ``pad_matrix``."""
+        broken = tmp_path / "huge.csv"
+        lines = workspace["features"].read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[3], fields[-1] = "3", vector
+        lines[2] = ",".join(fields)
+        broken.write_text("\n".join(lines) + "\n")
+        assert main(["cluster", str(broken), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {broken}:3: ") and err.count("\n") == 1
+        assert "0..255" in err
+
     @pytest.mark.parametrize("command", [["cluster"], ["evaluate", "--d", "1"]], ids=" ".join)
     def test_repeated_burst_id_is_one_line(self, workspace, tmp_path, capsys, command):
         repeated = tmp_path / "repeated.csv"
@@ -201,12 +247,6 @@ class TestConfigPrecedence:
 class TestUsageErrors:
     """Bad configuration or too little input ends with exit 2 and one line."""
 
-    def assert_usage_error(self, argv, capsys):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        return err
-
     @pytest.mark.parametrize(
         "content, message",
         # d belongs to evaluate and tune; cluster checks it all the same.
@@ -221,19 +261,19 @@ class TestUsageErrors:
         config = tmp_path / "cfg.json"
         config.write_text(content)
         argv = ["cluster", str(workspace["features"]), "--out", str(tmp_path / "o"), "--config", str(config)]
-        assert message in self.assert_usage_error(argv, capsys)
+        assert message in assert_usage_error(argv, capsys)
 
     def test_config_that_is_not_an_object(self, workspace, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text("[1, 2]")
         argv = ["cluster", str(workspace["features"]), "--out", str(tmp_path / "o"), "--config", str(config)]
-        assert "JSON object" in self.assert_usage_error(argv, capsys)
+        assert "JSON object" in assert_usage_error(argv, capsys)
 
     def test_config_that_is_not_json(self, workspace, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text("{eps: 0.1}")
         argv = ["cluster", str(workspace["features"]), "--out", str(tmp_path / "o"), "--config", str(config)]
-        self.assert_usage_error(argv, capsys)
+        assert_usage_error(argv, capsys)
 
     @pytest.mark.parametrize(
         "command",
@@ -252,7 +292,7 @@ class TestUsageErrors:
     )
     def test_bad_flag_value(self, workspace, tmp_path, capsys, command):
         source = workspace["dataset" if command[0] == "ingest" else "features"]
-        self.assert_usage_error([command[0], str(source), "--out", str(tmp_path / "o"), *command[1:]], capsys)
+        assert_usage_error([command[0], str(source), "--out", str(tmp_path / "o"), *command[1:]], capsys)
 
     @pytest.mark.parametrize(
         "command, content",
@@ -269,7 +309,7 @@ class TestUsageErrors:
         config.write_text(content)
         source = workspace["dataset" if command == "ingest" else "features"]
         argv = [command, str(source), "--out", str(tmp_path / "o"), "--config", str(config)]
-        self.assert_usage_error(argv, capsys)
+        assert_usage_error(argv, capsys)
 
     @pytest.mark.parametrize(
         "command, content, message",
@@ -298,7 +338,7 @@ class TestUsageErrors:
         argv = [command, str(source), "--out", str(tmp_path / "o"), "--config", str(config)]
         if command == "tune":
             argv += ["--eps-grid", "0.05", "--minpts-grid", "5"]
-        err = self.assert_usage_error(argv, capsys)
+        err = assert_usage_error(argv, capsys)
         assert f"config file {config}: {message}" in err
         assert not (tmp_path / "o").exists()
 
@@ -307,7 +347,7 @@ class TestUsageErrors:
         config.write_text('{"jobs": 0}')
         argv = ["evaluate", str(workspace["features"]), "--out", str(tmp_path / "o"),
                 "--config", str(config), "--jobs", "1"]
-        assert "jobs must be at least 1" in self.assert_usage_error(argv, capsys)
+        assert "jobs must be at least 1" in assert_usage_error(argv, capsys)
 
     @pytest.mark.parametrize(
         "command, content, key",
@@ -324,7 +364,7 @@ class TestUsageErrors:
         argv = [command, str(source), "--out", str(tmp_path / "o"), "--config", str(config)]
         if command == "tune":
             argv += ["--eps-grid", "0.05", "--minpts-grid", "5"]
-        assert f"unknown key {key} " in self.assert_usage_error(argv, capsys)
+        assert f"unknown key {key} " in assert_usage_error(argv, capsys)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -364,7 +404,7 @@ class TestUsageErrors:
         rows = [row for row in lines[header_at + 1 :] if row.split(",")[2] == "uniq0"]
         single.write_text("\n".join(lines[: header_at + 1] + rows) + "\n")
         argv = [command[0], str(single), "--out", str(tmp_path / "o"), *command[1:]]
-        assert "at least 2 labelled devices" in self.assert_usage_error(argv, capsys)
+        assert "at least 2 labelled devices" in assert_usage_error(argv, capsys)
 
 
 class TestJobs:
@@ -426,7 +466,11 @@ class TestEvaluate:
         summary = (out / "report_summary.csv").read_text().splitlines()
         assert summary[1] == "method,p,mean_v,std_v,mean_h,std_h,mean_c,std_c,rmse"
 
-    def test_unlabeled_features_rejected(self, workspace, tmp_path):
+    @pytest.mark.parametrize(
+        "command", [["evaluate"], ["tune", "--eps-grid", "0.05", "--minpts-grid", "5"]], ids=lambda c: c[0]
+    )
+    def test_unlabeled_features_rejected(self, workspace, tmp_path, capsys, command):
+        """Input without labels is a processing error, not a usage error."""
         stripped = tmp_path / "unlabeled.csv"
         lines = workspace["features"].read_text().splitlines()
         header_at = 1 if lines[0].startswith("#") else 0
@@ -436,7 +480,9 @@ class TestEvaluate:
             fields[2] = ""
             rows.append(",".join(fields))
         stripped.write_text("\n".join(rows) + "\n")
-        assert main(["evaluate", str(stripped), "--out", str(tmp_path / "x")]) == 1
+        assert main([command[0], str(stripped), "--out", str(tmp_path / "x"), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: burst ") and "ground-truth" in err and err.count("\n") == 1
 
     def test_rerun_byte_identical(self, workspace, tmp_path):
         args = ["evaluate", str(workspace["features"]), "--d", "2", "--seed", "3"]
@@ -651,7 +697,45 @@ def small_tree(tmp_path_factory):
     return dataset, sorted(p.relative_to(dataset) for p in dataset.rglob("*.pcap"))
 
 
+@pytest.fixture(scope="module")
+def small_features(small_tree, tmp_path_factory):
+    """The small capture tree's feature file."""
+    out = tmp_path_factory.mktemp("fuzz-ingest")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ingest", str(small_tree[0]), "--out", str(out)]) == 0
+    return out / "bursts.csv"
+
+
+# Random JSON values: integers, integers beyond a float's range, floats
+# with NaN and infinities, and values of the wrong kind.
+CONFIG_VALUES = st.one_of(
+    st.integers(),
+    st.integers(min_value=1).map(lambda n: n * 10**400),
+    st.floats(),
+    st.text(max_size=8) | st.booleans() | st.none() | st.lists(st.integers(), max_size=2),
+)
+
+
 class TestNeverATraceback:
+    @given(st.dictionaries(st.sampled_from(sorted(DEFAULTS)), CONFIG_VALUES, min_size=1, max_size=2))
+    @example({"eps": 10**400})  # once an OverflowError inside DBSCAN
+    @settings(max_examples=50, deadline=None)
+    def test_random_config_values_end_in_exit_0_or_usage_error(self, small_features, config):
+        """A config file of random values, NaN, infinities and integers
+        beyond a float included, never escapes ``main`` as a traceback
+        through ``cluster``, nor is it a processing error: the command
+        exits 0, or 2 with a single ``error:`` line."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(config))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(
+                    ["cluster", str(small_features), "--out", str(Path(tmp) / "o"), "--config", str(path)]
+                )
+        lines = err.getvalue().splitlines()
+        assert code == 0 or (code == 2 and len(lines) == 1 and lines[0].startswith("error: ")), (config, lines)
+
     @given(
         st.lists(
             st.tuples(st.integers(0, 63), st.integers(0, 1 << 20), st.integers(0, 255)),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probederand import clustering, metrics
+from probederand import UsageError, clustering, metrics
 from probederand.clustering import (
     DbscanConfig,
     KmeansConfig,
@@ -387,6 +387,33 @@ class TestTune:
             tune_dbscan(bursts, [0.05, 0.3, 0.9], [5, 10], cfg)
             assert calls == {"_dbscan_prepare": pools, "_dbscan_neighbours": 3 * pools}
             calls.update({name: 0 for name in calls})
+
+
+class TestUsageError:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: DbscanConfig(eps=-1),
+            lambda: EvalConfig(d=0),
+            lambda: tune_dbscan(synthetic_bursts(n_devices=3), [], [5], EvalConfig(d=1, seed=1)),
+            lambda: run_protocol(
+                synthetic_bursts(n_devices=1), EvalConfig(d=1, seed=1), DbscanConfig(), KmeansConfig()
+            ),
+        ],
+        ids=["eps", "d", "empty-grid", "one-device"],
+    )
+    def test_settings_a_call_cannot_run_on(self, call):
+        """A UsageError is a ValueError, so callers that catch ValueError
+        still catch it."""
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert isinstance(excinfo.value, UsageError)
+
+    def test_unlabelled_burst_is_not_a_usage_error(self):
+        burst = Burst(0, b"\x02\x00\x00\x00\x00\x01", (1.0, 2.0, 3.0), (1, 6))
+        with pytest.raises(ValueError) as excinfo:
+            run_protocol([burst], EvalConfig(d=1), DbscanConfig(), KmeansConfig())
+        assert not isinstance(excinfo.value, UsageError)
 
 
 class TestEvalConfig:
