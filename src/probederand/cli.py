@@ -33,6 +33,7 @@ from .clustering import (
     DbscanConfig,
     KmeansConfig,
     UsageError,
+    _sorted_bursts,
     ie_only_cluster,
     n_clusters,
     two_stage_labelings,
@@ -183,7 +184,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     kmeans_cfg = KmeansConfig(k_max=config["k_max"], seed=config["seed"])
     bursts = read_feature_file(args.features)
     if config["method"] == METHOD_IE_ONLY:
-        coarse = final = ie_only_cluster(bursts, dbscan_cfg)
+        coarse = final = ie_only_cluster([b.ie_features for b in _sorted_bursts(bursts)], dbscan_cfg)
     else:
         coarse, final = two_stage_labelings(bursts, dbscan_cfg, kmeans_cfg)
     out = _out_dir(args)
@@ -273,10 +274,17 @@ def _existing_path(text: str) -> str:
     return text
 
 
+def _out_path(text: str) -> str:
+    """Argument type of an output directory, made after the work: neither it nor a parent may be a file."""
+    if any(p.exists() and not p.is_dir() for p in (Path(text), *Path(text).parents)):
+        raise argparse.ArgumentTypeError(f"not a directory: {text}")
+    return text
+
+
 def _add_settings(parser: argparse.ArgumentParser, *, seeded: bool) -> None:
     """``--out`` and ``--config`` for a command that reads settings, and
     ``--seed`` when the command draws random numbers."""
-    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--out", required=True, type=_out_path, help="output directory")
     parser.add_argument("--config", help="JSON config file (flags take precedence)")
     if seeded:
         parser.add_argument("--seed", type=int, default=None, help=f"run seed (default {DEFAULT_SEED})")
@@ -327,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="synthesize a labeled capture dataset")
     p_gen.add_argument("scenario", type=_existing_path, help="scenario JSON document")
-    p_gen.add_argument("--out", required=True, help="output directory")
+    p_gen.add_argument("--out", required=True, type=_out_path, help="output directory")
     p_gen.add_argument("--overwrite", action="store_true")
     p_gen.add_argument("--seed", type=int, default=None, help="seed that overrides the scenario's own")
     p_gen.set_defaults(func=cmd_generate)

@@ -385,7 +385,7 @@ def _refine_labels(
 ) -> np.ndarray:
     """Fine-stage labels of one pool's rows. ``pools`` maps a pool's
     (shape, bytes) to its ``_Pool``; the shape is part of the key
-    because each draw pads its rows to its own width."""
+    because each protocol draw cuts its rows to its own widest burst."""
     key = (rows.shape, rows.tobytes())
     pool = pools.get(key)
     # Once k reaches the pool's distinct rows, D² seeding has a centre on
@@ -416,45 +416,41 @@ def _sorted_bursts(bursts: Sequence[Burst]) -> list[Burst]:
     return ordered
 
 
-def _ie_rows(bursts: Sequence[Burst]) -> np.ndarray:
-    """Normalized IE fingerprints of the bursts in ascending burst-id order."""
-    return normalize_ie_matrix([b.ie_features for b in _sorted_bursts(bursts)])
-
-
-def ie_only_cluster(bursts: Sequence[Burst], dbscan_cfg: DbscanConfig) -> np.ndarray:
-    """Coarse stage alone: DBSCAN over normalized IE fingerprints.
-
-    Labels are in ascending burst-id order (noise = ``NOISE``).
-    """
-    return dbscan(_ie_rows(bursts), dbscan_cfg)
+def ie_only_cluster(ie_features: Sequence[Sequence[float]], dbscan_cfg: DbscanConfig) -> np.ndarray:
+    """Coarse stage alone: DBSCAN over the raw IE fingerprint rows
+    ``ie_features``, min-max normalized among themselves. Labels follow
+    the rows given (noise = ``NOISE``)."""
+    return dbscan(normalize_ie_matrix(ie_features), dbscan_cfg)
 
 
 def two_stage_cluster(
-    bursts: Sequence[Burst],
+    channels: np.ndarray,
     coarse: np.ndarray,
     kmeans_cfg: KmeansConfig,
     pools: Optional[dict] = None,
 ) -> np.ndarray:
-    """Fine stage: refine the ``coarse`` labels (ascending burst-id
-    order, as ``ie_only_cluster`` returns them) into the final labels.
+    """Fine stage: refine the ``coarse`` labels of the zero-padded
+    channel-vector rows ``channels`` into final labels of the same rows.
 
     Each coarse cluster is refined independently; final labels are the
     disjoint union of all sub-clusters, renumbered contiguously. Noise
-    bursts stay noise and are excluded from the cluster count.
-    ``pools``, a dict the caller owns (``run_protocol`` keeps one per
-    run), shares each prepared pool and its k-means memos between calls
-    that refine the same rows; without it the call keeps its own.
+    rows stay noise and are excluded from the cluster count. Raises
+    ValueError unless ``coarse`` holds one label per row, each ``NOISE``
+    or a cluster of 0..n-1 with none skipped. ``pools``, a dict the
+    caller owns (``run_protocol`` keeps one per run), shares each
+    prepared pool and its k-means memos between calls that refine the
+    same rows; without it the call keeps its own.
     """
     pools = {} if pools is None else pools
-    ordered = _sorted_bursts(bursts)
-    if len(coarse) != len(ordered):
-        raise ValueError(f"{len(coarse)} coarse labels for {len(ordered)} bursts")
-    padded = pad_matrix([b.channel_vector for b in ordered])
-    final = np.full(len(ordered), NOISE, dtype=int)
+    if len(coarse) != len(channels):
+        raise ValueError(f"{len(coarse)} coarse labels for {len(channels)} rows")
+    if np.any(coarse < NOISE) or not np.bincount(coarse[coarse != NOISE]).all():
+        raise ValueError("coarse labels must be NOISE or clusters numbered 0..n-1 with none skipped")
+    final = np.full(len(coarse), NOISE, dtype=int)
     next_label = 0
     for c in range(n_clusters(coarse)):
         members = np.flatnonzero(coarse == c)
-        sub = _refine_labels(padded[members], kmeans_cfg, seed_key=(c,), pools=pools)
+        sub = _refine_labels(channels[members], kmeans_cfg, seed_key=(c,), pools=pools)
         for s in np.flatnonzero(np.bincount(sub)):
             final[members[sub == s]] = next_label
             next_label += 1
@@ -468,8 +464,9 @@ def two_stage_labelings(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(coarse, final) labels of the full two-stage pipeline, in
     ascending burst-id order."""
-    coarse = ie_only_cluster(bursts, dbscan_cfg)
-    return coarse, two_stage_cluster(bursts, coarse, kmeans_cfg)
+    ordered = _sorted_bursts(bursts)
+    coarse = ie_only_cluster([b.ie_features for b in ordered], dbscan_cfg)
+    return coarse, two_stage_cluster(pad_matrix([b.channel_vector for b in ordered]), coarse, kmeans_cfg)
 
 
 LABELING_FIELDS = ("burst_id", "source_mac", "truth_device", "coarse_label", "final_label")
@@ -484,8 +481,8 @@ def write_labeling_file(
 ) -> None:
     """CSV of per-burst coarse and final labels (noise rendered as -1).
 
-    The labels are in ascending burst-id order, as the clustering
-    functions return them.
+    The labels are in ascending burst-id order, as
+    ``two_stage_labelings`` returns them, and so are the rows.
     """
     rows = (
         [b.burst_id, mac_to_str(b.source_mac), b.truth_device or "", c, f]

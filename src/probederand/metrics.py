@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -22,12 +23,12 @@ from .clustering import (
     _dbscan_neighbours,
     _dbscan_prepare,
     _dbscan_scan,
-    _ie_rows,
+    _sorted_bursts,
     ie_only_cluster,
     n_clusters,
     two_stage_cluster,
 )
-from .features import Burst, write_table
+from .features import Burst, normalize_ie_matrix, pad_matrix, write_table
 from .randomness import DEFAULT_SEED, STREAM_KMEANS, STREAM_SAMPLING, child_seed, substream
 
 METHOD_TWO_STAGE = "two-stage"
@@ -164,34 +165,29 @@ def draw_subsets(
     return draws
 
 
-def _protocol_pools(
-    bursts: Sequence[Burst], eval_cfg: EvalConfig
-) -> list[tuple[int, int, list[Burst]]]:
-    """(p, subset index, pooled bursts in id order) for every draw.
-
-    Raises UsageError when the bursts name fewer than two devices, which
-    leaves the protocol no draw to score.
-    """
+def _protocol_table(bursts: Sequence[Burst], eval_cfg: EvalConfig) -> tuple:
+    """(bursts in id order, their raw IE rows, their truth devices encoded
+    for ``_hcv``, and (p, subset index, its devices' rows in id order) per
+    draw). Raises UsageError for fewer than two devices: no draw to score."""
     by_device = group_by_device(bursts)
     if len(by_device) < 2:
         raise UsageError(
             f"the subset protocol needs at least 2 labelled devices, found {len(by_device)}"
         )
-    return [
-        (p, s, sorted((b for name in subset for b in by_device[name]), key=lambda b: b.burst_id))
-        for p, s, subset in draw_subsets(list(by_device), eval_cfg)
+    ordered = _sorted_bursts(bursts)
+    devices, codes = np.unique([b.truth_device for b in ordered], return_inverse=True)
+    positions = {str(device): np.flatnonzero(codes == i) for i, device in enumerate(devices)}
+    draws = [
+        (p, s, np.sort(np.concatenate([positions[device] for device in subset])))
+        for p, s, subset in draw_subsets(list(positions), eval_cfg)
     ]
-
-
-def _truth_codes(pool: list[Burst]) -> tuple[int, np.ndarray]:
-    """The pool's ground-truth devices (id order), encoded for ``_score``."""
-    return _encode([b.truth_device for b in pool])
+    return ordered, np.array([b.ie_features for b in ordered], dtype=float), (len(devices), codes), draws
 
 
 def _score(
     p: int, subset_index: int, truth: tuple[int, np.ndarray], labels: np.ndarray
 ) -> MetricReport:
-    """Scores of the labels of one pool against its ``_truth_codes``."""
+    """Scores of the labels of one draw against its encoded truth."""
     h, c, v = _hcv(truth, labels)
     count = n_clusters(labels)
     return MetricReport(
@@ -205,26 +201,24 @@ def _score(
     )
 
 
-def _score_subset(
-    task: tuple[int, int, list[Burst], DbscanConfig, KmeansConfig], pools: dict
-) -> dict[str, MetricReport]:
-    p, subset_index, pool, dbscan_cfg, kmeans_cfg = task
-    coarse = ie_only_cluster(pool, dbscan_cfg)
-    final = two_stage_cluster(pool, coarse, kmeans_cfg, pools=pools)
-    truth = _truth_codes(pool)
-    return {
-        METHOD_TWO_STAGE: _score(p, subset_index, truth, final),
-        METHOD_IE_ONLY: _score(p, subset_index, truth, coarse),
-    }
-
-
 def _score_draws(
-    tasks: list[tuple[int, int, list[Burst], DbscanConfig, KmeansConfig]],
+    ie: np.ndarray, channels: np.ndarray, lengths: np.ndarray, truth: tuple[int, np.ndarray],
+    dbscan_cfg: DbscanConfig, kmeans_cfg: KmeansConfig, seed: int, draws: list[tuple[int, int, np.ndarray]],
 ) -> list[dict[str, MetricReport]]:
-    """``_score_subset`` of each task, in order, sharing one fine-stage
-    pool cache that is dropped on return."""
+    """Both methods' reports of each draw of ``run_protocol``'s table,
+    sharing one fine-stage pool cache that is dropped on return."""
+    n_devices, codes = truth
     pools: dict = {}
-    return [_score_subset(task, pools) for task in tasks]
+    reports = []
+    for p, s, idx in draws:
+        coarse = ie_only_cluster(ie[idx], dbscan_cfg)
+        run_cfg = replace(kmeans_cfg, seed=child_seed(seed, STREAM_KMEANS, p, s))
+        # Cut to the draw's widest burst: each pool's rows, key and sums
+        # are then those of padding the draw alone.
+        final = two_stage_cluster(channels[idx][:, : lengths[idx].max()], coarse, run_cfg, pools)
+        labels = {METHOD_TWO_STAGE: final, METHOD_IE_ONLY: coarse}
+        reports.append({m: _score(p, s, (n_devices, codes[idx]), labels[m]) for m in METHODS})
+    return reports
 
 
 def run_protocol(
@@ -245,24 +239,24 @@ def run_protocol(
     worker processes (at most one per CPU) share the draws. Raises
     UsageError when the bursts name fewer than two devices.
 
-    Draws often refine the same fine-stage pool: a coarse pool is a
-    union of whole devices, and the same devices are drawn together
-    again. Each worker takes every ``jobs``-th draw and keeps one cache
-    of prepared pools, with their D² seeding and Lloyd memos, for its
-    draws; the caches are dropped before this call returns.
+    One table per call holds the bursts sorted by id, their IE rows,
+    padded channel vectors, lengths and truth codes; a draw is its rows'
+    positions. Draws often refine the same pool, so each worker takes
+    every ``jobs``-th draw and keeps one cache of prepared pools, with
+    their D² seeding and Lloyd memos, for them; no cache outlives the call.
     """
-    tasks = []
-    for p, s, pool in _protocol_pools(bursts, eval_cfg):
-        run_cfg = replace(kmeans_cfg, seed=child_seed(eval_cfg.seed, STREAM_KMEANS, p, s))
-        tasks.append((p, s, pool, dbscan_cfg, run_cfg))
+    ordered, ie, truth, draws = _protocol_table(bursts, eval_cfg)
+    channels = pad_matrix([b.channel_vector for b in ordered])
+    lengths = np.array([b.length for b in ordered])
+    score = partial(_score_draws, ie, channels, lengths, truth, dbscan_cfg, kmeans_cfg, eval_cfg.seed)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
-            chunks = list(pool_exec.map(_score_draws, [tasks[i::jobs] for i in range(jobs)]))
+            chunks = list(pool_exec.map(score, [draws[i::jobs] for i in range(jobs)]))
     else:
-        chunks = [_score_draws(tasks)]
-    draws = [chunks[i % len(chunks)][i // len(chunks)] for i in range(len(tasks))]
-    return {method: [draw[method] for draw in draws] for method in METHODS}
+        chunks = [score(draws)]
+    reports = [chunks[i % len(chunks)][i // len(chunks)] for i in range(len(draws))]
+    return {method: [draw[method] for draw in reports] for method in METHODS}
 
 
 @dataclass(frozen=True)
@@ -324,28 +318,28 @@ def tune_dbscan(
     Every grid point is scored on the same subset draws; the table is
     sorted best-first: descending mean V-measure, then ascending mean
     absolute Delta, then (eps, min_pts) for stable ties. Every grid
-    point is validated before any pool is clustered. Raises UsageError
+    point is validated before any draw is clustered. Raises UsageError
     for an empty grid, a grid point out of range, or bursts that name
     fewer than two devices.
 
-    Each pool is normalized, collapsed to its distinct rows and has its
-    truth labels encoded once; its neighbour booleans are built once
-    per eps, and only the core test and scan run per grid point. The
-    labels are those ``ie_only_cluster`` gives at each grid point, and
-    each grid point's scores are averaged in pool order, as when every
-    grid point clusters every pool from scratch.
+    The table is ``run_protocol``'s without the channel vectors. Each
+    draw's IE rows are normalized and collapsed to their distinct rows
+    once, their neighbour booleans are built once per eps, and only the
+    core test and scan run per grid point: the labels ``ie_only_cluster``
+    gives at each grid point, scores averaged in draw order.
     """
     if len(eps_grid) == 0 or len(minpts_grid) == 0:
         raise UsageError("hyperparameter grids must be non-empty")
     # Per eps, per min_pts: the grid point's config and its V-measures
-    # and |Delta|s in pool order.
+    # and |Delta|s in draw order.
     grid = [
         [(DbscanConfig(eps=eps, min_pts=min_pts), [], []) for min_pts in minpts_grid]
         for eps in eps_grid
     ]
-    for p, _, pool in _protocol_pools(bursts, eval_cfg):
-        truth = _truth_codes(pool)
-        distinct, weights, inverse = _dbscan_prepare(_ie_rows(pool))
+    _, ie, (n_devices, codes), draws = _protocol_table(bursts, eval_cfg)
+    for p, _, idx in draws:
+        truth = (n_devices, codes[idx])
+        distinct, weights, inverse = _dbscan_prepare(normalize_ie_matrix(ie[idx]))
         for same_eps in grid:
             within, reach = _dbscan_neighbours(distinct, weights, same_eps[0][0].eps)
             for cfg, v_measures, abs_deltas in same_eps:

@@ -2,20 +2,24 @@
 
 They are deliberately naive (math.dist loops, Counter-based entropies,
 an IE walk that builds one (id, body) pair per element) so they share
-no code with the paths they check. The three shortcut references are the
+no code with the paths they check. The shortcut references are the
 exception, and each drops only the shortcut it checks:
 ``reference_refine_labels`` reuses the library's k-means and elbow with
 no distinct-row cap on k; ``all_rows_dbscan`` is the library's vectorized
 kernel before it ran over distinct rows; ``plain_spherical_kmeans``
 reuses the library's Lloyd loop and runs it for every restart, seeded by
 ``plain_seed_centers``, a D² loop with no memo of seeding states or of
-repeated seeded centres; ``per_point_tune``
-reuses the library's protocol pools, coarse stage and scoring, and
-clusters every pool from scratch at every grid point.
+repeated seeded centres; ``reference_run_protocol`` reuses the library's
+stage functions and scoring, and per draw of ``reference_pools`` groups,
+sorts, pads and normalizes the draw's own bursts, encodes their truth
+labels and refines them with a fresh fine-stage cache;
+``per_point_tune`` rests on the same pools and clusters every pool from
+scratch at every grid point.
 """
 
 import math
 from collections import Counter, deque
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,9 +35,20 @@ from probederand.clustering import (
     elbow_select_k,
     ie_only_cluster,
     spherical_kmeans,
+    two_stage_cluster,
 )
-from probederand.metrics import TuneRow, _protocol_pools, _score, _truth_codes
-from probederand.randomness import STREAM_KMEANS, substream
+from probederand.features import pad_matrix
+from probederand.metrics import (
+    METHOD_IE_ONLY,
+    METHOD_TWO_STAGE,
+    METHODS,
+    TuneRow,
+    _encode,
+    _score,
+    draw_subsets,
+    group_by_device,
+)
+from probederand.randomness import STREAM_KMEANS, child_seed, substream
 
 IE_DS_PARAMETER_SET, IE_HT, IE_EXTENDED, IE_VENDOR = 3, 45, 127, 221
 
@@ -194,19 +209,52 @@ def plain_spherical_kmeans(rows, k, rng, history):
     return best
 
 
+def reference_pools(bursts, eval_cfg):
+    """(p, subset index, the draw's bursts in ascending id order) for
+    every protocol draw, each list built afresh."""
+    by_device = group_by_device(bursts)
+    if len(by_device) < 2:
+        raise ValueError(
+            f"the subset protocol needs at least 2 labelled devices, found {len(by_device)}"
+        )
+    return [
+        (p, s, sorted((b for name in subset for b in by_device[name]), key=lambda b: b.burst_id))
+        for p, s, subset in draw_subsets(list(by_device), eval_cfg)
+    ]
+
+
+def reference_score(p, s, pool, labels):
+    """``_score`` of one pool's labels against its own truth encoding."""
+    return _score(p, s, _encode([b.truth_device for b in pool]), labels)
+
+
+def reference_run_protocol(bursts, eval_cfg, dbscan_cfg, kmeans_cfg):
+    """``run_protocol`` clustering each draw's bursts on their own: the
+    IE rows normalized among the draw's bursts, the channel vectors
+    padded to the draw's widest burst, and a fresh fine-stage cache."""
+    reports = {method: [] for method in METHODS}
+    for p, s, pool in reference_pools(bursts, eval_cfg):
+        coarse = ie_only_cluster([b.ie_features for b in pool], dbscan_cfg)
+        run_cfg = replace(kmeans_cfg, seed=child_seed(eval_cfg.seed, STREAM_KMEANS, p, s))
+        final = two_stage_cluster(pad_matrix([b.channel_vector for b in pool]), coarse, run_cfg)
+        reports[METHOD_TWO_STAGE].append(reference_score(p, s, pool, final))
+        reports[METHOD_IE_ONLY].append(reference_score(p, s, pool, coarse))
+    return reports
+
+
 def per_point_tune(bursts, eps_grid, minpts_grid, eval_cfg):
     """``tune_dbscan`` running ``ie_only_cluster`` on every pool at every
     grid point, in grid order."""
     if len(eps_grid) == 0 or len(minpts_grid) == 0:
         raise ValueError("hyperparameter grids must be non-empty")
-    pools = _protocol_pools(bursts, eval_cfg)
+    pools = reference_pools(bursts, eval_cfg)
 
     rows = []
     for eps in eps_grid:
         for min_pts in minpts_grid:
             cfg = DbscanConfig(eps=eps, min_pts=min_pts)
             reports = [
-                _score(p, s, _truth_codes(pool), ie_only_cluster(pool, cfg))
+                reference_score(p, s, pool, ie_only_cluster([b.ie_features for b in pool], cfg))
                 for p, s, pool in pools
             ]
             rows.append(

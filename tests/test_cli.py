@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from probederand import __version__, metrics
+from probederand import __version__, cli, metrics
 from probederand.cli import DEFAULTS, main
 from probederand.clustering import (
     DbscanConfig,
@@ -128,6 +128,27 @@ class TestExitCodes:
         err = assert_usage_error([command, str(source), "--out", str(tmp_path / "o"), flag, value], capsys)
         assert f"unrecognized arguments: {flag}" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out", ["{file}", "{file}/sub"], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["ingest", "cluster", "evaluate", "tune", "generate"])
+    def test_out_under_a_file_is_usage_error_before_the_work(
+        self, workspace, tmp_path, capsys, monkeypatch, command, out
+    ):
+        """An ``--out`` that cannot become a directory is rejected as a
+        usage error naming ``--out`` before any input is read."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the work ran before --out was checked")
+
+        for name in ("read_dataset", "read_feature_file", "run_protocol", "tune_dbscan", "generate_scenario"):
+            monkeypatch.setattr(cli, name, refuse)
+        existing = tmp_path / "file"
+        existing.write_text("x")
+        source = workspace[{"ingest": "dataset", "generate": "scenario"}.get(command, "features")]
+        grids = ["--eps-grid", "0.05", "--minpts-grid", "5"] if command == "tune" else []
+        argv = [command, str(source), "--out", out.format(file=existing), *grids]
+        assert assert_usage_error(argv, capsys).startswith("error: argument --out: ")
+        assert existing.read_text() == "x"
 
 
 class TestCluster:

@@ -38,8 +38,9 @@ from probederand.clustering import (
     spherical_kmeans,
     two_stage_cluster,
     two_stage_labelings,
+    write_labeling_file,
 )
-from probederand.features import Burst, group_bursts
+from probederand.features import Burst, group_bursts, pad_matrix
 from probederand.pcap import ProbeRequestFrame
 from probederand.randomness import DEFAULT_SEED, STREAM_KMEANS, substream
 
@@ -56,6 +57,14 @@ from oracles import (
 def make_burst(burst_id, ie, vector, mac_tail=None, truth=None):
     mac = bytes([0x02, 0, 0, 0, 0, mac_tail if mac_tail is not None else burst_id % 256])
     return Burst(burst_id, mac, tuple(ie), tuple(vector), truth_device=truth)
+
+
+def ie_rows(bursts):
+    return [b.ie_features for b in bursts]
+
+
+def channel_rows(bursts):
+    return pad_matrix([b.channel_vector for b in bursts])
 
 
 def weighted_count(rows, counts, i, eps):
@@ -305,12 +314,18 @@ class TestDbscan:
             unshuffled[old_idx] = permuted[new_idx]
         assert canonical_partition(unshuffled)[0] == base
 
-    def test_labeling_keys_are_ids(self):
+    def test_labeling_keys_are_ids(self, tmp_path):
         """Label i belongs to the burst with the i-th smallest id,
-        whatever order the bursts come in."""
+        whatever order the bursts come in, and the labeling file writes
+        each burst's row with its labels."""
         bursts = [make_burst(i, (10 * (i % 2), 0, 0), (1,)) for i in (9, 7, 12, 8)]
-        labels = ie_only_cluster(bursts, DbscanConfig(eps=0.1, min_pts=1))
-        assert labels.tolist() == [0, 1, 0, 1]  # ids 7, 8, 9, 12
+        coarse, final = two_stage_labelings(bursts, DbscanConfig(eps=0.1, min_pts=1), KmeansConfig())
+        assert coarse.tolist() == [0, 1, 0, 1]  # ids 7, 8, 9, 12
+        write_labeling_file(bursts, coarse, final, tmp_path / "labeling.csv")
+        rows = (tmp_path / "labeling.csv").read_text().splitlines()[1:]
+        assert [(r.split(",")[0], r.split(",")[3]) for r in rows] == [
+            ("7", "0"), ("8", "1"), ("9", "0"), ("12", "1")
+        ]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -708,8 +723,8 @@ def twin_bursts(n_per=20, jiggle=None):
 class TestTwoStage:
     def test_single_population_single_cluster(self):
         bursts = [make_burst(i, (3, 2, 1), (1, 6, 11)) for i in range(15)]
-        coarse = ie_only_cluster(bursts, DbscanConfig())
-        labels = two_stage_cluster(bursts, coarse, KmeansConfig(seed=6))
+        coarse = ie_only_cluster(ie_rows(bursts), DbscanConfig())
+        labels = two_stage_cluster(channel_rows(bursts), coarse, KmeansConfig(seed=6))
         assert n_clusters(labels) == 1
 
     def test_twins_split_in_stage_two(self):
@@ -751,8 +766,9 @@ class TestTwoStage:
 
     def test_deterministic_for_fixed_seed(self):
         bursts = twin_bursts(jiggle=0.2)
-        coarse = ie_only_cluster(bursts, DbscanConfig())
-        runs = [two_stage_cluster(bursts, coarse, KmeansConfig(seed=33)).tolist() for _ in range(3)]
+        coarse = ie_only_cluster(ie_rows(bursts), DbscanConfig())
+        channels = channel_rows(bursts)
+        runs = [two_stage_cluster(channels, coarse, KmeansConfig(seed=33)).tolist() for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
 
     def test_ds_channel_zero_clusters_as_capture_channel(self):
@@ -783,22 +799,37 @@ class TestTwoStage:
 
     def test_ie_only_is_stage_one(self):
         bursts = twin_bursts()
-        labels = ie_only_cluster(bursts, DbscanConfig())
+        labels = ie_only_cluster(ie_rows(bursts), DbscanConfig())
         assert n_clusters(labels) == 1
         coarse, _ = two_stage_labelings(bursts, DbscanConfig(), KmeansConfig(seed=6))
         assert np.array_equal(coarse, labels)
 
     def test_fine_stage_refines_the_given_coarse_labels(self):
         """``two_stage_cluster`` splits only what the coarse labels pool:
-        bursts given as noise stay noise, in any input order."""
+        rows given as noise stay noise, in any row order."""
         bursts = twin_bursts()
-        coarse = ie_only_cluster(bursts, DbscanConfig())
+        channels = channel_rows(bursts)
+        coarse = ie_only_cluster(ie_rows(bursts), DbscanConfig())
         coarse[: len(coarse) // 2] = NOISE
-        final = two_stage_cluster(bursts[::-1], coarse, KmeansConfig(seed=6))
-        assert np.array_equal(final == NOISE, coarse == NOISE)
+        final = two_stage_cluster(channels[::-1], coarse[::-1], KmeansConfig(seed=6))
+        assert np.array_equal(final == NOISE, coarse[::-1] == NOISE)
         assert n_clusters(final) >= 1
         with pytest.raises(ValueError, match="coarse labels"):
-            two_stage_cluster(bursts, coarse[1:], KmeansConfig(seed=6))
+            two_stage_cluster(channels, coarse[1:], KmeansConfig(seed=6))
+
+    @pytest.mark.parametrize("coarse", [[0, 0, 2, 2], [-3, 0, 0, 0]], ids=["gap", "below-noise"])
+    def test_coarse_labels_it_cannot_refine_are_rejected(self, monkeypatch, coarse):
+        """A skipped cluster number would reach the elbow with no rows,
+        and a label below ``NOISE`` would pass for noise: both are one
+        ValueError, raised before any pool is refined."""
+
+        def refine(*args, **kwargs):
+            raise AssertionError("refined before the coarse labels were checked")
+
+        monkeypatch.setattr(clustering, "_refine_labels", refine)
+        channels = channel_rows([make_burst(i, (3, 2, 1), (1, 6, 11)) for i in range(4)])
+        with pytest.raises(ValueError, match="coarse labels must be"):
+            two_stage_cluster(channels, np.array(coarse), KmeansConfig(seed=6))
 
     def test_empty_sub_cluster_leaves_no_gap(self, monkeypatch):
         """A refinement with an empty sub-cluster (``spherical_kmeans``
@@ -812,7 +843,7 @@ class TestTwoStage:
             clustering, "_refine_labels", lambda rows, config, seed_key, pools: labels
         )
         bursts = [make_burst(i, (3, 2, 1), (1, 6, 11)) for i in range(5)]
-        final = two_stage_cluster(bursts, np.zeros(5, dtype=int), KmeansConfig(seed=6))
+        final = two_stage_cluster(channel_rows(bursts), np.zeros(5, dtype=int), KmeansConfig(seed=6))
         assert final.tolist() == [2, 0, 1, 0, 0]
         assert n_clusters(final) == 3
 

@@ -16,17 +16,13 @@ from probederand.clustering import (
     n_clusters,
     two_stage_cluster,
 )
-from probederand.features import Burst
+from probederand.features import Burst, pad_matrix
 from probederand.metrics import (
     METHOD_IE_ONLY,
     METHOD_TWO_STAGE,
     METHODS,
     EvalConfig,
     MetricReport,
-    _protocol_pools,
-    _score,
-    _score_subset,
-    _truth_codes,
     delta_error,
     draw_subsets,
     group_by_device,
@@ -36,8 +32,15 @@ from probederand.metrics import (
     summarize,
     tune_dbscan,
 )
+from probederand.randomness import STREAM_KMEANS, child_seed
 
-from oracles import oracle_hcv, per_point_tune
+from oracles import (
+    oracle_hcv,
+    per_point_tune,
+    reference_pools,
+    reference_run_protocol,
+    reference_score,
+)
 
 
 class TestHomogeneityCompletenessV:
@@ -167,6 +170,34 @@ def duplicate_heavy_tunes(draw):
     return bursts, eps_grid, minpts_grid, cfg
 
 
+@st.composite
+def labelled_protocols(draw):
+    """Labelled bursts with shuffled, gapped ids, one or two non-integer
+    IE fingerprints per device (so a draw's min-max span depends on its
+    devices), channel vectors that may end in zeros (``(1, 6)`` and
+    ``(1, 6, 0)`` pad to one row) and devices that may have a single
+    burst; protocol, stage and tune settings."""
+    values = st.sampled_from([0.0, 0.5, 1.25, 3.0, 40.75])
+    fingerprints = st.tuples(values, values, values)
+    vectors = st.sampled_from([(1, 6), (1, 6, 0), (6, 1), (1, 6, 11), (11, 6, 1, 0, 0), (6,), (13, 1, 1)])
+    rows = []
+    for d in range(draw(st.integers(2, 5))):
+        own = draw(st.lists(fingerprints, min_size=1, max_size=2))
+        for _ in range(draw(st.integers(1, 8))):
+            rows.append((draw(st.sampled_from(own)), draw(vectors), f"dev{d}"))
+    ids = draw(st.lists(st.integers(0, 9_999), min_size=len(rows), max_size=len(rows), unique=True))
+    bursts = [
+        Burst(i, bytes([2, 0, 0, 0, i // 256, i % 256]), ie, vector, device)
+        for i, (ie, vector, device) in zip(ids, rows)
+    ]
+    cfg = EvalConfig(d=draw(st.integers(1, 3)), seed=draw(st.integers(0, 99)))
+    eps_grid = draw(st.lists(st.sampled_from([0.05, 0.3, 0.5, 2.0]), min_size=1, max_size=3))
+    minpts_grid = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    dbscan_cfg = DbscanConfig(eps=eps_grid[0], min_pts=minpts_grid[0])
+    kmeans_cfg = KmeansConfig(k_max=draw(st.integers(1, 5)))
+    return bursts, cfg, dbscan_cfg, kmeans_cfg, eps_grid, minpts_grid
+
+
 class TestProtocol:
     def test_report_arithmetic(self):
         bursts = synthetic_bursts()
@@ -237,9 +268,9 @@ class TestProtocol:
         bursts = synthetic_bursts(n_devices=5, bursts_per=12, twins=True)
         cfg = EvalConfig(d=3, seed=17)
         dbscan_cfg = DbscanConfig(min_pts=5)
-        pools = _protocol_pools(bursts, cfg)
+        pools = reference_pools(bursts, cfg)
         want = [
-            _score(p, s, _truth_codes(pool), ie_only_cluster(pool, dbscan_cfg))
+            reference_score(p, s, pool, ie_only_cluster([b.ie_features for b in pool], dbscan_cfg))
             for p, s, pool in pools
         ]
 
@@ -259,23 +290,59 @@ class TestProtocol:
     @given(duplicate_heavy_tunes())
     @settings(max_examples=30, deadline=None)
     def test_draw_scores_match_oracle(self, instance):
-        """Both methods of a draw are scored from one encoding of its
-        truth labels."""
+        """Both methods of a draw are scored from the one encoding of the
+        truth labels made for the whole protocol run."""
         bursts, eps_grid, minpts_grid, cfg = instance
         dbscan_cfg = DbscanConfig(eps=eps_grid[0], min_pts=minpts_grid[0])
-        pools = {}  # one fine-stage cache for every draw, as in run_protocol
-        for p, s, pool in _protocol_pools(bursts, cfg):
-            kmeans_cfg = KmeansConfig(seed=s)
-            reports = _score_subset((p, s, pool, dbscan_cfg, kmeans_cfg), pools)
-            coarse = ie_only_cluster(pool, dbscan_cfg)
-            final = two_stage_cluster(pool, coarse, kmeans_cfg)
+        results = run_protocol(bursts, cfg, dbscan_cfg, KmeansConfig())
+        for i, (p, s, pool) in enumerate(reference_pools(bursts, cfg)):
+            kmeans_cfg = KmeansConfig(seed=child_seed(cfg.seed, STREAM_KMEANS, p, s))
+            coarse = ie_only_cluster([b.ie_features for b in pool], dbscan_cfg)
+            final = two_stage_cluster(pad_matrix([b.channel_vector for b in pool]), coarse, kmeans_cfg)
             truth = [b.truth_device for b in pool]
             for method, labels in ((METHOD_TWO_STAGE, final), (METHOD_IE_ONLY, coarse)):
-                report = reports[method]
+                report = results[method][i]
                 got = (report.homogeneity, report.completeness, report.v_measure)
                 assert got == pytest.approx(oracle_hcv(truth, labels.tolist()), abs=1e-9)
                 assert report.n_clusters == n_clusters(labels)
                 assert (report.delta, report.p, report.subset_index) == (n_clusters(labels) - p, p, s)
+
+    @given(labelled_protocols())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_draw_reference(self, instance):
+        """Draws as row positions into one table score as clustering each
+        draw's bursts on their own, in both entry points."""
+        bursts, cfg, dbscan_cfg, kmeans_cfg, eps_grid, minpts_grid = instance
+        want = reference_run_protocol(bursts, cfg, dbscan_cfg, kmeans_cfg)
+        assert run_protocol(bursts, cfg, dbscan_cfg, kmeans_cfg) == want
+        assert tune_dbscan(bursts, eps_grid, minpts_grid, cfg) == per_point_tune(
+            bursts, eps_grid, minpts_grid, cfg
+        )
+
+    def test_table_built_once_per_call(self, monkeypatch):
+        """One ``run_protocol`` call sorts the bursts once and pads their
+        channel vectors once, however many draws it scores; ``tune_dbscan``
+        sorts once and pads nothing."""
+        calls = {"_sorted_bursts": 0, "pad_matrix": 0}
+
+        def counted(name, original):
+            def step(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return step
+
+        for module in (metrics, clustering):
+            for name in calls:
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        bursts = synthetic_bursts(n_devices=5, bursts_per=12, twins=True)
+        cfg = EvalConfig(d=3, seed=21)
+        results = run_protocol(bursts, cfg, DbscanConfig(min_pts=5), KmeansConfig())
+        assert len(results[METHOD_TWO_STAGE]) == 12
+        assert calls == {"_sorted_bursts": 1, "pad_matrix": 1}
+        calls.update({name: 0 for name in calls})
+        tune_dbscan(bursts, [0.05, 0.3], [5, 10], cfg)
+        assert calls == {"_sorted_bursts": 1, "pad_matrix": 0}
 
     @pytest.mark.parametrize("n_devices", [0, 1])
     def test_fewer_than_two_devices_rejected(self, n_devices):
@@ -382,7 +449,7 @@ class TestTune:
         calls = self.count_steps(monkeypatch)
         bursts = synthetic_bursts(n_devices=5, bursts_per=12)
         cfg = EvalConfig(d=3, seed=21)
-        pools = len(_protocol_pools(bursts, cfg))
+        pools = len(reference_pools(bursts, cfg))
         for _ in range(2):  # nothing carries over from one call to the next
             tune_dbscan(bursts, [0.05, 0.3, 0.9], [5, 10], cfg)
             assert calls == {"_dbscan_prepare": pools, "_dbscan_neighbours": 3 * pools}
