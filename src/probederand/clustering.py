@@ -170,19 +170,11 @@ class _Pool:
     distances of every row to that unit row; ``seedings`` maps a set of
     picked ids to (the cumulative D² weights of the rows, their total);
     ``runs`` maps the ids of seeded centres, in order, to ``_lloyd``'s
-    (result, trace). ``distinct_rows`` (raw rows, the k cap) and
-    ``similarity`` (s̄) are given by ``_refine_labels``.
+    (result, trace); each result's labels fill all k clusters.
     """
 
-    def __init__(
-        self,
-        data: np.ndarray,
-        distinct_rows: Optional[int] = None,
-        similarity: Optional[float] = None,
-    ) -> None:
-        self.distinct_rows = distinct_rows
-        self.similarity = similarity
-        self.unit = _unit_rows(data)
+    def __init__(self, rows: np.ndarray) -> None:
+        self.unit = _unit_rows(rows)
         first: dict[bytes, int] = {}
         self.ids = [first.setdefault(row.tobytes(), len(first)) for row in self.unit]
         self.distances: dict[int, np.ndarray] = {}
@@ -233,30 +225,26 @@ def _distortion(own_similarity: np.ndarray) -> float:
 
 
 def _fix_empty_clusters(sims: np.ndarray, labels: np.ndarray, k: int) -> None:
-    """Reseed each empty cluster with the row worst-fitted to its center."""
-    if np.bincount(labels, minlength=k).all():
+    """Refill each empty cluster, in order, with the row worst fitted to
+    its centre among the rows whose cluster keeps another member. With
+    k <= n rows, all k clusters are then non-empty."""
+    counts = np.bincount(labels, minlength=k)
+    if counts.all():
         return
-    taken: set[int] = set()
-    for j in range(k):
-        if np.any(labels == j):
-            continue
-        own = sims[np.arange(len(labels)), labels].copy()
-        if taken:
-            own[list(taken)] = np.inf
-        worst = int(own.argmin())
+    own = sims[np.arange(len(labels)), labels]
+    for j in np.flatnonzero(counts == 0):
+        worst = int(np.where(counts[labels] > 1, own, np.inf).argmin())
+        counts[labels[worst]] -= 1
         labels[worst] = j
-        taken.add(worst)
 
 
 def _update_centers(unit: np.ndarray, labels: np.ndarray, k: int, old: np.ndarray) -> np.ndarray:
     updated = old.copy()
     for j in range(k):
-        members = unit[labels == j]
-        if len(members):
-            mean = members.mean(axis=0)
-            norm = np.linalg.norm(mean)
-            if norm > 0:
-                updated[j] = mean / norm
+        mean = unit[labels == j].mean(axis=0)
+        norm = np.linalg.norm(mean)
+        if norm > 0:
+            updated[j] = mean / norm
     return updated
 
 
@@ -294,7 +282,8 @@ def spherical_kmeans(
     history: Optional[list[list[float]]] = None,
     pool: Optional[_Pool] = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """k-means on the unit sphere, maximizing cosine similarity.
+    """k-means on the unit sphere, maximizing cosine similarity. Each
+    of the k clusters of the result is non-empty.
 
     Runs ``RESTARTS`` restarts seeded from ``rng`` and keeps the lowest
     distortion (earlier run wins ties). ``pool``, the ``rows`` prepared
@@ -383,23 +372,28 @@ def _refine_labels(
     seed_key: tuple[int, ...],
     pools: dict,
 ) -> np.ndarray:
-    """Fine-stage labels of one pool's rows. ``pools`` maps a pool's
-    (shape, bytes) to its ``_Pool``; the shape is part of the key
-    because each protocol draw cuts its rows to its own widest burst."""
-    key = (rows.shape, rows.tobytes())
-    pool = pools.get(key)
-    # Once k reaches the pool's distinct rows, D² seeding has a centre on
-    # each and the distortion is zero, so the elbow never picks a larger k.
-    distinct = pool.distinct_rows if pool is not None else len({row.tobytes() for row in rows})
-    k_max = min(config.k_max, distinct)
-    if k_max == 1:
+    """Fine-stage labels of one pool's rows: k non-empty clusters
+    numbered 0..k-1, k chosen by the elbow. ``pools`` maps a pool's
+    (shape, bytes) to its entry: the k cap, the elbow threshold and the
+    prepared ``_Pool``, the last two None for a pool of one distinct
+    row. The shape is part of the key because each protocol draw cuts
+    its rows to its own widest burst."""
+    if config.k_max == 1:
         return np.zeros(rows.shape[0], dtype=int)
+    key = (rows.shape, rows.tobytes())
+    if key not in pools:
+        # Once k reaches the pool's distinct rows, D² seeding has a centre on
+        # each and the distortion is zero, so the elbow never picks a larger k.
+        cap = len({row.tobytes() for row in rows})
+        pools[key] = (cap, None, None) if cap == 1 else (
+            cap, dynamic_threshold(average_pairwise_similarity(rows)), _Pool(rows)
+        )
+    cap, threshold, pool = pools[key]
     if pool is None:
-        pool = pools[key] = _Pool(rows, distinct, average_pairwise_similarity(rows))
-    threshold = dynamic_threshold(pool.similarity)
+        return np.zeros(rows.shape[0], dtype=int)
     labelings = []
     distortions = []
-    for k in range(1, k_max + 1):
+    for k in range(1, min(config.k_max, cap) + 1):
         rng = substream(config.seed, STREAM_KMEANS, *seed_key, k)
         labels, _, distortion = spherical_kmeans(rows, k, rng, pool=pool)
         labelings.append(labels)
@@ -432,13 +426,13 @@ def two_stage_cluster(
     """Fine stage: refine the ``coarse`` labels of the zero-padded
     channel-vector rows ``channels`` into final labels of the same rows.
 
-    Each coarse cluster is refined independently; final labels are the
-    disjoint union of all sub-clusters, renumbered contiguously. Noise
-    rows stay noise and are excluded from the cluster count. Raises
-    ValueError unless ``coarse`` holds one label per row, each ``NOISE``
-    or a cluster of 0..n-1 with none skipped. ``pools``, a dict the
-    caller owns (``run_protocol`` keeps one per run), shares each
-    prepared pool and its k-means memos between calls that refine the
+    Each coarse cluster is refined independently into k sub-clusters,
+    all non-empty, which take the next k final labels in coarse-label
+    order. Noise rows stay noise and are excluded from the cluster
+    count. Raises ValueError unless ``coarse`` holds one label per row,
+    each ``NOISE`` or a cluster of 0..n-1 with none skipped. ``pools``,
+    a dict the caller owns (``run_protocol`` keeps one per run), shares
+    each pool's entry and k-means memos between calls that refine the
     same rows; without it the call keeps its own.
     """
     pools = {} if pools is None else pools
@@ -451,9 +445,8 @@ def two_stage_cluster(
     for c in range(n_clusters(coarse)):
         members = np.flatnonzero(coarse == c)
         sub = _refine_labels(channels[members], kmeans_cfg, seed_key=(c,), pools=pools)
-        for s in np.flatnonzero(np.bincount(sub)):
-            final[members[sub == s]] = next_label
-            next_label += 1
+        final[members] = next_label + sub
+        next_label += n_clusters(sub)
     return final
 
 

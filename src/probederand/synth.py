@@ -357,8 +357,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     for entry in data["profiles"]:
         ie = entry.get("ie", {})
         template = IeTemplate(
-            ht=bytes.fromhex(ie["ht"]) if ie.get("ht") else None,
-            extended=bytes.fromhex(ie["extended"]) if ie.get("extended") else None,
+            ht=bytes.fromhex(ie["ht"]) if ie.get("ht") is not None else None,
+            extended=bytes.fromhex(ie["extended"]) if ie.get("extended") is not None else None,
             vendor=tuple(bytes.fromhex(v) for v in ie.get("vendor", ())),
         )
         profiles.append(

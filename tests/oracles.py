@@ -9,7 +9,10 @@ no distinct-row cap on k; ``all_rows_dbscan`` is the library's vectorized
 kernel before it ran over distinct rows; ``plain_spherical_kmeans``
 reuses the library's Lloyd loop and runs it for every restart, seeded by
 ``plain_seed_centers``, a D² loop with no memo of seeding states or of
-repeated seeded centres; ``reference_run_protocol`` reuses the library's
+repeated seeded centres; ``unguarded_fix_empty_clusters`` is the
+k-means refill rule that may take a cluster's only member, which
+``_fix_empty_clusters`` must agree with wherever it takes none;
+``reference_run_protocol`` reuses the library's
 stage functions and scoring, and per draw of ``reference_pools`` groups,
 sorts, pads and normalizes the draw's own bursts, encodes their truth
 labels and refines them with a fresh fine-stage cache;
@@ -207,6 +210,26 @@ def plain_spherical_kmeans(rows, k, rng, history):
         if best is None or result[2] < best[2]:
             best = result
     return best
+
+
+def unguarded_fix_empty_clusters(sims, labels, k):
+    """Refill each empty cluster, in order, with the worst-fitted row not
+    yet moved, even when that row is its cluster's only member (which
+    can leave that cluster empty). Changes ``labels`` in place; returns
+    whether it took a cluster's only member."""
+    took_sole = False
+    taken = set()
+    for j in range(k):
+        if np.any(labels == j):
+            continue
+        own = sims[np.arange(len(labels)), labels].copy()
+        if taken:
+            own[list(taken)] = np.inf
+        worst = int(own.argmin())
+        took_sole |= int(np.count_nonzero(labels == labels[worst])) == 1
+        labels[worst] = j
+        taken.add(worst)
+    return took_sole
 
 
 def reference_pools(bursts, eval_cfg):

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probederand import clustering
@@ -51,7 +51,12 @@ from oracles import (
     plain_spherical_kmeans,
     reference_dbscan,
     reference_refine_labels,
+    unguarded_fix_empty_clusters,
 )
+
+# At k = 4 under default_rng(764), a refill that may take a cluster's only
+# member leaves cluster 2 of these rows empty: labels [3, 0, 1, 0, 0].
+EMPTIED_ROWS = np.array([[1, 3], [1, 0], [0, 3], [3, 0], [3, 0]], float)
 
 
 def make_burst(burst_id, ie, vector, mac_tail=None, truth=None):
@@ -419,6 +424,29 @@ def shared_direction_pools(draw):
     return np.array(draw(st.permutations(pool)), dtype=float)
 
 
+@st.composite
+def parallel_row_pools(draw):
+    """Up to 8 small-integer multiples of 2-4 directions (``[1,0]``,
+    ``[3,0]``): seeded centres repeat a direction, so clusters empty."""
+    dim = draw(st.integers(2, 3))
+    cell = st.tuples(*[st.integers(0, 2)] * dim).filter(any)
+    directions = draw(st.lists(cell, min_size=2, max_size=4, unique=True))
+    multiples = st.tuples(st.sampled_from(directions), st.integers(1, 3))
+    rows = draw(st.lists(multiples, min_size=1, max_size=8))
+    return np.array([[m * x for x in direction] for direction, m in rows], dtype=float)
+
+
+@st.composite
+def refill_cases(draw):
+    """(sims, labels, k): similarities of n <= 8 rows to k <= n centres on
+    a coarse grid, so rows tie, and any labels in 0..k-1."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    grid = draw(st.lists(st.integers(-4, 4), min_size=n * k, max_size=n * k))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return np.array(grid, dtype=float).reshape(n, k) / 4, np.array(labels), k
+
+
 seeding_pools = st.one_of(
     distinct_pools(),
     duplicate_heavy_pools().map(lambda pool: pool[0]),
@@ -549,6 +577,34 @@ class TestSphericalKmeans:
         monkeypatch.setattr(clustering, "_fix_empty_clusters", counting_fix)
         assert_matches_plain(rows, 3, seed=3)
         assert any(emptied)
+
+    @settings(max_examples=60, deadline=None)
+    @given(parallel_row_pools(), st.integers(0, 2**16))
+    @example(EMPTIED_ROWS, 764)
+    def test_every_cluster_is_non_empty(self, rows, seed):
+        """For every k <= n, the memo path and the plain restart loop
+        both return labels covering exactly 0..k-1."""
+        for k in range(1, len(rows) + 1):
+            labels, _, _ = spherical_kmeans(rows, k, np.random.default_rng(seed))
+            plain, _, _ = plain_spherical_kmeans(rows, k, np.random.default_rng(seed), [])
+            assert sorted(set(labels.tolist())) == list(range(k))
+            assert sorted(set(plain.tolist())) == list(range(k))
+
+    @settings(max_examples=400, deadline=None)
+    @given(refill_cases())
+    # the unguarded rule moves row 0, cluster 0's only member, into cluster 2
+    @example((np.array([[0.0, 1.0, 0.5], [0.0, 1.0, 0.5], [0.0, 0.75, 0.5]]), np.array([0, 1, 1]), 3))
+    def test_refill_agrees_with_the_unguarded_rule_where_it_takes_no_sole_member(self, case):
+        """The refill leaves all k clusters non-empty, and where the
+        unguarded rule takes no cluster's only member both move the same
+        rows."""
+        sims, labels, k = case
+        got, want = labels.copy(), labels.copy()
+        clustering._fix_empty_clusters(sims, got, k)
+        took_sole = unguarded_fix_empty_clusters(sims, want, k)
+        assert sorted(set(got.tolist())) == list(range(k))
+        if not took_sole:
+            assert got.tolist() == want.tolist()
 
     def test_repeated_seeds_reuse_one_lloyd_run(self, monkeypatch):
         """Two distinct rows at k = 2 seed at most two centre orders, so
@@ -831,21 +887,24 @@ class TestTwoStage:
         with pytest.raises(ValueError, match="coarse labels must be"):
             two_stage_cluster(channels, np.array(coarse), KmeansConfig(seed=6))
 
-    def test_empty_sub_cluster_leaves_no_gap(self, monkeypatch):
-        """A refinement with an empty sub-cluster (``spherical_kmeans``
-        gives ``[3, 0, 1, 0, 0]`` for k = 4 on ``[[1,3],[1,0],[0,3],
-        [3,0],[3,0]]`` under ``default_rng(764)``) still numbers the
-        final labels contiguously."""
-        repro = np.array([[1, 3], [1, 0], [0, 3], [3, 0], [3, 0]], float)
-        labels, _, _ = spherical_kmeans(repro, 4, np.random.default_rng(764))
-        assert sorted(set(labels.tolist())) == [0, 1, 3]
-        monkeypatch.setattr(
-            clustering, "_refine_labels", lambda rows, config, seed_key, pools: labels
-        )
-        bursts = [make_burst(i, (3, 2, 1), (1, 6, 11)) for i in range(5)]
-        final = two_stage_cluster(channel_rows(bursts), np.zeros(5, dtype=int), KmeansConfig(seed=6))
-        assert final.tolist() == [2, 0, 1, 0, 0]
-        assert n_clusters(final) == 3
+    def test_each_pool_takes_the_next_labels(self):
+        """On two pools of rows where k-means once left a cluster empty,
+        each pool's k-means labels at its chosen k, all k of them, follow
+        the labels of the pools before it."""
+        channels = np.vstack([EMPTIED_ROWS, EMPTIED_ROWS[::-1]])
+        coarse = np.repeat([0, 1], len(EMPTIED_ROWS))
+        for seed in range(20):
+            config = KmeansConfig(seed=seed)
+            final = two_stage_cluster(channels, coarse, config)
+            offset = 0
+            for c in range(2):
+                labels = final[coarse == c] - offset
+                k = n_clusters(labels)
+                rng = substream(seed, STREAM_KMEANS, c, k)
+                assert labels.tolist() == spherical_kmeans(channels[coarse == c], k, rng)[0].tolist()
+                assert sorted(set(labels.tolist())) == list(range(k))
+                offset += k
+            assert n_clusters(final) == offset
 
 
 class TestConfigs:

@@ -1,25 +1,55 @@
-"""The README's Library example runs as written against the package."""
+"""The README's Library example and command-line block run as written
+against the package."""
 
+import json
 import re
+import shlex
 from pathlib import Path
 
-from probederand.synth import generate_scenario
+from probederand import cli
+from probederand.synth import generate_scenario, scenario_to_dict
 
 from scenarios import mixed_scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def library_example() -> str:
-    section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
-    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
-    assert match, "README's Library section has no python block"
+def code_block(heading: str, language: str) -> str:
+    """The first ``language`` block after ``heading``."""
+    section = README.read_text(encoding="utf-8").split(heading, 1)[1]
+    match = re.search(rf"```{language}\n(.*?)```", section, re.DOTALL)
+    assert match, f"README's {heading!r} section has no {language} block"
     return match.group(1)
 
 
 def test_library_example_runs(tmp_path, monkeypatch, capsys):
     generate_scenario(mixed_scenario(31, duration=60.0), tmp_path / "dataset")
     monkeypatch.chdir(tmp_path)
-    exec(compile(library_example(), str(README), "exec"), {"__name__": "readme_example"})
+    example = code_block("## Library", "python")
+    exec(compile(example, str(README), "exec"), {"__name__": "readme_example"})
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[1:]] == ["two-stage", "ie-only"]
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch):
+    """Each ``probederand`` line exits 0 and writes the files its
+    comment names into its ``--out`` directory."""
+    scenario = scenario_to_dict(mixed_scenario(31, duration=60.0))
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        line.partition("#")
+        for line in code_block("## Command line", "sh").splitlines()
+        if line.startswith("probederand ")
+    ]
+    assert [shlex.split(command)[1] for command, _, _ in commands] == [
+        "generate", "ingest", "cluster", "evaluate", "tune",
+    ]
+    for command, _, comment in commands:
+        argv = shlex.split(command)[1:]
+        assert cli.main(argv) == 0, command
+        out = Path(argv[argv.index("--out") + 1])
+        named = re.findall(r"[\w/]+\.(?:csv|json)", comment)
+        assert named, f"the comment on {command!r} names no file"
+        for name in named:
+            assert (out / Path(name).name).is_file(), f"{command!r} wrote no {name}"

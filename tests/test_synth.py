@@ -251,6 +251,9 @@ class TestScenarioSerialization:
     def test_round_trip(self):
         scenario = two_device_scenario(jitter=0.25)
         assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+        # an empty HT or Extended Capabilities body is an element, not an absent one
+        empty = Scenario((profile(ie_template=IeTemplate(ht=b"", extended=b"")),), duration=30.0)
+        assert scenario_from_dict(scenario_to_dict(empty)) == empty
 
     def test_load_scenario(self, tmp_path):
         path = tmp_path / "scenario.json"
