@@ -64,7 +64,7 @@ class ChannelResolutionError(Error):
     """A frame has no Radiotap channel and its file declares none."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbeRequestFrame:
     """One parsed Probe Request.
 
@@ -166,51 +166,82 @@ _RT_FIELD_LAYOUT = (
     (3, 2, 4),  # Channel: u16 frequency MHz + u16 channel flags
 )
 
+# 2.4 GHz centre frequency (MHz) -> channel 1..13
+_CHANNEL_OF_FREQ = {2407 + 5 * channel: channel for channel in range(1, 14)}
 
-def parse_radiotap_fields(buf: bytes) -> tuple[int, Optional[int], Optional[int]]:
-    """Decode header length, 2.4 GHz channel and capture flags.
+_U16 = struct.Struct("<H").unpack_from
+_U32 = struct.Struct("<I").unpack_from
+
+
+def _radiotap_layout(
+    buf: bytes, start: int, size: int
+) -> tuple[int, Optional[int], Optional[int]]:
+    """(header_length, flags position, channel position) of the Radiotap
+    header that opens the ``size`` bytes at ``buf[start:]``.
 
     Walks the presence bitmap chain (bit 31 marks an extension word)
     and the aligned field area far enough to reach the channel field.
-    Returns (header_length, channel or None, flags byte or None).
+    Positions are relative to the header's start, None for an absent
+    field. They depend only on the presence words and the header length.
     """
-    if len(buf) < 8:
+    if size < 8:
         raise FormatError("buffer shorter than the fixed Radiotap header")
-    if buf[0] != 0:
-        raise FormatError(f"unknown Radiotap version {buf[0]}")
-    header_len = struct.unpack_from("<H", buf, 2)[0]
-    if header_len > len(buf):
+    if buf[start] != 0:
+        raise FormatError(f"unknown Radiotap version {buf[start]}")
+    header_len = _U16(buf, start + 2)[0]
+    if header_len > size:
         raise TruncationError(
-            f"Radiotap header declares {header_len} bytes, {len(buf)} available"
+            f"Radiotap header declares {header_len} bytes, {size} available"
         )
     if header_len < 8:
         raise FormatError(f"Radiotap header length {header_len} below minimum")
 
     # Only the first presence word names fields this parser reads; step
     # over the extension words (bit 31 set on the word before).
-    present = word = struct.unpack_from("<I", buf, 4)[0]
+    present = word = _U32(buf, start + 4)[0]
     pos = 8
     while word & 0x80000000:
         if pos + 4 > header_len:
             raise FormatError("Radiotap presence bitmap overruns the header")
-        word = struct.unpack_from("<I", buf, pos)[0]
+        word = _U32(buf, start + pos)[0]
         pos += 4
-    channel: Optional[int] = None
-    flags: Optional[int] = None
-    for bit, align, size in _RT_FIELD_LAYOUT:
+    flags_pos: Optional[int] = None
+    channel_pos: Optional[int] = None
+    for bit, align, width in _RT_FIELD_LAYOUT:
         if not (present >> bit) & 1:
             continue
         pos = (pos + align - 1) & ~(align - 1)
-        if pos + size > header_len:
+        if pos + width > header_len:
             break  # declared field does not fit; treat the rest as absent
         if bit == 1:
-            flags = buf[pos]
+            flags_pos = pos
         elif bit == 3:
-            freq = struct.unpack_from("<H", buf, pos)[0]
-            if 2412 <= freq <= 2472 and (freq - 2407) % 5 == 0:
-                channel = (freq - 2407) // 5
-        pos += size
-    return header_len, channel, flags
+            channel_pos = pos
+        pos += width
+    return header_len, flags_pos, channel_pos
+
+
+def _radiotap_read(
+    buf: bytes, start: int, flags_pos: Optional[int], channel_pos: Optional[int]
+) -> tuple[Optional[int], Optional[int]]:
+    """(2.4 GHz channel or None, flags byte or None) of the Radiotap
+    header at ``buf[start:]``, read at the positions its layout gives."""
+    flags = None if flags_pos is None else buf[start + flags_pos]
+    if channel_pos is None:
+        return None, flags
+    return _CHANNEL_OF_FREQ.get(_U16(buf, start + channel_pos)[0]), flags
+
+
+def parse_radiotap_fields(buf: bytes) -> tuple[int, Optional[int], Optional[int]]:
+    """Decode header length, 2.4 GHz channel and capture flags.
+
+    The header's layout (:func:`_radiotap_layout`: every length,
+    version and presence-chain check) followed by the read of the flags
+    byte and channel frequency at the positions it gives.
+    Returns (header_length, channel or None, flags byte or None).
+    """
+    header_len, flags_pos, channel_pos = _radiotap_layout(buf, 0, len(buf))
+    return (header_len, *_radiotap_read(buf, 0, flags_pos, channel_pos))
 
 
 def _unpack_global_header(data: bytes) -> tuple[str, bool, int]:
@@ -253,11 +284,25 @@ def read_capture(
     capture channel is its Radiotap channel, else
     ``meta.declared_channel``; a frame with neither raises
     :class:`ChannelResolutionError` naming ``meta.path``.
+
+    Records are read in place: only the source MAC and the IE region are
+    copied out of ``data``. The Radiotap layout (header length, flags and
+    channel positions) of a header with one presence word is decoded
+    once per distinct 8-byte fixed header per call; those bytes hold the
+    version, the length and the presence word, all the layout depends
+    on. The TSFT, flags and channel values lie past them, and the flags
+    and channel are read for each frame. A record shorter than its
+    memoised header length is decoded in full, and so dropped as a bad
+    Radiotap header. Headers with extension words are decoded in full
+    for each frame.
     """
     diag = diagnostics if diagnostics is not None else ParseDiagnostics()
     order, nanos, network = _unpack_global_header(data)
 
     unpack_record = struct.Struct(order + "IIII").unpack_from
+    radiotap = network == LINKTYPE_RADIOTAP
+    # fixed Radiotap header with one presence word -> its layout
+    layouts: dict[bytes, tuple[int, Optional[int], Optional[int]]] = {}
     # raw IE region -> the region kept for it
     kept_regions: dict[bytes, bytes] = {}
     frames: list[ProbeRequestFrame] = []
@@ -268,45 +313,53 @@ def read_capture(
             diag.truncated_tail += 1
             break
         ts_sec, ts_frac, incl_len, _orig_len = unpack_record(data, offset)
-        offset += 16
-        if incl_len > total - offset:
+        start = offset + 16
+        if incl_len > total - start:
             diag.truncated_tail += 1
             break
-        record = data[offset : offset + incl_len]
-        offset += incl_len
+        offset = end = start + incl_len
         diag.records_total += 1
 
         usec = ts_frac // 1000 if nanos else ts_frac
         timestamp = (ts_sec * 1_000_000 + usec) / 1e6
 
         channel: Optional[int] = None
-        body = record
-        if network == LINKTYPE_RADIOTAP:
-            try:
-                header_len, channel, flags = parse_radiotap_fields(record)
-            except Error:
-                diag.skipped_bad_radiotap += 1
-                continue
+        body = start
+        if radiotap:
+            key = layout = None
+            if incl_len >= 8 and not data[start + 7] & 0x80:
+                key = data[start : start + 8]
+                layout = layouts.get(key)
+            if layout is None or layout[0] > incl_len:
+                try:
+                    layout = _radiotap_layout(data, start, incl_len)
+                except Error:
+                    diag.skipped_bad_radiotap += 1
+                    continue
+                if key is not None:
+                    layouts[key] = layout
+            header_len, flags_pos, channel_pos = layout
+            channel, flags = _radiotap_read(data, start, flags_pos, channel_pos)
             if flags is not None and flags & RT_FLAG_BAD_FCS:
                 diag.skipped_fcs_bad += 1
                 continue
-            body = record[header_len:]
-            if flags is not None and flags & RT_FLAG_HAS_FCS and len(body) >= 4:
-                body = body[:-4]
+            body += header_len
+            if flags is not None and flags & RT_FLAG_HAS_FCS and end - body >= 4:
+                end -= 4
 
-        if len(body) == 0:
+        if body == end:
             diag.skipped_truncated += 1
             continue
-        if body[0] != FC_PROBE_REQUEST:
+        if data[body] != FC_PROBE_REQUEST:
             diag.skipped_other += 1
             continue
-        if len(body) < _MGMT_HEADER_LEN:
+        if end - body < _MGMT_HEADER_LEN:
             diag.skipped_truncated += 1
             continue
 
-        source_mac = bytes(body[10:16])
-        seq_ctl = struct.unpack_from("<H", body, 22)[0]
-        region = body[_MGMT_HEADER_LEN:]
+        source_mac = data[body + 10 : body + 16]
+        seq_ctl = _U16(data, body + 22)[0]
+        region = data[body + _MGMT_HEADER_LEN : end]
         ies = kept_regions.get(region)
         if ies is None:
             whole = ie_fields(region)[2]
@@ -319,15 +372,7 @@ def read_capture(
             raise ChannelResolutionError(
                 f"frame in {meta.path} has no Radiotap channel and the file declares none"
             )
-        frames.append(
-            ProbeRequestFrame(
-                timestamp=timestamp,
-                source_mac=source_mac,
-                capture_channel=channel,
-                sequence_number=seq_ctl >> 4,
-                ies=ies,
-            )
-        )
+        frames.append(ProbeRequestFrame(timestamp, source_mac, channel, seq_ctl >> 4, ies))
         diag.probe_requests += 1
     if diag.records_total == 0:
         diag.empty_files.append(meta.path)

@@ -4,8 +4,11 @@ They are deliberately naive (math.dist loops, Counter-based entropies,
 an IE walk that builds one (id, body) pair per element) so they share
 no code with the paths they check. The shortcut references are the
 exception, and each drops only the shortcut it checks:
-``reference_refine_labels`` reuses the library's k-means and elbow with
-no distinct-row cap on k; ``all_rows_dbscan`` is the library's vectorized
+``reference_read_capture`` reuses the library's pcap header check and
+Radiotap decoder but copies each record and its body and decodes every
+Radiotap header in full; ``reference_refine_labels`` reuses the
+library's k-means and elbow with no distinct-row cap on k;
+``all_rows_dbscan`` is the library's vectorized
 kernel before it ran over distinct rows; ``plain_spherical_kmeans``
 reuses the library's Lloyd loop and runs it for every restart, seeded by
 ``plain_seed_centers``, a D² loop with no memo of seeding states or of
@@ -21,6 +24,7 @@ scratch at every grid point.
 """
 
 import math
+import struct
 from collections import Counter, deque
 from dataclasses import replace
 
@@ -50,6 +54,18 @@ from probederand.metrics import (
     _score,
     draw_subsets,
     group_by_device,
+)
+from probederand.pcap import (
+    FC_PROBE_REQUEST,
+    LINKTYPE_RADIOTAP,
+    RT_FLAG_BAD_FCS,
+    RT_FLAG_HAS_FCS,
+    ChannelResolutionError,
+    Error,
+    ParseDiagnostics,
+    ProbeRequestFrame,
+    _unpack_global_header,
+    parse_radiotap_fields,
 )
 from probederand.randomness import STREAM_KMEANS, child_seed, substream
 
@@ -102,6 +118,66 @@ def decorated_merge(streams):
             position += 1
     decorated.sort(key=lambda item: item[:3])
     return [(frame, tag) for _, _, _, frame, tag in decorated]
+
+
+def reference_read_capture(data, meta, diagnostics=None):
+    """``read_capture`` as a per-record loop: each record and its body
+    are copied, every Radiotap header is decoded by
+    ``parse_radiotap_fields``, and every IE region is walked."""
+    diag = diagnostics if diagnostics is not None else ParseDiagnostics()
+    order, nanos, network = _unpack_global_header(data)
+    frames = []
+    offset = 24
+    while offset < len(data):
+        if offset + 16 > len(data):
+            diag.truncated_tail += 1
+            break
+        ts_sec, ts_frac, incl_len, _ = struct.unpack_from(order + "IIII", data, offset)
+        offset += 16
+        if incl_len > len(data) - offset:
+            diag.truncated_tail += 1
+            break
+        record = data[offset : offset + incl_len]
+        offset += incl_len
+        diag.records_total += 1
+        usec = ts_frac // 1000 if nanos else ts_frac
+        timestamp = (ts_sec * 1_000_000 + usec) / 1e6
+        channel = None
+        body = record
+        if network == LINKTYPE_RADIOTAP:
+            try:
+                header_len, channel, flags = parse_radiotap_fields(record)
+            except Error:
+                diag.skipped_bad_radiotap += 1
+                continue
+            if flags is not None and flags & RT_FLAG_BAD_FCS:
+                diag.skipped_fcs_bad += 1
+                continue
+            body = record[header_len:]
+            if flags is not None and flags & RT_FLAG_HAS_FCS and len(body) >= 4:
+                body = body[:-4]
+        if len(body) == 0:
+            diag.skipped_truncated += 1
+            continue
+        if body[0] != FC_PROBE_REQUEST:
+            diag.skipped_other += 1
+            continue
+        if len(body) < 24:
+            diag.skipped_truncated += 1
+            continue
+        elements, overrun = reference_parse_ies(body[24:])
+        diag.ie_overruns += overrun
+        if channel is None:
+            channel = meta.declared_channel
+        if channel is None:
+            raise ChannelResolutionError(f"frame in {meta.path} has no channel")
+        ies = b"".join(bytes([ie_id, len(element)]) + element for ie_id, element in elements)
+        seq = struct.unpack_from("<H", body, 22)[0] >> 4
+        frames.append(ProbeRequestFrame(timestamp, bytes(body[10:16]), channel, seq, ies))
+        diag.probe_requests += 1
+    if diag.records_total == 0:
+        diag.empty_files.append(meta.path)
+    return frames
 
 
 def reference_dbscan(points, eps, min_pts):

@@ -1,11 +1,13 @@
 """Capture parsing, Radiotap decoding and multi-sniffer merging."""
 
+import dataclasses
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probederand import pcap
 from probederand.pcap import (
     CaptureMeta,
     ChannelResolutionError,
@@ -25,6 +27,7 @@ from oracles import (
     reference_ds_channel,
     reference_ie_features,
     reference_parse_ies,
+    reference_read_capture,
 )
 
 
@@ -37,12 +40,38 @@ def pcap_record(body, ts_sec=0, ts_frac=0, order="<"):
     return struct.pack(order + "IIII", ts_sec, ts_frac, len(body), len(body)) + body
 
 
+def radiotap_header(present, tsft=0, flags=0, freq=2437, extension_words=0, length=None, version=0):
+    """Radiotap header with the fields of presence ``present`` (bits 0..3:
+    TSFT, Flags, Rate, Channel), each at its alignment, after
+    ``extension_words`` extra presence words. ``length`` overrides the
+    declared length; a header declared shorter than its fields is cut
+    to its declared length, but never below the 8 fixed bytes."""
+    words = [present] + [0] * extension_words
+    for i in range(extension_words):
+        words[i] |= 0x80000000
+    buf = bytearray(struct.pack("<BBH", version, 0, 0))
+    for word in words:
+        buf += struct.pack("<I", word)
+    if present & 1:
+        buf += bytes(-len(buf) % 8) + struct.pack("<Q", tsft)
+    if present & 2:
+        buf.append(flags)
+    if present & 4:
+        buf.append(2)  # Rate
+    if present & 8:
+        buf += bytes(len(buf) % 2) + struct.pack("<HH", freq, 0x0080)
+    if length is None:
+        length = len(buf)
+    elif length > len(buf):
+        buf += bytes(length - len(buf))
+    struct.pack_into("<H", buf, 2, length)
+    return bytes(buf[: max(8, length)])
+
+
 def radiotap_channel(channel, flags=None):
     """Minimal Radiotap header carrying a channel (and optionally flags)."""
-    freq = 2407 + 5 * channel
-    if flags is None:
-        return struct.pack("<BBHIHH", 0, 0, 12, 1 << 3, freq, 0x0080)
-    return struct.pack("<BBHIBxHH", 0, 0, 14, (1 << 1) | (1 << 3), flags, freq, 0x0080)
+    present = 0b1000 if flags is None else 0b1010
+    return radiotap_header(present, flags=flags or 0, freq=2407 + 5 * channel)
 
 
 def dot11_probe(mac=b"\x02\x00\x00\x00\x00\x01", seq=7, ies=b"", fc0=0x40):
@@ -338,3 +367,169 @@ class TestFuzz:
             return
         assert header_len <= len(blob)
         assert channel is None or 1 <= channel <= 13
+
+
+# (present, extension words, declared length or None, change to the
+# fitted length, version): shared by several records of one capture, so
+# 8-byte fixed headers repeat while TSFT, flags and frequency vary per
+# record. A fixed declared length lets headers with different extension
+# chains share their fixed 8 bytes.
+radiotap_layouts = st.tuples(
+    st.integers(0, 15),
+    st.sampled_from((0, 0, 0, 1, 2)),
+    st.sampled_from((None, None, None, 16, 20, 24)),
+    st.sampled_from((0, 0, 0, 3, -1, -4, -30)),
+    st.sampled_from((0, 0, 0, 0, 1)),
+)
+
+
+@st.composite
+def radiotap_captures(draw):
+    """pcap bytes whose records mix one-word and extension-word Radiotap
+    headers, FCS-present and FCS-bad flags, bad lengths and versions,
+    cut records, and fixed headers reused across records."""
+    order = draw(st.sampled_from("<>"))
+    nanos = draw(st.booleans())
+    linktype = draw(st.sampled_from((127, 127, 127, 105)))
+    layouts = draw(st.lists(radiotap_layouts, min_size=1, max_size=4))
+    data = pcap_header(order, nanos, linktype)
+    for _ in range(draw(st.integers(0, 12))):
+        present, ext, length, delta, version = draw(st.sampled_from(layouts))
+        if length is None:
+            length = max(0, len(radiotap_header(present, extension_words=ext)) + delta)
+        flags = draw(st.one_of(st.sampled_from((0, 0x10, 0x40, 0x50)), st.integers(0, 255)))
+        header = radiotap_header(
+            present,
+            tsft=draw(st.integers(0, 2**64 - 1)),
+            flags=flags,
+            freq=draw(st.one_of(st.sampled_from((2412, 2437, 2472, 2484, 5180)), st.integers(0, 65535))),
+            extension_words=ext,
+            length=length,
+            version=version,
+        )
+        body = dot11_probe(
+            mac=draw(st.binary(min_size=6, max_size=6)),
+            seq=draw(st.integers(0, 4095)),
+            ies=draw(truncated_elements()),
+            fc0=draw(st.sampled_from((0x40, 0x40, 0x80))),
+        )
+        if draw(st.integers(0, 5)) == 0:
+            body = b""
+        record = (header if linktype == 127 else b"") + body
+        if flags & 0x10:
+            record += draw(st.binary(min_size=4, max_size=4))
+        if draw(st.integers(0, 3)) == 0:
+            record = record[: draw(st.integers(0, len(record)))]
+        data += pcap_record(
+            record, ts_sec=draw(st.integers(0, 2**32 - 1)), ts_frac=draw(st.integers(0, 999_999)), order=order
+        )
+    if draw(st.booleans()):
+        data += draw(st.binary(max_size=20))
+    return data
+
+
+def parse_both(data, declared):
+    """(frames or raised error type, diagnostics) from read_capture and
+    from the reference loop."""
+    results = []
+    for parse in (read_capture, reference_read_capture):
+        diag = ParseDiagnostics()
+        try:
+            outcome = parse(data, meta(declared), diag)
+        except ChannelResolutionError:
+            outcome = ChannelResolutionError
+        results.append((outcome, diag))
+    return results
+
+
+class TestRadiotapLayoutMemo:
+    @given(radiotap_captures(), st.sampled_from((None, 6)))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_loop(self, data, declared):
+        """Equal frames and every diagnostics field equal to the
+        per-record loop that decodes each header in full."""
+        (frames, diag), (expected, expected_diag) = parse_both(data, declared)
+        assert frames == expected
+        assert diag == expected_diag
+
+    def test_reused_prefix_on_record_shorter_than_header(self):
+        header = radiotap_header(0b1011, tsft=5, flags=0, freq=2437)
+        short = radiotap_header(0b1011, tsft=6, flags=0, freq=2437)[:-2]
+        assert header[:8] == short[:8]
+        data = pcap_header() + pcap_record(header + dot11_probe()) + pcap_record(short)
+        (frames, diag), (expected, expected_diag) = parse_both(data, None)
+        assert frames == expected and len(frames) == 1
+        assert diag == expected_diag
+        assert diag.skipped_bad_radiotap == 1
+
+    @pytest.fixture
+    def layout_calls(self, monkeypatch):
+        calls = []
+        decode = pcap._radiotap_layout
+
+        def spy(*args):
+            calls.append(args)
+            return decode(*args)
+
+        monkeypatch.setattr(pcap, "_radiotap_layout", spy)
+        return calls
+
+    def test_layout_decoded_once_per_prefix(self, layout_calls):
+        records = []
+        for t in range(40):
+            present = 0b1011 if t % 4 else 0b1001  # with and without Flags
+            header = radiotap_header(present, tsft=1000 + 7 * t, freq=2407 + 5 * (1 + t % 13))
+            records.append(pcap_record(header + dot11_probe(seq=t), ts_sec=t))
+        frames = read_capture(pcap_header() + b"".join(records), meta())
+        assert len(layout_calls) == 2
+        assert [f.capture_channel for f in frames] == [1 + t % 13 for t in range(40)]
+        assert [f.sequence_number for f in frames] == list(range(40))
+
+    def test_extension_header_decoded_every_frame(self, layout_calls):
+        records = [
+            pcap_record(
+                radiotap_header(0b1011, tsft=t, flags=0x10 * (t % 2), freq=2412 + 5 * t, extension_words=1)
+                + dot11_probe(ies=b"\x03\x01\x0b")
+                + b"\xde\xad\xbe\xef" * (t % 2)
+            )
+            for t in range(6)
+        ]
+        frames = read_capture(pcap_header() + b"".join(records), meta())
+        assert len(layout_calls) == 6
+        assert [f.capture_channel for f in frames] == [1, 2, 3, 4, 5, 6]
+        assert {f.ies for f in frames} == {b"\x03\x01\x0b"}
+
+    def test_nothing_kept_between_calls(self, layout_calls):
+        data = pcap_header() + pcap_record(radiotap_channel(6) + dot11_probe())
+        assert read_capture(data, meta()) == read_capture(data, meta())
+        assert len(layout_calls) == 2
+
+
+class TestProbeRequestFrame:
+    def test_slotted_and_frozen(self):
+        f = frame(1.0)
+        assert not hasattr(f, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.capture_channel = 6
+
+    @pytest.mark.parametrize(
+        "mac, channel, seq",
+        [(b"\x02" * 5, 1, 0), (b"\x02" * 6, 0, 0), (b"\x02" * 6, 14, 0), (b"\x02" * 6, 1, 4096), (b"\x02" * 6, 1, -1)],
+    )
+    def test_bad_fields_rejected(self, mac, channel, seq):
+        with pytest.raises(ValueError):
+            ProbeRequestFrame(0.0, mac, channel, seq, b"")
+
+    def test_equal_frames_hash_equal(self):
+        a = ProbeRequestFrame(1.5, b"\x02" * 6, 6, 9, b"\x00\x00")
+        b = ProbeRequestFrame(1.5, bytes(b"\x02" * 6), 6, 9, bytes(bytearray(b"\x00\x00")))
+        assert a == b and hash(a) == hash(b)
+        assert a != dataclasses.replace(a, sequence_number=10)
+
+    def test_replace_validates(self):
+        f = frame(1.0)
+        moved = dataclasses.replace(f, source_mac=b"\x02\x00\x00\x00\x00\x09")
+        assert moved.source_mac == b"\x02\x00\x00\x00\x00\x09"
+        assert (moved.timestamp, moved.capture_channel) == (f.timestamp, f.capture_channel)
+        with pytest.raises(ValueError):
+            dataclasses.replace(f, capture_channel=0)
