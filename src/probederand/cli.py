@@ -149,9 +149,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def cmd_ingest(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     diagnostics = ParseDiagnostics()
-    labeled = read_dataset(args.dataset_root, diagnostics)
-    frames = [frame for frame, _ in labeled]
-    truths = [label for _, label in labeled]
+    frames, truths = read_dataset(args.dataset_root, diagnostics)
     bursts = group_bursts(frames, config["gap_seconds"], truths)
     out = _out_dir(args)
     write_feature_file(bursts, out / "bursts.csv", _header("ingest", config))

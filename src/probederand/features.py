@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .pcap import ProbeRequestFrame, ie_fields, mac_from_str, mac_to_str
+from .pcap import FrameTable, ie_fields, mac_from_str, mac_to_str
 
 DEFAULT_BURST_GAP = 2.0
 
@@ -48,63 +48,109 @@ class Burst:
 
 
 def group_bursts(
-    frames: Sequence[ProbeRequestFrame],
+    frames: FrameTable,
     gap_seconds: float = DEFAULT_BURST_GAP,
     truths: Optional[Sequence[str]] = None,
 ) -> list[Burst]:
-    """Partition a time-ordered frame stream into bursts.
+    """Partition a time-ordered frame table into bursts.
 
     Frames are split by source MAC; within one MAC a new burst starts
     whenever the inter-frame gap exceeds ``gap_seconds`` (devices that
-    never randomize reuse one MAC across many bursts). Burst IE
-    features are taken from the first frame of the burst. Each channel
-    vector entry is the frame's DS channel, else (no DS channel, or a DS
-    channel of 0) its capture channel.
+    never randomize reuse one MAC across many bursts). Bursts are
+    numbered in the order of their first frames. Burst IE features are
+    taken from the first frame of the burst, and ``ie_stable`` says that
+    every frame has them. Each channel vector entry is the frame's DS
+    channel, else (no DS channel, or a DS channel of 0) its capture
+    channel. ``truths[i]``, when given, labels row i; a burst takes its
+    first frame's label.
+
+    The cut is made with array operations, each exact: a stable sort by
+    MAC keeps every MAC's frames in time order, so each frame's
+    predecessor in that order is the previous frame of its MAC, and the
+    float64 gap is the same subtraction Python makes.
     """
     if gap_seconds <= 0:
         raise ValueError("gap_seconds must be positive")
-    if truths is not None and len(truths) != len(frames):
+    n = len(frames)
+    if truths is not None and len(truths) != n:
         raise ValueError("truths must parallel frames")
+    timestamps = np.array(frames.timestamps, dtype=float)
+    if np.any(timestamps[1:] < timestamps[:-1]):
+        raise ValueError("frames must be sorted by timestamp")
+    if n == 0:
+        return []
 
-    groups: list[list[int]] = []
-    open_group: dict[bytes, int] = {}
-    last_seen: dict[bytes, float] = {}
-    # one walk per distinct IE region; frames from read_capture share
-    # their region objects, so most lookups are identity hits
-    walked: dict[bytes, tuple] = {}
-    previous_ts = None
-    for idx, frame in enumerate(frames):
-        if previous_ts is not None and frame.timestamp < previous_ts:
-            raise ValueError("frames must be sorted by timestamp")
-        previous_ts = frame.timestamp
-        if frame.ies not in walked:
-            walked[frame.ies] = ie_fields(frame.ies)
-        mac = frame.source_mac
-        if mac in open_group and frame.timestamp - last_seen[mac] <= gap_seconds:
-            groups[open_group[mac]].append(idx)
-        else:
-            open_group[mac] = len(groups)
-            groups.append([idx])
-        last_seen[mac] = frame.timestamp
+    order, starts = _burst_starts(frames.source_macs, timestamps, gap_seconds)
+    begin = np.flatnonzero(starts)
+    end = np.append(begin[1:], n)
 
-    bursts = []
-    for burst_id, indices in enumerate(groups):
-        fields = [walked[frames[i].ies] for i in indices]
-        features = fields[0][0]
-        bursts.append(
-            Burst(
-                burst_id=burst_id,
-                source_mac=frames[indices[0]].source_mac,
-                ie_features=features,
-                channel_vector=tuple(
-                    channel or frames[i].capture_channel
-                    for (_, channel, _), i in zip(fields, indices)
-                ),
-                truth_device=truths[indices[0]] if truths is not None else None,
-                ie_stable=all(f == features for f, _, _ in fields),
+    fingerprints, fingerprint_of, channel_of = _frame_codes(frames)
+    vectors = channel_of[order].tolist()
+    codes = fingerprint_of[order]
+    stable = np.ones(len(begin), dtype=bool)
+    burst_of = np.cumsum(starts) - 1
+    stable[burst_of[codes != codes[begin][burst_of]]] = False
+
+    # number the bursts by the row of their first frame
+    first_rows = order[begin]
+    by_first = np.argsort(first_rows)
+    first = first_rows[by_first]
+    macs = frames.source_macs
+    return [
+        Burst(
+            burst_id=burst_id,
+            source_mac=macs[i],
+            ie_features=fingerprints[code],
+            channel_vector=tuple(vectors[lo:hi]),
+            truth_device=truths[i] if truths is not None else None,
+            ie_stable=is_stable,
+        )
+        for burst_id, (i, code, lo, hi, is_stable) in enumerate(
+            zip(
+                first.tolist(),
+                fingerprint_of[first].tolist(),
+                begin[by_first].tolist(),
+                end[by_first].tolist(),
+                stable[by_first].tolist(),
             )
         )
-    return bursts
+    ]
+
+
+def _burst_starts(
+    macs: Sequence[bytes], timestamps: np.ndarray, gap_seconds: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The frames' stable order by MAC, and a flag at each position of it
+    where a burst starts: the MAC changes, or the gap to the previous
+    frame, of the same MAC, exceeds ``gap_seconds``."""
+    padded = np.zeros((len(macs), 8), dtype=np.uint8)
+    padded[:, :6] = np.frombuffer(b"".join(macs), dtype=np.uint8).reshape(-1, 6)
+    keys = padded.view(np.uint64).ravel()  # one integer per distinct MAC
+    order = np.argsort(keys, kind="stable")
+    keys, timestamps = keys[order], timestamps[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = ~((keys[1:] == keys[:-1]) & (timestamps[1:] - timestamps[:-1] <= gap_seconds))
+    return order, starts
+
+
+def _frame_codes(frames: FrameTable) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+    """(distinct fingerprints, each frame's fingerprint code, each frame's
+    channel-vector entry), after one walk per distinct IE region.
+
+    The entry is the frame's DS channel where it is > 0, else its
+    capture channel.
+    """
+    region_rows: dict[bytes, int] = {}
+    region_of = np.array([region_rows.setdefault(ies, len(region_rows)) for ies in frames.ies])
+    fingerprint_codes: dict[tuple, int] = {}
+    region_fingerprint, region_ds = [], []
+    for region in region_rows:
+        fingerprint, ds_channel, _ = ie_fields(region)
+        region_fingerprint.append(fingerprint_codes.setdefault(fingerprint, len(fingerprint_codes)))
+        region_ds.append(ds_channel or 0)
+    ds_of = np.array(region_ds)[region_of]
+    channel_of = np.where(ds_of > 0, ds_of, np.array(frames.capture_channels))
+    return list(fingerprint_codes), np.array(region_fingerprint)[region_of], channel_of
 
 
 def ie_stability_violations(bursts: Sequence[Burst]) -> list[int]:

@@ -7,6 +7,10 @@ merges per-channel sniffer captures into one time-ordered stream.
 :func:`read_capture` alone gives a frame its capture channel: the
 Radiotap channel field, else the channel the file declares.
 
+Parsed frames travel as one :class:`FrameTable` of columns, never as an
+object per frame; :class:`ProbeRequestFrame` is the validated record
+for frames built one at a time.
+
 Only the fields the burst pipeline consumes are decoded: capture
 timestamp, source MAC (Address 2), capture channel, sequence number,
 and the tagged Information Elements, kept as raw bytes and read by
@@ -24,6 +28,8 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 PCAP_MAGIC_US = 0xA1B2C3D4
 PCAP_MAGIC_NS = 0xA1B23C4D
@@ -87,6 +93,21 @@ class ProbeRequestFrame:
             raise ValueError(f"capture_channel out of range: {self.capture_channel}")
         if not 0 <= self.sequence_number <= 4095:
             raise ValueError(f"sequence_number out of range: {self.sequence_number}")
+
+
+@dataclass
+class FrameTable:
+    """Probe Requests as columns, one list per :class:`ProbeRequestFrame`
+    field: row i of every list is frame i."""
+
+    timestamps: list[float] = field(default_factory=list)
+    source_macs: list[bytes] = field(default_factory=list)
+    capture_channels: list[int] = field(default_factory=list)
+    sequence_numbers: list[int] = field(default_factory=list)
+    ies: list[bytes] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
 
 
 @dataclass
@@ -272,18 +293,23 @@ def read_capture(
     data: bytes,
     meta: CaptureMeta,
     diagnostics: Optional[ParseDiagnostics] = None,
-) -> list[ProbeRequestFrame]:
-    """Parse the bytes of a pcap file and return its Probe Request frames.
+) -> FrameTable:
+    """Parse the bytes of a pcap file into a table of its Probe Requests.
 
     Non-probe frames are skipped silently; truncated or FCS-bad frames
     are skipped and tallied. A record header promising more bytes than
     remain stops the walk with the partial result. A frame's IE region
     is cut after its last whole element, and the cut is tallied as an
     ``ie_overrun``. Each distinct IE region is walked once per call, and
-    frames with equal regions share one kept bytes object. A frame's
+    rows with equal regions share one kept bytes object. A frame's
     capture channel is its Radiotap channel, else
     ``meta.declared_channel``; a frame with neither raises
-    :class:`ChannelResolutionError` naming ``meta.path``.
+    :class:`ChannelResolutionError` naming ``meta.path``, and a declared
+    channel outside 1..13 raises ``ValueError`` when a frame takes it.
+
+    Every row is a valid :class:`ProbeRequestFrame` by construction: the
+    MAC is a 6-byte slice, the sequence number a 12-bit field, and a
+    Radiotap channel comes from the 2.4 GHz map of channels 1..13.
 
     Records are read in place: only the source MAC and the IE region are
     copied out of ``data``. The Radiotap layout (header length, flags and
@@ -301,11 +327,17 @@ def read_capture(
 
     unpack_record = struct.Struct(order + "IIII").unpack_from
     radiotap = network == LINKTYPE_RADIOTAP
+    declared = meta.declared_channel
     # fixed Radiotap header with one presence word -> its layout
     layouts: dict[bytes, tuple[int, Optional[int], Optional[int]]] = {}
     # raw IE region -> the region kept for it
     kept_regions: dict[bytes, bytes] = {}
-    frames: list[ProbeRequestFrame] = []
+    table = FrameTable()
+    add_timestamp = table.timestamps.append
+    add_mac = table.source_macs.append
+    add_channel = table.capture_channels.append
+    add_sequence = table.sequence_numbers.append
+    add_ies = table.ies.append
     offset = 24
     total = len(data)
     while offset < total:
@@ -357,8 +389,6 @@ def read_capture(
             diag.skipped_truncated += 1
             continue
 
-        source_mac = data[body + 10 : body + 16]
-        seq_ctl = _U16(data, body + 22)[0]
         region = data[body + _MGMT_HEADER_LEN : end]
         ies = kept_regions.get(region)
         if ies is None:
@@ -367,30 +397,60 @@ def read_capture(
         if len(ies) < len(region):
             diag.ie_overruns += 1
         if channel is None:
-            channel = meta.declared_channel
-        if channel is None:
-            raise ChannelResolutionError(
-                f"frame in {meta.path} has no Radiotap channel and the file declares none"
-            )
-        frames.append(ProbeRequestFrame(timestamp, source_mac, channel, seq_ctl >> 4, ies))
+            if declared is None:
+                raise ChannelResolutionError(
+                    f"frame in {meta.path} has no Radiotap channel and the file declares none"
+                )
+            if not 1 <= declared <= 13:
+                raise ValueError(f"capture_channel out of range: {declared}")
+            channel = declared
+        add_timestamp(timestamp)
+        add_mac(data[body + 10 : body + 16])
+        add_channel(channel)
+        add_sequence(_U16(data, body + 22)[0] >> 4)
+        add_ies(ies)
         diag.probe_requests += 1
     if diag.records_total == 0:
         diag.empty_files.append(meta.path)
-    return frames
+    return table
 
 
 def merge_captures(
-    streams: Iterable[tuple[list[ProbeRequestFrame], object]],
-) -> list[tuple[ProbeRequestFrame, object]]:
-    """Single time-ordered stream of (frame, tag) pairs from per-sniffer
-    (frames, tag) captures.
+    streams: Iterable[tuple[FrameTable, object]],
+) -> tuple[FrameTable, list]:
+    """One time-ordered table from per-sniffer (table, tag) captures, and
+    the tag of each merged row.
 
-    Ties are broken by capture channel ascending, then by input order
-    (the sort is stable).
+    Rows are ordered by timestamp, ties by capture channel ascending,
+    then by input order. ``np.lexsort`` gives exactly that order: it is
+    stable, and its float64 and integer comparisons equal Python's on
+    finite timestamps and channel numbers. The merged columns hold the
+    input tables' own value objects.
     """
-    merged = [(frame, tag) for frames, tag in streams for frame in frames]
-    merged.sort(key=lambda pair: (pair[0].timestamp, pair[0].capture_channel))
-    return merged
+    streams = list(streams)
+    tables = [table for table, _ in streams]
+    sizes = [len(table) for table in tables]
+
+    def concatenated(name: str) -> np.ndarray:
+        column = np.empty(sum(sizes), dtype=object)
+        start = 0
+        for table, size in zip(tables, sizes):
+            column[start : start + size] = getattr(table, name)
+            start += size
+        return column
+
+    timestamps = concatenated("timestamps")
+    channels = concatenated("capture_channels")
+    order = np.lexsort((channels.astype(np.int64), timestamps.astype(float)))
+    merged = FrameTable(
+        timestamps[order].tolist(),
+        concatenated("source_macs")[order].tolist(),
+        channels[order].tolist(),
+        concatenated("sequence_numbers")[order].tolist(),
+        concatenated("ies")[order].tolist(),
+    )
+    stream_of = np.repeat(np.arange(len(streams)), sizes)[order]
+    return merged, [streams[i][1] for i in stream_of.tolist()]
 
 
 def _channel_sort_key(path: Path) -> tuple[int, str]:
@@ -415,12 +475,13 @@ def iter_dataset_files(root: Path) -> Iterator[tuple[str, Path, Optional[int]]]:
 
 def read_dataset(
     root, diagnostics: Optional[ParseDiagnostics] = None
-) -> list[tuple[ProbeRequestFrame, str]]:
+) -> tuple[FrameTable, list[str]]:
     """Parse and merge every capture under a labeled dataset tree.
 
-    Returns time-ordered (frame, device label) pairs across all devices
-    and sniffer channels. Duplicate frames captured by several sniffers
-    are kept.
+    Returns one time-ordered :class:`FrameTable` across all devices and
+    sniffer channels, ordered as :func:`merge_captures` orders it, and
+    the device label of each row. Duplicate frames captured by several
+    sniffers are kept.
     """
     root = Path(root)
     if not root.is_dir():

@@ -6,7 +6,10 @@ no code with the paths they check. The shortcut references are the
 exception, and each drops only the shortcut it checks:
 ``reference_read_capture`` reuses the library's pcap header check and
 Radiotap decoder but copies each record and its body and decodes every
-Radiotap header in full; ``reference_refine_labels`` reuses the
+Radiotap header in full; ``reference_group_bursts`` is the library's
+per-frame grouping loop over ``ProbeRequestFrame`` lists, with its IE
+walk, before bursts were cut with array operations;
+``reference_refine_labels`` reuses the
 library's k-means and elbow with no distinct-row cap on k;
 ``all_rows_dbscan`` is the library's vectorized
 kernel before it ran over distinct rows; ``plain_spherical_kmeans``
@@ -44,7 +47,7 @@ from probederand.clustering import (
     spherical_kmeans,
     two_stage_cluster,
 )
-from probederand.features import pad_matrix
+from probederand.features import Burst, pad_matrix
 from probederand.metrics import (
     METHOD_IE_ONLY,
     METHOD_TWO_STAGE,
@@ -62,9 +65,11 @@ from probederand.pcap import (
     RT_FLAG_HAS_FCS,
     ChannelResolutionError,
     Error,
+    FrameTable,
     ParseDiagnostics,
     ProbeRequestFrame,
     _unpack_global_header,
+    ie_fields,
     parse_radiotap_fields,
 )
 from probederand.randomness import STREAM_KMEANS, child_seed, substream
@@ -118,6 +123,77 @@ def decorated_merge(streams):
             position += 1
     decorated.sort(key=lambda item: item[:3])
     return [(frame, tag) for _, _, _, frame, tag in decorated]
+
+
+def frame_table(frames):
+    """FrameTable of a ``ProbeRequestFrame`` list, row i from frame i."""
+    return FrameTable(
+        [f.timestamp for f in frames],
+        [f.source_mac for f in frames],
+        [f.capture_channel for f in frames],
+        [f.sequence_number for f in frames],
+        [f.ies for f in frames],
+    )
+
+
+def table_frames(table):
+    """One validated ``ProbeRequestFrame`` per FrameTable row."""
+    columns = (
+        table.timestamps,
+        table.source_macs,
+        table.capture_channels,
+        table.sequence_numbers,
+        table.ies,
+    )
+    return [ProbeRequestFrame(*row) for row in zip(*columns, strict=True)]
+
+
+def reference_group_bursts(frames, gap_seconds=2.0, truths=None):
+    """Bursts of a time-ordered ``ProbeRequestFrame`` list, cut by one
+    pass over the frames with a per-MAC open burst and last-seen time."""
+    if gap_seconds <= 0:
+        raise ValueError("gap_seconds must be positive")
+    if truths is not None and len(truths) != len(frames):
+        raise ValueError("truths must parallel frames")
+
+    groups: list[list[int]] = []
+    open_group: dict[bytes, int] = {}
+    last_seen: dict[bytes, float] = {}
+    # one walk per distinct IE region
+    walked: dict[bytes, tuple] = {}
+    previous_ts = None
+    for idx, frame in enumerate(frames):
+        if previous_ts is not None and frame.timestamp < previous_ts:
+            raise ValueError("frames must be sorted by timestamp")
+        previous_ts = frame.timestamp
+        if frame.ies not in walked:
+            walked[frame.ies] = ie_fields(frame.ies)
+        mac = frame.source_mac
+        if mac in open_group and frame.timestamp - last_seen[mac] <= gap_seconds:
+            groups[open_group[mac]].append(idx)
+        else:
+            open_group[mac] = len(groups)
+            groups.append([idx])
+        last_seen[mac] = frame.timestamp
+
+    bursts = []
+    for burst_id, indices in enumerate(groups):
+        fields = [walked[frames[i].ies] for i in indices]
+        features = fields[0][0]
+        bursts.append(
+            Burst(
+                burst_id=burst_id,
+                source_mac=frames[indices[0]].source_mac,
+                ie_features=features,
+                channel_vector=tuple(
+                    channel or frames[i].capture_channel
+                    for (_, channel, _), i in zip(fields, indices)
+                ),
+                truth_device=truths[indices[0]] if truths is not None else None,
+                ie_stable=all(f == features for f, _, _ in fields),
+            )
+        )
+    return bursts
 
 
 def reference_read_capture(data, meta, diagnostics=None):

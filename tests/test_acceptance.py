@@ -37,7 +37,7 @@ from probederand.synth import (
     write_capture,
 )
 
-from oracles import canonical_partition, oracle_hcv, reference_dbscan
+from oracles import canonical_partition, oracle_hcv, reference_dbscan, table_frames
 from scenarios import hetero_scenario, mixed_scenario, twin_scenario
 
 # Pinned experiment seeds. The protocol seed is chosen so that every
@@ -51,8 +51,8 @@ FIG1_BURST = (1, 1, 2, 2, 5, 7, 9, 9, 10, 10, 11, 11, 12, 12, 13, 13)
 
 
 def ingest(root):
-    labeled = read_dataset(root)
-    return group_bursts([f for f, _ in labeled], 2.0, [l for _, l in labeled])
+    frames, labels = read_dataset(root)
+    return group_bursts(frames, 2.0, labels)
 
 
 def by_population(reports):
@@ -256,7 +256,7 @@ def test_criterion_9_parser_round_trip(tmp_path):
     assert len(frames) == 10_000
     path = tmp_path / "big.pcap"
     write_capture(frames, path)
-    recovered = read_capture(path.read_bytes(), CaptureMeta(str(path)))
+    recovered = table_frames(read_capture(path.read_bytes(), CaptureMeta(str(path))))
     assert recovered == frames  # bit-exact on every modeled field
     print("ACCEPTANCE 9 parser-round-trip: PASS")
 

@@ -47,6 +47,7 @@ from probederand.randomness import DEFAULT_SEED, STREAM_KMEANS, substream
 from oracles import (
     all_rows_dbscan,
     canonical_partition,
+    frame_table,
     plain_seed_centers,
     plain_spherical_kmeans,
     reference_dbscan,
@@ -843,7 +844,7 @@ class TestTwoStage:
                         truths.append(name)
                         t += 0.01
                     t += 5.0
-            return group_bursts(frames, 2.0, truths)
+            return group_bursts(frame_table(frames), 2.0, truths)
 
         zero, named = bursts(ds_zero=True), bursts(ds_zero=False)
         assert [b.channel_vector for b in zero] == [b.channel_vector for b in named]

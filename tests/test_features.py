@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probederand.features import (
@@ -15,7 +15,9 @@ from probederand.features import (
     read_feature_file,
     write_feature_file,
 )
-from probederand.pcap import ProbeRequestFrame, ie_fields
+from probederand.pcap import ProbeRequestFrame, ie_fields, merge_captures
+
+from oracles import decorated_merge, frame_table, reference_group_bursts
 
 
 def frame(ts=0.0, mac=b"\x02\x00\x00\x00\x00\x01", channel=1, ies=()):
@@ -74,17 +76,17 @@ class TestIeFeatures:
 class TestGroupBursts:
     def test_gaps_below_threshold_make_one_burst(self):
         frames = [frame(ts) for ts in (0.0, 0.1, 0.2)]
-        bursts = group_bursts(frames, 2.0)
+        bursts = group_bursts(frame_table(frames), 2.0)
         assert len(bursts) == 1
         assert bursts[0].length == 3
 
     def test_gap_rule_splits(self):
-        bursts = group_bursts([frame(0.0), frame(10.0)], 2.0)
+        bursts = group_bursts(frame_table([frame(0.0), frame(10.0)]), 2.0)
         assert [b.length for b in bursts] == [1, 1]
 
     def test_distinct_macs_split(self):
         frames = [frame(0.0, mac=b"\x02\x00\x00\x00\x00\x01"), frame(0.0, mac=b"\x02\x00\x00\x00\x00\x02")]
-        assert len(group_bursts(frames, 2.0)) == 2
+        assert len(group_bursts(frame_table(frames), 2.0)) == 2
 
     def test_partition_property(self):
         rng = np.random.default_rng(5)
@@ -94,7 +96,7 @@ class TestGroupBursts:
             t += float(rng.uniform(0.001, 5.0))
             mac = bytes([0x02, 0, 0, 0, 0, int(rng.integers(4))])
             frames.append(frame(t, mac=mac))
-        bursts = group_bursts(frames, 2.0)
+        bursts = group_bursts(frame_table(frames), 2.0)
         assert sum(b.length for b in bursts) == len(frames)
         assert [b.burst_id for b in bursts] == list(range(len(bursts)))
 
@@ -103,7 +105,7 @@ class TestGroupBursts:
             frame(0.0, ies=[ie(45, [1])]),
             frame(0.1, ies=[ie(45, [9])]),
         ]
-        bursts = group_bursts(frames, 2.0)
+        bursts = group_bursts(frame_table(frames), 2.0)
         assert bursts[0].ie_features == (1, 0, 0)
         assert not bursts[0].ie_stable
         assert ie_stability_violations(bursts) == [0]
@@ -124,25 +126,99 @@ class TestGroupBursts:
             fresh.append(ProbeRequestFrame(t, mac, channel, 0, bytes(bytearray(region))))
         assert len({id(f.ies) for f in shared}) == len(regions)
         assert len({id(f.ies) for f in fresh if f.ies}) == sum(1 for f in fresh if f.ies)
-        bursts = group_bursts(shared, 2.0)
-        assert bursts == group_bursts(fresh, 2.0)
+        bursts = group_bursts(frame_table(shared), 2.0)
+        assert bursts == group_bursts(frame_table(fresh), 2.0)
         assert not all(b.ie_stable for b in bursts)
 
     def test_truth_labels_attach(self):
-        bursts = group_bursts([frame(0.0)], 2.0, truths=["phone-1"])
+        bursts = group_bursts(frame_table([frame(0.0)]), 2.0, truths=["phone-1"])
         assert bursts[0].truth_device == "phone-1"
 
     def test_unsorted_input_rejected(self):
         with pytest.raises(ValueError):
-            group_bursts([frame(1.0), frame(0.0)], 2.0)
+            group_bursts(frame_table([frame(1.0), frame(0.0)]), 2.0)
 
     def test_nonpositive_gap_rejected(self):
         with pytest.raises(ValueError):
-            group_bursts([frame(0.0)], 0.0)
+            group_bursts(frame_table([frame(0.0)]), 0.0)
+
+
+MACS = tuple(bytes([0x02, 0, 0, 0, 0, i]) for i in range(3))
+# no DS Parameter Set, DS channel 0, DS Parameter Sets with and without a
+# body, and two HT fingerprints, so a burst's IEs can change mid-burst
+REGIONS = (
+    b"",
+    tlv(ie(3, [0])),
+    tlv(ie(3, [6])),
+    tlv(ie(3, b""), ie(3, [11])),
+    tlv(ie(45, [1, 2]), ie(3, [1])),
+    tlv(ie(45, [9])),
+)
+# with a gap of 2.0: differences equal to it (0.0 -> 2.0 -> 4.0) and
+# just above it (2.0 or 4.0 -> the next float above 4.0 or 6.0)
+TIMESTAMPS = (
+    0.0, 0.5, 1.0, 2.0, 2.5, 4.0, float(np.nextafter(4.0, 5.0)), 6.0, float(np.nextafter(6.0, 7.0)), 7.0, 9.5
+)
+
+timed_frames = st.builds(
+    ProbeRequestFrame,
+    st.one_of(st.sampled_from(TIMESTAMPS), st.floats(0.0, 12.0)),
+    st.sampled_from(MACS),
+    st.sampled_from((1, 6, 11, 13)),
+    st.integers(0, 4095),
+    st.sampled_from(REGIONS),
+)
+capture_files = st.lists(
+    st.tuples(st.lists(timed_frames, max_size=12), st.sampled_from(("dev-a", "dev-b"))),
+    max_size=4,
+)
+mixed_files = [
+    (
+        [
+            ProbeRequestFrame(0.0, MACS[0], 11, 1, REGIONS[1]),
+            ProbeRequestFrame(2.0, MACS[0], 6, 2, REGIONS[2]),
+            ProbeRequestFrame(4.0, MACS[0], 1, 3, REGIONS[0]),
+            ProbeRequestFrame(TIMESTAMPS[8], MACS[0], 1, 4, REGIONS[4]),
+            ProbeRequestFrame(7.0, MACS[0], 13, 5, REGIONS[5]),
+        ],
+        "dev-a",
+    ),
+    ([ProbeRequestFrame(2.0, MACS[1], 1, 6, REGIONS[3]), ProbeRequestFrame(9.5, MACS[0], 1, 7, REGIONS[4])], "dev-b"),
+    ([], "dev-b"),
+]
+
+
+class TestGroupBurstsMatchesFrameLoop:
+    @given(capture_files, st.sampled_from((2.0, 1.5, 0.5)), st.booleans())
+    @example(mixed_files, 2.0, True)
+    @example(mixed_files, 2.0, False)
+    @example([], 2.0, True)
+    @example([([], "dev-a")], 2.0, True)
+    @settings(max_examples=300, deadline=None)
+    def test_merged_table_groups_as_frame_loop(self, files, gap_seconds, labelled):
+        """``group_bursts`` over the lexsort-merged table gives the bursts
+        of the per-frame loop over the decorated-sort merge."""
+        table, tags = merge_captures([(frame_table(frames), tag) for frames, tag in files])
+        pairs = decorated_merge(files)
+        expected = reference_group_bursts(
+            [frame for frame, _ in pairs], gap_seconds, [tag for _, tag in pairs] if labelled else None
+        )
+        assert group_bursts(table, gap_seconds, tags if labelled else None) == expected
+
+    def test_mixed_example_covers_each_rule(self):
+        table, tags = merge_captures([(frame_table(frames), tag) for frames, tag in mixed_files])
+        bursts = group_bursts(table, 2.0, tags)
+        assert [(b.source_mac, b.channel_vector, b.ie_stable) for b in bursts] == [
+            (MACS[0], (11, 6, 1), True),  # DS 0, DS 6, no DS; gaps of exactly 2.0
+            (MACS[1], (11,), True),  # tied at 2.0 with channel 6, sorted first
+            (MACS[0], (1, 13), False),  # gap just above 2.0; HT changes mid-burst
+            (MACS[0], (1,), True),  # the same MAC again after 2.5 s
+        ]
+        assert [b.truth_device for b in bursts] == ["dev-a", "dev-b", "dev-a", "dev-b"]
 
 
 def channel_vector(*frames):
-    (burst,) = group_bursts(frames, 2.0)
+    (burst,) = group_bursts(frame_table(frames), 2.0)
     return burst.channel_vector
 
 
@@ -161,12 +237,12 @@ class TestChannelVector:
         assert channel_vector(frame(ies=[ie(3, b""), ie(3, [6]), ie(3, [11])])) == (6,)
 
     def test_single_frame_burst_vector(self):
-        bursts = group_bursts([frame(ies=[ie(3, [6])])], 2.0)
+        bursts = group_bursts(frame_table([frame(ies=[ie(3, [6])])]), 2.0)
         assert bursts[0].channel_vector == (6,)
 
     def test_matches_stored_vector(self):
         frames = [frame(0.0, ies=[ie(3, [1])]), frame(0.01, ies=[ie(3, [6])])]
-        burst = group_bursts(frames, 2.0)[0]
+        burst = group_bursts(frame_table(frames), 2.0)[0]
         assert tuple(ie_fields(f.ies)[1] for f in frames) == burst.channel_vector == (1, 6)
 
 
@@ -224,7 +300,7 @@ class TestFeatureFile:
             frame(0.01, ies=[ie(3, [6]), ie(45, [0xAD, 0x01])]),
             frame(5.0, mac=b"\x06\x01\x02\x03\x04\x05", ies=[ie(3, [11])]),
         ]
-        return group_bursts(frames, 2.0, truths=["dev-a", "dev-a", "dev-b"])
+        return group_bursts(frame_table(frames), 2.0, truths=["dev-a", "dev-a", "dev-b"])
 
     def test_round_trip(self, tmp_path):
         bursts = self.make_bursts()

@@ -13,6 +13,7 @@ from probederand.pcap import (
     ChannelResolutionError,
     Error,
     FormatError,
+    FrameTable,
     ParseDiagnostics,
     ProbeRequestFrame,
     TruncationError,
@@ -24,10 +25,12 @@ from probederand.pcap import (
 
 from oracles import (
     decorated_merge,
+    frame_table,
     reference_ds_channel,
     reference_ie_features,
     reference_parse_ies,
     reference_read_capture,
+    table_frames,
 )
 
 
@@ -96,7 +99,7 @@ def meta(channel=None):
 class TestReadCapture:
     def test_probe_request_accepted(self):
         data = pcap_header() + pcap_record(radiotap_channel(6) + dot11_probe())
-        frames = read_capture(data, meta())
+        frames = table_frames(read_capture(data, meta()))
         assert len(frames) == 1
         assert frames[0].capture_channel == 6
         assert frames[0].source_mac == b"\x02\x00\x00\x00\x00\x01"
@@ -105,12 +108,12 @@ class TestReadCapture:
     def test_beacon_skipped(self):
         diag = ParseDiagnostics()
         data = pcap_header() + pcap_record(radiotap_channel(6) + dot11_probe(fc0=0x80))
-        assert read_capture(data, meta(), diag) == []
+        assert len(read_capture(data, meta(), diag)) == 0
         assert diag.skipped_other == 1
 
     def test_empty_capture(self):
         diag = ParseDiagnostics()
-        assert read_capture(pcap_header(), meta(), diag) == []
+        assert len(read_capture(pcap_header(), meta(), diag)) == 0
         assert diag.records_total == 0
         assert diag.empty_files == ["test.pcap"]
 
@@ -126,7 +129,7 @@ class TestReadCapture:
         data = pcap_header(order=">") + pcap_record(
             radiotap_channel(1) + dot11_probe(), ts_sec=3, ts_frac=250, order=">"
         )
-        frames = read_capture(data, meta())
+        frames = table_frames(read_capture(data, meta()))
         assert len(frames) == 1
         assert frames[0].timestamp == pytest.approx(3.000250, abs=1e-9)
 
@@ -134,7 +137,7 @@ class TestReadCapture:
         data = pcap_header(nanos=True) + pcap_record(
             radiotap_channel(1) + dot11_probe(), ts_sec=1, ts_frac=500_001_000
         )
-        frames = read_capture(data, meta())
+        frames = table_frames(read_capture(data, meta()))
         assert frames[0].timestamp == pytest.approx(1.500001, abs=1e-9)
 
     def test_record_overrunning_file_stops_with_partial_result(self):
@@ -149,24 +152,24 @@ class TestReadCapture:
         diag = ParseDiagnostics()
         short = dot11_probe()[:20]  # probe FC but body below header size
         data = pcap_header() + pcap_record(radiotap_channel(6) + short)
-        assert read_capture(data, meta(), diag) == []
+        assert len(read_capture(data, meta(), diag)) == 0
         assert diag.skipped_truncated == 1
 
     def test_fcs_bad_frame_dropped(self):
         diag = ParseDiagnostics()
         data = pcap_header() + pcap_record(radiotap_channel(6, flags=0x40) + dot11_probe())
-        assert read_capture(data, meta(), diag) == []
+        assert len(read_capture(data, meta(), diag)) == 0
         assert diag.skipped_fcs_bad == 1
 
     def test_fcs_present_flag_strips_trailer(self):
         body = radiotap_channel(6, flags=0x10) + dot11_probe(ies=b"\x03\x01\x0b") + b"\xde\xad\xbe\xef"
-        frames = read_capture(pcap_header() + pcap_record(body), meta())
+        frames = table_frames(read_capture(pcap_header() + pcap_record(body), meta()))
         assert frames[0].ies == b"\x03\x01\x0b"
         assert [ie_id for ie_id, _ in reference_parse_ies(frames[0].ies)[0]] == [3]
 
     def test_declared_channel_fallback(self):
         data = pcap_header() + pcap_record(RADIOTAP_NO_CHANNEL + dot11_probe())
-        frames = read_capture(data, meta(channel=11))
+        frames = table_frames(read_capture(data, meta(channel=11)))
         assert frames[0].capture_channel == 11
 
     def test_declared_channel_inherited(self):
@@ -176,7 +179,7 @@ class TestReadCapture:
             + pcap_record(radiotap_channel(1) + dot11_probe())
             + pcap_record(RADIOTAP_NO_CHANNEL + dot11_probe(), ts_sec=1)
         )
-        frames = read_capture(data, CaptureMeta("x.pcap", declared_channel=6))
+        frames = table_frames(read_capture(data, CaptureMeta("x.pcap", declared_channel=6)))
         assert [f.capture_channel for f in frames] == [1, 6]
 
     def test_unresolvable_channel_names_file(self):
@@ -184,9 +187,20 @@ class TestReadCapture:
         with pytest.raises(ChannelResolutionError, match="orphan.pcap"):
             read_capture(data, CaptureMeta("orphan.pcap"))
 
+    def test_out_of_range_declared_channel_rejected_when_used(self):
+        """A declared channel is checked as ``ProbeRequestFrame`` checks
+        it, by the first frame that takes it."""
+        with_channel = pcap_header() + pcap_record(radiotap_channel(6) + dot11_probe())
+        assert read_capture(with_channel, meta(channel=14)).capture_channels == [6]
+        data = with_channel + pcap_record(RADIOTAP_NO_CHANNEL + dot11_probe(), ts_sec=1)
+        with pytest.raises(ValueError, match="capture_channel out of range: 14"):
+            read_capture(data, meta(channel=14))
+        with pytest.raises(ValueError, match="capture_channel out of range: 14"):
+            reference_read_capture(data, meta(channel=14))
+
     def test_bare_dot11_linktype(self):
         data = pcap_header(linktype=105) + pcap_record(dot11_probe(ies=b"\x00\x00"))
-        frames = read_capture(data, meta(channel=1))
+        frames = table_frames(read_capture(data, meta(channel=1)))
         assert frames[0].capture_channel == 1
         assert frames[0].ies == b"\x00\x00"
 
@@ -230,7 +244,7 @@ def read_region(region):
     tagged parameters are ``region``."""
     diag = ParseDiagnostics()
     data = pcap_header(linktype=105) + pcap_record(dot11_probe(ies=region))
-    (frame,) = read_capture(data, meta(channel=1), diag)
+    (frame,) = table_frames(read_capture(data, meta(channel=1), diag))
     return frame.ies, diag.ie_overruns
 
 
@@ -258,24 +272,28 @@ def frame(ts, channel=1, mac=b"\x02\x00\x00\x00\x00\x01"):
 
 class TestMergeCaptures:
     def test_sorted_by_timestamp(self):
-        streams = [([frame(3.0)], "c"), ([frame(1.0)], "a"), ([frame(2.0)], "b")]
-        merged = merge_captures(streams)
-        assert [(f.timestamp, tag) for f, tag in merged] == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
+        streams = [(frame_table([frame(3.0)]), "c"), (frame_table([frame(1.0)]), "a"), (frame_table([frame(2.0)]), "b")]
+        merged, tags = merge_captures(streams)
+        assert list(zip(merged.timestamps, tags)) == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
 
     def test_tie_broken_by_channel(self):
-        streams = [([frame(1.0, channel=11)], 0), ([frame(1.0, channel=1)], 1)]
-        assert [(f.capture_channel, tag) for f, tag in merge_captures(streams)] == [(1, 1), (11, 0)]
+        streams = [(frame_table([frame(1.0, channel=11)]), 0), (frame_table([frame(1.0, channel=1)]), 1)]
+        merged, tags = merge_captures(streams)
+        assert list(zip(merged.capture_channels, tags)) == [(1, 1), (11, 0)]
 
     def test_empty_stream_is_identity(self):
         frames = [frame(0.1), frame(0.2), frame(0.3)]
-        merged = merge_captures([([], "empty"), (frames, "full")])
-        assert merged == [(f, "full") for f in frames]
+        merged = merge_captures([(frame_table([]), "empty"), (frame_table(frames), "full")])
+        assert merged == (frame_table(frames), ["full"] * 3)
 
     def test_permutation_of_union(self):
-        streams = [([frame(0.5), frame(0.7)], "x"), ([frame(0.1), frame(0.6), frame(0.9)], "y")]
-        merged = merge_captures(streams)
-        assert len(merged) == 5
-        assert sorted(f.timestamp for f, _ in merged) == [f.timestamp for f, _ in merged]
+        streams = [
+            (frame_table([frame(0.5), frame(0.7)]), "x"),
+            (frame_table([frame(0.1), frame(0.6), frame(0.9)]), "y"),
+        ]
+        merged, tags = merge_captures(streams)
+        assert len(merged) == len(tags) == 5
+        assert sorted(merged.timestamps) == merged.timestamps
 
     @given(
         st.lists(
@@ -288,14 +306,18 @@ class TestMergeCaptures:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_decorated_sort(self, spec):
-        """Same frame objects and tags in the same order as sorting
-        (timestamp, channel, input position), under heavy ties."""
-        streams = [
-            ([frame(ts, channel) for ts, channel in stream], tag) for stream, tag in spec
-        ]
-        merged = merge_captures(streams)
-        expected = decorated_merge(streams)
-        assert [(id(f), tag) for f, tag in merged] == [(id(f), tag) for f, tag in expected]
+        """Same frames and tags in the same order as sorting (timestamp,
+        channel, input position), under heavy ties. Each frame's
+        sequence number is its input position, so tied frames differ."""
+        streams, position = [], 0
+        for stream, tag in spec:
+            frames = []
+            for ts, channel in stream:
+                frames.append(ProbeRequestFrame(ts, b"\x02" * 6, channel, position, b""))
+                position += 1
+            streams.append((frames, tag))
+        merged, tags = merge_captures([(frame_table(frames), tag) for frames, tag in streams])
+        assert list(zip(table_frames(merged), tags)) == decorated_merge(streams)
 
 
 @st.composite
@@ -316,12 +338,12 @@ class TestFuzz:
             frames = read_capture(blob, meta(channel=1))
         except Error:
             return
-        assert isinstance(frames, list)
+        assert isinstance(frames, FrameTable)
 
     @given(st.binary(max_size=400))
     @settings(max_examples=300, deadline=None)
     def test_read_capture_arbitrary_records(self, blob):
-        frames = read_capture(pcap_header() + blob, meta(channel=1))
+        frames = table_frames(read_capture(pcap_header() + blob, meta(channel=1)))
         assert all(isinstance(f, ProbeRequestFrame) for f in frames)
 
     @given(st.one_of(st.binary(max_size=300), truncated_elements()))
@@ -350,7 +372,7 @@ class TestFuzz:
             pcap_record(dot11_probe(ies=region), ts_sec=t) for t, region in enumerate(chosen)
         )
         diag = ParseDiagnostics()
-        frames = read_capture(data, meta(channel=1), diag)
+        frames = table_frames(read_capture(data, meta(channel=1), diag))
         alone = [read_region(region) for region in chosen]
         assert [f.ies for f in frames] == [kept for kept, _ in alone]
         assert diag.ie_overruns == sum(overruns for _, overruns in alone)
@@ -429,10 +451,10 @@ def radiotap_captures(draw):
 
 
 def parse_both(data, declared):
-    """(frames or raised error type, diagnostics) from read_capture and
-    from the reference loop."""
+    """(frames or raised error type, diagnostics) from read_capture, each
+    row made a validated frame, and from the reference loop."""
     results = []
-    for parse in (read_capture, reference_read_capture):
+    for parse in (lambda *args: table_frames(read_capture(*args)), reference_read_capture):
         diag = ParseDiagnostics()
         try:
             outcome = parse(data, meta(declared), diag)
@@ -480,7 +502,7 @@ class TestRadiotapLayoutMemo:
             present = 0b1011 if t % 4 else 0b1001  # with and without Flags
             header = radiotap_header(present, tsft=1000 + 7 * t, freq=2407 + 5 * (1 + t % 13))
             records.append(pcap_record(header + dot11_probe(seq=t), ts_sec=t))
-        frames = read_capture(pcap_header() + b"".join(records), meta())
+        frames = table_frames(read_capture(pcap_header() + b"".join(records), meta()))
         assert len(layout_calls) == 2
         assert [f.capture_channel for f in frames] == [1 + t % 13 for t in range(40)]
         assert [f.sequence_number for f in frames] == list(range(40))
@@ -494,7 +516,7 @@ class TestRadiotapLayoutMemo:
             )
             for t in range(6)
         ]
-        frames = read_capture(pcap_header() + b"".join(records), meta())
+        frames = table_frames(read_capture(pcap_header() + b"".join(records), meta()))
         assert len(layout_calls) == 6
         assert [f.capture_channel for f in frames] == [1, 2, 3, 4, 5, 6]
         assert {f.ies for f in frames} == {b"\x03\x01\x0b"}

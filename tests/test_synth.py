@@ -11,6 +11,7 @@ from probederand.pcap import (
     CaptureMeta,
     ParseDiagnostics,
     ie_fields,
+    iter_dataset_files,
     read_capture,
     read_dataset,
 )
@@ -28,6 +29,14 @@ from probederand.synth import (
     scenario_to_dict,
     write_capture,
 )
+
+from oracles import (
+    decorated_merge,
+    reference_group_bursts,
+    reference_read_capture,
+    table_frames,
+)
+from scenarios import mixed_scenario
 
 TEMPLATE = IeTemplate(ht=bytes([0xAD, 0x01]), extended=bytes([0x04]), vendor=(bytes([1, 2, 3]),))
 
@@ -135,7 +144,7 @@ class TestWriteCapture:
         path = tmp_path / "empty.pcap"
         write_capture([], path)
         diag = ParseDiagnostics()
-        assert read_capture(path.read_bytes(), CaptureMeta(str(path)), diag) == []
+        assert len(read_capture(path.read_bytes(), CaptureMeta(str(path)), diag)) == 0
         assert path.stat().st_size == 24
 
     def test_radiotap_channel_frequency(self, tmp_path):
@@ -156,7 +165,7 @@ class TestWriteCapture:
         frames = [f for f, _ in pairs]
         path = tmp_path / "rt.pcap"
         write_capture(frames, path)
-        back = read_capture(path.read_bytes(), CaptureMeta(str(path)))
+        back = table_frames(read_capture(path.read_bytes(), CaptureMeta(str(path))))
         assert back == frames
 
     def test_unordered_frames_rejected(self, tmp_path):
@@ -211,8 +220,8 @@ class TestGenerateScenario:
 
     def test_twins_share_ie_features_but_not_patterns(self, tmp_path):
         root = generate_scenario(two_device_scenario(), tmp_path / "tw")
-        labeled = read_dataset(root)
-        bursts = group_bursts([f for f, _ in labeled], 2.0, [l for _, l in labeled])
+        frames, labels = read_dataset(root)
+        bursts = group_bursts(frames, 2.0, labels)
         by_device = {}
         for burst in bursts:
             by_device.setdefault(burst.truth_device, []).append(burst)
@@ -223,10 +232,28 @@ class TestGenerateScenario:
 
     def test_no_mac_reuse_across_bursts(self, tmp_path):
         root = generate_scenario(two_device_scenario(), tmp_path / "macs")
-        labeled = read_dataset(root)
-        bursts = group_bursts([f for f, _ in labeled], 2.0, [l for _, l in labeled])
+        frames, labels = read_dataset(root)
+        bursts = group_bursts(frames, 2.0, labels)
         macs = [b.source_mac for b in bursts]
         assert len(macs) == len(set(macs))
+
+    def test_ingest_matches_frame_level_path(self, tmp_path):
+        """The table path (parse, lexsort merge, array grouping) gives the
+        bursts of parsing every file into frames, sorting them by
+        (timestamp, channel, input position) and grouping frame by frame."""
+        root = generate_scenario(mixed_scenario(seed=3), tmp_path / "mixed")
+        frames, labels = read_dataset(root)
+        bursts = group_bursts(frames, 2.0, labels)
+        streams = [
+            (reference_read_capture(path.read_bytes(), CaptureMeta(str(path), declared)), label)
+            for label, path, declared in iter_dataset_files(root)
+        ]
+        pairs = decorated_merge(streams)
+        assert table_frames(frames) == [frame for frame, _ in pairs]
+        assert bursts == reference_group_bursts(
+            [frame for frame, _ in pairs], 2.0, [label for _, label in pairs]
+        )
+        assert len({burst.truth_device for burst in bursts}) > 1
 
     def test_pipeline_inverse_with_lossless_capture(self, tmp_path):
         pattern = (1, 2, 5, 7, 9, 10, 12, 13)
@@ -239,8 +266,8 @@ class TestGenerateScenario:
             sniffer_channels=SNIFFERS_LOSSLESS,
         )
         root = generate_scenario(scenario, tmp_path / "inv")
-        labeled = read_dataset(root)
-        bursts = group_bursts([f for f, _ in labeled], 2.0, [l for _, l in labeled])
+        frames, labels = read_dataset(root)
+        bursts = group_bursts(frames, 2.0, labels)
         assert len(bursts) >= 10
         for burst in bursts:
             expected = tuple(pattern[i % len(pattern)] for i in range(burst.length))
