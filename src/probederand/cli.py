@@ -33,7 +33,6 @@ from .clustering import (
     DbscanConfig,
     KmeansConfig,
     UsageError,
-    _sorted_bursts,
     ie_only_cluster,
     n_clusters,
     two_stage_labelings,
@@ -181,8 +180,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     dbscan_cfg = DbscanConfig(eps=config["eps"], min_pts=config["min_pts"])
     kmeans_cfg = KmeansConfig(k_max=config["k_max"], seed=config["seed"])
     bursts = read_feature_file(args.features)
+    if len(bursts) == 0:
+        raise ValueError("need at least one burst")
     if config["method"] == METHOD_IE_ONLY:
-        coarse = final = ie_only_cluster([b.ie_features for b in _sorted_bursts(bursts)], dbscan_cfg)
+        coarse = final = ie_only_cluster(bursts.ie_features, dbscan_cfg)
     else:
         coarse, final = two_stage_labelings(bursts, dbscan_cfg, kmeans_cfg)
     out = _out_dir(args)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .features import Burst, normalize_ie_matrix, pad_matrix, write_table
+from .features import BurstTable, normalize_ie_matrix, pad_matrix, write_table
 from .pcap import mac_to_str
 from .randomness import DEFAULT_SEED, STREAM_KMEANS, substream
 
@@ -401,15 +401,6 @@ def _refine_labels(
     return labelings[elbow_select_k(distortions, threshold) - 1]
 
 
-def _sorted_bursts(bursts: Sequence[Burst]) -> list[Burst]:
-    if len(bursts) == 0:
-        raise ValueError("need at least one burst")
-    ordered = sorted(bursts, key=lambda b: b.burst_id)
-    if len({b.burst_id for b in ordered}) != len(ordered):
-        raise ValueError("burst ids must be unique")
-    return ordered
-
-
 def ie_only_cluster(ie_features: Sequence[Sequence[float]], dbscan_cfg: DbscanConfig) -> np.ndarray:
     """Coarse stage alone: DBSCAN over the raw IE fingerprint rows
     ``ie_features``, min-max normalized among themselves. Labels follow
@@ -451,34 +442,33 @@ def two_stage_cluster(
 
 
 def two_stage_labelings(
-    bursts: Sequence[Burst],
+    table: BurstTable,
     dbscan_cfg: DbscanConfig,
     kmeans_cfg: KmeansConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(coarse, final) labels of the full two-stage pipeline, in
-    ascending burst-id order."""
-    ordered = _sorted_bursts(bursts)
-    coarse = ie_only_cluster([b.ie_features for b in ordered], dbscan_cfg)
-    return coarse, two_stage_cluster(pad_matrix([b.channel_vector for b in ordered]), coarse, kmeans_cfg)
+    """(coarse, final) labels of the full two-stage pipeline, one per
+    row of ``table``: in ascending burst-id order."""
+    coarse = ie_only_cluster(table.ie_features, dbscan_cfg)
+    return coarse, two_stage_cluster(pad_matrix(table), coarse, kmeans_cfg)
 
 
 LABELING_FIELDS = ("burst_id", "source_mac", "truth_device", "coarse_label", "final_label")
 
 
 def write_labeling_file(
-    bursts: Sequence[Burst],
+    table: BurstTable,
     coarse: np.ndarray,
     final: np.ndarray,
     path,
     header_comment: str | None = None,
 ) -> None:
-    """CSV of per-burst coarse and final labels (noise rendered as -1).
-
-    The labels are in ascending burst-id order, as
-    ``two_stage_labelings`` returns them, and so are the rows.
-    """
+    """CSV of per-burst coarse and final labels (noise rendered as -1),
+    one row per row of ``table``, as ``two_stage_labelings`` returns
+    them: in ascending burst-id order."""
     rows = (
-        [b.burst_id, mac_to_str(b.source_mac), b.truth_device or "", c, f]
-        for b, c, f in zip(_sorted_bursts(bursts), coarse, final, strict=True)
+        [burst_id, mac_to_str(mac), truth or "", c, f]
+        for burst_id, mac, truth, c, f in zip(
+            table.ids.tolist(), table.source_macs, table.truth_devices, coarse, final, strict=True
+        )
     )
     write_table(path, LABELING_FIELDS, rows, header_comment)

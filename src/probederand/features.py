@@ -3,14 +3,15 @@
 Frames are grouped into per-MAC bursts; each burst carries a numeric
 fingerprint of its Information Elements (HT Capabilities, Extended
 Capabilities, Vendor-Specific tags) and the multi-channel arrival-order
-vector used by the fine clustering stage.
+vector used by the fine clustering stage. Bursts travel as one
+:class:`BurstTable` of columns, in burst-id order by construction.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,38 +21,47 @@ from .pcap import FrameTable, ie_fields, mac_from_str, mac_to_str
 DEFAULT_BURST_GAP = 2.0
 
 
-@dataclass(frozen=True)
-class Burst:
-    """A maximal run of frames sharing one source MAC.
+class BurstTable:
+    """Bursts as columns, row i the burst with the i-th smallest id.
 
-    ``channel_vector`` records the DS Channel of each frame in arrival
-    order, or its capture channel when the DS Parameter Set is missing
-    or says channel 0.
-    ``ie_stable`` is False when a later frame's IE features differ from
-    the first frame's; bursts loaded back from a feature file are stable.
+    ``ids`` strictly increase. ``source_macs`` (6-byte ``bytes``) and
+    ``truth_devices`` (a device name, or None when unlabelled) are
+    object arrays, ``ie_features`` the n x 3 fingerprint matrix. Burst
+    i's channel vector is ``channels[offsets[i]:offsets[i + 1]]``, at
+    least one entry: the DS Channel of each frame in arrival order, or
+    its capture channel when the DS Parameter Set is missing or says
+    channel 0. ``ie_stable[i]`` is False when a later frame's IE
+    features differ from the first frame's; bursts loaded back from a
+    feature file are stable.
     """
 
-    burst_id: int
-    source_mac: bytes
-    ie_features: tuple[float, float, float]
-    channel_vector: tuple[int, ...]
-    truth_device: Optional[str] = None
-    ie_stable: bool = True
-
-    def __post_init__(self) -> None:
-        if len(self.channel_vector) < 1:
+    def __init__(self, ids, source_macs, truth_devices, ie_features, channels, offsets, ie_stable):
+        self.ids = np.asarray(ids, dtype=np.int64)
+        n = len(self.ids)
+        self.source_macs = np.asarray(source_macs, dtype=object)
+        self.truth_devices = np.asarray(truth_devices, dtype=object)
+        self.ie_features = np.asarray(ie_features, dtype=float).reshape(n, 3)
+        self.channels = np.asarray(channels, dtype=np.int64)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.ie_stable = np.asarray(ie_stable, dtype=bool)
+        if any(c.shape != (n,) for c in (self.source_macs, self.truth_devices, self.ie_stable)):
+            raise ValueError("every column needs one entry per burst")
+        if self.offsets.shape != (n + 1,) or self.offsets[0] != 0 or self.offsets[-1] != len(self.channels):
+            raise ValueError("offsets must run from 0 to len(channels), one per burst and one more")
+        if np.any(self.ids[1:] <= self.ids[:-1]):
+            raise ValueError("burst ids must strictly increase")
+        if np.any(np.diff(self.offsets) < 1):
             raise ValueError("a burst holds at least one frame")
 
-    @property
-    def length(self) -> int:
-        return len(self.channel_vector)
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 def group_bursts(
     frames: FrameTable,
     gap_seconds: float = DEFAULT_BURST_GAP,
     truths: Optional[Sequence[str]] = None,
-) -> list[Burst]:
+) -> BurstTable:
     """Partition a time-ordered frame table into bursts.
 
     Frames are split by source MAC; within one MAC a new burst starts
@@ -78,43 +88,29 @@ def group_bursts(
     if np.any(timestamps[1:] < timestamps[:-1]):
         raise ValueError("frames must be sorted by timestamp")
     if n == 0:
-        return []
+        return BurstTable([], [], [], [], [], [0], [])
 
     order, starts = _burst_starts(frames.source_macs, timestamps, gap_seconds)
-    begin = np.flatnonzero(starts)
-    end = np.append(begin[1:], n)
-
-    fingerprints, fingerprint_of, channel_of = _frame_codes(frames)
-    vectors = channel_of[order].tolist()
-    codes = fingerprint_of[order]
-    stable = np.ones(len(begin), dtype=bool)
-    burst_of = np.cumsum(starts) - 1
-    stable[burst_of[codes != codes[begin][burst_of]]] = False
-
     # number the bursts by the row of their first frame
-    first_rows = order[begin]
+    first_rows = order[starts]
     by_first = np.argsort(first_rows)
     first = first_rows[by_first]
-    macs = frames.source_macs
-    return [
-        Burst(
-            burst_id=burst_id,
-            source_mac=macs[i],
-            ie_features=fingerprints[code],
-            channel_vector=tuple(vectors[lo:hi]),
-            truth_device=truths[i] if truths is not None else None,
-            ie_stable=is_stable,
-        )
-        for burst_id, (i, code, lo, hi, is_stable) in enumerate(
-            zip(
-                first.tolist(),
-                fingerprint_of[first].tolist(),
-                begin[by_first].tolist(),
-                end[by_first].tolist(),
-                stable[by_first].tolist(),
-            )
-        )
-    ]
+    burst_of = np.empty(n, dtype=np.int64)
+    burst_of[order] = np.argsort(by_first)[np.cumsum(starts) - 1]
+    fingerprints, fingerprint_of, channel_of = _frame_codes(frames)
+    stable = np.ones(len(first), dtype=bool)
+    stable[burst_of[fingerprint_of != fingerprint_of[first][burst_of]]] = False
+    labels = np.full(n, None) if truths is None else np.array(truths, dtype=object)
+    return BurstTable(
+        ids=np.arange(len(first)),
+        source_macs=np.array(frames.source_macs, dtype=object)[first],
+        truth_devices=labels[first],
+        ie_features=np.array(fingerprints, dtype=float)[fingerprint_of[first]],
+        # a stable sort by burst keeps each burst's frames in arrival order
+        channels=channel_of[np.argsort(burst_of, kind="stable")],
+        offsets=np.concatenate(([0], np.cumsum(np.bincount(burst_of)))),
+        ie_stable=stable,
+    )
 
 
 def _burst_starts(
@@ -153,25 +149,23 @@ def _frame_codes(frames: FrameTable) -> tuple[list[tuple], np.ndarray, np.ndarra
     return list(fingerprint_codes), np.array(region_fingerprint)[region_of], channel_of
 
 
-def ie_stability_violations(bursts: Sequence[Burst]) -> list[int]:
+def ie_stability_violations(table: BurstTable) -> list[int]:
     """Burst ids whose frames disagree with the first frame's IE features.
 
     The fingerprint is expected to be stable within a burst; violations
     are reported for auditing rather than treated as fatal.
     """
-    return [burst.burst_id for burst in bursts if not burst.ie_stable]
+    return table.ids[~table.ie_stable].tolist()
 
 
-def pad_matrix(vectors: Sequence[Sequence[int]]) -> np.ndarray:
-    """Zero-pad channel vectors to the maximum observed length."""
-    if len(vectors) == 0:
+def pad_matrix(table: BurstTable) -> np.ndarray:
+    """The channel vectors as rows, zero-padded to the longest."""
+    if len(table) == 0:
         raise ValueError("no bursts to pad")
-    if any(len(v) == 0 for v in vectors):
-        raise ValueError("channel vectors must be non-empty")
-    width = max(len(v) for v in vectors)
-    matrix = np.zeros((len(vectors), width), dtype=float)
-    for row, vector in zip(matrix, vectors):
-        row[: len(vector)] = vector
+    lengths = np.diff(table.offsets)
+    matrix = np.zeros((len(table), lengths.max()))
+    # row-major order of the mask is the order of the flat column
+    matrix[np.arange(matrix.shape[1]) < lengths[:, None]] = table.channels
     return matrix
 
 
@@ -215,27 +209,30 @@ def write_table(path, fields: Sequence[str], rows, header_comment: str | None = 
         writer.writerows(rows)
 
 
-def write_feature_file(bursts: Sequence[Burst], path, header_comment: str | None = None) -> None:
+def write_feature_file(table: BurstTable, path, header_comment: str | None = None) -> None:
     """Write the per-burst intermediate feature file (CSV, UTF-8)."""
+    channels = table.channels.tolist()
+    bounds = table.offsets.tolist()
     rows = (
         [
-            burst.burst_id,
-            mac_to_str(burst.source_mac),
-            burst.truth_device or "",
-            burst.length,
-            _format_number(burst.ie_features[0]),
-            _format_number(burst.ie_features[1]),
-            _format_number(burst.ie_features[2]),
-            ";".join(str(c) for c in burst.channel_vector),
+            burst_id,
+            mac_to_str(mac),
+            truth or "",
+            hi - lo,
+            *(_format_number(x) for x in ie),
+            ";".join(map(str, channels[lo:hi])),
         ]
-        for burst in bursts
+        for burst_id, mac, truth, ie, lo, hi in zip(
+            table.ids.tolist(), table.source_macs, table.truth_devices,
+            table.ie_features.tolist(), bounds, bounds[1:],
+        )
     )
     write_table(path, FEATURE_FIELDS, rows, header_comment)
 
 
-def read_feature_file(path) -> list[Burst]:
-    """Load bursts back from a feature file, reporting bad rows (and a
-    ``burst_id`` that repeats an earlier row's) by line."""
+def read_feature_file(path) -> BurstTable:
+    """Load the bursts of a feature file in burst-id order, reporting
+    bad rows (and a ``burst_id`` that repeats an earlier row's) by line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         numbered = [
             (lineno, line)
@@ -244,39 +241,55 @@ def read_feature_file(path) -> list[Burst]:
         ]
     if not numbered:
         raise ValueError(f"{path}: no header row found")
-    header = next(csv.reader([numbered[0][1]]))
-    if tuple(header) != FEATURE_FIELDS:
-        raise ValueError(f"{path}:{numbered[0][0]}: unexpected header {header}")
-    bursts = []
+    rows = []
     first_line = {}  # burst_id -> line it first appears on
-    for lineno, line in numbered[1:]:
-        row = next(csv.reader([line]))
-        try:
-            if len(row) != len(FEATURE_FIELDS):
-                raise ValueError(f"expected {len(FEATURE_FIELDS)} fields, got {len(row)}")
-            channel_vector = tuple(int(c) for c in row[7].split(";") if c != "")
-            if channel_vector and (min(channel_vector) < 0 or not 0 < max(channel_vector) <= 255):
-                raise ValueError(
-                    f"channel_vector needs entries in 0..255 and a positive one, got {row[7]!r}"
-                )
-            ie_features = (float(row[4]), float(row[5]), float(row[6]))
-            if not all(math.isfinite(x) for x in ie_features):
-                raise ValueError(f"IE features must be finite, got {ie_features}")
-            burst = Burst(
-                burst_id=int(row[0]),
-                source_mac=mac_from_str(row[1]),
-                ie_features=ie_features,
-                channel_vector=channel_vector,
-                truth_device=row[2] or None,
-            )
-            if burst.length != int(row[3]):
-                raise ValueError("L column disagrees with channel_vector")
-            if burst.burst_id in first_line:
-                raise ValueError(
-                    f"burst_id {burst.burst_id} repeats line {first_line[burst.burst_id]}"
-                )
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        first_line[burst.burst_id] = lineno
-        bursts.append(burst)
-    return bursts
+    # No field is longer than its line, so with csv's limit raised to the
+    # longest line every channel vector the writer writes reads back.
+    limit = csv.field_size_limit()
+    csv.field_size_limit(max(limit, max(len(line) for _, line in numbered)))
+    try:
+        for lineno, line in numbered:
+            try:
+                row = next(csv.reader([line]))
+                if lineno == numbered[0][0]:
+                    if tuple(row) != FEATURE_FIELDS:
+                        raise ValueError(f"unexpected header {row}")
+                    continue
+                rows.append(_feature_row(row))
+                burst_id = rows[-1][0]
+                if burst_id in first_line:
+                    raise ValueError(f"burst_id {burst_id} repeats line {first_line[burst_id]}")
+                if not -(2**63) <= burst_id < 2**63:
+                    raise ValueError(f"burst_id {burst_id} is outside the signed 64-bit range")
+            except (ValueError, csv.Error) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            first_line[burst_id] = lineno
+    finally:
+        csv.field_size_limit(limit)
+    rows.sort(key=lambda row: row[0])
+    ids, macs, truths, ie_features, vectors = zip(*rows) if rows else ([],) * 5
+    return BurstTable(
+        ids, macs, truths, ie_features,
+        channels=np.fromiter(chain.from_iterable(vectors), np.int64),
+        offsets=np.cumsum([0, *map(len, vectors)]),
+        ie_stable=np.ones(len(rows), dtype=bool),
+    )
+
+
+def _feature_row(row: list[str]) -> tuple:
+    """(burst_id, source MAC, truth device or None, IE features, channel
+    vector) of one feature-file row, checked field by field."""
+    if len(row) != len(FEATURE_FIELDS):
+        raise ValueError(f"expected {len(FEATURE_FIELDS)} fields, got {len(row)}")
+    channel_vector = tuple([int(c) for c in row[7].split(";") if c != ""])
+    if channel_vector and (min(channel_vector) < 0 or not 0 < max(channel_vector) <= 255):
+        raise ValueError(f"channel_vector needs entries in 0..255 and a positive one, got {row[7]!r}")
+    ie_features = (float(row[4]), float(row[5]), float(row[6]))
+    if not all(math.isfinite(x) for x in ie_features):
+        raise ValueError(f"IE features must be finite, got {ie_features}")
+    burst_id, source_mac = int(row[0]), mac_from_str(row[1])
+    if not channel_vector:
+        raise ValueError("a burst holds at least one frame")
+    if len(channel_vector) != int(row[3]):
+        raise ValueError("L column disagrees with channel_vector")
+    return burst_id, source_mac, row[2] or None, ie_features, channel_vector

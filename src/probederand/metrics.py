@@ -23,12 +23,11 @@ from .clustering import (
     _dbscan_neighbours,
     _dbscan_prepare,
     _dbscan_scan,
-    _sorted_bursts,
     ie_only_cluster,
     n_clusters,
     two_stage_cluster,
 )
-from .features import Burst, normalize_ie_matrix, pad_matrix, write_table
+from .features import BurstTable, normalize_ie_matrix, pad_matrix, write_table
 from .randomness import DEFAULT_SEED, STREAM_KMEANS, STREAM_SAMPLING, child_seed, substream
 
 METHOD_TWO_STAGE = "two-stage"
@@ -133,19 +132,6 @@ def rmse(counts: Sequence[float], targets: Sequence[float]) -> float:
     return float(np.sqrt((diff * diff).mean()))
 
 
-def group_by_device(bursts: Sequence[Burst]) -> dict[str, list[Burst]]:
-    """Bursts keyed by ground-truth device, rejecting unlabeled input."""
-    grouped: dict[str, list[Burst]] = {}
-    for burst in bursts:
-        if burst.truth_device is None:
-            raise ValueError(
-                f"burst {burst.burst_id} has no ground-truth label; "
-                "evaluation needs a labeled dataset"
-            )
-        grouped.setdefault(burst.truth_device, []).append(burst)
-    return grouped
-
-
 def draw_subsets(
     devices: Sequence[str], eval_cfg: EvalConfig
 ) -> list[tuple[int, int, tuple[str, ...]]]:
@@ -165,23 +151,28 @@ def draw_subsets(
     return draws
 
 
-def _protocol_table(bursts: Sequence[Burst], eval_cfg: EvalConfig) -> tuple:
-    """(bursts in id order, their raw IE rows, their truth devices encoded
-    for ``_hcv``, and (p, subset index, its devices' rows in id order) per
-    draw). Raises UsageError for fewer than two devices: no draw to score."""
-    by_device = group_by_device(bursts)
-    if len(by_device) < 2:
-        raise UsageError(
-            f"the subset protocol needs at least 2 labelled devices, found {len(by_device)}"
+def _protocol_table(table: BurstTable, eval_cfg: EvalConfig) -> tuple:
+    """(the bursts' truth devices encoded for ``_hcv``, and (p, subset
+    index, its devices' rows in id order) per draw). Raises ValueError
+    naming the lowest unlabelled burst id, and UsageError for fewer than
+    two devices: no draw to score."""
+    unlabelled = np.flatnonzero(np.equal(table.truth_devices, None))
+    if unlabelled.size:
+        raise ValueError(
+            f"burst {table.ids[unlabelled[0]]} has no ground-truth label; "
+            "evaluation needs a labeled dataset"
         )
-    ordered = _sorted_bursts(bursts)
-    devices, codes = np.unique([b.truth_device for b in ordered], return_inverse=True)
-    positions = {str(device): np.flatnonzero(codes == i) for i, device in enumerate(devices)}
+    devices, codes = np.unique(table.truth_devices, return_inverse=True)
+    if len(devices) < 2:
+        raise UsageError(
+            f"the subset protocol needs at least 2 labelled devices, found {len(devices)}"
+        )
+    positions = {device: np.flatnonzero(codes == i) for i, device in enumerate(devices)}
     draws = [
         (p, s, np.sort(np.concatenate([positions[device] for device in subset])))
         for p, s, subset in draw_subsets(list(positions), eval_cfg)
     ]
-    return ordered, np.array([b.ie_features for b in ordered], dtype=float), (len(devices), codes), draws
+    return (len(devices), codes), draws
 
 
 def _score(
@@ -222,7 +213,7 @@ def _score_draws(
 
 
 def run_protocol(
-    bursts: Sequence[Burst],
+    table: BurstTable,
     eval_cfg: EvalConfig,
     dbscan_cfg: DbscanConfig,
     kmeans_cfg: KmeansConfig,
@@ -237,18 +228,20 @@ def run_protocol(
     and independent of execution order. ``kmeans_cfg.seed`` is not read:
     every draw's k-means seed comes from ``eval_cfg.seed``. ``jobs``
     worker processes (at most one per CPU) share the draws. Raises
-    UsageError when the bursts name fewer than two devices.
+    ValueError for an unlabelled burst, and UsageError when the bursts
+    name fewer than two devices.
 
-    One table per call holds the bursts sorted by id, their IE rows,
-    padded channel vectors, lengths and truth codes; a draw is its rows'
-    positions. Draws often refine the same pool, so each worker takes
-    every ``jobs``-th draw and keeps one cache of prepared pools, with
-    their D² seeding and Lloyd memos, for them; no cache outlives the call.
+    One call pads the channel vectors and encodes the truth devices
+    once; a draw is its rows' positions in ``table``. Draws often refine
+    the same pool, so each worker takes every ``jobs``-th draw and keeps
+    one cache of prepared pools, with their D² seeding and Lloyd memos,
+    for them; no cache outlives the call.
     """
-    ordered, ie, truth, draws = _protocol_table(bursts, eval_cfg)
-    channels = pad_matrix([b.channel_vector for b in ordered])
-    lengths = np.array([b.length for b in ordered])
-    score = partial(_score_draws, ie, channels, lengths, truth, dbscan_cfg, kmeans_cfg, eval_cfg.seed)
+    truth, draws = _protocol_table(table, eval_cfg)
+    score = partial(
+        _score_draws, table.ie_features, pad_matrix(table), np.diff(table.offsets), truth,
+        dbscan_cfg, kmeans_cfg, eval_cfg.seed,
+    )
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
@@ -308,7 +301,7 @@ class TuneRow:
 
 
 def tune_dbscan(
-    bursts: Sequence[Burst],
+    table: BurstTable,
     eps_grid: Sequence[float],
     minpts_grid: Sequence[int],
     eval_cfg: EvalConfig,
@@ -322,7 +315,7 @@ def tune_dbscan(
     for an empty grid, a grid point out of range, or bursts that name
     fewer than two devices.
 
-    The table is ``run_protocol``'s without the channel vectors. Each
+    The draws are ``run_protocol``'s, without the channel vectors. Each
     draw's IE rows are normalized and collapsed to their distinct rows
     once, their neighbour booleans are built once per eps, and only the
     core test and scan run per grid point: the labels ``ie_only_cluster``
@@ -336,10 +329,10 @@ def tune_dbscan(
         [(DbscanConfig(eps=eps, min_pts=min_pts), [], []) for min_pts in minpts_grid]
         for eps in eps_grid
     ]
-    _, ie, (n_devices, codes), draws = _protocol_table(bursts, eval_cfg)
+    (n_devices, codes), draws = _protocol_table(table, eval_cfg)
     for p, _, idx in draws:
         truth = (n_devices, codes[idx])
-        distinct, weights, inverse = _dbscan_prepare(normalize_ie_matrix(ie[idx]))
+        distinct, weights, inverse = _dbscan_prepare(normalize_ie_matrix(table.ie_features[idx]))
         for same_eps in grid:
             within, reach = _dbscan_neighbours(distinct, weights, same_eps[0][0].eps)
             for cfg, v_measures, abs_deltas in same_eps:

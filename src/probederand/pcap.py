@@ -253,18 +253,6 @@ def _radiotap_read(
     return _CHANNEL_OF_FREQ.get(_U16(buf, start + channel_pos)[0]), flags
 
 
-def parse_radiotap_fields(buf: bytes) -> tuple[int, Optional[int], Optional[int]]:
-    """Decode header length, 2.4 GHz channel and capture flags.
-
-    The header's layout (:func:`_radiotap_layout`: every length,
-    version and presence-chain check) followed by the read of the flags
-    byte and channel frequency at the positions it gives.
-    Returns (header_length, channel or None, flags byte or None).
-    """
-    header_len, flags_pos, channel_pos = _radiotap_layout(buf, 0, len(buf))
-    return (header_len, *_radiotap_read(buf, 0, flags_pos, channel_pos))
-
-
 def _unpack_global_header(data: bytes) -> tuple[str, bool, int]:
     """(byte-order char, nanosecond flag, link type) from a pcap header."""
     if len(data) < 24:

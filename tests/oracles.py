@@ -9,6 +9,10 @@ Radiotap decoder but copies each record and its body and decodes every
 Radiotap header in full; ``reference_group_bursts`` is the library's
 per-frame grouping loop over ``ProbeRequestFrame`` lists, with its IE
 walk, before bursts were cut with array operations;
+``reference_read_feature_file`` is the feature-file reader's per-line
+parse and checks, giving rows in file order; ``parse_radiotap_fields``
+is the library's Radiotap layout and read steps run on one header;
+``padded`` is ``pad_matrix``'s row loop before it became one scatter;
 ``reference_refine_labels`` reuses the
 library's k-means and elbow with no distinct-row cap on k;
 ``all_rows_dbscan`` is the library's vectorized
@@ -23,13 +27,18 @@ stage functions and scoring, and per draw of ``reference_pools`` groups,
 sorts, pads and normalizes the draw's own bursts, encodes their truth
 labels and refines them with a fresh fine-stage cache;
 ``per_point_tune`` rests on the same pools and clusters every pool from
-scratch at every grid point.
+scratch at every grid point. These burst references work on plain
+``BurstRow`` tuples and share no code with ``BurstTable``;
+``burst_table`` and ``table_rows`` convert between the two.
 """
 
+import csv
 import math
 import struct
 from collections import Counter, deque
 from dataclasses import replace
+from itertools import accumulate
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -47,7 +56,7 @@ from probederand.clustering import (
     spherical_kmeans,
     two_stage_cluster,
 )
-from probederand.features import Burst, pad_matrix
+from probederand.features import FEATURE_FIELDS, BurstTable
 from probederand.metrics import (
     METHOD_IE_ONLY,
     METHOD_TWO_STAGE,
@@ -56,7 +65,6 @@ from probederand.metrics import (
     _encode,
     _score,
     draw_subsets,
-    group_by_device,
 )
 from probederand.pcap import (
     FC_PROBE_REQUEST,
@@ -68,13 +76,58 @@ from probederand.pcap import (
     FrameTable,
     ParseDiagnostics,
     ProbeRequestFrame,
+    _radiotap_layout,
+    _radiotap_read,
     _unpack_global_header,
     ie_fields,
-    parse_radiotap_fields,
+    mac_from_str,
 )
 from probederand.randomness import STREAM_KMEANS, child_seed, substream
 
 IE_DS_PARAMETER_SET, IE_HT, IE_EXTENDED, IE_VENDOR = 3, 45, 127, 221
+
+
+class BurstRow(NamedTuple):
+    """One burst as a plain tuple."""
+
+    burst_id: int
+    source_mac: bytes
+    ie_features: tuple
+    channel_vector: tuple
+    truth_device: Optional[str] = None
+    ie_stable: bool = True
+
+    @property
+    def length(self):
+        return len(self.channel_vector)
+
+
+def burst_table(rows):
+    """``BurstTable`` of ``(burst_id, source_mac, ie_features,
+    channel_vector, truth_device[, ie_stable])`` tuples in any id order."""
+    rows = sorted((BurstRow(*row) for row in rows), key=lambda row: row.burst_id)
+    lengths = [row.length for row in rows]
+    return BurstTable(
+        ids=[row.burst_id for row in rows],
+        source_macs=[row.source_mac for row in rows],
+        truth_devices=[row.truth_device for row in rows],
+        ie_features=[row.ie_features for row in rows],
+        channels=[c for row in rows for c in row.channel_vector],
+        offsets=[0, *accumulate(lengths)],
+        ie_stable=[row.ie_stable for row in rows],
+    )
+
+
+def table_rows(table):
+    """``BurstRow``s of a ``BurstTable``, in its row order."""
+    bounds = table.offsets.tolist()
+    return [
+        BurstRow(burst_id, mac, tuple(ie), tuple(table.channels[lo:hi].tolist()), truth, stable)
+        for burst_id, mac, ie, truth, stable, lo, hi in zip(
+            table.ids.tolist(), table.source_macs, table.ie_features.tolist(),
+            table.truth_devices, table.ie_stable.tolist(), bounds, bounds[1:],
+        )
+    ]
 
 
 def reference_parse_ies(region):
@@ -181,7 +234,7 @@ def reference_group_bursts(frames, gap_seconds=2.0, truths=None):
         fields = [walked[frames[i].ies] for i in indices]
         features = fields[0][0]
         bursts.append(
-            Burst(
+            BurstRow(
                 burst_id=burst_id,
                 source_mac=frames[indices[0]].source_mac,
                 ie_features=features,
@@ -194,6 +247,68 @@ def reference_group_bursts(frames, gap_seconds=2.0, truths=None):
             )
         )
     return bursts
+
+
+def reference_read_feature_file(path):
+    """``BurstRow``s of a feature file in file order: each line after
+    the header parsed on its own, with csv's field limit lifted for the
+    call, and every row checked as the library's reader checks it."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        numbered = [
+            (lineno, line)
+            for lineno, line in enumerate(fh, start=1)
+            if line.strip() and not line.startswith("#")
+        ]
+    if not numbered:
+        raise ValueError(f"{path}: no header row found")
+    limit = csv.field_size_limit(1 << 30)
+    try:
+        return _reference_feature_rows(path, numbered)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def _reference_feature_rows(path, numbered):
+    header = next(csv.reader([numbered[0][1]]))
+    if tuple(header) != FEATURE_FIELDS:
+        raise ValueError(f"{path}:{numbered[0][0]}: unexpected header {header}")
+    rows = []
+    first_line = {}
+    for lineno, line in numbered[1:]:
+        row = next(csv.reader([line]))
+        try:
+            if len(row) != len(FEATURE_FIELDS):
+                raise ValueError(f"expected {len(FEATURE_FIELDS)} fields, got {len(row)}")
+            channel_vector = tuple(int(c) for c in row[7].split(";") if c != "")
+            if channel_vector and (min(channel_vector) < 0 or not 0 < max(channel_vector) <= 255):
+                raise ValueError(
+                    f"channel_vector needs entries in 0..255 and a positive one, got {row[7]!r}"
+                )
+            ie_features = (float(row[4]), float(row[5]), float(row[6]))
+            if not all(math.isfinite(x) for x in ie_features):
+                raise ValueError(f"IE features must be finite, got {ie_features}")
+            burst = BurstRow(int(row[0]), mac_from_str(row[1]), ie_features, channel_vector, row[2] or None)
+            if not channel_vector:
+                raise ValueError("a burst holds at least one frame")
+            if burst.length != int(row[3]):
+                raise ValueError("L column disagrees with channel_vector")
+            if burst.burst_id in first_line:
+                raise ValueError(
+                    f"burst_id {burst.burst_id} repeats line {first_line[burst.burst_id]}"
+                )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        first_line[burst.burst_id] = lineno
+        rows.append(burst)
+    return rows
+
+
+def parse_radiotap_fields(buf):
+    """(header length, 2.4 GHz channel or None, flags byte or None) of
+    the Radiotap header that opens ``buf``: its layout, then the read of
+    the flags byte and channel frequency at the positions it gives."""
+    header_len, flags_pos, channel_pos = _radiotap_layout(buf, 0, len(buf))
+    return (header_len, *_radiotap_read(buf, 0, flags_pos, channel_pos))
 
 
 def reference_read_capture(data, meta, diagnostics=None):
@@ -385,9 +500,14 @@ def unguarded_fix_empty_clusters(sims, labels, k):
 
 
 def reference_pools(bursts, eval_cfg):
-    """(p, subset index, the draw's bursts in ascending id order) for
-    every protocol draw, each list built afresh."""
-    by_device = group_by_device(bursts)
+    """(p, subset index, the draw's ``BurstRow``s in ascending id order)
+    for every protocol draw of ``(burst_id, source_mac, ie_features,
+    channel_vector, truth_device)`` tuples, each list built afresh."""
+    by_device = {}
+    for burst in (BurstRow(*row) for row in bursts):
+        if burst.truth_device is None:
+            raise ValueError(f"burst {burst.burst_id} has no ground-truth label")
+        by_device.setdefault(burst.truth_device, []).append(burst)
     if len(by_device) < 2:
         raise ValueError(
             f"the subset protocol needs at least 2 labelled devices, found {len(by_device)}"
@@ -403,6 +523,14 @@ def reference_score(p, s, pool, labels):
     return _score(p, s, _encode([b.truth_device for b in pool]), labels)
 
 
+def padded(vectors):
+    """Channel vectors as rows, zero-padded to the longest, one row at a time."""
+    matrix = np.zeros((len(vectors), max(len(v) for v in vectors)))
+    for row, vector in zip(matrix, vectors):
+        row[: len(vector)] = vector
+    return matrix
+
+
 def reference_run_protocol(bursts, eval_cfg, dbscan_cfg, kmeans_cfg):
     """``run_protocol`` clustering each draw's bursts on their own: the
     IE rows normalized among the draw's bursts, the channel vectors
@@ -411,7 +539,7 @@ def reference_run_protocol(bursts, eval_cfg, dbscan_cfg, kmeans_cfg):
     for p, s, pool in reference_pools(bursts, eval_cfg):
         coarse = ie_only_cluster([b.ie_features for b in pool], dbscan_cfg)
         run_cfg = replace(kmeans_cfg, seed=child_seed(eval_cfg.seed, STREAM_KMEANS, p, s))
-        final = two_stage_cluster(pad_matrix([b.channel_vector for b in pool]), coarse, run_cfg)
+        final = two_stage_cluster(padded([b.channel_vector for b in pool]), coarse, run_cfg)
         reports[METHOD_TWO_STAGE].append(reference_score(p, s, pool, final))
         reports[METHOD_IE_ONLY].append(reference_score(p, s, pool, coarse))
     return reports

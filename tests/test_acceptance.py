@@ -37,7 +37,7 @@ from probederand.synth import (
     write_capture,
 )
 
-from oracles import canonical_partition, oracle_hcv, reference_dbscan, table_frames
+from oracles import canonical_partition, oracle_hcv, reference_dbscan, table_frames, table_rows
 from scenarios import hetero_scenario, mixed_scenario, twin_scenario
 
 # Pinned experiment seeds. The protocol seed is chosen so that every
@@ -68,8 +68,8 @@ def twin_setup(tmp_path_factory):
     root = generate_scenario(scenario, tmp_path_factory.mktemp("twin") / "ds")
     bursts = ingest(root)
     counts = {}
-    for burst in bursts:
-        counts[burst.truth_device] = counts.get(burst.truth_device, 0) + 1
+    for device in bursts.truth_devices:
+        counts[device] = counts.get(device, 0) + 1
     assert len(counts) == 14
     assert min(counts.values()) >= 30
     return scenario, bursts
@@ -127,7 +127,7 @@ def test_criterion_2_reference_burst_vector(tmp_path):
         profiles=(profile,), duration=20.0, seed=3, sniffer_channels=SNIFFERS_LOSSLESS
     )
     root = generate_scenario(scenario, tmp_path / "ds")
-    bursts = ingest(root)
+    bursts = table_rows(ingest(root))
     assert bursts
     assert all(burst.channel_vector == FIG1_BURST for burst in bursts)
     print("ACCEPTANCE 2 reference-burst-vector: PASS")

@@ -23,15 +23,16 @@ from probederand.clustering import (
     two_stage_labelings,
     write_labeling_file,
 )
-from probederand.features import read_feature_file
+from probederand.features import group_bursts, read_feature_file, write_feature_file
 from probederand.metrics import (
     EvalConfig,
     run_protocol,
     write_report_files,
 )
-from probederand.pcap import mac_to_str
+from probederand.pcap import ProbeRequestFrame, mac_to_str
 from probederand.synth import DeviceProfile, IeTemplate, Scenario, generate_scenario, scenario_to_dict
 
+from oracles import frame_table, reference_read_feature_file, table_rows
 from scenarios import hetero_scenario, mixed_scenario, twin_profiles
 
 
@@ -240,6 +241,18 @@ class TestCluster:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"error: {repeated}:{len(lines) + 1}: burst_id 0 repeats line 3\n"
+
+
+    def test_long_burst_round_trips(self, tmp_path, capsys):
+        """A fixed-MAC device probing every second for 70 000 frames makes
+        one burst whose channel_vector field is over csv's default limit
+        of 131 072 characters: ``cluster`` reads it back and exits 0."""
+        mac = b"\x02\x00\x00\x00\x00\x01"
+        frames = [ProbeRequestFrame(float(i), mac, (1, 6, 11)[i % 3], 0, b"") for i in range(70_000)]
+        path = tmp_path / "bursts.csv"
+        write_feature_file(group_bursts(frame_table(frames), 2.0, ["phone"] * len(frames)), path)
+        assert main(["cluster", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert "clusters: 0  noise bursts: 1" in capsys.readouterr().out
 
 
 class TestConfigPrecedence:
@@ -620,8 +633,7 @@ class TestGenerate:
 
 class TestIngestDiagnostics:
     def test_truth_labels_from_directory_names(self, workspace):
-        bursts = read_feature_file(workspace["features"])
-        labels = {b.truth_device for b in bursts}
+        labels = set(read_feature_file(workspace["features"]).truth_devices)
         assert labels == {"uniq0", "uniq1", "uniq2", "uniq3"}
 
     def test_empty_dataset_root_is_processing_error(self, tmp_path, capsys):
@@ -684,7 +696,7 @@ class TestIngestDiagnostics:
         (diagnostics,) = [line for line in printed if line.startswith("diagnostics: ")]
         assert "ie_overruns=1" in diagnostics.split()
         mac = mac_to_str(planted[RADIOTAP_LEN + 10 : RADIOTAP_LEN + 16])
-        (k,) = [b.burst_id for b in read_feature_file(out / "bursts.csv") if mac_to_str(b.source_mac) == mac]
+        (k,) = [b.burst_id for b in table_rows(read_feature_file(out / "bursts.csv")) if mac_to_str(b.source_mac) == mac]
         audit = [line for line in printed if line.startswith("ie-feature")]
         assert audit == [f"ie-feature instability in 1 burst(s): [{k}]"]
 
@@ -796,3 +808,93 @@ class TestNeverATraceback:
                 assert code == 0 or (code == 1 and err.getvalue().count("\n") == 1), (argv, err.getvalue())
                 if code:
                     break
+
+
+def mutate_feature_lines(lines, edits):
+    """``lines`` of a feature file (comment, header, rows) after each
+    (kind, row, column, other row) edit; the row indices wrap."""
+    lines = list(lines)
+    for kind, row, column, other in edits:
+        rows = len(lines) - 2
+        if kind == "header-only":
+            del lines[2:]
+            continue
+        if rows == 0:
+            continue
+        at, partner = 2 + row % rows, 2 + other % rows
+        fields = lines[at].split(",")
+        if kind == "quote":
+            fields[column % len(fields)] = f'"{fields[column % len(fields)]}"'
+        elif kind == "blank":
+            lines.insert(at, " " * (column % 3))
+            continue
+        elif kind == "comment":
+            lines.insert(at, "# a comment")
+            continue
+        elif kind in ("hex-octet", "underscore-octet"):
+            octets = fields[1].split(":")
+            octets[column % 6] = "0x1a" if kind == "hex-octet" else "1_0"
+            fields[1] = ":".join(octets)
+        elif kind == "repeat-id":
+            fields[0] = lines[partner].split(",")[0]
+        elif kind == "swap":
+            lines[at], lines[partner] = lines[partner], lines[at]
+            continue
+        elif kind == "wrong-L":
+            fields[3] = str(int(fields[3]) + 1 + column % 2)
+        elif kind == "over-limit":
+            # three characters an entry: 44 000 of them pass 131 072
+            fields[3], fields[7] = "44000", ";".join(["11"] * 44_000)
+        lines[at] = ",".join(fields)
+    return lines
+
+
+FEATURE_EDITS = st.tuples(
+    st.sampled_from(
+        ["quote", "blank", "comment", "hex-octet", "underscore-octet", "repeat-id", "swap", "wrong-L",
+         "header-only", "over-limit"]
+    ),
+    st.integers(0, 63),
+    st.integers(0, 7),
+    st.integers(0, 63),
+)
+
+
+class TestMutatedFeatureFiles:
+    @given(st.lists(FEATURE_EDITS, min_size=1, max_size=4))
+    @example([("header-only", 0, 0, 0)])
+    @example([("over-limit", 0, 0, 0)])
+    @example([("swap", 0, 0, 5), ("hex-octet", 3, 1, 0), ("underscore-octet", 4, 2, 0)])
+    @example([("quote", 1, 7, 0), ("blank", 2, 1, 0), ("comment", 2, 0, 0)])
+    @example([("repeat-id", 1, 0, 2)])
+    @example([("wrong-L", 1, 0, 0)])
+    @settings(max_examples=40, deadline=None)
+    def test_end_in_exit_0_or_one_line(self, small_features, edits):
+        """A mutated feature file never escapes ``main`` as a traceback
+        through ``cluster`` and ``evaluate --d 1``: each exits 0, or 1 or
+        2 with a single ``error:`` line. The reader's table holds the
+        rows of the per-line reference reader, in id order, or both
+        raise the same message."""
+        lines = small_features.read_text(encoding="utf-8").splitlines()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bursts.csv"
+            path.write_text("\n".join(mutate_feature_lines(lines, edits)) + "\n", encoding="utf-8")
+            for argv in (
+                ["cluster", str(path), "--out", str(Path(tmp) / "cluster")],
+                ["evaluate", str(path), "--d", "1", "--out", str(Path(tmp) / "evaluate")],
+            ):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                printed = err.getvalue().splitlines()
+                assert code == 0 or (
+                    code in (1, 2) and len(printed) == 1 and printed[0].startswith("error: ")
+                ), (argv, printed)
+            try:
+                want = sorted(reference_read_feature_file(path))
+            except ValueError as exc:
+                with pytest.raises(ValueError) as raised:
+                    read_feature_file(path)
+                assert str(raised.value) == str(exc)
+            else:
+                assert table_rows(read_feature_file(path)) == want

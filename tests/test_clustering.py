@@ -40,18 +40,21 @@ from probederand.clustering import (
     two_stage_labelings,
     write_labeling_file,
 )
-from probederand.features import Burst, group_bursts, pad_matrix
+from probederand.features import group_bursts, pad_matrix
 from probederand.pcap import ProbeRequestFrame
 from probederand.randomness import DEFAULT_SEED, STREAM_KMEANS, substream
 
 from oracles import (
+    BurstRow,
     all_rows_dbscan,
+    burst_table,
     canonical_partition,
     frame_table,
     plain_seed_centers,
     plain_spherical_kmeans,
     reference_dbscan,
     reference_refine_labels,
+    table_rows,
     unguarded_fix_empty_clusters,
 )
 
@@ -62,15 +65,15 @@ EMPTIED_ROWS = np.array([[1, 3], [1, 0], [0, 3], [3, 0], [3, 0]], float)
 
 def make_burst(burst_id, ie, vector, mac_tail=None, truth=None):
     mac = bytes([0x02, 0, 0, 0, 0, mac_tail if mac_tail is not None else burst_id % 256])
-    return Burst(burst_id, mac, tuple(ie), tuple(vector), truth_device=truth)
+    return BurstRow(burst_id, mac, tuple(ie), tuple(vector), truth_device=truth)
 
 
 def ie_rows(bursts):
-    return [b.ie_features for b in bursts]
+    return burst_table(bursts).ie_features
 
 
 def channel_rows(bursts):
-    return pad_matrix([b.channel_vector for b in bursts])
+    return pad_matrix(burst_table(bursts))
 
 
 def weighted_count(rows, counts, i, eps):
@@ -321,10 +324,10 @@ class TestDbscan:
         assert canonical_partition(unshuffled)[0] == base
 
     def test_labeling_keys_are_ids(self, tmp_path):
-        """Label i belongs to the burst with the i-th smallest id,
-        whatever order the bursts come in, and the labeling file writes
-        each burst's row with its labels."""
-        bursts = [make_burst(i, (10 * (i % 2), 0, 0), (1,)) for i in (9, 7, 12, 8)]
+        """Label i belongs to table row i, the burst with the i-th
+        smallest id, whatever order its rows were given in, and the
+        labeling file writes each burst's row with its labels."""
+        bursts = burst_table(make_burst(i, (10 * (i % 2), 0, 0), (1,)) for i in (9, 7, 12, 8))
         coarse, final = two_stage_labelings(bursts, DbscanConfig(eps=0.1, min_pts=1), KmeansConfig())
         assert coarse.tolist() == [0, 1, 0, 1]  # ids 7, 8, 9, 12
         write_labeling_file(bursts, coarse, final, tmp_path / "labeling.csv")
@@ -680,7 +683,7 @@ class TestElbow:
 
 def refine(vectors):
     """Fine-stage labels of bursts that all share one coarse pool."""
-    bursts = [make_burst(i, (1, 1, 1), vector) for i, vector in enumerate(vectors)]
+    bursts = burst_table(make_burst(i, (1, 1, 1), vector) for i, vector in enumerate(vectors))
     coarse, final = two_stage_labelings(bursts, DbscanConfig(min_pts=1), KmeansConfig(seed=4))
     assert n_clusters(coarse) == 1
     return final.tolist()
@@ -786,7 +789,7 @@ class TestTwoStage:
 
     def test_twins_split_in_stage_two(self):
         bursts = twin_bursts()
-        coarse, final = two_stage_labelings(bursts, DbscanConfig(), KmeansConfig(seed=6))
+        coarse, final = two_stage_labelings(burst_table(bursts), DbscanConfig(), KmeansConfig(seed=6))
         assert n_clusters(coarse) == 1
         assert n_clusters(final) == 2
         by_truth = {}
@@ -798,7 +801,7 @@ class TestTwoStage:
     def test_distinct_templates_split_in_stage_one(self):
         bursts = [make_burst(i, (10, 0, 0), (1, 6, 11), truth="a") for i in range(15)]
         bursts += [make_burst(15 + i, (200, 9, 9), (1, 6, 11), truth="b") for i in range(15)]
-        coarse, final = two_stage_labelings(bursts, DbscanConfig(), KmeansConfig(seed=6))
+        coarse, final = two_stage_labelings(burst_table(bursts), DbscanConfig(), KmeansConfig(seed=6))
         assert n_clusters(coarse) == 2
         assert n_clusters(final) == 2
 
@@ -810,13 +813,13 @@ class TestTwoStage:
             vec = tuple(int(c) for c in rng.integers(1, 14, size=int(rng.integers(2, 9))))
             bursts.append(make_burst(i, ie, vec))
         coarse, final = two_stage_labelings(
-            bursts, DbscanConfig(eps=0.1, min_pts=3), KmeansConfig(seed=21)
+            burst_table(bursts), DbscanConfig(eps=0.1, min_pts=3), KmeansConfig(seed=21)
         )
         assert n_clusters(final) >= n_clusters(coarse)
 
     def test_noise_stays_noise(self):
         bursts = [make_burst(i, (i * 40, 0, 0), (1, 6)) for i in range(4)]
-        coarse, final = two_stage_labelings(bursts, DbscanConfig(eps=0.05, min_pts=3), KmeansConfig(seed=1))
+        coarse, final = two_stage_labelings(burst_table(bursts), DbscanConfig(eps=0.05, min_pts=3), KmeansConfig(seed=1))
         assert n_clusters(coarse) == 0
         assert set(final) == {NOISE}
         assert n_clusters(final) == 0
@@ -847,7 +850,7 @@ class TestTwoStage:
             return group_bursts(frame_table(frames), 2.0, truths)
 
         zero, named = bursts(ds_zero=True), bursts(ds_zero=False)
-        assert [b.channel_vector for b in zero] == [b.channel_vector for b in named]
+        assert [b.channel_vector for b in table_rows(zero)] == [b.channel_vector for b in table_rows(named)]
         configs = DbscanConfig(min_pts=2), KmeansConfig(seed=7)
         got = two_stage_labelings(zero, *configs)
         want = two_stage_labelings(named, *configs)
@@ -858,7 +861,7 @@ class TestTwoStage:
         bursts = twin_bursts()
         labels = ie_only_cluster(ie_rows(bursts), DbscanConfig())
         assert n_clusters(labels) == 1
-        coarse, _ = two_stage_labelings(bursts, DbscanConfig(), KmeansConfig(seed=6))
+        coarse, _ = two_stage_labelings(burst_table(bursts), DbscanConfig(), KmeansConfig(seed=6))
         assert np.array_equal(coarse, labels)
 
     def test_fine_stage_refines_the_given_coarse_labels(self):

@@ -1,5 +1,8 @@
 """IE encoding, burst grouping, channel vectors, padding, feature file I/O."""
 
+import csv
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from probederand.features import (
     FEATURE_FIELDS,
-    Burst,
+    BurstTable,
     group_bursts,
     ie_stability_violations,
     normalize_ie_matrix,
@@ -17,7 +20,7 @@ from probederand.features import (
 )
 from probederand.pcap import ProbeRequestFrame, ie_fields, merge_captures
 
-from oracles import decorated_merge, frame_table, reference_group_bursts
+from oracles import burst_table, decorated_merge, frame_table, padded, reference_group_bursts, table_rows
 
 
 def frame(ts=0.0, mac=b"\x02\x00\x00\x00\x00\x01", channel=1, ies=()):
@@ -76,12 +79,12 @@ class TestIeFeatures:
 class TestGroupBursts:
     def test_gaps_below_threshold_make_one_burst(self):
         frames = [frame(ts) for ts in (0.0, 0.1, 0.2)]
-        bursts = group_bursts(frame_table(frames), 2.0)
+        bursts = table_rows(group_bursts(frame_table(frames), 2.0))
         assert len(bursts) == 1
         assert bursts[0].length == 3
 
     def test_gap_rule_splits(self):
-        bursts = group_bursts(frame_table([frame(0.0), frame(10.0)]), 2.0)
+        bursts = table_rows(group_bursts(frame_table([frame(0.0), frame(10.0)]), 2.0))
         assert [b.length for b in bursts] == [1, 1]
 
     def test_distinct_macs_split(self):
@@ -96,7 +99,7 @@ class TestGroupBursts:
             t += float(rng.uniform(0.001, 5.0))
             mac = bytes([0x02, 0, 0, 0, 0, int(rng.integers(4))])
             frames.append(frame(t, mac=mac))
-        bursts = group_bursts(frame_table(frames), 2.0)
+        bursts = table_rows(group_bursts(frame_table(frames), 2.0))
         assert sum(b.length for b in bursts) == len(frames)
         assert [b.burst_id for b in bursts] == list(range(len(bursts)))
 
@@ -105,10 +108,11 @@ class TestGroupBursts:
             frame(0.0, ies=[ie(45, [1])]),
             frame(0.1, ies=[ie(45, [9])]),
         ]
-        bursts = group_bursts(frame_table(frames), 2.0)
-        assert bursts[0].ie_features == (1, 0, 0)
-        assert not bursts[0].ie_stable
-        assert ie_stability_violations(bursts) == [0]
+        table = group_bursts(frame_table(frames), 2.0)
+        (burst,) = table_rows(table)
+        assert burst.ie_features == (1, 0, 0)
+        assert not burst.ie_stable
+        assert ie_stability_violations(table) == [0]
 
     def test_shared_ies_objects_match_fresh_copies(self):
         """Frames that share one ``ies`` object, as ``read_capture``
@@ -126,13 +130,13 @@ class TestGroupBursts:
             fresh.append(ProbeRequestFrame(t, mac, channel, 0, bytes(bytearray(region))))
         assert len({id(f.ies) for f in shared}) == len(regions)
         assert len({id(f.ies) for f in fresh if f.ies}) == sum(1 for f in fresh if f.ies)
-        bursts = group_bursts(frame_table(shared), 2.0)
-        assert bursts == group_bursts(frame_table(fresh), 2.0)
+        bursts = table_rows(group_bursts(frame_table(shared), 2.0))
+        assert bursts == table_rows(group_bursts(frame_table(fresh), 2.0))
         assert not all(b.ie_stable for b in bursts)
 
     def test_truth_labels_attach(self):
         bursts = group_bursts(frame_table([frame(0.0)]), 2.0, truths=["phone-1"])
-        assert bursts[0].truth_device == "phone-1"
+        assert bursts.truth_devices.tolist() == ["phone-1"]
 
     def test_unsorted_input_rejected(self):
         with pytest.raises(ValueError):
@@ -203,11 +207,11 @@ class TestGroupBurstsMatchesFrameLoop:
         expected = reference_group_bursts(
             [frame for frame, _ in pairs], gap_seconds, [tag for _, tag in pairs] if labelled else None
         )
-        assert group_bursts(table, gap_seconds, tags if labelled else None) == expected
+        assert table_rows(group_bursts(table, gap_seconds, tags if labelled else None)) == expected
 
     def test_mixed_example_covers_each_rule(self):
         table, tags = merge_captures([(frame_table(frames), tag) for frames, tag in mixed_files])
-        bursts = group_bursts(table, 2.0, tags)
+        bursts = table_rows(group_bursts(table, 2.0, tags))
         assert [(b.source_mac, b.channel_vector, b.ie_stable) for b in bursts] == [
             (MACS[0], (11, 6, 1), True),  # DS 0, DS 6, no DS; gaps of exactly 2.0
             (MACS[1], (11,), True),  # tied at 2.0 with channel 6, sorted first
@@ -218,7 +222,7 @@ class TestGroupBurstsMatchesFrameLoop:
 
 
 def channel_vector(*frames):
-    (burst,) = group_bursts(frame_table(frames), 2.0)
+    (burst,) = table_rows(group_bursts(frame_table(frames), 2.0))
     return burst.channel_vector
 
 
@@ -237,43 +241,52 @@ class TestChannelVector:
         assert channel_vector(frame(ies=[ie(3, b""), ie(3, [6]), ie(3, [11])])) == (6,)
 
     def test_single_frame_burst_vector(self):
-        bursts = group_bursts(frame_table([frame(ies=[ie(3, [6])])]), 2.0)
-        assert bursts[0].channel_vector == (6,)
+        assert channel_vector(frame(ies=[ie(3, [6])])) == (6,)
 
     def test_matches_stored_vector(self):
         frames = [frame(0.0, ies=[ie(3, [1])]), frame(0.01, ies=[ie(3, [6])])]
-        burst = group_bursts(frame_table(frames), 2.0)[0]
+        (burst,) = table_rows(group_bursts(frame_table(frames), 2.0))
         assert tuple(ie_fields(f.ies)[1] for f in frames) == burst.channel_vector == (1, 6)
+
+
+def vector_table(*vectors):
+    """A table of bursts with these channel vectors, in this order."""
+    return burst_table((i, MACS[0], (0, 0, 0), vector) for i, vector in enumerate(vectors))
 
 
 class TestPadMatrix:
     def test_padding_rule(self):
-        matrix = pad_matrix([[1, 6], [11]])
+        matrix = pad_matrix(vector_table([1, 6], [11]))
         assert matrix.tolist() == [[1, 6], [11, 0]]
 
     def test_single_vector_unchanged(self):
-        assert pad_matrix([[6, 6, 6]]).tolist() == [[6, 6, 6]]
+        assert pad_matrix(vector_table([6, 6, 6])).tolist() == [[6, 6, 6]]
 
     def test_longest_vector_defines_width(self):
         fig = [1, 1, 2, 2, 5, 7, 9, 9, 10, 10, 11, 11, 12, 12, 13, 13]
-        matrix = pad_matrix([[1, 6, 11], fig, [6]])
+        matrix = pad_matrix(vector_table([1, 6, 11], fig, [6]))
         assert matrix.shape == (3, 16)
         assert matrix[1].tolist() == fig
 
     def test_prefix_preserved(self):
         vectors = [[3, 1, 4, 1, 5], [9, 2], [6, 5, 3]]
-        matrix = pad_matrix(vectors)
+        matrix = pad_matrix(vector_table(*vectors))
         for row, vector in zip(matrix, vectors):
             assert row[: len(vector)].tolist() == vector
             assert not row[len(vector) :].any()
 
+    @given(st.lists(st.lists(st.integers(0, 255), min_size=1, max_size=20), min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_scatter_matches_row_loop(self, vectors):
+        assert np.array_equal(pad_matrix(vector_table(*vectors)), padded(vectors))
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            pad_matrix([])
+            pad_matrix(vector_table())
 
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError):
-            pad_matrix([[1], []])
+            pad_matrix(vector_table([1], []))
 
 
 class TestNormalize:
@@ -307,13 +320,42 @@ class TestFeatureFile:
         path = tmp_path / "bursts.csv"
         write_feature_file(bursts, path, header_comment="probederand test")
         loaded = read_feature_file(path)
-        assert [b.burst_id for b in loaded] == [b.burst_id for b in bursts]
-        for original, back in zip(bursts, loaded):
-            assert back.source_mac == original.source_mac
-            assert back.ie_features == original.ie_features
-            assert back.channel_vector == original.channel_vector
-            assert back.truth_device == original.truth_device
-            assert back.ie_stable
+        assert table_rows(loaded) == [row._replace(ie_stable=True) for row in table_rows(bursts)]
+
+    def test_rows_come_back_in_id_order(self, tmp_path):
+        rows = [(7, MACS[0], (1, 2, 3), (6, 6), "b"), (2, MACS[1], (0.5, 0, 0), (1,), None)]
+        path = tmp_path / "bursts.csv"
+        write_feature_file(burst_table(rows), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
+        assert table_rows(read_feature_file(path)) == table_rows(burst_table(rows))
+
+    def test_long_channel_vector_round_trips(self, tmp_path):
+        """A burst of 70 000 one-digit entries writes a field over csv's
+        default limit of 131 072 characters; it reads back, and the
+        process-wide limit is left as it was."""
+        limit = csv.field_size_limit()
+        rows = [(0, MACS[0], (1, 2, 3), (6,) * 70_000, "dev-a"), (1, MACS[1], (4, 5, 6), (1, 11), "dev-b")]
+        path = tmp_path / "bursts.csv"
+        write_feature_file(burst_table(rows), path)
+        assert max(map(len, path.read_text().splitlines())) > limit
+        assert table_rows(read_feature_file(path)) == table_rows(burst_table(rows))
+        assert csv.field_size_limit() == limit
+
+    def test_other_csv_errors_report_their_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "bursts.csv"
+        write_feature_file(self.make_bursts(), path)
+
+        original = csv.reader
+
+        def reader(lines):
+            if lines[0].startswith("1,"):
+                raise csv.Error("odd row")
+            return original(lines)
+
+        monkeypatch.setattr(csv, "reader", reader)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: odd row$"):
+            read_feature_file(path)
 
     @pytest.mark.parametrize(
         "column, value",
@@ -323,6 +365,7 @@ class TestFeatureFile:
             ("channel_vector", "-6"),
             ("ie_ht", "nan"),
             ("ie_vendor", "inf"),
+            ("burst_id", "9" * 20),
         ],
     )
     def test_malformed_row_reports_line(self, tmp_path, column, value):
@@ -344,5 +387,13 @@ class TestFeatureFile:
 
 
 def test_burst_requires_frames():
-    with pytest.raises(ValueError):
-        Burst(0, b"\x02\x00\x00\x00\x00\x01", (0, 0, 0), ())
+    columns = dict(source_macs=[MACS[0]], truth_devices=[None], ie_features=[(0, 0, 0)], ie_stable=[True])
+    with pytest.raises(ValueError, match="at least one frame"):
+        BurstTable([0], channels=[], offsets=[0, 0], **columns)
+    BurstTable([0], channels=[6], offsets=[0, 1], **columns)
+
+
+@pytest.mark.parametrize("ids", [[1, 0], [3, 3]], ids=["descending", "repeated"])
+def test_table_ids_strictly_increase(ids):
+    with pytest.raises(ValueError, match="strictly increase"):
+        BurstTable(ids, [MACS[0]] * 2, [None] * 2, [(0, 0, 0)] * 2, [6, 6], [0, 1, 2], [True] * 2)

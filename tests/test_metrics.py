@@ -16,7 +16,6 @@ from probederand.clustering import (
     n_clusters,
     two_stage_cluster,
 )
-from probederand.features import Burst, pad_matrix
 from probederand.metrics import (
     METHOD_IE_ONLY,
     METHOD_TWO_STAGE,
@@ -25,7 +24,6 @@ from probederand.metrics import (
     MetricReport,
     delta_error,
     draw_subsets,
-    group_by_device,
     homogeneity_completeness_v,
     rmse,
     run_protocol,
@@ -35,11 +33,14 @@ from probederand.metrics import (
 from probederand.randomness import STREAM_KMEANS, child_seed
 
 from oracles import (
+    burst_table,
     oracle_hcv,
+    padded,
     per_point_tune,
     reference_pools,
     reference_run_protocol,
     reference_score,
+    table_rows,
 )
 
 
@@ -123,7 +124,7 @@ class TestDeltaAndRmse:
 
 
 def synthetic_bursts(n_devices=14, bursts_per=12, twins=False):
-    """Labeled bursts with separated templates (or twin templates)."""
+    """A table of labeled bursts with separated templates (or twin templates)."""
     bursts = []
     bid = 0
     for d in range(n_devices):
@@ -131,17 +132,9 @@ def synthetic_bursts(n_devices=14, bursts_per=12, twins=False):
         ie = (40.0 * (template_index + 1), 8.0 * (template_index + 1), 3.0 * template_index)
         vector = (1, 6, 11) if d % 2 == 0 else (11, 6, 1)
         for _ in range(bursts_per):
-            bursts.append(
-                Burst(
-                    burst_id=bid,
-                    source_mac=bytes([0x02, 0, 0, 0, d, bid % 256]),
-                    ie_features=ie,
-                    channel_vector=vector,
-                    truth_device=f"dev{d:02d}",
-                )
-            )
+            bursts.append((bid, bytes([0x02, 0, 0, 0, d, bid % 256]), ie, vector, f"dev{d:02d}"))
             bid += 1
-    return bursts
+    return burst_table(bursts)
 
 
 @st.composite
@@ -161,7 +154,7 @@ def duplicate_heavy_tunes(draw):
         features += [(row, vector, f"dev{d}") for row, c in zip(rows, counts) for _ in range(c)]
     ids = draw(st.permutations(range(len(features))))
     bursts = [
-        Burst(i, bytes([2, 0, 0, 0, i // 256, i % 256]), row, vector, device)
+        (i, bytes([2, 0, 0, 0, i // 256, i % 256]), row, vector, device)
         for i, (row, vector, device) in zip(ids, features)
     ]
     eps_grid = draw(st.lists(st.sampled_from([0.25, 0.5, 0.3, 0.75, 2.0]), min_size=1, max_size=4))
@@ -187,7 +180,7 @@ def labelled_protocols(draw):
             rows.append((draw(st.sampled_from(own)), draw(vectors), f"dev{d}"))
     ids = draw(st.lists(st.integers(0, 9_999), min_size=len(rows), max_size=len(rows), unique=True))
     bursts = [
-        Burst(i, bytes([2, 0, 0, 0, i // 256, i % 256]), ie, vector, device)
+        (i, bytes([2, 0, 0, 0, i // 256, i % 256]), ie, vector, device)
         for i, (ie, vector, device) in zip(ids, rows)
     ]
     cfg = EvalConfig(d=draw(st.integers(1, 3)), seed=draw(st.integers(0, 99)))
@@ -268,7 +261,7 @@ class TestProtocol:
         bursts = synthetic_bursts(n_devices=5, bursts_per=12, twins=True)
         cfg = EvalConfig(d=3, seed=17)
         dbscan_cfg = DbscanConfig(min_pts=5)
-        pools = reference_pools(bursts, cfg)
+        pools = reference_pools(table_rows(bursts), cfg)
         want = [
             reference_score(p, s, pool, ie_only_cluster([b.ie_features for b in pool], dbscan_cfg))
             for p, s, pool in pools
@@ -294,11 +287,11 @@ class TestProtocol:
         truth labels made for the whole protocol run."""
         bursts, eps_grid, minpts_grid, cfg = instance
         dbscan_cfg = DbscanConfig(eps=eps_grid[0], min_pts=minpts_grid[0])
-        results = run_protocol(bursts, cfg, dbscan_cfg, KmeansConfig())
+        results = run_protocol(burst_table(bursts), cfg, dbscan_cfg, KmeansConfig())
         for i, (p, s, pool) in enumerate(reference_pools(bursts, cfg)):
             kmeans_cfg = KmeansConfig(seed=child_seed(cfg.seed, STREAM_KMEANS, p, s))
             coarse = ie_only_cluster([b.ie_features for b in pool], dbscan_cfg)
-            final = two_stage_cluster(pad_matrix([b.channel_vector for b in pool]), coarse, kmeans_cfg)
+            final = two_stage_cluster(padded([b.channel_vector for b in pool]), coarse, kmeans_cfg)
             truth = [b.truth_device for b in pool]
             for method, labels in ((METHOD_TWO_STAGE, final), (METHOD_IE_ONLY, coarse)):
                 report = results[method][i]
@@ -314,16 +307,15 @@ class TestProtocol:
         draw's bursts on their own, in both entry points."""
         bursts, cfg, dbscan_cfg, kmeans_cfg, eps_grid, minpts_grid = instance
         want = reference_run_protocol(bursts, cfg, dbscan_cfg, kmeans_cfg)
-        assert run_protocol(bursts, cfg, dbscan_cfg, kmeans_cfg) == want
-        assert tune_dbscan(bursts, eps_grid, minpts_grid, cfg) == per_point_tune(
+        assert run_protocol(burst_table(bursts), cfg, dbscan_cfg, kmeans_cfg) == want
+        assert tune_dbscan(burst_table(bursts), eps_grid, minpts_grid, cfg) == per_point_tune(
             bursts, eps_grid, minpts_grid, cfg
         )
 
     def test_table_built_once_per_call(self, monkeypatch):
-        """One ``run_protocol`` call sorts the bursts once and pads their
-        channel vectors once, however many draws it scores; ``tune_dbscan``
-        sorts once and pads nothing."""
-        calls = {"_sorted_bursts": 0, "pad_matrix": 0}
+        """One ``run_protocol`` call pads the channel vectors once,
+        however many draws it scores; ``tune_dbscan`` pads nothing."""
+        calls = {"pad_matrix": 0}
 
         def counted(name, original):
             def step(*args):
@@ -339,10 +331,10 @@ class TestProtocol:
         cfg = EvalConfig(d=3, seed=21)
         results = run_protocol(bursts, cfg, DbscanConfig(min_pts=5), KmeansConfig())
         assert len(results[METHOD_TWO_STAGE]) == 12
-        assert calls == {"_sorted_bursts": 1, "pad_matrix": 1}
+        assert calls == {"pad_matrix": 1}
         calls.update({name: 0 for name in calls})
         tune_dbscan(bursts, [0.05, 0.3], [5, 10], cfg)
-        assert calls == {"_sorted_bursts": 1, "pad_matrix": 0}
+        assert calls == {"pad_matrix": 0}
 
     @pytest.mark.parametrize("n_devices", [0, 1])
     def test_fewer_than_two_devices_rejected(self, n_devices):
@@ -357,9 +349,15 @@ class TestProtocol:
             tune_dbscan(bursts, [0.05], [5], cfg)
 
     def test_unlabeled_bursts_rejected(self):
-        burst = Burst(0, b"\x02\x00\x00\x00\x00\x01", (1.0, 2.0, 3.0), (1, 6))
-        with pytest.raises(ValueError, match="ground-truth"):
-            group_by_device([burst])
+        """Both entry points name the lowest unlabelled burst id."""
+        bursts = synthetic_bursts(n_devices=3)
+        rows = [row._replace(truth_device=None) if row.burst_id in (30, 7) else row for row in table_rows(bursts)]
+        cfg = EvalConfig(d=1, seed=1)
+        match = "^burst 7 has no ground-truth label; evaluation needs a labeled dataset$"
+        with pytest.raises(ValueError, match=match):
+            run_protocol(burst_table(rows), cfg, DbscanConfig(), KmeansConfig())
+        with pytest.raises(ValueError, match=match):
+            tune_dbscan(burst_table(rows), [0.05], [5], cfg)
 
     def test_draw_subsets_shape(self):
         cfg = EvalConfig(d=7, seed=2)
@@ -394,7 +392,7 @@ class TestTune:
         bursts = synthetic_bursts(n_devices=5, bursts_per=12)
         cfg = EvalConfig(d=6, seed=17)
         (row,) = tune_dbscan(bursts, [5.0], [5], cfg)
-        draws = draw_subsets(sorted({b.truth_device for b in bursts}), cfg)
+        draws = draw_subsets(sorted(set(bursts.truth_devices)), cfg)
         expected = np.mean([abs(1 - p) for p, _, _ in draws])
         assert row.mean_abs_delta == pytest.approx(expected)
 
@@ -419,7 +417,7 @@ class TestTune:
     def test_matches_per_point_oracle(self, instance):
         bursts, eps_grid, minpts_grid, cfg = instance
         want = per_point_tune(bursts, eps_grid, minpts_grid, cfg)
-        assert tune_dbscan(bursts, eps_grid, minpts_grid, cfg) == want
+        assert tune_dbscan(burst_table(bursts), eps_grid, minpts_grid, cfg) == want
 
     @staticmethod
     def count_steps(monkeypatch):
@@ -449,7 +447,7 @@ class TestTune:
         calls = self.count_steps(monkeypatch)
         bursts = synthetic_bursts(n_devices=5, bursts_per=12)
         cfg = EvalConfig(d=3, seed=21)
-        pools = len(reference_pools(bursts, cfg))
+        pools = len(reference_pools(table_rows(bursts), cfg))
         for _ in range(2):  # nothing carries over from one call to the next
             tune_dbscan(bursts, [0.05, 0.3, 0.9], [5, 10], cfg)
             assert calls == {"_dbscan_prepare": pools, "_dbscan_neighbours": 3 * pools}
@@ -477,9 +475,9 @@ class TestUsageError:
         assert isinstance(excinfo.value, UsageError)
 
     def test_unlabelled_burst_is_not_a_usage_error(self):
-        burst = Burst(0, b"\x02\x00\x00\x00\x00\x01", (1.0, 2.0, 3.0), (1, 6))
+        bursts = burst_table([(0, b"\x02\x00\x00\x00\x00\x01", (1.0, 2.0, 3.0), (1, 6))])
         with pytest.raises(ValueError) as excinfo:
-            run_protocol([burst], EvalConfig(d=1), DbscanConfig(), KmeansConfig())
+            run_protocol(bursts, EvalConfig(d=1), DbscanConfig(), KmeansConfig())
         assert not isinstance(excinfo.value, UsageError)
 
 

@@ -19,13 +19,13 @@ from probederand.pcap import (
     TruncationError,
     ie_fields,
     merge_captures,
-    parse_radiotap_fields,
     read_capture,
 )
 
 from oracles import (
     decorated_merge,
     frame_table,
+    parse_radiotap_fields,
     reference_ds_channel,
     reference_ie_features,
     reference_parse_ies,

@@ -1,11 +1,12 @@
 """The README's Library example and command-line block run as written
-against the package."""
+against the package, and every name the package exports resolves."""
 
 import json
 import re
 import shlex
 from pathlib import Path
 
+import probederand
 from probederand import cli
 from probederand.synth import generate_scenario, scenario_to_dict
 
@@ -53,3 +54,9 @@ def test_command_line_block_runs(tmp_path, monkeypatch):
         assert named, f"the comment on {command!r} names no file"
         for name in named:
             assert (out / Path(name).name).is_file(), f"{command!r} wrote no {name}"
+
+
+def test_every_exported_name_resolves():
+    assert "BurstTable" in probederand.__all__
+    for name in probederand.__all__:
+        assert hasattr(probederand, name), name

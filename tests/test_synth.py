@@ -35,6 +35,7 @@ from oracles import (
     reference_group_bursts,
     reference_read_capture,
     table_frames,
+    table_rows,
 )
 from scenarios import mixed_scenario
 
@@ -221,7 +222,7 @@ class TestGenerateScenario:
     def test_twins_share_ie_features_but_not_patterns(self, tmp_path):
         root = generate_scenario(two_device_scenario(), tmp_path / "tw")
         frames, labels = read_dataset(root)
-        bursts = group_bursts(frames, 2.0, labels)
+        bursts = table_rows(group_bursts(frames, 2.0, labels))
         by_device = {}
         for burst in bursts:
             by_device.setdefault(burst.truth_device, []).append(burst)
@@ -233,8 +234,7 @@ class TestGenerateScenario:
     def test_no_mac_reuse_across_bursts(self, tmp_path):
         root = generate_scenario(two_device_scenario(), tmp_path / "macs")
         frames, labels = read_dataset(root)
-        bursts = group_bursts(frames, 2.0, labels)
-        macs = [b.source_mac for b in bursts]
+        macs = group_bursts(frames, 2.0, labels).source_macs.tolist()
         assert len(macs) == len(set(macs))
 
     def test_ingest_matches_frame_level_path(self, tmp_path):
@@ -243,7 +243,7 @@ class TestGenerateScenario:
         (timestamp, channel, input position) and grouping frame by frame."""
         root = generate_scenario(mixed_scenario(seed=3), tmp_path / "mixed")
         frames, labels = read_dataset(root)
-        bursts = group_bursts(frames, 2.0, labels)
+        bursts = table_rows(group_bursts(frames, 2.0, labels))
         streams = [
             (reference_read_capture(path.read_bytes(), CaptureMeta(str(path), declared)), label)
             for label, path, declared in iter_dataset_files(root)
@@ -267,7 +267,7 @@ class TestGenerateScenario:
         )
         root = generate_scenario(scenario, tmp_path / "inv")
         frames, labels = read_dataset(root)
-        bursts = group_bursts(frames, 2.0, labels)
+        bursts = table_rows(group_bursts(frames, 2.0, labels))
         assert len(bursts) >= 10
         for burst in bursts:
             expected = tuple(pattern[i % len(pattern)] for i in range(burst.length))

@@ -10,11 +10,10 @@ import numpy as np
 import probederand
 import probederand.cli  # noqa: F401  (the tracer looks up probederand.cli)
 from probederand.clustering import DbscanConfig, KmeansConfig
-from probederand.features import Burst
 from probederand.metrics import EvalConfig
 from probederand.randomness import DEFAULT_SEED, STREAM_KMEANS, substream
 
-from oracles import plain_spherical_kmeans
+from oracles import burst_table, plain_spherical_kmeans
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -46,10 +45,10 @@ def test_protocol_runs_are_traced():
     """Each protocol run's clustering call is a child of ``run_protocol``
     (the spans behind ``metrics.cluster_run_ms``), and the IE-only path
     still goes through ``dbscan``, once per draw."""
-    bursts = [
-        Burst(i, bytes([2, 0, 0, 0, 0, i]), (10.0 * (i % 3), 0.0, 0.0), (1, 6, 11), f"dev{i % 3}")
+    bursts = burst_table(
+        (i, bytes([2, 0, 0, 0, 0, i]), (10.0 * (i % 3), 0.0, 0.0), (1, 6, 11), f"dev{i % 3}")
         for i in range(12)
-    ]
+    )
     tracer = load_tracer().Tracer()
     with tracer.installed(probederand):
         probederand.cli.run_protocol(
@@ -68,11 +67,11 @@ def test_protocol_iterations_count_every_restart(monkeypatch):
     """Pools recur across draws and their Lloyd runs are memoised, but a
     memo hit still adds its trace to ``history``: the traced protocol
     counts the iterations of running every restart in full."""
-    bursts = [
-        Burst(i, bytes([2, 0, 0, 0, 0, i]), (10.0 * (i % 6 // 2), 0.0, 0.0),
-              ((1, 6, 11), (11, 6, 1), (6, 1, 11, 1))[i % 3], f"dev{i % 6}")
+    bursts = burst_table(
+        (i, bytes([2, 0, 0, 0, 0, i]), (10.0 * (i % 6 // 2), 0.0, 0.0),
+         ((1, 6, 11), (11, 6, 1), (6, 1, 11, 1))[i % 3], f"dev{i % 6}")
         for i in range(36)
-    ]
+    )
     args = (bursts, EvalConfig(d=3), DbscanConfig(min_pts=2), KmeansConfig(), 1)
     tracer = load_tracer().Tracer()
     with tracer.installed(probederand):
