@@ -13,6 +13,12 @@ directories written as ``<dataset>`` and ``<out>``:
 * twin-jitter: the same pairs with channel jitter 0.05
   (``golden/twin-jitter/``).
 
+``generate_sha256.json`` pins what ``generate`` writes for each of them:
+the SHA-256 of every file of the dataset tree (each capture and
+``manifest.json``), so the capture bytes themselves (timestamps,
+sequence numbers, Radiotap headers) are pinned as well as what
+``ingest`` reads from them.
+
 The twin scenarios pin the k-means path: every coarse pool holds a twin
 pair that only the fine stage can split.
 
@@ -21,6 +27,7 @@ from the repository root (``src`` on ``PYTHONPATH``).
 """
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -33,6 +40,7 @@ from probederand.synth import scenario_to_dict
 from scenarios import mixed_scenario, twin_scenario
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+GENERATE_DIGESTS = Path(__file__).parent / "generate_sha256.json"
 GOLDEN_FILES = (
     "ingest.txt",
     "bursts.csv",
@@ -89,6 +97,15 @@ def run_pipeline(name: str, base: Path) -> Path:
     return out
 
 
+def file_digests(root: Path) -> dict:
+    """SHA-256 of every file under ``root``, keyed by its relative path."""
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
 @pytest.fixture(scope="module")
 def produced(tmp_path_factory):
     """Output directory of a scenario, each scenario run once per module."""
@@ -114,13 +131,23 @@ def test_twin_output_matches_golden(produced, scenario, name):
     assert (produced(scenario) / name).read_bytes() == (golden / name).read_bytes()
 
 
+@pytest.mark.parametrize("scenario", tuple(SCENARIOS))
+def test_generated_files_match_golden_digests(produced, scenario):
+    dataset = produced(scenario).parent / "dataset"
+    assert file_digests(dataset) == json.loads(GENERATE_DIGESTS.read_text())[scenario]
+
+
 if __name__ == "__main__":
     import tempfile
 
+    digests = {}
     for scenario, (_, golden, files, _) in SCENARIOS.items():
         with tempfile.TemporaryDirectory() as scratch:
             out = run_pipeline(scenario, Path(scratch))
             golden.mkdir(exist_ok=True)
             for name in files:
                 (golden / name).write_bytes((out / name).read_bytes())
+            digests[scenario] = file_digests(out.parent / "dataset")
         print(f"re-pinned {len(files)} files under {golden}")
+    GENERATE_DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"re-pinned {sum(map(len, digests.values()))} digests in {GENERATE_DIGESTS}")
