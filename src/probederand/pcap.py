@@ -7,9 +7,9 @@ merges per-channel sniffer captures into one time-ordered stream.
 :func:`read_capture` alone gives a frame its capture channel: the
 Radiotap channel field, else the channel the file declares.
 
-Parsed frames travel as one :class:`FrameTable` of columns, never as an
-object per frame; :class:`ProbeRequestFrame` is the validated record
-for frames built one at a time.
+Frames travel as one :class:`FrameTable` of columns, never as an
+object per frame: the parser fills one, and ``synth.write_capture``
+writes one.
 
 Only the fields the burst pipeline consumes are decoded: capture
 timestamp, source MAC (Address 2), capture channel, sequence number,
@@ -70,35 +70,15 @@ class ChannelResolutionError(Error):
     """A frame has no Radiotap channel and its file declares none."""
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeRequestFrame:
-    """One parsed Probe Request.
-
-    ``capture_channel`` is the sniffer channel the frame was captured
-    on, 1..13; :func:`read_capture` takes it from the Radiotap channel
-    field, else from the file's declared channel.
-    ``ies`` is the raw tagged-parameter region, whole elements only.
-    """
-
-    timestamp: float
-    source_mac: bytes
-    capture_channel: int
-    sequence_number: int
-    ies: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.source_mac) != 6:
-            raise ValueError("source_mac must be exactly 6 bytes")
-        if not 1 <= self.capture_channel <= 13:
-            raise ValueError(f"capture_channel out of range: {self.capture_channel}")
-        if not 0 <= self.sequence_number <= 4095:
-            raise ValueError(f"sequence_number out of range: {self.sequence_number}")
-
-
 @dataclass
 class FrameTable:
-    """Probe Requests as columns, one list per :class:`ProbeRequestFrame`
-    field: row i of every list is frame i."""
+    """Probe Requests as columns: row i of every list is frame i.
+
+    ``timestamps`` are seconds, ``source_macs`` 6 bytes (Address 2),
+    ``capture_channels`` the sniffer channel 1..13, ``sequence_numbers``
+    the 12-bit field 0..4095, and ``ies`` the raw tagged-parameter
+    region, whole elements only.
+    """
 
     timestamps: list[float] = field(default_factory=list)
     source_macs: list[bytes] = field(default_factory=list)
@@ -295,9 +275,9 @@ def read_capture(
     :class:`ChannelResolutionError` naming ``meta.path``, and a declared
     channel outside 1..13 raises ``ValueError`` when a frame takes it.
 
-    Every row is a valid :class:`ProbeRequestFrame` by construction: the
-    MAC is a 6-byte slice, the sequence number a 12-bit field, and a
-    Radiotap channel comes from the 2.4 GHz map of channels 1..13.
+    Every row is in its column's range by construction: the MAC is a
+    6-byte slice, the sequence number a 12-bit field, and a Radiotap
+    channel comes from the 2.4 GHz map of channels 1..13.
 
     Records are read in place: only the source MAC and the IE region are
     copied out of ``data``. The Radiotap layout (header length, flags and

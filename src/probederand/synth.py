@@ -13,8 +13,9 @@ checks.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -22,13 +23,14 @@ import numpy as np
 
 from . import __version__
 from .pcap import (
+    FC_PROBE_REQUEST,
     IE_DS_PARAMETER_SET,
     IE_EXTENDED_CAPABILITIES,
     IE_HT_CAPABILITIES,
     IE_SSID,
     IE_VENDOR_SPECIFIC,
     LINKTYPE_RADIOTAP,
-    ProbeRequestFrame,
+    FrameTable,
 )
 from .randomness import DEFAULT_SEED, STREAM_GENERATION, substream
 
@@ -77,9 +79,12 @@ class DeviceProfile:
             raise ValueError("channel_jitter must be a probability")
         if self.intra_burst_gap <= 0:
             raise ValueError("intra_burst_gap must be positive")
-        for bound in _spec_bounds(self.burst_length) + _spec_bounds(self.inter_burst_interval):
-            if bound <= 0:
+        for name in ("burst_length", "inter_burst_interval"):
+            bounds = _spec_bounds(getattr(self, name))
+            if min(bounds) <= 0:
                 raise ValueError("distribution bounds must be positive")
+            if bounds[0] > bounds[-1]:
+                raise ValueError(f"{name} uniform bounds must be low <= high, got {list(bounds)}")
 
 
 @dataclass(frozen=True)
@@ -117,11 +122,7 @@ def _draw_interval(spec: IntervalSpec, rng: np.random.Generator) -> float:
 
 def _random_mac(rng: np.random.Generator, locally_administered: bool) -> bytes:
     raw = bytearray(int(b) for b in rng.integers(0, 256, size=6))
-    raw[0] &= 0xFE  # never multicast
-    if locally_administered:
-        raw[0] |= 0x02
-    else:
-        raw[0] &= 0xFD
+    raw[0] = raw[0] & 0xFC | (0x02 if locally_administered else 0)  # never multicast
     return bytes(raw)
 
 
@@ -140,19 +141,21 @@ def _frame_ies(template: IeTemplate, channel: int) -> bytes:
     return b"".join(bytes([ie_id, len(body)]) + body for ie_id, body in elements)
 
 
-def generate_device(
-    profile: DeviceProfile, duration: float, rng: np.random.Generator
-) -> list[tuple[ProbeRequestFrame, str]]:
-    """Emit (frame, device label) pairs for one device over ``duration``.
+def generate_device(profile: DeviceProfile, duration: float, rng: np.random.Generator) -> FrameTable:
+    """The frames one device sends over ``duration``, in time order.
 
     Bursts start at t=0 and recur at drawn intervals while t stays
     below the duration. Each burst walks the PNL pattern cyclically for
     the drawn length, optionally perturbing one entry, and stamps a
-    fresh random MAC when the randomization policy is on.
+    fresh random MAC when the randomization policy is on. A frame's
+    capture channel is its DS channel, and sequence numbers count up
+    by one per frame, modulo 4096, from a drawn start. The frames carry
+    no label: the caller knows them as ``profile.device_id``.
     """
-    pairs: list[tuple[ProbeRequestFrame, str]] = []
-    sequence = int(rng.integers(4096))
+    frames = FrameTable()
+    first_sequence = int(rng.integers(4096))
     fixed_mac = None if profile.randomize_mac else _random_mac(rng, locally_administered=False)
+    ies_of = {channel: _frame_ies(profile.ie_template, channel) for channel in range(1, 14)}
     t = 0.0
     while t < duration - 1e-12:
         length = _draw_length(profile.burst_length, rng)
@@ -161,99 +164,94 @@ def generate_device(
             slot = int(rng.integers(length))
             alternatives = [c for c in range(1, 14) if c != channels[slot]]
             channels[slot] = alternatives[int(rng.integers(len(alternatives)))]
-        if profile.randomize_mac:
-            mac = _random_mac(rng, locally_administered=True)
-        else:
-            mac = fixed_mac
-        for i, channel in enumerate(channels):
-            frame = ProbeRequestFrame(
-                timestamp=_quantize(t + i * profile.intra_burst_gap),
-                source_mac=mac,
-                capture_channel=channel,
-                sequence_number=sequence,
-                ies=_frame_ies(profile.ie_template, channel),
-            )
-            sequence = (sequence + 1) % 4096
-            pairs.append((frame, profile.device_id))
+        mac = _random_mac(rng, locally_administered=True) if profile.randomize_mac else fixed_mac
+        frames.timestamps += [_quantize(t + i * profile.intra_burst_gap) for i in range(length)]
+        frames.source_macs += [mac] * length
+        frames.capture_channels += channels
+        frames.ies += [ies_of[channel] for channel in channels]
         t += _draw_interval(profile.inter_burst_interval, rng)
-    return pairs
+    frames.sequence_numbers = [(first_sequence + i) % 4096 for i in range(len(frames))]
+    return frames
 
 
-def assign_to_sniffers(
-    frames: Sequence[ProbeRequestFrame], sniffer_channels: Sequence[int]
-) -> dict[int, list[ProbeRequestFrame]]:
-    """Idealized capture: a sniffer hears exactly the frames sent on its
-    channel (``capture_channel``, which ``generate_device`` sets to the
-    frame's DS channel); everything else is lost."""
-    captured: dict[int, list[ProbeRequestFrame]] = {s: [] for s in sniffer_channels}
-    for frame in frames:
-        if frame.capture_channel in captured:
-            captured[frame.capture_channel].append(frame)
-    return captured
+def assign_to_sniffers(frames: FrameTable, sniffer_channels: Sequence[int]) -> dict[int, FrameTable]:
+    """Idealized capture: the table of the frames each sniffer channel
+    hears, which are exactly the rows whose ``capture_channel`` is that
+    channel (``generate_device`` sets it to the DS channel), in their
+    order; every other row is lost."""
+    rows: dict[int, list[int]] = {s: [] for s in sniffer_channels}
+    for i, channel in enumerate(frames.capture_channels):
+        if channel in rows:
+            rows[channel].append(i)
+    return {
+        s: FrameTable(*([column[i] for i in kept] for column in _columns(frames)))
+        for s, kept in rows.items()
+    }
 
 
-def write_capture(frames: Sequence[ProbeRequestFrame], path) -> None:
-    """Serialize frames as a pcap file (link type 127, minimal Radiotap).
+def _columns(frames: FrameTable) -> list[list]:
+    return [getattr(frames, f.name) for f in fields(FrameTable)]
 
-    The Radiotap header carries only the channel field, set to each
-    frame's ``capture_channel``; reading the file back reproduces
-    timestamps (to 1 us), MACs, channels, sequence numbers and IE bytes
-    exactly.
+
+# Record header, then a 12-byte Radiotap header carrying only the channel
+# field, then the 802.11 management header of a Probe Request.
+_RECORD = struct.Struct(
+    "<IIII"  # ts_sec, ts_usec, incl_len, orig_len
+    "BBHIHH"  # Radiotap: version, pad, length, presence (Channel), frequency, flags
+    "BB2s6s6s6sH"  # Frame Control, Duration, Address 1-3, Sequence Control
+)
+_BROADCAST = b"\xff" * 6
+
+
+def write_capture(frames: FrameTable, path) -> None:
+    """Write a table's rows as a pcap file (link type 127, minimal
+    Radiotap, channel field only); ``read_capture`` of the file equals
+    the table when its timestamps lie on the 1 us grid and each IE region
+    holds whole elements. A row with a MAC other than 6 bytes, a channel
+    outside 1..13, a sequence number outside 0..4095 or a timestamp
+    below the one before raises ``ValueError``, and no file is written.
     """
-    out = bytearray()
-    out += struct.pack(
-        "<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, LINKTYPE_RADIOTAP
-    )
-    previous = None
-    for frame in frames:
-        if previous is not None and frame.timestamp < previous:
+    out = bytearray(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, LINKTYPE_RADIOTAP))
+    previous = -math.inf
+    for timestamp, mac, channel, sequence, ies in zip(*_columns(frames), strict=True):
+        if len(mac) != 6:
+            raise ValueError("source_mac must be exactly 6 bytes")
+        if not 1 <= channel <= 13:
+            raise ValueError(f"capture_channel out of range: {channel}")
+        if not 0 <= sequence <= 4095:
+            raise ValueError(f"sequence_number out of range: {sequence}")
+        if timestamp < previous:
             raise ValueError("frames must be time-ordered")
-        previous = frame.timestamp
-        radiotap = struct.pack(
-            "<BBHIHH", 0, 0, 12, 1 << 3, 2407 + 5 * frame.capture_channel, _CHANNEL_FLAGS_2GHZ
+        previous = timestamp
+        sec, usec = divmod(round(timestamp * 1e6), 1_000_000)
+        size = _RECORD.size - 16 + len(ies)
+        out += _RECORD.pack(
+            sec, usec, size, size,
+            0, 0, 12, 1 << 3, 2407 + 5 * channel, _CHANNEL_FLAGS_2GHZ,
+            FC_PROBE_REQUEST, 0, bytes(2), _BROADCAST, mac, _BROADCAST, sequence << 4,
         )
-        dot11 = bytearray()
-        dot11 += bytes([0x40, 0x00])  # Frame Control: Probe Request
-        dot11 += bytes(2)  # Duration
-        dot11 += b"\xff" * 6  # Address 1: broadcast
-        dot11 += frame.source_mac
-        dot11 += b"\xff" * 6  # Address 3: wildcard BSSID
-        dot11 += struct.pack("<H", (frame.sequence_number << 4) & 0xFFFF)
-        dot11 += frame.ies
-        total_us = round(frame.timestamp * 1e6)
-        sec, usec = divmod(total_us, 1_000_000)
-        record = radiotap + dot11
-        out += struct.pack("<IIII", sec, usec, len(record), len(record))
-        out += record
-    Path(path).write_bytes(bytes(out))
+        out += ies
+    Path(path).write_bytes(out)
 
 
-def _dedupe_macs(
-    per_device: list[list[tuple[ProbeRequestFrame, str]]], seed: int
-) -> None:
-    """Re-draw the rare colliding burst MAC so labels stay unambiguous."""
+def _dedupe_macs(per_device: list[FrameTable], seed: int) -> None:
+    """Re-draw the rare colliding burst MAC so labels stay unambiguous,
+    remapping each device's ``source_macs`` column in place."""
     seen: set[bytes] = set()
     repair = substream(seed, STREAM_GENERATION, 0xFFFF)
-    for pairs in per_device:
+    for frames in per_device:
         owned: set[bytes] = set()
         remap: dict[bytes, bytes] = {}
-        for frame, _ in pairs:
-            mac = frame.source_mac
-            if mac in remap:
-                continue
-            if mac in seen and mac not in owned:
+        for mac in dict.fromkeys(frames.source_macs):
+            if mac in seen:
                 replacement = _random_mac(repair, locally_administered=True)
                 while replacement in seen or replacement in owned:
                     replacement = _random_mac(repair, locally_administered=True)
                 remap[mac] = replacement
-                owned.add(replacement)
-            else:
-                owned.add(mac)
+            owned.add(remap.get(mac, mac))
         if remap:
-            for i, (frame, label) in enumerate(pairs):
-                if frame.source_mac in remap:
-                    pairs[i] = (replace(frame, source_mac=remap[frame.source_mac]), label)
-        seen |= {f.source_mac for f, _ in pairs}
+            frames.source_macs[:] = [remap.get(mac, mac) for mac in frames.source_macs]
+        seen.update(frames.source_macs)
 
 
 def generate_scenario(scenario: Scenario, root, overwrite: bool = False) -> Path:
@@ -261,11 +259,16 @@ def generate_scenario(scenario: Scenario, root, overwrite: bool = False) -> Path
 
     Writes one pcap per device and sniffer channel under
     ``<root>/<device_id>/<channel>.pcap`` plus a manifest echoing the
-    scenario and seed. Refuses a non-empty root unless ``overwrite``.
+    scenario and seed. Refuses a non-empty root unless ``overwrite``;
+    overwriting first removes the captures that the root's manifest
+    lists, and each device directory that this leaves empty, and
+    nothing else.
     """
     root = Path(root)
-    if root.exists() and any(root.iterdir()) and not overwrite:
-        raise FileExistsError(f"{root} exists and is not empty (pass overwrite)")
+    if root.exists() and any(root.iterdir()):
+        if not overwrite:
+            raise FileExistsError(f"{root} exists and is not empty (pass overwrite)")
+        _remove_listed_captures(root)
     root.mkdir(parents=True, exist_ok=True)
 
     per_device = [
@@ -274,13 +277,11 @@ def generate_scenario(scenario: Scenario, root, overwrite: bool = False) -> Path
     ]
     _dedupe_macs(per_device, scenario.seed)
 
-    for profile, pairs in zip(scenario.profiles, per_device):
+    for profile, frames in zip(scenario.profiles, per_device):
         device_dir = root / profile.device_id
         device_dir.mkdir(exist_ok=True)
-        frames = [frame for frame, _ in pairs]
-        captured = assign_to_sniffers(frames, scenario.sniffer_channels)
-        for channel in scenario.sniffer_channels:
-            write_capture(captured[channel], device_dir / f"{channel}.pcap")
+        for channel, captured in assign_to_sniffers(frames, scenario.sniffer_channels).items():
+            write_capture(captured, device_dir / f"{channel}.pcap")
 
     manifest = {
         "generator": {"name": "probederand", "version": __version__},
@@ -291,6 +292,21 @@ def generate_scenario(scenario: Scenario, root, overwrite: bool = False) -> Path
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return root
+
+
+def _remove_listed_captures(root: Path) -> None:
+    """Delete the ``<device>/<channel>.pcap`` files that ``root``'s
+    manifest lists, then each of those device directories left empty."""
+    manifest = root / "manifest.json"
+    if not manifest.is_file():
+        return
+    listed = _read_scenario(manifest, lambda document: document["scenario"])
+    for profile in listed.profiles:
+        device_dir = root / profile.device_id
+        for channel in listed.sniffer_channels:
+            (device_dir / f"{channel}.pcap").unlink(missing_ok=True)
+        if device_dir.is_dir() and not any(device_dir.iterdir()):
+            device_dir.rmdir()
 
 
 def _spec_to_json(spec):
@@ -379,9 +395,14 @@ def scenario_from_dict(data: dict) -> Scenario:
 def load_scenario(path) -> Scenario:
     """Read a scenario description from a JSON document; a document that
     does not describe a scenario raises ValueError naming the file."""
+    return _read_scenario(path, lambda document: document)
+
+
+def _read_scenario(path, pick) -> Scenario:
+    """The scenario ``pick`` takes from the JSON at ``path``; ValueError names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return scenario_from_dict(json.load(fh))
+            return scenario_from_dict(pick(json.load(fh)))
         except KeyError as exc:
             raise ValueError(f"{path}: missing field {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:

@@ -7,7 +7,7 @@ exception, and each drops only the shortcut it checks:
 ``reference_read_capture`` reuses the library's pcap header check and
 Radiotap decoder but copies each record and its body and decodes every
 Radiotap header in full; ``reference_group_bursts`` is the library's
-per-frame grouping loop over ``ProbeRequestFrame`` lists, with its IE
+per-frame grouping loop over lists of ``Frame`` records, with its IE
 walk, before bursts were cut with array operations;
 ``reference_read_feature_file`` is the feature-file reader's per-line
 parse and checks, giving rows in file order; ``parse_radiotap_fields``
@@ -75,7 +75,6 @@ from probederand.pcap import (
     Error,
     FrameTable,
     ParseDiagnostics,
-    ProbeRequestFrame,
     _radiotap_layout,
     _radiotap_read,
     _unpack_global_header,
@@ -85,6 +84,16 @@ from probederand.pcap import (
 from probederand.randomness import STREAM_KMEANS, child_seed, substream
 
 IE_DS_PARAMETER_SET, IE_HT, IE_EXTENDED, IE_VENDOR = 3, 45, 127, 221
+
+
+class Frame(NamedTuple):
+    """One Probe Request as a plain tuple: one ``FrameTable`` row."""
+
+    timestamp: float
+    source_mac: bytes
+    capture_channel: int
+    sequence_number: int
+    ies: bytes
 
 
 class BurstRow(NamedTuple):
@@ -179,7 +188,7 @@ def decorated_merge(streams):
 
 
 def frame_table(frames):
-    """FrameTable of a ``ProbeRequestFrame`` list, row i from frame i."""
+    """FrameTable of a ``Frame`` list, row i from frame i."""
     return FrameTable(
         [f.timestamp for f in frames],
         [f.source_mac for f in frames],
@@ -190,7 +199,9 @@ def frame_table(frames):
 
 
 def table_frames(table):
-    """One validated ``ProbeRequestFrame`` per FrameTable row."""
+    """One ``Frame`` per FrameTable row, each row checked to lie in its
+    columns' ranges: a 6-byte MAC, a channel in 1..13 and a sequence
+    number in 0..4095."""
     columns = (
         table.timestamps,
         table.source_macs,
@@ -198,11 +209,16 @@ def table_frames(table):
         table.sequence_numbers,
         table.ies,
     )
-    return [ProbeRequestFrame(*row) for row in zip(*columns, strict=True)]
+    frames = [Frame(*row) for row in zip(*columns, strict=True)]
+    for frame in frames:
+        assert len(frame.source_mac) == 6, frame
+        assert 1 <= frame.capture_channel <= 13, frame
+        assert 0 <= frame.sequence_number <= 4095, frame
+    return frames
 
 
 def reference_group_bursts(frames, gap_seconds=2.0, truths=None):
-    """Bursts of a time-ordered ``ProbeRequestFrame`` list, cut by one
+    """Bursts of a time-ordered ``Frame`` list, cut by one
     pass over the frames with a per-MAC open burst and last-seen time."""
     if gap_seconds <= 0:
         raise ValueError("gap_seconds must be positive")
@@ -362,9 +378,11 @@ def reference_read_capture(data, meta, diagnostics=None):
             channel = meta.declared_channel
         if channel is None:
             raise ChannelResolutionError(f"frame in {meta.path} has no channel")
+        if not 1 <= channel <= 13:
+            raise ValueError(f"capture_channel out of range: {channel}")
         ies = b"".join(bytes([ie_id, len(element)]) + element for ie_id, element in elements)
         seq = struct.unpack_from("<H", body, 22)[0] >> 4
-        frames.append(ProbeRequestFrame(timestamp, bytes(body[10:16]), channel, seq, ies))
+        frames.append(Frame(timestamp, bytes(body[10:16]), channel, seq, ies))
         diag.probe_requests += 1
     if diag.records_total == 0:
         diag.empty_files.append(meta.path)

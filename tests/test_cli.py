@@ -29,10 +29,10 @@ from probederand.metrics import (
     run_protocol,
     write_report_files,
 )
-from probederand.pcap import ProbeRequestFrame, mac_to_str
+from probederand.pcap import mac_to_str
 from probederand.synth import DeviceProfile, IeTemplate, Scenario, generate_scenario, scenario_to_dict
 
-from oracles import frame_table, reference_read_feature_file, table_rows
+from oracles import Frame, frame_table, reference_read_feature_file, table_rows
 from scenarios import hetero_scenario, mixed_scenario, twin_profiles
 
 
@@ -248,7 +248,7 @@ class TestCluster:
         one burst whose channel_vector field is over csv's default limit
         of 131 072 characters: ``cluster`` reads it back and exits 0."""
         mac = b"\x02\x00\x00\x00\x00\x01"
-        frames = [ProbeRequestFrame(float(i), mac, (1, 6, 11)[i % 3], 0, b"") for i in range(70_000)]
+        frames = [Frame(float(i), mac, (1, 6, 11)[i % 3], 0, b"") for i in range(70_000)]
         path = tmp_path / "bursts.csv"
         write_feature_file(group_bursts(frame_table(frames), 2.0, ["phone"] * len(frames)), path)
         assert main(["cluster", str(path), "--out", str(tmp_path / "o")]) == 0
@@ -612,10 +612,15 @@ class TestGenerate:
             (lambda data: data["profiles"][0]["ie"].update(ht="00" * 256), "255 bytes"),
             (lambda data: data["profiles"][0].update(device_id="../../escape"), "device_id"),
             (lambda data: data.update(sniffer_channels=[0, 14]), "sniffer_channels"),
+            (lambda data: data["profiles"][0].update(burst_length={"uniform": [5, 2]}), "burst_length"),
+            (
+                lambda data: data["profiles"][0].update(inter_burst_interval={"uniform": [9.0, 3.0]}),
+                "inter_burst_interval",
+            ),
         ],
         ids=["not-an-object", "no-profiles", "no-duration", "no-device-id", "no-pnl-pattern",
              "one-bound-uniform", "bad-hex", "long-body", "escaping-device-id",
-             "sniffer-channel-out-of-range"],
+             "sniffer-channel-out-of-range", "reversed-burst-length", "reversed-interval"],
     )
     def test_malformed_scenario_is_one_line(self, workspace, tmp_path, capsys, edit, named):
         """``edit`` changes the scenario in place, or returns the whole
@@ -812,16 +817,18 @@ class TestNeverATraceback:
 
 def mutate_feature_lines(lines, edits):
     """``lines`` of a feature file (comment, header, rows) after each
-    (kind, row, column, other row) edit; the row indices wrap."""
+    (kind, row, column, other row) edit; the row indices wrap over the
+    data rows, so the blank and comment lines that earlier edits insert
+    are never edited as rows."""
     lines = list(lines)
     for kind, row, column, other in edits:
-        rows = len(lines) - 2
+        rows = [i for i in range(2, len(lines)) if lines[i].strip() and not lines[i].startswith("#")]
         if kind == "header-only":
             del lines[2:]
             continue
-        if rows == 0:
+        if not rows:
             continue
-        at, partner = 2 + row % rows, 2 + other % rows
+        at, partner = rows[row % len(rows)], rows[other % len(rows)]
         fields = lines[at].split(",")
         if kind == "quote":
             fields[column % len(fields)] = f'"{fields[column % len(fields)]}"'

@@ -41,11 +41,11 @@ from probederand.clustering import (
     write_labeling_file,
 )
 from probederand.features import group_bursts, pad_matrix
-from probederand.pcap import ProbeRequestFrame
 from probederand.randomness import DEFAULT_SEED, STREAM_KMEANS, substream
 
 from oracles import (
     BurstRow,
+    Frame,
     all_rows_dbscan,
     burst_table,
     canonical_partition,
@@ -843,7 +843,7 @@ class TestTwoStage:
                     for channel in sweep:
                         ds = 0 if ds_zero and name == "dev-c" else channel
                         ies = bytes([45, 2, 0xAD, 0x01, 3, 1, ds])
-                        frames.append(ProbeRequestFrame(t, bytes([2, 0, 0, 0, d, b]), channel, 0, ies))
+                        frames.append(Frame(t, bytes([2, 0, 0, 0, d, b]), channel, 0, ies))
                         truths.append(name)
                         t += 0.01
                     t += 5.0

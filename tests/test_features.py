@@ -18,13 +18,21 @@ from probederand.features import (
     read_feature_file,
     write_feature_file,
 )
-from probederand.pcap import ProbeRequestFrame, ie_fields, merge_captures
+from probederand.pcap import ie_fields, merge_captures
 
-from oracles import burst_table, decorated_merge, frame_table, padded, reference_group_bursts, table_rows
+from oracles import (
+    Frame,
+    burst_table,
+    decorated_merge,
+    frame_table,
+    padded,
+    reference_group_bursts,
+    table_rows,
+)
 
 
 def frame(ts=0.0, mac=b"\x02\x00\x00\x00\x00\x01", channel=1, ies=()):
-    return ProbeRequestFrame(ts, mac, channel, 0, tlv(*ies))
+    return Frame(ts, mac, channel, 0, tlv(*ies))
 
 
 def ie(ie_id, body):
@@ -126,8 +134,8 @@ class TestGroupBursts:
             mac = bytes([0x02, 0, 0, 0, 0, int(rng.integers(3))])
             region = regions[int(rng.integers(len(regions)))]
             channel = int(rng.integers(1, 14))
-            shared.append(ProbeRequestFrame(t, mac, channel, 0, region))
-            fresh.append(ProbeRequestFrame(t, mac, channel, 0, bytes(bytearray(region))))
+            shared.append(Frame(t, mac, channel, 0, region))
+            fresh.append(Frame(t, mac, channel, 0, bytes(bytearray(region))))
         assert len({id(f.ies) for f in shared}) == len(regions)
         assert len({id(f.ies) for f in fresh if f.ies}) == sum(1 for f in fresh if f.ies)
         bursts = table_rows(group_bursts(frame_table(shared), 2.0))
@@ -165,7 +173,7 @@ TIMESTAMPS = (
 )
 
 timed_frames = st.builds(
-    ProbeRequestFrame,
+    Frame,
     st.one_of(st.sampled_from(TIMESTAMPS), st.floats(0.0, 12.0)),
     st.sampled_from(MACS),
     st.sampled_from((1, 6, 11, 13)),
@@ -179,15 +187,15 @@ capture_files = st.lists(
 mixed_files = [
     (
         [
-            ProbeRequestFrame(0.0, MACS[0], 11, 1, REGIONS[1]),
-            ProbeRequestFrame(2.0, MACS[0], 6, 2, REGIONS[2]),
-            ProbeRequestFrame(4.0, MACS[0], 1, 3, REGIONS[0]),
-            ProbeRequestFrame(TIMESTAMPS[8], MACS[0], 1, 4, REGIONS[4]),
-            ProbeRequestFrame(7.0, MACS[0], 13, 5, REGIONS[5]),
+            Frame(0.0, MACS[0], 11, 1, REGIONS[1]),
+            Frame(2.0, MACS[0], 6, 2, REGIONS[2]),
+            Frame(4.0, MACS[0], 1, 3, REGIONS[0]),
+            Frame(TIMESTAMPS[8], MACS[0], 1, 4, REGIONS[4]),
+            Frame(7.0, MACS[0], 13, 5, REGIONS[5]),
         ],
         "dev-a",
     ),
-    ([ProbeRequestFrame(2.0, MACS[1], 1, 6, REGIONS[3]), ProbeRequestFrame(9.5, MACS[0], 1, 7, REGIONS[4])], "dev-b"),
+    ([Frame(2.0, MACS[1], 1, 6, REGIONS[3]), Frame(9.5, MACS[0], 1, 7, REGIONS[4])], "dev-b"),
     ([], "dev-b"),
 ]
 

@@ -1,14 +1,20 @@
 """Synthetic traffic generation, capture model, pcap writing, scenarios."""
 
 import json
+import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from probederand.features import group_bursts
 from probederand.pcap import (
     CaptureMeta,
+    FrameTable,
     ParseDiagnostics,
     ie_fields,
     iter_dataset_files,
@@ -29,9 +35,11 @@ from probederand.synth import (
     scenario_to_dict,
     write_capture,
 )
+from probederand.randomness import STREAM_GENERATION, substream
 
 from oracles import (
     decorated_merge,
+    frame_table,
     reference_group_bursts,
     reference_read_capture,
     table_frames,
@@ -57,50 +65,53 @@ def profile(**overrides):
 
 class TestGenerateDevice:
     def test_deterministic_sweep(self):
-        pairs = generate_device(profile(), 60.0, np.random.default_rng(1))
-        frames = [f for f, _ in pairs]
+        frames = generate_device(profile(), 60.0, np.random.default_rng(1))
         for i in range(0, len(frames), 3):
-            assert [ie_fields(f.ies)[1] for f in frames[i : i + 3]] == [1, 6, 11]
+            assert [ie_fields(ies)[1] for ies in frames.ies[i : i + 3]] == [1, 6, 11]
 
     def test_fresh_local_mac_per_burst(self):
-        pairs = generate_device(profile(inter_burst_interval=5.0), 50.0, np.random.default_rng(2))
-        macs = {f.source_mac for f, _ in pairs}
+        frames = generate_device(profile(inter_burst_interval=5.0), 50.0, np.random.default_rng(2))
+        macs = set(frames.source_macs)
         assert len(macs) == 10  # one per burst
         for mac in macs:
             assert mac[0] & 0x02  # locally administered
             assert not mac[0] & 0x01  # never multicast
 
     def test_fixed_mac_when_not_randomizing(self):
-        pairs = generate_device(profile(randomize_mac=False), 60.0, np.random.default_rng(3))
-        macs = {f.source_mac for f, _ in pairs}
+        frames = generate_device(profile(randomize_mac=False), 60.0, np.random.default_rng(3))
+        macs = set(frames.source_macs)
         assert len(macs) == 1
         assert not next(iter(macs))[0] & 0x03
 
     def test_burst_schedule(self):
-        pairs = generate_device(profile(), 60.0, np.random.default_rng(4))
-        assert len(pairs) == 18  # 6 bursts of 3 frames
+        frames = generate_device(profile(), 60.0, np.random.default_rng(4))
+        assert len(frames) == 18  # 6 bursts of 3 frames
+        assert all(len(column) == 18 for column in vars(frames).values())
 
     def test_sequence_numbers_wrap(self):
-        pairs = generate_device(profile(inter_burst_interval=0.5), 600.0, np.random.default_rng(5))
-        seqs = [f.sequence_number for f, _ in pairs]
+        frames = generate_device(profile(inter_burst_interval=0.5), 600.0, np.random.default_rng(5))
+        seqs = frames.sequence_numbers
         assert max(seqs) <= 4095
         for a, b in zip(seqs, seqs[1:]):
             assert b == (a + 1) % 4096
 
     def test_jitter_perturbs_at_most_one_entry(self):
-        pairs = generate_device(profile(channel_jitter=1.0), 60.0, np.random.default_rng(6))
-        frames = [f for f, _ in pairs]
+        frames = generate_device(profile(channel_jitter=1.0), 60.0, np.random.default_rng(6))
         for i in range(0, len(frames), 3):
-            swept = [ie_fields(f.ies)[1] for f in frames[i : i + 3]]
+            swept = [ie_fields(ies)[1] for ies in frames.ies[i : i + 3]]
             assert sum(a != b for a, b in zip(swept, [1, 6, 11])) == 1
 
-    def test_labels_attached(self):
-        pairs = generate_device(profile(), 15.0, np.random.default_rng(7))
-        assert {label for _, label in pairs} == {"dev-a"}
+    def test_labels_attached(self, tmp_path):
+        """The frames carry no label: ``generate_scenario`` files them under
+        the profile's device_id, which ingest reads back as each row's label."""
+        scenario = Scenario((profile(),), duration=15.0, seed=7, sniffer_channels=SNIFFERS_LOSSLESS)
+        frames, labels = read_dataset(generate_scenario(scenario, tmp_path / "ds"))
+        assert frames == generate_device(profile(), 15.0, substream(7, STREAM_GENERATION, 0))
+        assert labels == ["dev-a"] * len(frames)
 
     def test_monotone_timestamps_microsecond_aligned(self):
-        pairs = generate_device(profile(inter_burst_interval=(0.3, 0.9)), 30.0, np.random.default_rng(8))
-        stamps = [f.timestamp for f, _ in pairs]
+        frames = generate_device(profile(inter_burst_interval=(0.3, 0.9)), 30.0, np.random.default_rng(8))
+        stamps = frames.timestamps
         assert stamps == sorted(stamps)
         for ts in stamps:
             assert round(ts * 1e6) / 1e6 == ts
@@ -108,72 +119,135 @@ class TestGenerateDevice:
 
 class TestAssignToSniffers:
     def test_frame_goes_to_matching_sniffer_only(self):
-        pairs = generate_device(profile(pnl_pattern=(6,), burst_length=1), 10.0, np.random.default_rng(1))
-        captured = assign_to_sniffers([f for f, _ in pairs], SNIFFERS_DEFAULT)
+        frames = generate_device(profile(pnl_pattern=(6,), burst_length=1), 10.0, np.random.default_rng(1))
+        captured = assign_to_sniffers(frames, SNIFFERS_DEFAULT)
         assert len(captured[6]) == 1
         assert len(captured[1]) == len(captured[11]) == 0
 
     def test_off_channel_frame_lost(self):
-        pairs = generate_device(profile(pnl_pattern=(5,), burst_length=1), 10.0, np.random.default_rng(2))
-        captured = assign_to_sniffers([f for f, _ in pairs], SNIFFERS_DEFAULT)
+        frames = generate_device(profile(pnl_pattern=(5,), burst_length=1), 10.0, np.random.default_rng(2))
+        captured = assign_to_sniffers(frames, SNIFFERS_DEFAULT)
         assert all(len(v) == 0 for v in captured.values())
 
     def test_lossless_mode_catches_everything(self):
         pattern = (1, 2, 5, 7, 9, 10, 12, 13)
-        pairs = generate_device(
+        frames = generate_device(
             profile(pnl_pattern=pattern, burst_length=len(pattern)), 10.0, np.random.default_rng(3)
         )
-        captured = assign_to_sniffers([f for f, _ in pairs], SNIFFERS_LOSSLESS)
-        assert sum(len(v) for v in captured.values()) == len(pairs)
+        captured = assign_to_sniffers(frames, SNIFFERS_LOSSLESS)
+        assert sum(len(v) for v in captured.values()) == len(frames)
 
     def test_capture_channel_is_ds_channel(self):
         """The sniffers group frames by ``capture_channel``, so it must
         name the DS channel even when every burst is perturbed."""
-        pairs = generate_device(profile(channel_jitter=1.0), 60.0, np.random.default_rng(5))
-        assert pairs
-        assert all(ie_fields(f.ies)[1] == f.capture_channel for f, _ in pairs)
+        frames = generate_device(profile(channel_jitter=1.0), 60.0, np.random.default_rng(5))
+        assert len(frames)
+        assert [ie_fields(ies)[1] for ies in frames.ies] == frames.capture_channels
 
     def test_capture_channel_set_to_sniffer(self):
-        pairs = generate_device(profile(), 10.0, np.random.default_rng(4))
-        captured = assign_to_sniffers([f for f, _ in pairs], SNIFFERS_DEFAULT)
-        for channel, frames in captured.items():
-            assert all(f.capture_channel == channel for f in frames)
+        """Each sniffer's table holds exactly the rows on its channel, in
+        their order, and every row's columns move together."""
+        frames = generate_device(profile(channel_jitter=0.5), 60.0, np.random.default_rng(4))
+        captured = assign_to_sniffers(frames, SNIFFERS_DEFAULT)
+        rows = table_frames(frames)
+        for channel, table in captured.items():
+            assert table_frames(table) == [row for row in rows if row.capture_channel == channel]
+
+
+@st.composite
+def frame_tables(draw, min_size=0):
+    """Valid tables: 6-byte MACs, channels 1..13, sequence numbers
+    0..4095, regions of whole elements (or none), and nondecreasing
+    timestamps on the 1 us grid."""
+    n = draw(st.integers(min_size, 12))
+    ticks = sorted(draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n)))
+    elements = st.lists(st.tuples(st.integers(0, 255), st.binary(max_size=40)), max_size=4)
+    regions = [b"".join(bytes([tag, len(body)]) + body for tag, body in draw(elements)) for _ in range(n)]
+    return FrameTable(
+        [tick / 1e6 for tick in ticks],
+        draw(st.lists(st.binary(min_size=6, max_size=6), min_size=n, max_size=n)),
+        draw(st.lists(st.integers(1, 13), min_size=n, max_size=n)),
+        draw(st.lists(st.integers(0, 4095), min_size=n, max_size=n)),
+        regions,
+    )
+
+
+EDGE_TABLE = FrameTable(
+    [0.0, 0.0, 1.000001, 4294967.295999],
+    [b"\x02" * 6, b"\xff" * 6, b"\x00" * 6, b"\x02\x00\x00\x00\x00\x01"],
+    [1, 13, 13, 1],
+    [0, 4095, 0, 4095],
+    [b"", b"\x00\x00\x03\x01\x0d", b"\xdd\x00", b""],
+)
+
+# id -> (column, bad value from the table and the row, message)
+BAD_ROWS = {
+    "mac-5-bytes": ("source_macs", lambda table, i: b"\x02" * 5, "source_mac must be exactly 6 bytes"),
+    "mac-7-bytes": ("source_macs", lambda table, i: b"\x02" * 7, "source_mac must be exactly 6 bytes"),
+    "channel-0": ("capture_channels", lambda table, i: 0, "capture_channel out of range: 0"),
+    "channel-14": ("capture_channels", lambda table, i: 14, "capture_channel out of range: 14"),
+    "sequence--1": ("sequence_numbers", lambda table, i: -1, "sequence_number out of range: -1"),
+    "sequence-4096": ("sequence_numbers", lambda table, i: 4096, "sequence_number out of range: 4096"),
+    "decreasing-timestamp": (
+        "timestamps", lambda table, i: table.timestamps[i - 1] - 1e-6, "frames must be time-ordered"
+    ),
+}
 
 
 class TestWriteCapture:
     def test_empty_capture_is_valid(self, tmp_path):
         path = tmp_path / "empty.pcap"
-        write_capture([], path)
+        write_capture(FrameTable(), path)
         diag = ParseDiagnostics()
         assert len(read_capture(path.read_bytes(), CaptureMeta(str(path)), diag)) == 0
         assert path.stat().st_size == 24
 
     def test_radiotap_channel_frequency(self, tmp_path):
-        pairs = generate_device(profile(pnl_pattern=(6,), burst_length=1), 5.0, np.random.default_rng(1))
+        frames = generate_device(profile(pnl_pattern=(6,), burst_length=1), 5.0, np.random.default_rng(1))
         path = tmp_path / "one.pcap"
-        write_capture([pairs[0][0]], path)
+        write_capture(frame_table(table_frames(frames)[:1]), path)
         data = path.read_bytes()
         freq = struct.unpack_from("<H", data, 24 + 16 + 8)[0]
         assert freq == 2437
 
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(2)
-        pairs = generate_device(
+        frames = generate_device(
             profile(pnl_pattern=(1, 6, 11, 6), burst_length=(2, 4), inter_burst_interval=(0.5, 2.0)),
             120.0,
             rng,
         )
-        frames = [f for f, _ in pairs]
         path = tmp_path / "rt.pcap"
         write_capture(frames, path)
-        back = table_frames(read_capture(path.read_bytes(), CaptureMeta(str(path))))
-        assert back == frames
+        assert read_capture(path.read_bytes(), CaptureMeta(str(path))) == frames
 
     def test_unordered_frames_rejected(self, tmp_path):
-        pairs = generate_device(profile(), 30.0, np.random.default_rng(3))
-        frames = [f for f, _ in pairs]
-        with pytest.raises(ValueError):
-            write_capture([frames[1], frames[0]], tmp_path / "x.pcap")
+        rows = table_frames(generate_device(profile(), 30.0, np.random.default_rng(3)))
+        with pytest.raises(ValueError, match="time-ordered"):
+            write_capture(frame_table([rows[1], rows[0]]), tmp_path / "x.pcap")
+        assert not (tmp_path / "x.pcap").exists()
+
+    @given(frame_tables())
+    @example(EDGE_TABLE)
+    @settings(max_examples=200, deadline=None)
+    def test_read_capture_inverts_write_capture(self, table):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "rt.pcap"
+            write_capture(table, path)
+            assert read_capture(path.read_bytes(), CaptureMeta(str(path))) == table
+
+    @pytest.mark.parametrize("column, bad, message", BAD_ROWS.values(), ids=BAD_ROWS)
+    @given(table=frame_tables(min_size=2), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_bad_row_rejected(self, column, bad, message, table, data):
+        """One bad row anywhere raises with its message and writes no file."""
+        row = data.draw(st.integers(1 if column == "timestamps" else 0, len(table) - 1))
+        getattr(table, column)[row] = bad(table, row)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "bad.pcap"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                write_capture(table, path)
+            assert not path.exists()
 
 
 def two_device_scenario(seed=5, jitter=0.0, sniffers=SNIFFERS_DEFAULT):
@@ -218,6 +292,25 @@ class TestGenerateScenario:
         with pytest.raises(FileExistsError):
             generate_scenario(two_device_scenario(), target)
         generate_scenario(two_device_scenario(), target, overwrite=True)
+        assert (target / "keep.txt").read_text() == "data"
+
+    def test_overwrite_replaces_the_listed_captures(self, tmp_path):
+        """Overwriting a 12-device tree with a 2-device scenario removes
+        the captures the old manifest lists and the device directories
+        left empty, so ingest sees only the new devices; other files stay."""
+        root = generate_scenario(mixed_scenario(seed=3), tmp_path / "ds")
+        (root / "keep.txt").write_text("data")
+        (root / "solo0" / "notes.txt").write_text("notes")
+        generate_scenario(two_device_scenario(), root, overwrite=True)
+        fresh = generate_scenario(two_device_scenario(), tmp_path / "fresh")
+        _, labels = read_dataset(root)
+        assert set(labels) == {"twin-a", "twin-b"}
+        left = sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+        want = sorted(p.relative_to(fresh).as_posix() for p in fresh.rglob("*"))
+        assert left == sorted(want + ["keep.txt", "solo0", "solo0/notes.txt"])
+        for rel in want:
+            if (fresh / rel).is_file():
+                assert (root / rel).read_bytes() == (fresh / rel).read_bytes()
 
     def test_twins_share_ie_features_but_not_patterns(self, tmp_path):
         root = generate_scenario(two_device_scenario(), tmp_path / "tw")
