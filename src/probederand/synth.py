@@ -122,7 +122,11 @@ def _draw_interval(spec: IntervalSpec, rng: np.random.Generator) -> float:
 
 def _random_mac(rng: np.random.Generator, locally_administered: bool) -> bytes:
     raw = bytearray(int(b) for b in rng.integers(0, 256, size=6))
-    raw[0] = raw[0] & 0xFC | (0x02 if locally_administered else 0)  # never multicast
+    raw[0] &= 0xFE  # never multicast
+    if locally_administered:
+        raw[0] |= 0x02
+    else:
+        raw[0] &= 0xFD
     return bytes(raw)
 
 
@@ -164,7 +168,10 @@ def generate_device(profile: DeviceProfile, duration: float, rng: np.random.Gene
             slot = int(rng.integers(length))
             alternatives = [c for c in range(1, 14) if c != channels[slot]]
             channels[slot] = alternatives[int(rng.integers(len(alternatives)))]
-        mac = _random_mac(rng, locally_administered=True) if profile.randomize_mac else fixed_mac
+        if profile.randomize_mac:
+            mac = _random_mac(rng, locally_administered=True)
+        else:
+            mac = fixed_mac
         frames.timestamps += [_quantize(t + i * profile.intra_burst_gap) for i in range(length)]
         frames.source_macs += [mac] * length
         frames.capture_channels += channels
@@ -265,10 +272,17 @@ def generate_scenario(scenario: Scenario, root, overwrite: bool = False) -> Path
     nothing else.
     """
     root = Path(root)
-    if root.exists() and any(root.iterdir()):
-        if not overwrite:
-            raise FileExistsError(f"{root} exists and is not empty (pass overwrite)")
-        _remove_listed_captures(root)
+    if root.exists() and any(root.iterdir()) and not overwrite:
+        raise FileExistsError(f"{root} exists and is not empty (pass overwrite)")
+    old_manifest = root / "manifest.json"
+    if old_manifest.is_file():
+        old = _read_scenario(old_manifest, lambda document: document["scenario"])
+        for profile in old.profiles:
+            device_dir = root / profile.device_id
+            for channel in old.sniffer_channels:
+                (device_dir / f"{channel}.pcap").unlink(missing_ok=True)
+            if device_dir.is_dir() and not any(device_dir.iterdir()):
+                device_dir.rmdir()
     root.mkdir(parents=True, exist_ok=True)
 
     per_device = [
@@ -292,21 +306,6 @@ def generate_scenario(scenario: Scenario, root, overwrite: bool = False) -> Path
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return root
-
-
-def _remove_listed_captures(root: Path) -> None:
-    """Delete the ``<device>/<channel>.pcap`` files that ``root``'s
-    manifest lists, then each of those device directories left empty."""
-    manifest = root / "manifest.json"
-    if not manifest.is_file():
-        return
-    listed = _read_scenario(manifest, lambda document: document["scenario"])
-    for profile in listed.profiles:
-        device_dir = root / profile.device_id
-        for channel in listed.sniffer_channels:
-            (device_dir / f"{channel}.pcap").unlink(missing_ok=True)
-        if device_dir.is_dir() and not any(device_dir.iterdir()):
-            device_dir.rmdir()
 
 
 def _spec_to_json(spec):
