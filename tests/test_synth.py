@@ -21,6 +21,7 @@ from probederand.pcap import (
     read_capture,
     read_dataset,
 )
+from probederand.randomness import STREAM_GENERATION, substream
 from probederand.synth import (
     SNIFFERS_DEFAULT,
     SNIFFERS_LOSSLESS,
@@ -35,7 +36,6 @@ from probederand.synth import (
     scenario_to_dict,
     write_capture,
 )
-from probederand.randomness import STREAM_GENERATION, substream
 
 from oracles import (
     decorated_merge,
