@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -84,7 +85,7 @@ def group_bursts(
     n = len(frames)
     if truths is not None and len(truths) != n:
         raise ValueError("truths must parallel frames")
-    timestamps = np.array(frames.timestamps, dtype=float)
+    timestamps = frames.timestamps
     if np.any(timestamps[1:] < timestamps[:-1]):
         raise ValueError("frames must be sorted by timestamp")
     if n == 0:
@@ -103,7 +104,7 @@ def group_bursts(
     labels = np.full(n, None) if truths is None else np.array(truths, dtype=object)
     return BurstTable(
         ids=np.arange(len(first)),
-        source_macs=np.array(frames.source_macs, dtype=object)[first],
+        source_macs=frames.source_macs[first],
         truth_devices=labels[first],
         ie_features=np.array(fingerprints, dtype=float)[fingerprint_of[first]],
         # a stable sort by burst keeps each burst's frames in arrival order
@@ -114,7 +115,7 @@ def group_bursts(
 
 
 def _burst_starts(
-    macs: Sequence[bytes], timestamps: np.ndarray, gap_seconds: float
+    macs: np.ndarray, timestamps: np.ndarray, gap_seconds: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The frames' stable order by MAC, and a flag at each position of it
     where a burst starts: the MAC changes, or the gap to the previous
@@ -137,7 +138,7 @@ def _frame_codes(frames: FrameTable) -> tuple[list[tuple], np.ndarray, np.ndarra
     capture channel.
     """
     region_rows: dict[bytes, int] = {}
-    region_of = np.array([region_rows.setdefault(ies, len(region_rows)) for ies in frames.ies])
+    region_of = np.array([region_rows.setdefault(ies, len(region_rows)) for ies in frames.ies.tolist()])
     fingerprint_codes: dict[tuple, int] = {}
     region_fingerprint, region_ds = [], []
     for region in region_rows:
@@ -145,7 +146,7 @@ def _frame_codes(frames: FrameTable) -> tuple[list[tuple], np.ndarray, np.ndarra
         region_fingerprint.append(fingerprint_codes.setdefault(fingerprint, len(fingerprint_codes)))
         region_ds.append(ds_channel or 0)
     ds_of = np.array(region_ds)[region_of]
-    channel_of = np.where(ds_of > 0, ds_of, np.array(frames.capture_channels))
+    channel_of = np.where(ds_of > 0, ds_of, frames.capture_channels)
     return list(fingerprint_codes), np.array(region_fingerprint)[region_of], channel_of
 
 
@@ -233,39 +234,38 @@ def write_feature_file(table: BurstTable, path, header_comment: str | None = Non
 def read_feature_file(path) -> BurstTable:
     """Load the bursts of a feature file in burst-id order, reporting
     bad rows (and a ``burst_id`` that repeats an earlier row's) by line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        numbered = [
-            (lineno, line)
-            for lineno, line in enumerate(fh, start=1)
-            if line.strip() and not line.startswith("#")
-        ]
-    if not numbered:
-        raise ValueError(f"{path}: no header row found")
     rows = []
     first_line = {}  # burst_id -> line it first appears on
-    # No field is longer than its line, so with csv's limit raised to the
-    # longest line every channel vector the writer writes reads back.
+    header_line = None
+    # No field is longer than its line, nor a line than the file's byte
+    # size, so with csv's limit raised to that every channel vector reads back.
     limit = csv.field_size_limit()
-    csv.field_size_limit(max(limit, max(len(line) for _, line in numbered)))
     try:
-        for lineno, line in numbered:
-            try:
-                row = next(csv.reader([line]))
-                if lineno == numbered[0][0]:
-                    if tuple(row) != FEATURE_FIELDS:
-                        raise ValueError(f"unexpected header {row}")
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            csv.field_size_limit(max(limit, os.fstat(fh.fileno()).st_size))
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip() or line.startswith("#"):
                     continue
-                rows.append(_feature_row(row))
-                burst_id = rows[-1][0]
-                if burst_id in first_line:
-                    raise ValueError(f"burst_id {burst_id} repeats line {first_line[burst_id]}")
-                if not -(2**63) <= burst_id < 2**63:
-                    raise ValueError(f"burst_id {burst_id} is outside the signed 64-bit range")
-            except (ValueError, csv.Error) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            first_line[burst_id] = lineno
+                try:
+                    row = next(csv.reader([line]))
+                    if header_line is None:
+                        header_line = lineno
+                        if tuple(row) != FEATURE_FIELDS:
+                            raise ValueError(f"unexpected header {row}")
+                        continue
+                    rows.append(_feature_row(row))
+                    burst_id = rows[-1][0]
+                    if burst_id in first_line:
+                        raise ValueError(f"burst_id {burst_id} repeats line {first_line[burst_id]}")
+                    if not -(2**63) <= burst_id < 2**63:
+                        raise ValueError(f"burst_id {burst_id} is outside the signed 64-bit range")
+                except (ValueError, csv.Error) as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                first_line[burst_id] = lineno
     finally:
         csv.field_size_limit(limit)
+    if header_line is None:
+        raise ValueError(f"{path}: no header row found")
     rows.sort(key=lambda row: row[0])
     ids, macs, truths, ie_features, vectors = zip(*rows) if rows else ([],) * 5
     return BurstTable(

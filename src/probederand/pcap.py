@@ -7,8 +7,9 @@ merges per-channel sniffer captures into one time-ordered stream.
 :func:`read_capture` alone gives a frame its capture channel: the
 Radiotap channel field, else the channel the file declares.
 
-Frames travel as one :class:`FrameTable` of columns, never as an
-object per frame: the parser fills one, and ``synth.write_capture``
+Frames travel as one :class:`FrameTable` of numpy columns, never as an
+object per frame: the parser fills one, :func:`merge_captures` orders
+the rows of several with one ``take``, and ``synth.write_capture``
 writes one.
 
 Only the fields the burst pipeline consumes are decoded: capture
@@ -70,24 +71,32 @@ class ChannelResolutionError(Error):
     """A frame has no Radiotap channel and its file declares none."""
 
 
-@dataclass
 class FrameTable:
-    """Probe Requests as columns: row i of every list is frame i.
+    """Probe Requests as columns: row i of every column is frame i.
 
-    ``timestamps`` are seconds, ``source_macs`` 6 bytes (Address 2),
-    ``capture_channels`` the sniffer channel 1..13, ``sequence_numbers``
-    the 12-bit field 0..4095, and ``ies`` the raw tagged-parameter
-    region, whole elements only.
+    ``timestamps`` (float64) are seconds, ``source_macs`` 6 bytes
+    (Address 2), ``capture_channels`` (int64) the sniffer channel 1..13,
+    ``sequence_numbers`` (int64) the 12-bit field 0..4095, and ``ies``
+    the raw tagged-parameter region, whole elements only. ``source_macs``
+    and ``ies`` are object arrays of ``bytes``: numpy's fixed-width
+    bytes dtype would strip trailing NUL bytes.
     """
 
-    timestamps: list[float] = field(default_factory=list)
-    source_macs: list[bytes] = field(default_factory=list)
-    capture_channels: list[int] = field(default_factory=list)
-    sequence_numbers: list[int] = field(default_factory=list)
-    ies: list[bytes] = field(default_factory=list)
+    def __init__(self, timestamps=(), source_macs=(), capture_channels=(), sequence_numbers=(), ies=()):
+        self.timestamps = np.asarray(timestamps, dtype=np.float64)
+        self.source_macs = np.asarray(source_macs, dtype=object)
+        self.capture_channels = np.asarray(capture_channels, dtype=np.int64)
+        self.sequence_numbers = np.asarray(sequence_numbers, dtype=np.int64)
+        self.ies = np.asarray(ies, dtype=object)
+        if any(column.shape != (len(self.timestamps),) for column in vars(self).values()):
+            raise ValueError("every column needs one entry per frame")
 
     def __len__(self) -> int:
         return len(self.timestamps)
+
+    def take(self, rows) -> FrameTable:
+        """The table of the given rows: indices, or a boolean mask."""
+        return FrameTable(**{name: column[rows] for name, column in vars(self).items()})
 
 
 @dataclass
@@ -300,12 +309,9 @@ def read_capture(
     layouts: dict[bytes, tuple[int, Optional[int], Optional[int]]] = {}
     # raw IE region -> the region kept for it
     kept_regions: dict[bytes, bytes] = {}
-    table = FrameTable()
-    add_timestamp = table.timestamps.append
-    add_mac = table.source_macs.append
-    add_channel = table.capture_channels.append
-    add_sequence = table.sequence_numbers.append
-    add_ies = table.ies.append
+    # the table's columns, filled row by row and made arrays once
+    columns: tuple[list, ...] = ([], [], [], [], [])
+    add_timestamp, add_mac, add_channel, add_sequence, add_ies = (column.append for column in columns)
     offset = 24
     total = len(data)
     while offset < total:
@@ -380,7 +386,7 @@ def read_capture(
         diag.probe_requests += 1
     if diag.records_total == 0:
         diag.empty_files.append(meta.path)
-    return table
+    return FrameTable(*columns)
 
 
 def merge_captures(
@@ -391,34 +397,24 @@ def merge_captures(
 
     Rows are ordered by timestamp, ties by capture channel ascending,
     then by input order. ``np.lexsort`` gives exactly that order: it is
-    stable, and its float64 and integer comparisons equal Python's on
-    finite timestamps and channel numbers. The merged columns hold the
-    input tables' own value objects.
+    stable, and its float64 and int64 comparisons equal Python's on
+    finite timestamps and channel numbers. The merged ``source_macs``
+    and ``ies`` hold the input tables' own ``bytes`` objects.
     """
     streams = list(streams)
+    if not streams:
+        return FrameTable(), []
     tables = [table for table, _ in streams]
-    sizes = [len(table) for table in tables]
-
-    def concatenated(name: str) -> np.ndarray:
-        column = np.empty(sum(sizes), dtype=object)
-        start = 0
-        for table, size in zip(tables, sizes):
-            column[start : start + size] = getattr(table, name)
-            start += size
-        return column
-
-    timestamps = concatenated("timestamps")
-    channels = concatenated("capture_channels")
-    order = np.lexsort((channels.astype(np.int64), timestamps.astype(float)))
     merged = FrameTable(
-        timestamps[order].tolist(),
-        concatenated("source_macs")[order].tolist(),
-        channels[order].tolist(),
-        concatenated("sequence_numbers")[order].tolist(),
-        concatenated("ies")[order].tolist(),
+        np.concatenate([table.timestamps for table in tables]),
+        np.concatenate([table.source_macs for table in tables]),
+        np.concatenate([table.capture_channels for table in tables]),
+        np.concatenate([table.sequence_numbers for table in tables]),
+        np.concatenate([table.ies for table in tables]),
     )
-    stream_of = np.repeat(np.arange(len(streams)), sizes)[order]
-    return merged, [streams[i][1] for i in stream_of.tolist()]
+    order = np.lexsort((merged.capture_channels, merged.timestamps))
+    stream_of = np.repeat(np.arange(len(streams)), [len(table) for table in tables])[order]
+    return merged.take(order), [streams[i][1] for i in stream_of.tolist()]
 
 
 def _channel_sort_key(path: Path) -> tuple[int, str]:

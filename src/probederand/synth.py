@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -77,12 +77,12 @@ class DeviceProfile:
             raise ValueError("pnl_pattern entries must be channels 1..13")
         if not 0.0 <= self.channel_jitter <= 1.0:
             raise ValueError("channel_jitter must be a probability")
-        if self.intra_burst_gap <= 0:
-            raise ValueError("intra_burst_gap must be positive")
+        if not 0 < self.intra_burst_gap < math.inf:
+            raise ValueError("intra_burst_gap must be positive and finite")
         for name in ("burst_length", "inter_burst_interval"):
             bounds = _spec_bounds(getattr(self, name))
-            if min(bounds) <= 0:
-                raise ValueError("distribution bounds must be positive")
+            if not all(0 < bound < math.inf for bound in bounds):
+                raise ValueError(f"{name} bounds must be positive and finite, got {list(bounds)}")
             if bounds[0] > bounds[-1]:
                 raise ValueError(f"{name} uniform bounds must be low <= high, got {list(bounds)}")
 
@@ -95,8 +95,8 @@ class Scenario:
     sniffer_channels: tuple[int, ...] = SNIFFERS_DEFAULT
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {self.duration}")
         if any(not 1 <= c <= 13 for c in self.sniffer_channels):
             raise ValueError("sniffer_channels entries must be channels 1..13")
         names = [p.device_id for p in self.profiles]
@@ -156,7 +156,7 @@ def generate_device(profile: DeviceProfile, duration: float, rng: np.random.Gene
     by one per frame, modulo 4096, from a drawn start. The frames carry
     no label: the caller knows them as ``profile.device_id``.
     """
-    frames = FrameTable()
+    timestamps, macs, capture_channels, regions = [], [], [], []
     first_sequence = int(rng.integers(4096))
     fixed_mac = None if profile.randomize_mac else _random_mac(rng, locally_administered=False)
     ies_of = {channel: _frame_ies(profile.ie_template, channel) for channel in range(1, 14)}
@@ -172,32 +172,22 @@ def generate_device(profile: DeviceProfile, duration: float, rng: np.random.Gene
             mac = _random_mac(rng, locally_administered=True)
         else:
             mac = fixed_mac
-        frames.timestamps += [_quantize(t + i * profile.intra_burst_gap) for i in range(length)]
-        frames.source_macs += [mac] * length
-        frames.capture_channels += channels
-        frames.ies += [ies_of[channel] for channel in channels]
+        timestamps += [_quantize(t + i * profile.intra_burst_gap) for i in range(length)]
+        macs += [mac] * length
+        capture_channels += channels
+        regions += [ies_of[channel] for channel in channels]
         t += _draw_interval(profile.inter_burst_interval, rng)
-    frames.sequence_numbers = [(first_sequence + i) % 4096 for i in range(len(frames))]
-    return frames
+    sequence_numbers = (first_sequence + np.arange(len(timestamps))) % 4096
+    return FrameTable(timestamps, macs, capture_channels, sequence_numbers, regions)
 
 
 def assign_to_sniffers(frames: FrameTable, sniffer_channels: Sequence[int]) -> dict[int, FrameTable]:
     """Idealized capture: the table of the frames each sniffer channel
     hears, which are exactly the rows whose ``capture_channel`` is that
     channel (``generate_device`` sets it to the DS channel), in their
-    order; every other row is lost."""
-    rows: dict[int, list[int]] = {s: [] for s in sniffer_channels}
-    for i, channel in enumerate(frames.capture_channels):
-        if channel in rows:
-            rows[channel].append(i)
-    return {
-        s: FrameTable(*([column[i] for i in kept] for column in _columns(frames)))
-        for s, kept in rows.items()
-    }
-
-
-def _columns(frames: FrameTable) -> list[list]:
-    return [getattr(frames, f.name) for f in fields(FrameTable)]
+    order; every other row is lost. Each table is one boolean-mask
+    ``take`` of the rows, all five columns together."""
+    return {s: frames.take(frames.capture_channels == s) for s in sniffer_channels}
 
 
 # Record header, then a 12-byte Radiotap header carrying only the channel
@@ -215,12 +205,21 @@ def write_capture(frames: FrameTable, path) -> None:
     Radiotap, channel field only); ``read_capture`` of the file equals
     the table when its timestamps lie on the 1 us grid and each IE region
     holds whole elements. A row with a MAC other than 6 bytes, a channel
-    outside 1..13, a sequence number outside 0..4095 or a timestamp
-    below the one before raises ``ValueError``, and no file is written.
+    outside 1..13, a sequence number outside 0..4095, a timestamp below
+    the one before, or a timestamp whose rounded microseconds fall
+    outside a record's unsigned 32-bit seconds (negative, 2**32 s or
+    more, NaN or infinite) raises ``ValueError``, and no file is written.
     """
     out = bytearray(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, LINKTYPE_RADIOTAP))
     previous = -math.inf
-    for timestamp, mac, channel, sequence, ies in zip(*_columns(frames), strict=True):
+    rows = zip(
+        frames.timestamps.tolist(),
+        frames.source_macs.tolist(),
+        frames.capture_channels.tolist(),
+        frames.sequence_numbers.tolist(),
+        frames.ies.tolist(),
+    )
+    for timestamp, mac, channel, sequence, ies in rows:
         if len(mac) != 6:
             raise ValueError("source_mac must be exactly 6 bytes")
         if not 1 <= channel <= 13:
@@ -230,7 +229,10 @@ def write_capture(frames: FrameTable, path) -> None:
         if timestamp < previous:
             raise ValueError("frames must be time-ordered")
         previous = timestamp
-        sec, usec = divmod(round(timestamp * 1e6), 1_000_000)
+        ticks = round(timestamp * 1e6) if math.isfinite(timestamp) else -1
+        if not 0 <= ticks < 2**32 * 1_000_000:  # pcap's seconds are unsigned 32-bit
+            raise ValueError(f"timestamp out of range: {timestamp}")
+        sec, usec = divmod(ticks, 1_000_000)
         size = _RECORD.size - 16 + len(ies)
         out += _RECORD.pack(
             sec, usec, size, size,
@@ -247,9 +249,10 @@ def _dedupe_macs(per_device: list[FrameTable], seed: int) -> None:
     seen: set[bytes] = set()
     repair = substream(seed, STREAM_GENERATION, 0xFFFF)
     for frames in per_device:
+        macs = frames.source_macs.tolist()
         owned: set[bytes] = set()
         remap: dict[bytes, bytes] = {}
-        for mac in dict.fromkeys(frames.source_macs):
+        for mac in dict.fromkeys(macs):
             if mac in seen:
                 replacement = _random_mac(repair, locally_administered=True)
                 while replacement in seen or replacement in owned:
@@ -257,8 +260,8 @@ def _dedupe_macs(per_device: list[FrameTable], seed: int) -> None:
                 remap[mac] = replacement
             owned.add(remap.get(mac, mac))
         if remap:
-            frames.source_macs[:] = [remap.get(mac, mac) for mac in frames.source_macs]
-        seen.update(frames.source_macs)
+            frames.source_macs[:] = [remap.get(mac, mac) for mac in macs]
+        seen |= owned
 
 
 def generate_scenario(scenario: Scenario, root, overwrite: bool = False) -> Path:
@@ -404,5 +407,5 @@ def _read_scenario(path, pick) -> Scenario:
             return scenario_from_dict(pick(json.load(fh)))
         except KeyError as exc:
             raise ValueError(f"{path}: missing field {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: {exc}") from None

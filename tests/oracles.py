@@ -203,11 +203,11 @@ def table_frames(table):
     columns' ranges: a 6-byte MAC, a channel in 1..13 and a sequence
     number in 0..4095."""
     columns = (
-        table.timestamps,
-        table.source_macs,
-        table.capture_channels,
-        table.sequence_numbers,
-        table.ies,
+        table.timestamps.tolist(),
+        table.source_macs.tolist(),
+        table.capture_channels.tolist(),
+        table.sequence_numbers.tolist(),
+        table.ies.tolist(),
     )
     frames = [Frame(*row) for row in zip(*columns, strict=True)]
     for frame in frames:

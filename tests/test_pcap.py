@@ -2,11 +2,13 @@
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probederand import pcap
+from probederand.features import group_bursts
 from probederand.pcap import (
     CaptureMeta,
     ChannelResolutionError,
@@ -190,7 +192,7 @@ class TestReadCapture:
         """A declared channel is checked against 1..13 by the first frame
         that takes it."""
         with_channel = pcap_header() + pcap_record(radiotap_channel(6) + dot11_probe())
-        assert read_capture(with_channel, meta(channel=14)).capture_channels == [6]
+        assert read_capture(with_channel, meta(channel=14)).capture_channels.tolist() == [6]
         data = with_channel + pcap_record(RADIOTAP_NO_CHANNEL + dot11_probe(), ts_sec=1)
         with pytest.raises(ValueError, match="capture_channel out of range: 14"):
             read_capture(data, meta(channel=14))
@@ -269,6 +271,32 @@ def frame(ts, channel=1, mac=b"\x02\x00\x00\x00\x00\x01"):
     return Frame(ts, mac, channel, 0, b"")
 
 
+class TestFrameTable:
+    def test_empty_table(self):
+        table = FrameTable()
+        assert len(table) == 0
+        assert [column.shape for column in vars(table).values()] == [(0,)] * 5
+
+    def test_column_dtypes(self):
+        table = frame_table([frame(1.5, channel=6)])
+        assert table.timestamps.dtype == np.float64
+        assert table.capture_channels.dtype == table.sequence_numbers.dtype == np.int64
+        assert table.source_macs.dtype == table.ies.dtype == object
+
+    @pytest.mark.parametrize("short", ["timestamps", "source_macs", "capture_channels", "sequence_numbers", "ies"])
+    def test_unequal_column_lengths_rejected(self, short):
+        columns = {name: list(column) for name, column in vars(frame_table([frame(1.0), frame(2.0)])).items()}
+        columns[short] = columns[short][:1]
+        with pytest.raises(ValueError, match="one entry per frame"):
+            FrameTable(**columns)
+
+    def test_take_indices_and_mask(self):
+        frames = [frame(1.0, channel=1), frame(2.0, channel=6), frame(3.0, channel=11)]
+        table = frame_table(frames)
+        assert table_frames(table.take([2, 0])) == [frames[2], frames[0]]
+        assert table_frames(table.take(table.capture_channels != 6)) == [frames[0], frames[2]]
+
+
 class TestMergeCaptures:
     def test_sorted_by_timestamp(self):
         streams = [(frame_table([frame(3.0)]), "c"), (frame_table([frame(1.0)]), "a"), (frame_table([frame(2.0)]), "b")]
@@ -282,8 +310,17 @@ class TestMergeCaptures:
 
     def test_empty_stream_is_identity(self):
         frames = [frame(0.1), frame(0.2), frame(0.3)]
-        merged = merge_captures([(frame_table([]), "empty"), (frame_table(frames), "full")])
-        assert merged == (frame_table(frames), ["full"] * 3)
+        merged, tags = merge_captures([(frame_table([]), "empty"), (frame_table(frames), "full")])
+        assert (table_frames(merged), tags) == (frames, ["full"] * 3)
+
+    def test_mac_ending_in_nul_survives(self):
+        """MACs keep their trailing zero bytes through the merge and the
+        burst cut; a fixed-width bytes column would strip them."""
+        macs = [b"\x00" * 6, b"\x02\x00\x00\x00\x00\x00"]
+        streams = [(frame_table([frame(1.0, mac=mac)]), mac) for mac in macs]
+        merged, _ = merge_captures(streams)
+        assert merged.source_macs.tolist() == macs
+        assert group_bursts(merged).source_macs.tolist() == macs
 
     def test_permutation_of_union(self):
         streams = [
@@ -292,7 +329,7 @@ class TestMergeCaptures:
         ]
         merged, tags = merge_captures(streams)
         assert len(merged) == len(tags) == 5
-        assert sorted(merged.timestamps) == merged.timestamps
+        assert sorted(merged.timestamps.tolist()) == merged.timestamps.tolist()
 
     @given(
         st.lists(
@@ -523,6 +560,6 @@ class TestRadiotapLayoutMemo:
 
     def test_nothing_kept_between_calls(self, layout_calls):
         data = pcap_header() + pcap_record(radiotap_channel(6) + dot11_probe())
-        assert read_capture(data, meta()) == read_capture(data, meta())
+        assert table_frames(read_capture(data, meta())) == table_frames(read_capture(data, meta()))
         assert len(layout_calls) == 2
 

@@ -1,6 +1,7 @@
 """Synthetic traffic generation, capture model, pcap writing, scenarios."""
 
 import json
+import math
 import re
 import struct
 import tempfile
@@ -28,6 +29,7 @@ from probederand.synth import (
     DeviceProfile,
     IeTemplate,
     Scenario,
+    _dedupe_macs,
     assign_to_sniffers,
     generate_device,
     generate_scenario,
@@ -106,12 +108,13 @@ class TestGenerateDevice:
         the profile's device_id, which ingest reads back as each row's label."""
         scenario = Scenario((profile(),), duration=15.0, seed=7, sniffer_channels=SNIFFERS_LOSSLESS)
         frames, labels = read_dataset(generate_scenario(scenario, tmp_path / "ds"))
-        assert frames == generate_device(profile(), 15.0, substream(7, STREAM_GENERATION, 0))
+        generated = generate_device(profile(), 15.0, substream(7, STREAM_GENERATION, 0))
+        assert table_frames(frames) == table_frames(generated)
         assert labels == ["dev-a"] * len(frames)
 
     def test_monotone_timestamps_microsecond_aligned(self):
         frames = generate_device(profile(inter_burst_interval=(0.3, 0.9)), 30.0, np.random.default_rng(8))
-        stamps = frames.timestamps
+        stamps = frames.timestamps.tolist()
         assert stamps == sorted(stamps)
         for ts in stamps:
             assert round(ts * 1e6) / 1e6 == ts
@@ -142,7 +145,7 @@ class TestAssignToSniffers:
         name the DS channel even when every burst is perturbed."""
         frames = generate_device(profile(channel_jitter=1.0), 60.0, np.random.default_rng(5))
         assert len(frames)
-        assert [ie_fields(ies)[1] for ies in frames.ies] == frames.capture_channels
+        assert [ie_fields(ies)[1] for ies in frames.ies] == frames.capture_channels.tolist()
 
     def test_capture_channel_set_to_sniffer(self):
         """Each sniffer's table holds exactly the rows on its channel, in
@@ -180,17 +183,24 @@ EDGE_TABLE = FrameTable(
     [b"", b"\x00\x00\x03\x01\x0d", b"\xdd\x00", b""],
 )
 
-# id -> (column, bad value from the table and the row, message)
+# Rows a bad value may go to: any, any but the first, or the first only.
+ANY_ROW, LATER_ROW, FIRST_ROW = (0, None), (1, None), (0, 0)
+
+# id -> (column, rows, bad value from the table and the row, message)
 BAD_ROWS = {
-    "mac-5-bytes": ("source_macs", lambda table, i: b"\x02" * 5, "source_mac must be exactly 6 bytes"),
-    "mac-7-bytes": ("source_macs", lambda table, i: b"\x02" * 7, "source_mac must be exactly 6 bytes"),
-    "channel-0": ("capture_channels", lambda table, i: 0, "capture_channel out of range: 0"),
-    "channel-14": ("capture_channels", lambda table, i: 14, "capture_channel out of range: 14"),
-    "sequence--1": ("sequence_numbers", lambda table, i: -1, "sequence_number out of range: -1"),
-    "sequence-4096": ("sequence_numbers", lambda table, i: 4096, "sequence_number out of range: 4096"),
+    "mac-5-bytes": ("source_macs", ANY_ROW, lambda table, i: b"\x02" * 5, "source_mac must be exactly 6 bytes"),
+    "mac-7-bytes": ("source_macs", ANY_ROW, lambda table, i: b"\x02" * 7, "source_mac must be exactly 6 bytes"),
+    "channel-0": ("capture_channels", ANY_ROW, lambda table, i: 0, "capture_channel out of range: 0"),
+    "channel-14": ("capture_channels", ANY_ROW, lambda table, i: 14, "capture_channel out of range: 14"),
+    "sequence--1": ("sequence_numbers", ANY_ROW, lambda table, i: -1, "sequence_number out of range: -1"),
+    "sequence-4096": ("sequence_numbers", ANY_ROW, lambda table, i: 4096, "sequence_number out of range: 4096"),
     "decreasing-timestamp": (
-        "timestamps", lambda table, i: table.timestamps[i - 1] - 1e-6, "frames must be time-ordered"
+        "timestamps", LATER_ROW, lambda table, i: table.timestamps[i - 1] - 1e-6, "frames must be time-ordered"
     ),
+    "timestamp-2**32": ("timestamps", ANY_ROW, lambda table, i: 2.0**32, "timestamp out of range: 4294967296.0"),
+    "timestamp-nan": ("timestamps", ANY_ROW, lambda table, i: math.nan, "timestamp out of range: nan"),
+    "timestamp-inf": ("timestamps", ANY_ROW, lambda table, i: math.inf, "timestamp out of range: inf"),
+    "negative-first-timestamp": ("timestamps", FIRST_ROW, lambda table, i: -1.0, "timestamp out of range: -1.0"),
 }
 
 
@@ -219,13 +229,28 @@ class TestWriteCapture:
         )
         path = tmp_path / "rt.pcap"
         write_capture(frames, path)
-        assert read_capture(path.read_bytes(), CaptureMeta(str(path))) == frames
+        recovered = read_capture(path.read_bytes(), CaptureMeta(str(path)))
+        assert table_frames(recovered) == table_frames(frames)
 
     def test_unordered_frames_rejected(self, tmp_path):
         rows = table_frames(generate_device(profile(), 30.0, np.random.default_rng(3)))
         with pytest.raises(ValueError, match="time-ordered"):
             write_capture(frame_table([rows[1], rows[0]]), tmp_path / "x.pcap")
         assert not (tmp_path / "x.pcap").exists()
+
+    def test_timestamp_range_is_that_of_its_rounded_microseconds(self, tmp_path):
+        """-0.4 us rounds to 0 s and writes. The last float below 2**32 s
+        lies half a microsecond below it and rounds up, out of range; the
+        float before it rounds to the last microsecond a record holds."""
+        below = math.nextafter(2.0**32, 0.0)
+        rows = table_frames(EDGE_TABLE)[:2]
+        path = tmp_path / "edge.pcap"
+        with pytest.raises(ValueError, match=f"timestamp out of range: {below}"):
+            write_capture(frame_table([rows[1]._replace(timestamp=below)]), path)
+        last = math.nextafter(below, 0.0)
+        write_capture(frame_table([rows[0]._replace(timestamp=-4e-7), rows[1]._replace(timestamp=last)]), path)
+        stamps = read_capture(path.read_bytes(), CaptureMeta(str(path))).timestamps.tolist()
+        assert stamps == [0.0, (2**32 * 10**6 - 1) / 1e6]
 
     @given(frame_tables())
     @example(EDGE_TABLE)
@@ -234,14 +259,17 @@ class TestWriteCapture:
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "rt.pcap"
             write_capture(table, path)
-            assert read_capture(path.read_bytes(), CaptureMeta(str(path))) == table
+            recovered = read_capture(path.read_bytes(), CaptureMeta(str(path)))
+            assert table_frames(recovered) == table_frames(table)
 
-    @pytest.mark.parametrize("column, bad, message", BAD_ROWS.values(), ids=BAD_ROWS)
+    @pytest.mark.parametrize("column, rows, bad, message", BAD_ROWS.values(), ids=BAD_ROWS)
     @given(table=frame_tables(min_size=2), data=st.data())
     @settings(max_examples=30, deadline=None)
-    def test_bad_row_rejected(self, column, bad, message, table, data):
-        """One bad row anywhere raises with its message and writes no file."""
-        row = data.draw(st.integers(1 if column == "timestamps" else 0, len(table) - 1))
+    def test_bad_row_rejected(self, column, rows, bad, message, table, data):
+        """One bad row anywhere it may go raises with its message and
+        writes no file."""
+        first, last = rows
+        row = data.draw(st.integers(first, len(table) - 1 if last is None else last))
         getattr(table, column)[row] = bad(table, row)
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "bad.pcap"
@@ -264,6 +292,17 @@ def two_device_scenario(seed=5, jitter=0.0, sniffers=SNIFFERS_DEFAULT):
 
 
 class TestGenerateScenario:
+    def test_colliding_burst_mac_redrawn_in_every_row(self):
+        """A MAC an earlier device used is replaced by one fresh MAC in
+        all of the later device's rows; its other MACs stay."""
+        a, b, c = b"\x02" * 6, b"\x06" * 6, b"\x0a" * 6
+        first = FrameTable([0.0] * 3, [a, a, b], [1] * 3, [0] * 3, [b""] * 3)
+        second = FrameTable([0.0] * 3, [a, c, a], [1] * 3, [0] * 3, [b""] * 3)
+        _dedupe_macs([first, second], seed=1)
+        assert first.source_macs.tolist() == [a, a, b]
+        fresh, kept, again = second.source_macs.tolist()
+        assert fresh == again and fresh not in (a, b, c) and kept == c
+
     def test_layout_and_manifest(self, tmp_path):
         root = generate_scenario(two_device_scenario(), tmp_path / "ds")
         pcaps = sorted(p.relative_to(root).as_posix() for p in root.rglob("*.pcap"))
@@ -416,3 +455,35 @@ class TestProfileValidation:
     def test_duplicate_device_ids_rejected(self):
         with pytest.raises(ValueError):
             Scenario(profiles=(profile(), profile()), duration=10.0, seed=1)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e999])
+    def test_non_finite_duration_rejected(self, value):
+        """Built only: ``generate_device`` would never leave its loop on
+        an infinite duration."""
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            Scenario(profiles=(profile(),), duration=value, seed=1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("intra_burst_gap", math.inf),
+            ("intra_burst_gap", math.nan),
+            ("inter_burst_interval", math.inf),
+            ("inter_burst_interval", math.nan),
+            ("inter_burst_interval", (1.0, math.inf)),
+            ("inter_burst_interval", (math.nan, 2.0)),
+            ("burst_length", (1, math.inf)),
+        ],
+    )
+    def test_non_finite_profile_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}.*must be positive and finite"):
+            profile(**{field: value})
+
+    def test_infinite_burst_length_in_a_document_names_the_file(self, tmp_path):
+        """JSON's 1e999 reads as inf, which no integer cast takes."""
+        data = scenario_to_dict(Scenario(profiles=(profile(),), duration=10.0, seed=1))
+        data["profiles"][0]["burst_length"] = {"fixed": math.inf}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_scenario(path)
