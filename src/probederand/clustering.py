@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .features import BurstTable, normalize_ie_matrix, pad_matrix, write_table
-from .pcap import mac_to_str
+from .features import BurstTable, normalize_ie_matrix, pad_matrix, write_burst_rows
 from .randomness import DEFAULT_SEED, STREAM_KMEANS, substream
 
 NOISE = -1
@@ -465,10 +464,8 @@ def write_labeling_file(
     """CSV of per-burst coarse and final labels (noise rendered as -1),
     one row per row of ``table``, as ``two_stage_labelings`` returns
     them: in ascending burst-id order."""
-    rows = (
-        [burst_id, mac_to_str(mac), truth or "", c, f]
-        for burst_id, mac, truth, c, f in zip(
-            table.ids.tolist(), table.source_macs, table.truth_devices, coarse, final, strict=True
-        )
-    )
-    write_table(path, LABELING_FIELDS, rows, header_comment)
+    coarse, final = np.asarray(coarse), np.asarray(final)
+    if not len(coarse) == len(final) == len(table):
+        raise ValueError("coarse and final need one label per burst")
+    labels = [list(map(str, coarse.tolist())), list(map(str, final.tolist()))]
+    write_burst_rows(table, path, LABELING_FIELDS, labels, header_comment)

@@ -10,10 +10,12 @@ vector used by the fine clustering stage. Bursts travel as one
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
+from contextlib import contextmanager
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -202,33 +204,75 @@ def _format_number(x: float) -> str:
 def write_table(path, fields: Sequence[str], rows, header_comment: str | None = None) -> None:
     """Write a UTF-8 CSV table: an optional ``# comment`` line, the field
     names, then ``rows`` (csv's default ``\\r\\n`` row endings)."""
+    with _table_file(path, fields, header_comment) as fh:
+        csv.writer(fh).writerows(rows)
+
+
+@contextmanager
+def _table_file(path, fields: Sequence[str], header_comment: str | None) -> Iterator[TextIO]:
+    """The file ``write_table`` writes, open past the field names."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(fields)
+        yield fh
+
+
+def write_burst_rows(
+    table: BurstTable, path, fields: Sequence[str], columns: Sequence[list[str]], header_comment: str | None = None
+) -> None:
+    """``write_table`` of one row per burst: its id, MAC and truth name
+    (empty when None), then the texts of ``columns``, which need no
+    quoting. The bytes are ``csv.writer``'s, and the text of each MAC
+    and truth name is made once per distinct value."""
+    columns = [
+        list(map(str, table.ids.tolist())),
+        _texts(table.source_macs.tolist(), mac_to_str),
+        _texts(table.truth_devices.tolist(), _csv_field),
+        *columns,
+    ]
+    with _table_file(path, fields, header_comment) as fh:
+        for line in map(",".join, zip(*columns)):
+            fh.write(line + "\r\n")
+
+
+def _texts(values: list, text: Callable[[object], str]) -> list[str]:
+    """``text(value)`` for each of ``values``, called once per distinct value."""
+    memo = {value: text(value) for value in set(values)}
+    return list(map(memo.__getitem__, values))
+
+
+def _csv_field(value: Optional[str]) -> str:
+    """``value``, None read as empty, as ``csv.writer`` writes it among
+    other fields: quoted where it holds a comma, a quote or a line break."""
+    if not value:
+        return ""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([value])
+    return buffer.getvalue()[: -len("\r\n")]
 
 
 def write_feature_file(table: BurstTable, path, header_comment: str | None = None) -> None:
-    """Write the per-burst intermediate feature file (CSV, UTF-8)."""
-    channels = table.channels.tolist()
+    """Write the per-burst intermediate feature file (CSV, UTF-8).
+
+    Each L and IE number is formatted once per distinct value, and each
+    channel entry is taken from a table of the distinct channel values'
+    texts, so the only per-burst work is joining its entries with ``;``.
+    """
+    values, value_of = np.unique(table.channels, return_inverse=True)
+    entries = np.array(list(map(str, values.tolist())), dtype=object)[value_of].tolist()
     bounds = table.offsets.tolist()
-    rows = (
+    write_burst_rows(
+        table,
+        path,
+        FEATURE_FIELDS,
         [
-            burst_id,
-            mac_to_str(mac),
-            truth or "",
-            hi - lo,
-            *(_format_number(x) for x in ie),
-            ";".join(map(str, channels[lo:hi])),
-        ]
-        for burst_id, mac, truth, ie, lo, hi in zip(
-            table.ids.tolist(), table.source_macs, table.truth_devices,
-            table.ie_features.tolist(), bounds, bounds[1:],
-        )
+            _texts(np.diff(table.offsets).tolist(), str),
+            *(_texts(column, _format_number) for column in table.ie_features.T.tolist()),
+            [";".join(entries[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
+        ],
+        header_comment,
     )
-    write_table(path, FEATURE_FIELDS, rows, header_comment)
 
 
 def read_feature_file(path) -> BurstTable:

@@ -8,9 +8,10 @@ merges per-channel sniffer captures into one time-ordered stream.
 Radiotap channel field, else the channel the file declares.
 
 Frames travel as one :class:`FrameTable` of numpy columns, never as an
-object per frame: the parser fills one, :func:`merge_captures` orders
-the rows of several with one ``take``, and ``synth.write_capture``
-writes one.
+object per frame: the parser decodes one with array operations after a
+single walk over the record offsets, :func:`merge_captures` orders the
+rows of several with one ``take``, and ``synth.write_capture`` writes
+one.
 
 Only the fields the burst pipeline consumes are decoded: capture
 timestamp, source MAC (Address 2), capture channel, sequence number,
@@ -176,8 +177,10 @@ _RT_FIELD_LAYOUT = (
     (3, 2, 4),  # Channel: u16 frequency MHz + u16 channel flags
 )
 
-# 2.4 GHz centre frequency (MHz) -> channel 1..13
-_CHANNEL_OF_FREQ = {2407 + 5 * channel: channel for channel in range(1, 14)}
+# 2.4 GHz centre frequency (MHz) -> channel 1..13, for every u16; 0
+# where the frequency names no 2.4 GHz channel
+_CHANNEL_OF_FREQ = np.zeros(1 << 16, dtype=np.uint8)
+_CHANNEL_OF_FREQ[2407 + 5 * np.arange(1, 14)] = np.arange(1, 14)
 
 _U16 = struct.Struct("<H").unpack_from
 _U32 = struct.Struct("<I").unpack_from
@@ -231,15 +234,59 @@ def _radiotap_layout(
     return header_len, flags_pos, channel_pos
 
 
-def _radiotap_read(
-    buf: bytes, start: int, flags_pos: Optional[int], channel_pos: Optional[int]
-) -> tuple[Optional[int], Optional[int]]:
-    """(2.4 GHz channel or None, flags byte or None) of the Radiotap
-    header at ``buf[start:]``, read at the positions its layout gives."""
-    flags = None if flags_pos is None else buf[start + flags_pos]
-    if channel_pos is None:
-        return None, flags
-    return _CHANNEL_OF_FREQ.get(_U16(buf, start + channel_pos)[0]), flags
+def _radiotap_columns(
+    data: bytes, starts: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(header length, flags byte, 2.4 GHz channel, bad header) of the
+    Radiotap header that opens each record, the records starting at
+    ``starts`` and holding ``sizes`` bytes.
+
+    A header with one presence word is decoded by :func:`_radiotap_layout`
+    once per distinct 8-byte fixed header: those bytes hold the version,
+    the length and the presence word, all the layout depends on. A record
+    shorter than 8 bytes or than its header length, and a header with
+    extension words, is decoded on its own, so it is bad exactly when its
+    own decode raises. An absent flags field reads 0, and an absent
+    channel field or a frequency outside the 2.4 GHz map reads channel 0.
+    """
+    # a header that decodes has its 8 fixed bytes; a bad one reads in bounds
+    base = np.minimum(starts, len(data) - 8)
+    fixed = _windows(data, "<u8")[base]
+    shared = (sizes >= 8) & (fixed >> 63 == 0) & ((fixed >> 16 & 0xFFFF).astype(np.int64) <= sizes)
+    shared_rows = shared.nonzero()[0]
+    row_of_prefix = dict(zip(fixed[shared_rows].tolist(), shared_rows.tolist()))
+    distinct = sorted(row_of_prefix)
+    # one layout per distinct prefix, then a placeholder for the rows
+    # decoded on their own, which the loop below overwrites
+    layouts = [_layout_or_bad(data, starts[row], sizes[row]) for row in map(row_of_prefix.get, distinct)]
+    layouts.append((-1, 0, 0))
+    prefix_of = np.searchsorted(np.array(distinct, dtype=np.uint64), fixed)
+    layout = np.array(layouts, dtype=np.int64)[np.where(shared, prefix_of, len(distinct))]
+    for row in (~shared).nonzero()[0].tolist():
+        layout[row] = _layout_or_bad(data, starts[row], sizes[row])
+    header_len, flags_pos, channel_pos = layout.T
+    flags = np.frombuffer(data, np.uint8)[base + flags_pos]
+    channels = _CHANNEL_OF_FREQ[_windows(data, "<u2")[base + channel_pos]]
+    return header_len, flags, channels, header_len < 0
+
+
+def _layout_or_bad(data: bytes, start, size) -> tuple[int, int, int]:
+    """``_radiotap_layout`` of one record, or (-1, 0, 0) when its header is
+    bad. An absent field is at position 0, the version byte: 0 in every
+    header that decodes, so absent flags read 0; read as a u16, with the
+    next byte above it, a multiple of 256, which no 2.4 GHz frequency is."""
+    try:
+        header_len, flags_pos, channel_pos = _radiotap_layout(data, int(start), int(size))
+    except Error:
+        return -1, 0, 0
+    return header_len, flags_pos or 0, channel_pos or 0
+
+
+def _windows(data: bytes, dtype: str) -> np.ndarray:
+    """Row i is the ``dtype`` value whose bytes start at ``data[i]``: a
+    view, so indexing it by offsets gathers one value per offset."""
+    width = np.dtype(dtype).itemsize
+    return np.ndarray((len(data) - width + 1,), dtype, data, 0, (1,))
 
 
 def _unpack_global_header(data: bytes) -> tuple[str, bool, int]:
@@ -283,110 +330,113 @@ def read_capture(
     ``meta.declared_channel``; a frame with neither raises
     :class:`ChannelResolutionError` naming ``meta.path``, and a declared
     channel outside 1..13 raises ``ValueError`` when a frame takes it.
+    When a frame raises, ``diagnostics`` holds the tallies of the records
+    up to and including it, as a walk that stops at that frame has them.
+    A file with no whole record is listed in ``empty_files``.
 
-    Every row is in its column's range by construction: the MAC is a
-    6-byte slice, the sequence number a 12-bit field, and a Radiotap
-    channel comes from the 2.4 GHz map of channels 1..13.
+    Every row is in its column's range by construction: the MAC is 6
+    bytes of the frame, the sequence number a 12-bit field, and a
+    Radiotap channel comes from the 2.4 GHz map of channels 1..13. Rows
+    with one MAC share one bytes object.
 
-    Records are read in place: only the source MAC and the IE region are
-    copied out of ``data``. The Radiotap layout (header length, flags and
-    channel positions) of a header with one presence word is decoded
-    once per distinct 8-byte fixed header per call; those bytes hold the
-    version, the length and the presence word, all the layout depends
-    on. The TSFT, flags and channel values lie past them, and the flags
-    and channel are read for each frame. A record shorter than its
-    memoised header length is decoded in full, and so dropped as a bad
-    Radiotap header. Headers with extension words are decoded in full
-    for each frame.
+    One Python loop walks the record headers for their offsets; the
+    rest is decoded with array operations over all records at once.
+    Each record is checked in the order a per-record loop checks it
+    (bad Radiotap header, FCS-bad, empty body, not a Probe Request,
+    short header), and its first failed check is the one tallied.
+    Radiotap layouts are decoded as :func:`_radiotap_columns` says.
     """
     diag = diagnostics if diagnostics is not None else ParseDiagnostics()
     order, nanos, network = _unpack_global_header(data)
 
-    unpack_record = struct.Struct(order + "IIII").unpack_from
-    radiotap = network == LINKTYPE_RADIOTAP
-    declared = meta.declared_channel
-    # fixed Radiotap header with one presence word -> its layout
-    layouts: dict[bytes, tuple[int, Optional[int], Optional[int]]] = {}
-    # raw IE region -> the region kept for it
-    kept_regions: dict[bytes, bytes] = {}
-    # the table's columns, filled row by row and made arrays once
-    columns: tuple[list, ...] = ([], [], [], [], [])
-    add_timestamp, add_mac, add_channel, add_sequence, add_ies = (column.append for column in columns)
-    offset = 24
-    total = len(data)
-    while offset < total:
-        if offset + 16 > total:
-            diag.truncated_tail += 1
+    incl_len_at = struct.Struct(order + "8xI").unpack_from
+    offsets = []
+    add_offset = offsets.append
+    offset, total = 24, len(data)
+    while offset + 16 <= total:
+        end = offset + 16 + incl_len_at(data, offset)[0]
+        if end > total:
             break
-        ts_sec, ts_frac, incl_len, _orig_len = unpack_record(data, offset)
-        start = offset + 16
-        if incl_len > total - start:
-            diag.truncated_tail += 1
-            break
-        offset = end = start + incl_len
-        diag.records_total += 1
+        add_offset(offset)
+        offset = end
 
-        usec = ts_frac // 1000 if nanos else ts_frac
-        timestamp = (ts_sec * 1_000_000 + usec) / 1e6
+    at = np.array(offsets, dtype=np.int64)
+    ts_sec, ts_frac, sizes = _windows(data, order + "u4")[at[:, None] + (0, 4, 8)].astype(np.int64).T
+    usec = ts_frac // 1000 if nanos else ts_frac
+    timestamps = (ts_sec * 1_000_000 + usec) / 1e6
+    starts = at + 16
+    ends = starts + sizes
 
-        channel: Optional[int] = None
-        body = start
-        if radiotap:
-            key = layout = None
-            if incl_len >= 8 and not data[start + 7] & 0x80:
-                key = data[start : start + 8]
-                layout = layouts.get(key)
-            if layout is None or layout[0] > incl_len:
-                try:
-                    layout = _radiotap_layout(data, start, incl_len)
-                except Error:
-                    diag.skipped_bad_radiotap += 1
-                    continue
-                if key is not None:
-                    layouts[key] = layout
-            header_len, flags_pos, channel_pos = layout
-            channel, flags = _radiotap_read(data, start, flags_pos, channel_pos)
-            if flags is not None and flags & RT_FLAG_BAD_FCS:
-                diag.skipped_fcs_bad += 1
-                continue
-            body += header_len
-            if flags is not None and flags & RT_FLAG_HAS_FCS and end - body >= 4:
-                end -= 4
-
-        if body == end:
-            diag.skipped_truncated += 1
-            continue
-        if data[body] != FC_PROBE_REQUEST:
-            diag.skipped_other += 1
-            continue
-        if end - body < _MGMT_HEADER_LEN:
-            diag.skipped_truncated += 1
-            continue
-
-        region = data[body + _MGMT_HEADER_LEN : end]
-        ies = kept_regions.get(region)
-        if ies is None:
-            whole = ie_fields(region)[2]
-            ies = kept_regions[region] = region[:whole] if whole < len(region) else region
-        if len(ies) < len(region):
-            diag.ie_overruns += 1
-        if channel is None:
+    if network == LINKTYPE_RADIOTAP:
+        header_len, flags, channels, bad = _radiotap_columns(data, starts, sizes)
+    else:
+        header_len = flags = channels = np.zeros(len(at), dtype=np.int64)
+        bad = np.zeros(len(at), dtype=bool)
+    bodies = starts + header_len
+    ends -= 4 * ((flags & RT_FLAG_HAS_FCS != 0) & (ends - bodies >= 4))
+    # skip code: 0 kept, 1 bad Radiotap, 2 FCS-bad, 3 truncated, 4 not a
+    # probe. The checks are set from the last to the first, so a record
+    # keeps the code of the first check it fails.
+    lengths = ends - bodies
+    frame_control = np.frombuffer(data, np.uint8)[np.minimum(bodies, total - 1)]
+    skip = np.where((lengths > 0) & (frame_control != FC_PROBE_REQUEST), 4, 3 * (lengths < _MGMT_HEADER_LEN))
+    skip[flags & RT_FLAG_BAD_FCS != 0] = 2
+    skip[bad] = 1
+    kept = (skip == 0).nonzero()[0]
+    channels = channels[kept]
+    failure = None
+    unresolved = (channels == 0).nonzero()[0]
+    if len(unresolved):
+        declared = meta.declared_channel
+        if declared is not None and 1 <= declared <= 13:
+            channels[unresolved] = declared
+        else:
+            # the walk stops at this frame, tallies and all
+            kept = kept[: unresolved[0] + 1]
+            skip = skip[: kept[-1] + 1]
             if declared is None:
-                raise ChannelResolutionError(
+                failure = ChannelResolutionError(
                     f"frame in {meta.path} has no Radiotap channel and the file declares none"
                 )
-            if not 1 <= declared <= 13:
-                raise ValueError(f"capture_channel out of range: {declared}")
-            channel = declared
-        add_timestamp(timestamp)
-        add_mac(data[body + 10 : body + 16])
-        add_channel(channel)
-        add_sequence(_U16(data, body + 22)[0] >> 4)
-        add_ies(ies)
-        diag.probe_requests += 1
-    if diag.records_total == 0:
+            else:
+                failure = ValueError(f"capture_channel out of range: {declared}")
+
+    bodies = bodies[kept]
+    regions = [data[lo:hi] for lo, hi in zip((bodies + _MGMT_HEADER_LEN).tolist(), ends[kept].tolist())]
+    region_rows = {region: row for row, region in enumerate(dict.fromkeys(regions))}
+    region_of = np.fromiter(map(region_rows.__getitem__, regions), np.int64, len(regions))
+    kept_regions, cut = [], []
+    for region in region_rows:
+        whole = ie_fields(region)[2]
+        kept_regions.append(region[:whole] if whole < len(region) else region)
+        cut.append(whole < len(region))
+
+    tallies = np.bincount(skip, minlength=5).tolist()
+    diag.records_total += len(skip)
+    diag.skipped_bad_radiotap += tallies[1]
+    diag.skipped_fcs_bad += tallies[2]
+    diag.skipped_truncated += tallies[3]
+    diag.skipped_other += tallies[4]
+    diag.ie_overruns += int(np.count_nonzero(np.array(cut, dtype=bool)[region_of]))
+    if failure is not None:
+        diag.probe_requests += len(kept) - 1
+        raise failure
+    diag.probe_requests += len(kept)
+    diag.truncated_tail += int(offset < total)
+    if not offsets:
         diag.empty_files.append(meta.path)
-    return FrameTable(*columns)
+
+    # Address 2, the 6 bytes at offset 10, as the low bytes of a u64;
+    # one bytes object per distinct MAC
+    macs = (_windows(data, "<u8")[bodies + 10] & 0xFFFF_FFFF_FFFF).tolist()
+    mac_bytes = {mac: mac.to_bytes(8, "little")[:6] for mac in set(macs)}
+    return FrameTable(
+        timestamps[kept],
+        np.array(list(map(mac_bytes.__getitem__, macs)), dtype=object),
+        channels,
+        _windows(data, "<u2")[bodies + 22] >> 4,
+        np.array(kept_regions, dtype=object)[region_of],
+    )
 
 
 def merge_captures(

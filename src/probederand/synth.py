@@ -272,7 +272,10 @@ def generate_scenario(scenario: Scenario, root, overwrite: bool = False) -> Path
     scenario and seed. Refuses a non-empty root unless ``overwrite``;
     overwriting first removes the captures that the root's manifest
     lists, and each device directory that this leaves empty, and
-    nothing else.
+    nothing else. When a capture cannot be written, the captures this
+    call wrote or began and the device directories it made are removed
+    and the error is raised again; a ``ValueError`` from a row names
+    the device and the channel.
     """
     root = Path(root)
     if root.exists() and any(root.iterdir()) and not overwrite:
@@ -294,11 +297,26 @@ def generate_scenario(scenario: Scenario, root, overwrite: bool = False) -> Path
     ]
     _dedupe_macs(per_device, scenario.seed)
 
-    for profile, frames in zip(scenario.profiles, per_device):
-        device_dir = root / profile.device_id
-        device_dir.mkdir(exist_ok=True)
-        for channel, captured in assign_to_sniffers(frames, scenario.sniffer_channels).items():
-            write_capture(captured, device_dir / f"{channel}.pcap")
+    made_dirs: list[Path] = []
+    made_captures: list[Path] = []  # written, or begun
+    try:
+        for profile, frames in zip(scenario.profiles, per_device):
+            device_dir = root / profile.device_id
+            if not device_dir.is_dir():
+                device_dir.mkdir()
+                made_dirs.append(device_dir)
+            for channel, captured in assign_to_sniffers(frames, scenario.sniffer_channels).items():
+                made_captures.append(device_dir / f"{channel}.pcap")
+                try:
+                    write_capture(captured, made_captures[-1])
+                except ValueError as exc:
+                    raise ValueError(f"device {profile.device_id}, channel {channel}: {exc}") from None
+    except BaseException:
+        for path in made_captures:
+            path.unlink(missing_ok=True)
+        for path in made_dirs:
+            path.rmdir()
+        raise
 
     manifest = {
         "generator": {"name": "probederand", "version": __version__},

@@ -5,13 +5,18 @@ an IE walk that builds one (id, body) pair per element) so they share
 no code with the paths they check. The shortcut references are the
 exception, and each drops only the shortcut it checks:
 ``reference_read_capture`` reuses the library's pcap header check and
-Radiotap decoder but copies each record and its body and decodes every
-Radiotap header in full; ``reference_group_bursts`` is the library's
+Radiotap layout decoder but walks the records one by one, copies each
+record and its body and decodes every Radiotap header in full;
+``reference_group_bursts`` is the library's
 per-frame grouping loop over lists of ``Frame`` records, with its IE
 walk, before bursts were cut with array operations;
 ``reference_read_feature_file`` is the feature-file reader's per-line
-parse and checks, giving rows in file order; ``parse_radiotap_fields``
-is the library's Radiotap layout and read steps run on one header;
+parse and checks, giving rows in file order;
+``reference_write_feature_file`` and ``reference_write_labeling_file``
+are the two writers as one ``csv.writer`` row per burst, before their
+text was built from columns; ``parse_radiotap_fields`` is the
+library's Radiotap layout step run on one header, then a plain read of
+its flags byte and channel frequency;
 ``padded`` is ``pad_matrix``'s row loop before it became one scatter;
 ``reference_refine_labels`` reuses the
 library's k-means and elbow with no distinct-row cap on k;
@@ -44,6 +49,7 @@ import numpy as np
 
 from probederand.clustering import (
     DBSCAN_BLOCK_ROWS,
+    LABELING_FIELDS,
     NOISE,
     RESTARTS,
     DbscanConfig,
@@ -76,7 +82,6 @@ from probederand.pcap import (
     FrameTable,
     ParseDiagnostics,
     _radiotap_layout,
-    _radiotap_read,
     _unpack_global_header,
     ie_fields,
     mac_from_str,
@@ -84,6 +89,7 @@ from probederand.pcap import (
 from probederand.randomness import STREAM_KMEANS, child_seed, substream
 
 IE_DS_PARAMETER_SET, IE_HT, IE_EXTENDED, IE_VENDOR = 3, 45, 127, 221
+CHANNEL_OF_FREQUENCY = {2407 + 5 * channel: channel for channel in range(1, 14)}
 
 
 class Frame(NamedTuple):
@@ -265,6 +271,49 @@ def reference_group_bursts(frames, gap_seconds=2.0, truths=None):
     return bursts
 
 
+def _reference_write_table(path, fields, rows, header_comment):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        writer.writerows(rows)
+
+
+def reference_write_feature_file(rows, path, header_comment=None):
+    """``write_feature_file`` of ``BurstRow``s in id order as a row loop:
+    one ``csv.writer`` row per burst."""
+
+    def number(x):
+        return str(int(x)) if float(x).is_integer() else repr(float(x))
+
+    _reference_write_table(
+        path,
+        FEATURE_FIELDS,
+        (
+            [
+                row.burst_id, row.source_mac.hex(":"), row.truth_device or "", row.length,
+                *map(number, row.ie_features), ";".join(map(str, row.channel_vector)),
+            ]
+            for row in rows
+        ),
+        header_comment,
+    )
+
+
+def reference_write_labeling_file(rows, coarse, final, path, header_comment=None):
+    """``write_labeling_file`` of ``BurstRow``s in id order as a row loop."""
+    _reference_write_table(
+        path,
+        LABELING_FIELDS,
+        (
+            [row.burst_id, row.source_mac.hex(":"), row.truth_device or "", c, f]
+            for row, c, f in zip(rows, coarse, final, strict=True)
+        ),
+        header_comment,
+    )
+
+
 def reference_read_feature_file(path):
     """``BurstRow``s of a feature file in file order: each line after
     the header parsed on its own, with csv's field limit lifted for the
@@ -324,7 +373,11 @@ def parse_radiotap_fields(buf):
     the Radiotap header that opens ``buf``: its layout, then the read of
     the flags byte and channel frequency at the positions it gives."""
     header_len, flags_pos, channel_pos = _radiotap_layout(buf, 0, len(buf))
-    return (header_len, *_radiotap_read(buf, 0, flags_pos, channel_pos))
+    flags = None if flags_pos is None else buf[flags_pos]
+    if channel_pos is None:
+        return header_len, None, flags
+    frequency = struct.unpack_from("<H", buf, channel_pos)[0]
+    return header_len, CHANNEL_OF_FREQUENCY.get(frequency), flags
 
 
 def reference_read_capture(data, meta, diagnostics=None):
@@ -334,6 +387,7 @@ def reference_read_capture(data, meta, diagnostics=None):
     diag = diagnostics if diagnostics is not None else ParseDiagnostics()
     order, nanos, network = _unpack_global_header(data)
     frames = []
+    records_before = diag.records_total
     offset = 24
     while offset < len(data):
         if offset + 16 > len(data):
@@ -384,7 +438,7 @@ def reference_read_capture(data, meta, diagnostics=None):
         seq = struct.unpack_from("<H", body, 22)[0] >> 4
         frames.append(Frame(timestamp, bytes(body[10:16]), channel, seq, ies))
         diag.probe_requests += 1
-    if diag.records_total == 0:
+    if diag.records_total == records_before:
         diag.empty_files.append(meta.path)
     return frames
 

@@ -588,13 +588,15 @@ class TestGenerate:
         assert main(["generate", str(workspace["scenario"]), "--out", str(target)]) == 1
 
     def test_timestamp_past_pcap_seconds_is_one_line(self, tmp_path, capsys):
-        """A burst at 5e9 s lies past pcap's unsigned 32-bit seconds."""
+        """A burst at 5e9 s lies past pcap's unsigned 32-bit seconds; the
+        error names the capture, and the partial tree is removed."""
         path = tmp_path / "scenario.json"
         profile = {"device_id": "a", "pnl_pattern": [1, 6], "burst_length": 2, "inter_burst_interval": 2.5e9}
         path.write_text(json.dumps({"duration": 6e9, "profiles": [profile]}))
         assert main(["generate", str(path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err == "error: timestamp out of range: 5000000000.0\n"
+        assert err == "error: device a, channel 1: timestamp out of range: 5000000000.0\n"
+        assert list((tmp_path / "o").iterdir()) == []
 
     def test_seed_flag_overrides_scenario(self, workspace, tmp_path):
         out_a = tmp_path / "a"

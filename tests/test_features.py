@@ -2,12 +2,15 @@
 
 import csv
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from probederand.clustering import write_labeling_file
 from probederand.features import (
     FEATURE_FIELDS,
     BurstTable,
@@ -21,12 +24,15 @@ from probederand.features import (
 from probederand.pcap import ie_fields, merge_captures
 
 from oracles import (
+    BurstRow,
     Frame,
     burst_table,
     decorated_merge,
     frame_table,
     padded,
     reference_group_bursts,
+    reference_write_feature_file,
+    reference_write_labeling_file,
     table_rows,
 )
 
@@ -392,6 +398,63 @@ class TestFeatureFile:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
             read_feature_file(path)
+
+
+# truth names that csv must quote, and None for an unlabelled burst
+TRUTHS = st.one_of(
+    st.none(),
+    st.sampled_from(("", "dev-a", "a,b", 'say "hi"', "two\nlines", "cr\r", " pad ", "#x")),
+    st.text(max_size=6),
+)
+IE_VALUES = st.one_of(
+    st.integers(0, 3000).map(float),
+    st.sampled_from((0.5, -0.0, 1e20, 2.5e-7, -3.25)),
+    st.floats(),
+)
+
+
+@st.composite
+def labelled_rows(draw):
+    """(BurstRows in id order, coarse labels, final labels) with repeated
+    MACs and truth names, channel entries 0..255 and non-integer IE
+    values."""
+    n = draw(st.integers(0, 10))
+    ids = sorted(draw(st.sets(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)))
+    macs = st.one_of(st.sampled_from(MACS), st.binary(min_size=6, max_size=6))
+    rows = [
+        BurstRow(
+            burst_id,
+            draw(macs),
+            tuple(draw(st.lists(IE_VALUES, min_size=3, max_size=3))),
+            tuple(draw(st.lists(st.integers(0, 255), min_size=1, max_size=6))),
+            draw(TRUTHS),
+        )
+        for burst_id in ids
+    ]
+    labels = st.lists(st.integers(-1, 12), min_size=n, max_size=n)
+    return rows, np.array(draw(labels), dtype=np.int64), np.array(draw(labels), dtype=np.int64)
+
+
+class TestWritersMatchRowLoop:
+    @given(labelled_rows(), st.sampled_from((None, "", "probederand test")))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes(self, drawn, header):
+        """Both writers write the bytes of one ``csv.writer`` row per burst."""
+        rows, coarse, final = drawn
+        table = burst_table(rows)
+        with tempfile.TemporaryDirectory() as scratch:
+            written, expected = Path(scratch) / "written.csv", Path(scratch) / "expected.csv"
+            write_feature_file(table, written, header)
+            reference_write_feature_file(rows, expected, header)
+            assert written.read_bytes() == expected.read_bytes()
+            write_labeling_file(table, coarse, final, written, header)
+            reference_write_labeling_file(rows, coarse, final, expected, header)
+            assert written.read_bytes() == expected.read_bytes()
+
+    def test_label_count_checked(self, tmp_path):
+        table = burst_table([(0, MACS[0], (1, 2, 3), (6,), "dev-a")])
+        with pytest.raises(ValueError, match="one label per burst"):
+            write_labeling_file(table, np.array([0, 1]), np.array([0]), tmp_path / "labeling.csv")
 
 
 def test_burst_requires_frames():

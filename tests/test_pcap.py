@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probederand import pcap
@@ -20,6 +20,7 @@ from probederand.pcap import (
     ie_fields,
     merge_captures,
     read_capture,
+    read_dataset,
 )
 
 from oracles import (
@@ -44,16 +45,17 @@ def pcap_record(body, ts_sec=0, ts_frac=0, order="<"):
     return struct.pack(order + "IIII", ts_sec, ts_frac, len(body), len(body)) + body
 
 
-def radiotap_header(present, tsft=0, flags=0, freq=2437, extension_words=0, length=None, version=0):
+def radiotap_header(present, tsft=0, flags=0, freq=2437, extension_words=0, length=None, version=0, pad=0):
     """Radiotap header with the fields of presence ``present`` (bits 0..3:
     TSFT, Flags, Rate, Channel), each at its alignment, after
     ``extension_words`` extra presence words. ``length`` overrides the
     declared length; a header declared shorter than its fields is cut
-    to its declared length, but never below the 8 fixed bytes."""
+    to its declared length, but never below the 8 fixed bytes. ``pad``
+    is the byte after the version."""
     words = [present] + [0] * extension_words
     for i in range(extension_words):
         words[i] |= 0x80000000
-    buf = bytearray(struct.pack("<BBH", version, 0, 0))
+    buf = bytearray(struct.pack("<BBH", version, pad, 0))
     for word in words:
         buf += struct.pack("<I", word)
     if present & 1:
@@ -117,6 +119,21 @@ class TestReadCapture:
         assert len(read_capture(pcap_header(), meta(), diag)) == 0
         assert diag.records_total == 0
         assert diag.empty_files == ["test.pcap"]
+
+    def test_empty_capture_after_frames_listed(self, tmp_path):
+        """A file is empty by its own records, not by the tallies that
+        earlier files left in shared diagnostics."""
+        for device, channel, data in (
+            ("a", 1, pcap_header() + pcap_record(radiotap_channel(1) + dot11_probe())),
+            ("b", 6, pcap_header()),
+        ):
+            (tmp_path / device).mkdir()
+            (tmp_path / device / f"{channel}.pcap").write_bytes(data)
+        diag = ParseDiagnostics()
+        frames, _ = read_dataset(tmp_path, diag)
+        assert len(frames) == 1
+        assert diag.records_total == 1
+        assert diag.empty_files == [str(tmp_path / "b" / "6.pcap")]
 
     def test_bad_magic_is_fatal(self):
         with pytest.raises(FormatError):
@@ -429,16 +446,18 @@ class TestFuzz:
 
 
 # (present, extension words, declared length or None, change to the
-# fitted length, version): shared by several records of one capture, so
-# 8-byte fixed headers repeat while TSFT, flags and frequency vary per
-# record. A fixed declared length lets headers with different extension
-# chains share their fixed 8 bytes.
+# fitted length, version, pad byte): shared by several records of one
+# capture, so 8-byte fixed headers repeat while TSFT, flags and
+# frequency vary per record. A fixed declared length lets headers with
+# different extension chains share their fixed 8 bytes. The pad byte
+# varies because an absent field is read at the header's first bytes.
 radiotap_layouts = st.tuples(
     st.integers(0, 15),
     st.sampled_from((0, 0, 0, 1, 2)),
     st.sampled_from((None, None, None, 16, 20, 24)),
     st.sampled_from((0, 0, 0, 3, -1, -4, -30)),
     st.sampled_from((0, 0, 0, 0, 1)),
+    st.sampled_from((0, 0, 9, 255)),
 )
 
 
@@ -453,7 +472,7 @@ def radiotap_captures(draw):
     layouts = draw(st.lists(radiotap_layouts, min_size=1, max_size=4))
     data = pcap_header(order, nanos, linktype)
     for _ in range(draw(st.integers(0, 12))):
-        present, ext, length, delta, version = draw(st.sampled_from(layouts))
+        present, ext, length, delta, version, pad = draw(st.sampled_from(layouts))
         if length is None:
             length = max(0, len(radiotap_header(present, extension_words=ext)) + delta)
         flags = draw(st.one_of(st.sampled_from((0, 0x10, 0x40, 0x50)), st.integers(0, 255)))
@@ -465,6 +484,7 @@ def radiotap_captures(draw):
             extension_words=ext,
             length=length,
             version=version,
+            pad=pad,
         )
         body = dot11_probe(
             mac=draw(st.binary(min_size=6, max_size=6)),
@@ -503,6 +523,21 @@ def parse_both(data, declared):
 
 class TestRadiotapLayoutMemo:
     @given(radiotap_captures(), st.sampled_from((None, 6)))
+    # a frame with no channel to take stops the walk: the tallies count
+    # it and the frames before it, and neither the truncated tail after
+    # it nor the records that follow
+    @example(
+        pcap_header() + pcap_record(radiotap_header(0b0010) + dot11_probe(ies=b"\x03\x05\x01")) + b"\x00" * 5,
+        None,
+    )
+    @example(
+        pcap_header()
+        + pcap_record(radiotap_channel(6) + dot11_probe())
+        + pcap_record(radiotap_header(0b0010, flags=0x40) + dot11_probe())
+        + pcap_record(radiotap_header(0) + dot11_probe(ies=b"\x03\x05\x01"))
+        + pcap_record(radiotap_channel(1) + dot11_probe(fc0=0x80)),
+        None,
+    )
     @settings(max_examples=400, deadline=None)
     def test_matches_reference_loop(self, data, declared):
         """Equal frames and every diagnostics field equal to the

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from probederand import synth
 from probederand.features import group_bursts
 from probederand.pcap import (
     CaptureMeta,
@@ -350,6 +351,46 @@ class TestGenerateScenario:
         for rel in want:
             if (fresh / rel).is_file():
                 assert (root / rel).read_bytes() == (fresh / rel).read_bytes()
+
+    @pytest.mark.parametrize("error", [ValueError("bad row"), OSError("disk full")], ids=["row", "disk"])
+    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch, error):
+        """A capture that fails part-way through the tree takes the
+        captures and device directories written before it with it, so
+        the root is empty again; a row's error names its device and
+        channel."""
+        write = synth.write_capture
+
+        def failing(frames, path):
+            if path.parent.name == "twin-b" and path.name == "6.pcap":
+                path.write_bytes(b"partial")
+                raise error
+            write(frames, path)
+
+        monkeypatch.setattr(synth, "write_capture", failing)
+        root = tmp_path / "ds"
+        with pytest.raises(type(error)) as raised:
+            generate_scenario(two_device_scenario(), root)
+        if isinstance(error, ValueError):
+            assert str(raised.value) == "device twin-b, channel 6: bad row"
+        else:
+            assert raised.value is error
+        assert list(root.iterdir()) == []
+        monkeypatch.undo()
+        generate_scenario(two_device_scenario(), root)
+
+    def test_failed_write_keeps_what_it_did_not_make(self, tmp_path, monkeypatch):
+        """Directories and files that were there before the call stay."""
+        root = tmp_path / "ds"
+        (root / "twin-a").mkdir(parents=True)
+        (root / "twin-a" / "notes.txt").write_text("notes")
+
+        def failing(frames, path):
+            raise ValueError("bad row")
+
+        monkeypatch.setattr(synth, "write_capture", failing)
+        with pytest.raises(ValueError, match="^device twin-a, channel 1: bad row$"):
+            generate_scenario(two_device_scenario(), root, overwrite=True)
+        assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*")) == ["twin-a", "twin-a/notes.txt"]
 
     def test_twins_share_ie_features_but_not_patterns(self, tmp_path):
         root = generate_scenario(two_device_scenario(), tmp_path / "tw")
