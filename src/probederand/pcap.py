@@ -254,7 +254,9 @@ def _radiotap_columns(
     fixed = _windows(data, "<u8")[base]
     shared = (sizes >= 8) & (fixed >> 63 == 0) & ((fixed >> 16 & 0xFFFF).astype(np.int64) <= sizes)
     shared_rows = shared.nonzero()[0]
-    row_of_prefix = dict(zip(fixed[shared_rows].tolist(), shared_rows.tolist()))
+    # each distinct prefix opens a run of equal ones among the shared rows
+    heads = shared_rows[_run_starts(fixed[shared_rows])]
+    row_of_prefix = dict(zip(fixed[heads].tolist(), heads.tolist()))
     distinct = sorted(row_of_prefix)
     # one layout per distinct prefix, then a placeholder for the rows
     # decoded on their own, which the loop below overwrites
@@ -280,6 +282,13 @@ def _layout_or_bad(data: bytes, start, size) -> tuple[int, int, int]:
     except Error:
         return -1, 0, 0
     return header_len, flags_pos or 0, channel_pos or 0
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """True where a run of equal ``values`` starts."""
+    starts = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
 
 
 def _windows(data: bytes, dtype: str) -> np.ndarray:
@@ -336,8 +345,8 @@ def read_capture(
 
     Every row is in its column's range by construction: the MAC is 6
     bytes of the frame, the sequence number a 12-bit field, and a
-    Radiotap channel comes from the 2.4 GHz map of channels 1..13. Rows
-    with one MAC share one bytes object.
+    Radiotap channel comes from the 2.4 GHz map of channels 1..13.
+    Consecutive rows with one MAC share one bytes object.
 
     One Python loop walks the record headers for their offsets; the
     rest is decoded with array operations over all records at once.
@@ -427,12 +436,13 @@ def read_capture(
         diag.empty_files.append(meta.path)
 
     # Address 2, the 6 bytes at offset 10, as the low bytes of a u64;
-    # one bytes object per distinct MAC
-    macs = (_windows(data, "<u8")[bodies + 10] & 0xFFFF_FFFF_FFFF).tolist()
-    mac_bytes = {mac: mac.to_bytes(8, "little")[:6] for mac in set(macs)}
+    # one bytes object per run of frames with one MAC
+    macs = _windows(data, "<u8")[bodies + 10] & 0xFFFF_FFFF_FFFF
+    run_starts = _run_starts(macs)
+    run_macs = np.array([mac.to_bytes(8, "little")[:6] for mac in macs[run_starts].tolist()], dtype=object)
     return FrameTable(
         timestamps[kept],
-        np.array(list(map(mac_bytes.__getitem__, macs)), dtype=object),
+        run_macs[np.cumsum(run_starts) - 1],
         channels,
         _windows(data, "<u2")[bodies + 22] >> 4,
         np.array(kept_regions, dtype=object)[region_of],
