@@ -228,6 +228,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_tune(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     eval_cfg = EvalConfig(d=config["d"], seed=config["seed"])
+    if any(c in args.eps_grid + args.minpts_grid for c in "\r\n"):
+        raise UsageError("hyperparameter grid: holds a line break")
     try:
         eps_grid = [float(x) for x in args.eps_grid.split(",") if x != ""]
         minpts_grid = [int(x) for x in args.minpts_grid.split(",") if x != ""]

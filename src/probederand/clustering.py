@@ -211,7 +211,7 @@ def _seed_rows(pool: _Pool, k: int, rng: np.random.Generator) -> list[int]:
         if total <= 1e-12:
             pick = int(rng.integers(n))
         else:
-            pick = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
+            pick = int(cumulative.searchsorted(rng.random() * total, side="right"))
             pick = min(pick, n - 1)
         picks.append(pick)
     return picks

@@ -13,9 +13,8 @@ import csv
 import io
 import math
 import os
-from contextlib import contextmanager
 from itertools import chain
-from typing import Callable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -202,38 +201,29 @@ def _format_number(x: float) -> str:
 
 
 def write_table(path, fields: Sequence[str], rows, header_comment: str | None = None) -> None:
-    """Write a UTF-8 CSV table: an optional ``# comment`` line, the field
-    names, then ``rows`` (csv's default ``\\r\\n`` row endings)."""
-    with _table_file(path, fields, header_comment) as fh:
-        csv.writer(fh).writerows(rows)
-
-
-@contextmanager
-def _table_file(path, fields: Sequence[str], header_comment: str | None) -> Iterator[TextIO]:
-    """The file ``write_table`` writes, open past the field names."""
+    """Write a UTF-8 CSV table: an optional one-line ``# comment``, the
+    field names, then ``rows``. Every field is a text as ``csv.writer``
+    writes it, quoted already where it must be; each row is its fields
+    joined with ``,`` and ended with ``\\r\\n``, as ``csv.writer`` ends
+    its rows."""
+    if header_comment and ("\n" in header_comment or "\r" in header_comment):
+        raise ValueError("a header comment is one line")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        csv.writer(fh).writerow(fields)
-        yield fh
+        fh.writelines(",".join(row) + "\r\n" for row in chain([fields], rows))
 
 
 def write_burst_rows(
     table: BurstTable, path, fields: Sequence[str], columns: Sequence[list[str]], header_comment: str | None = None
 ) -> None:
     """``write_table`` of one row per burst: its id, MAC and truth name
-    (empty when None), then the texts of ``columns``, which need no
-    quoting. The bytes are ``csv.writer``'s, and the text of each MAC
-    and truth name is made once per distinct value."""
-    columns = [
-        list(map(str, table.ids.tolist())),
-        _texts(table.source_macs.tolist(), mac_to_str),
-        _texts(table.truth_devices.tolist(), _csv_field),
-        *columns,
-    ]
-    with _table_file(path, fields, header_comment) as fh:
-        for line in map(",".join, zip(*columns)):
-            fh.write(line + "\r\n")
+    (empty when None), then the texts of ``columns``. The text of each
+    MAC and truth name is made once per distinct value."""
+    ids = list(map(str, table.ids.tolist()))
+    macs = _texts(table.source_macs.tolist(), mac_to_str)
+    truths = _texts(table.truth_devices.tolist(), _csv_field)
+    write_table(path, fields, zip(ids, macs, truths, *columns), header_comment)
 
 
 def _texts(values: list, text: Callable[[object], str]) -> list[str]:
@@ -277,39 +267,43 @@ def write_feature_file(table: BurstTable, path, header_comment: str | None = Non
 
 def read_feature_file(path) -> BurstTable:
     """Load the bursts of a feature file in burst-id order, reporting
-    bad rows (and a ``burst_id`` that repeats an earlier row's) by line."""
+    bad rows (and a ``burst_id`` that repeats an earlier row's) by the
+    line their record starts on. Blank and ``#`` lines before the header
+    are skipped; after it every csv record is a row but a blank one."""
     rows = []
-    first_line = {}  # burst_id -> line it first appears on
-    header_line = None
-    # No field is longer than its line, nor a line than the file's byte
-    # size, so with csv's limit raised to that every channel vector reads back.
+    first_line = {}  # burst_id -> line its record starts on
+    # No field is longer than the file's byte size, so with csv's limit
+    # raised to that every channel vector reads back.
     limit = csv.field_size_limit()
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             csv.field_size_limit(max(limit, os.fstat(fh.fileno()).st_size))
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip() or line.startswith("#"):
-                    continue
-                try:
-                    row = next(csv.reader([line]))
-                    if header_line is None:
-                        header_line = lineno
-                        if tuple(row) != FEATURE_FIELDS:
-                            raise ValueError(f"unexpected header {row}")
-                        continue
-                    rows.append(_feature_row(row))
-                    burst_id = rows[-1][0]
-                    if burst_id in first_line:
-                        raise ValueError(f"burst_id {burst_id} repeats line {first_line[burst_id]}")
-                    if not -(2**63) <= burst_id < 2**63:
-                        raise ValueError(f"burst_id {burst_id} is outside the signed 64-bit range")
-                except (ValueError, csv.Error) as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                first_line[burst_id] = lineno
+            for skipped, line in enumerate(fh):
+                if line.strip() and not line.startswith("#"):
+                    break
+            else:
+                raise ValueError(f"{path}: no header row found")
+            reader = csv.reader(chain([line], fh))
+            lineno = skipped + 1  # the line the next record starts on
+            try:
+                header = next(reader)
+                if tuple(header) != FEATURE_FIELDS:
+                    raise ValueError(f"unexpected header {header}")
+                lineno = skipped + reader.line_num + 1
+                for row in reader:
+                    if len(row) > 1 or "".join(row).strip():  # blank: no field, or one of whitespace
+                        rows.append(_feature_row(row))
+                        burst_id = rows[-1][0]
+                        if burst_id in first_line:
+                            raise ValueError(f"burst_id {burst_id} repeats line {first_line[burst_id]}")
+                        if not -(2**63) <= burst_id < 2**63:
+                            raise ValueError(f"burst_id {burst_id} is outside the signed 64-bit range")
+                        first_line[burst_id] = lineno
+                    lineno = skipped + reader.line_num + 1
+            except (ValueError, csv.Error) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     finally:
         csv.field_size_limit(limit)
-    if header_line is None:
-        raise ValueError(f"{path}: no header row found")
     rows.sort(key=lambda row: row[0])
     ids, macs, truths, ie_features, vectors = zip(*rows) if rows else ([],) * 5
     return BurstTable(

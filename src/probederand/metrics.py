@@ -381,14 +381,14 @@ def write_report_files(
 ) -> None:
     """Write per-run rows and per-p summary rows as two CSV files."""
     run_rows = (
-        [method, r.p, r.subset_index, _fmt(r.homogeneity), _fmt(r.completeness),
-         _fmt(r.v_measure), r.n_clusters, r.delta]
+        [method, str(r.p), str(r.subset_index), _fmt(r.homogeneity), _fmt(r.completeness),
+         _fmt(r.v_measure), str(r.n_clusters), str(r.delta)]
         for method, reports in sections
         for r in reports
     )
     write_table(runs_path, RUN_FIELDS, run_rows, header_comment)
     summary_rows = (
-        [method, row.p, _fmt(row.mean_v), _fmt(row.std_v), _fmt(row.mean_h),
+        [method, str(row.p), _fmt(row.mean_v), _fmt(row.std_v), _fmt(row.mean_h),
          _fmt(row.std_h), _fmt(row.mean_c), _fmt(row.std_c), _fmt(row.rmse)]
         for method, reports in sections
         for row in summarize(reports)
@@ -399,7 +399,7 @@ def write_report_files(
 def write_tuning_file(rows: Sequence[TuneRow], path, header_comment: str | None = None) -> None:
     """Write the sweep table, best grid point first."""
     table = (
-        [_fmt(row.eps), row.min_pts, _fmt(row.mean_v), _fmt(row.mean_abs_delta)]
+        [_fmt(row.eps), str(row.min_pts), _fmt(row.mean_v), _fmt(row.mean_abs_delta)]
         for row in rows
     )
     write_table(path, TUNE_FIELDS, table, header_comment)

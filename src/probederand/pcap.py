@@ -26,6 +26,7 @@ incl_len, orig_len.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -123,16 +124,19 @@ class ParseDiagnostics:
     empty_files: list[str] = field(default_factory=list)
 
 
+_MAC_TEXT = re.compile(r"[0-9A-Fa-f]{2}(?::[0-9A-Fa-f]{2}){5}")
+
+
 def mac_to_str(mac: bytes) -> str:
     """6 raw bytes to lowercase colon-separated form."""
     return mac.hex(":")
 
 
 def mac_from_str(text: str) -> bytes:
-    parts = text.split(":")
-    if len(parts) != 6:
+    """Six colon-separated octets of two hex digits, in either case, to 6 raw bytes."""
+    if not _MAC_TEXT.fullmatch(text):
         raise ValueError(f"not a MAC address: {text!r}")
-    return bytes(int(p, 16) for p in parts)
+    return bytes.fromhex(text.replace(":", ""))
 
 
 def ie_fields(ies: bytes) -> tuple[tuple[int, int, int], Optional[int], int]:

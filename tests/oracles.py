@@ -10,8 +10,11 @@ record and its body and decodes every Radiotap header in full;
 ``reference_group_bursts`` is the library's
 per-frame grouping loop over lists of ``Frame`` records, with its IE
 walk, before bursts were cut with array operations;
-``reference_read_feature_file`` is the feature-file reader's per-line
-parse and checks, giving rows in file order;
+``reference_read_feature_file`` is the feature-file reader's rule,
+blank and ``#`` lines skipped before the header and every csv record
+after it a row numbered by the line it starts on, with the reader's
+checks, giving rows in file order; it parses every record before it
+checks any;
 ``reference_write_feature_file`` and ``reference_write_labeling_file``
 are the two writers as one ``csv.writer`` row per burst, before their
 text was built from columns; ``parse_radiotap_fields`` is the
@@ -315,32 +318,39 @@ def reference_write_labeling_file(rows, coarse, final, path, header_comment=None
 
 
 def reference_read_feature_file(path):
-    """``BurstRow``s of a feature file in file order: each line after
-    the header parsed on its own, with csv's field limit lifted for the
-    call, and every row checked as the library's reader checks it."""
+    """``BurstRow``s of a feature file in file order: the lines before
+    the header that are blank or start with ``#`` dropped, then every
+    csv record from the header on, numbered by the line it starts on,
+    with csv's field limit lifted for the call; blank records are
+    dropped and every other row is checked as the library's reader
+    checks it."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        numbered = [
-            (lineno, line)
-            for lineno, line in enumerate(fh, start=1)
-            if line.strip() and not line.startswith("#")
-        ]
-    if not numbered:
+        lines = fh.readlines()
+    start = next((i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")), None)
+    if start is None:
         raise ValueError(f"{path}: no header row found")
     limit = csv.field_size_limit(1 << 30)
     try:
-        return _reference_feature_rows(path, numbered)
+        reader = csv.reader(lines[start:])
+        numbered = []
+        ends = start  # lines up to the end of the previous record
+        for record in reader:
+            numbered.append((ends + 1, record))
+            ends = start + reader.line_num
     finally:
         csv.field_size_limit(limit)
+    return _reference_feature_rows(path, numbered)
 
 
 def _reference_feature_rows(path, numbered):
-    header = next(csv.reader([numbered[0][1]]))
+    header_line, header = numbered[0]
     if tuple(header) != FEATURE_FIELDS:
-        raise ValueError(f"{path}:{numbered[0][0]}: unexpected header {header}")
+        raise ValueError(f"{path}:{header_line}: unexpected header {header}")
     rows = []
     first_line = {}
-    for lineno, line in numbered[1:]:
-        row = next(csv.reader([line]))
+    for lineno, row in numbered[1:]:
+        if row == [] or (len(row) == 1 and not row[0].strip()):
+            continue
         try:
             if len(row) != len(FEATURE_FIELDS):
                 raise ValueError(f"expected {len(FEATURE_FIELDS)} fields, got {len(row)}")

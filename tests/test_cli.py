@@ -1,6 +1,7 @@
 """Command-line driver: subcommands, exit codes, reproducible outputs."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -579,6 +580,23 @@ class TestTune:
             ]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "eps_grid, minpts_grid",
+        [("0.05,\n0.1", "5"), ("0.05", "5\r"), ("\r\n0.05", "5,10")],
+        ids=["newline-in-eps", "cr-in-min-pts", "crlf-first"],
+    )
+    def test_line_break_in_grid_is_usage_error(
+        self, workspace, tmp_path, capsys, monkeypatch, eps_grid, minpts_grid
+    ):
+        """``float`` and ``int`` read past a line break, but the header
+        comment that records the grids is one line: the grid is refused
+        before any clustering and nothing is written."""
+        monkeypatch.setattr(cli, "tune_dbscan", lambda *args: pytest.fail("the grid was clustered"))
+        argv = ["tune", str(workspace["features"]), "--out", str(tmp_path / "o"),
+                "--eps-grid", eps_grid, "--minpts-grid", minpts_grid]
+        assert "line break" in assert_usage_error(argv, capsys)
+        assert not (tmp_path / "o").exists()
+
 
 class TestGenerate:
     def test_refuses_nonempty_output(self, workspace, tmp_path):
@@ -651,6 +669,24 @@ class TestIngestDiagnostics:
     def test_truth_labels_from_directory_names(self, workspace):
         labels = set(read_feature_file(workspace["features"]).truth_devices)
         assert labels == {"uniq0", "uniq1", "uniq2", "uniq3"}
+
+    def test_device_name_with_a_line_break_goes_through(self, small_tree, tmp_path):
+        """A device directory named ``dev\\nx`` is ingested, clustered and
+        evaluated: its quoted name spans two lines of each file, and the
+        reader takes the quoted field whole."""
+        dataset = tmp_path / "dataset"
+        shutil.copytree(small_tree[0], dataset)
+        renamed = sorted(p for p in dataset.iterdir() if p.is_dir())[0]
+        renamed.rename(dataset / "dev\nx")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["ingest", str(dataset), "--out", str(tmp_path / "ingest")]) == 0
+            features = str(tmp_path / "ingest" / "bursts.csv")
+            assert main(["cluster", features, "--out", str(tmp_path / "cluster")]) == 0
+            assert main(["evaluate", features, "--d", "1", "--out", str(tmp_path / "evaluate")]) == 0
+        assert "dev\nx" in set(read_feature_file(features).truth_devices)
+        with open(tmp_path / "cluster" / "labeling.csv", encoding="utf-8", newline="") as fh:
+            named = {row[2] for row in csv.reader(fh) if len(row) == 5}
+        assert "dev\nx" in named
 
     def test_empty_dataset_root_is_processing_error(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -1,6 +1,7 @@
 """IE encoding, burst grouping, channel vectors, padding, feature file I/O."""
 
 import csv
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -20,6 +21,7 @@ from probederand.features import (
     pad_matrix,
     read_feature_file,
     write_feature_file,
+    write_table,
 )
 from probederand.pcap import ie_fields, merge_captures
 
@@ -31,6 +33,7 @@ from oracles import (
     frame_table,
     padded,
     reference_group_bursts,
+    reference_read_feature_file,
     reference_write_feature_file,
     reference_write_labeling_file,
     table_rows,
@@ -357,19 +360,39 @@ class TestFeatureFile:
         assert csv.field_size_limit() == limit
 
     def test_other_csv_errors_report_their_line(self, tmp_path, monkeypatch):
+        """A ``csv.Error`` is reported at the line its record starts on:
+        here csv's field limit, held at 40 characters, trips on the long
+        channel vector of the record after one that spans two lines."""
+        rows = [(0, MACS[0], (1, 2, 3), (6,), "two\nlines"), (1, MACS[1], (4, 5, 6), (11,) * 30, "dev-b")]
         path = tmp_path / "bursts.csv"
-        write_feature_file(self.make_bursts(), path)
+        write_feature_file(burst_table(rows), path)
+        original = csv.field_size_limit
+        monkeypatch.setattr(csv, "field_size_limit", lambda *new_limit: original())
+        limit = original(40)
+        try:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: field larger than field limit"):
+                read_feature_file(path)
+        finally:
+            original(limit)
 
-        original = csv.reader
-
-        def reader(lines):
-            if lines[0].startswith("1,"):
-                raise csv.Error("odd row")
-            return original(lines)
-
-        monkeypatch.setattr(csv, "reader", reader)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: odd row$"):
+    @pytest.mark.parametrize("bad_row", [0, 1, 2])
+    def test_error_in_a_record_over_lines_reports_its_first_line(self, tmp_path, bad_row):
+        """Three records of two lines each, after a comment and the
+        header: the reader and the reference reader both report a bad
+        channel vector at the line its record starts on."""
+        rows = [(i, MACS[i], (1, 2, 3), (6,), f"dev\n{i}") for i in range(3)]
+        path = tmp_path / "bursts.csv"
+        write_feature_file(burst_table(rows), path, header_comment="probederand test")
+        data = path.read_bytes()
+        assert data.count(b"\n") == 8
+        good = f'{bad_row}",1,1,2,3,6\r\n'.encode()
+        path.write_bytes(data.replace(good, good.replace(b"6\r", b"0\r")))
+        line = 3 + 2 * bad_row
+        message = f"^{re.escape(str(path))}:{line}: channel_vector needs entries in 0..255 and a positive one"
+        with pytest.raises(ValueError, match=message):
             read_feature_file(path)
+        with pytest.raises(ValueError, match=message):
+            reference_read_feature_file(path)
 
     @pytest.mark.parametrize(
         "column, value",
@@ -455,6 +478,33 @@ class TestWritersMatchRowLoop:
         table = burst_table([(0, MACS[0], (1, 2, 3), (6,), "dev-a")])
         with pytest.raises(ValueError, match="one label per burst"):
             write_labeling_file(table, np.array([0, 1]), np.array([0]), tmp_path / "labeling.csv")
+
+
+class TestFeatureFileRoundTrip:
+    @given(labelled_rows(), st.sampled_from((None, "", "probederand test")))
+    @settings(max_examples=300, deadline=None)
+    def test_read_gives_back_what_was_written(self, drawn, header):
+        """``read_feature_file`` gives back the table ``write_feature_file``
+        wrote, truth names with commas, quotes, line breaks, a leading
+        ``#`` and spaces among them; an empty name reads back as None.
+        Rows with a non-finite IE value or no positive channel entry,
+        which the reader rejects, are left out."""
+        rows = [
+            row._replace(truth_device=row.truth_device or None)
+            for row in drawn[0]
+            if all(map(math.isfinite, row.ie_features)) and max(row.channel_vector) > 0
+        ]
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "bursts.csv"
+            write_feature_file(burst_table(rows), path, header)
+            assert table_rows(read_feature_file(path)) == rows
+
+
+@pytest.mark.parametrize("comment", ["two\nlines", "cr\r", "crlf\r\n", "\n"])
+def test_header_comment_of_more_than_one_line_rejected(tmp_path, comment):
+    with pytest.raises(ValueError, match="header comment is one line"):
+        write_table(tmp_path / "table.csv", ("a", "b"), [("1", "2")], comment)
+    assert not (tmp_path / "table.csv").exists()
 
 
 def test_burst_requires_frames():

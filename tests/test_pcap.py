@@ -1,5 +1,6 @@
 """Capture parsing, Radiotap decoding and multi-sniffer merging."""
 
+import re
 import struct
 
 import numpy as np
@@ -18,6 +19,8 @@ from probederand.pcap import (
     ParseDiagnostics,
     TruncationError,
     ie_fields,
+    mac_from_str,
+    mac_to_str,
     merge_captures,
     read_capture,
     read_dataset,
@@ -221,6 +224,40 @@ class TestReadCapture:
         frames = table_frames(read_capture(data, meta(channel=1)))
         assert frames[0].capture_channel == 1
         assert frames[0].ies == b"\x00\x00"
+
+
+class TestMacText:
+    @given(st.binary(min_size=6, max_size=6))
+    def test_round_trip(self, mac):
+        assert mac_from_str(mac_to_str(mac)) == mac
+
+    def test_either_case(self):
+        assert mac_from_str("0A:1b:2C:3d:4E:5f") == bytes.fromhex("0a1b2c3d4e5f")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0x1a:02:03:04:05:06",
+            "1_0:02:03:04:05:06",
+            "+1a:02:03:04:05:06",
+            " 1a:02:03:04:05:06",
+            "1a:02:03:04:05: 6",
+            "-0:02:03:04:05:06",
+            "1:02:03:04:05:06",
+            "001:02:03:04:05:06",
+            "1g:02:03:04:05:06",
+            "\uff11a:02:03:04:05:06",
+            "01:02:03:04:05",
+            "01:02:03:04:05:06:07",
+            "01:02:03:04:05:06\n",
+            "01-02-03-04-05-06",
+            "010203040506",
+            "",
+        ],
+    )
+    def test_anything_but_six_two_digit_hex_octets_rejected(self, text):
+        with pytest.raises(ValueError, match=f"^not a MAC address: {re.escape(repr(text))}$"):
+            mac_from_str(text)
 
 
 class TestRadiotap:
