@@ -63,15 +63,24 @@ class KmeansConfig:
             raise UsageError("k_max must be at least 1")
 
 
+def _first_occurrence_order(
+    first: np.ndarray, inverse: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique``'s index, inverse and counts with the distinct values
+    renumbered in order of first occurrence: (each one's first index,
+    its multiplicity, each input's distinct index)."""
+    order = np.argsort(first)
+    return first[order], counts[order], np.argsort(order)[inverse]
+
+
 def _dbscan_prepare(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(distinct rows in first-occurrence order, their multiplicities,
     the distinct-row index of every input row)."""
     data = np.asarray(points, dtype=float)
-    _, first, inverse, counts = np.unique(
-        data, axis=0, return_index=True, return_inverse=True, return_counts=True
+    first, counts, inverse = _first_occurrence_order(
+        *np.unique(data, axis=0, return_index=True, return_inverse=True, return_counts=True)[1:]
     )
-    order = np.argsort(first)
-    return data[first[order]], counts[order], np.argsort(order)[inverse]
+    return data[first], counts, inverse
 
 
 def _dbscan_neighbours(
@@ -97,10 +106,9 @@ def _dbscan_neighbours(
     return within, reach
 
 
-def _dbscan_scan(within: np.ndarray, reach: np.ndarray, min_pts: int) -> np.ndarray:
+def _dbscan_scan(within: np.ndarray, core: np.ndarray) -> np.ndarray:
     """Labels of the distinct rows: clusters grown breadth-first from
-    the core rows in scan order."""
-    core = reach >= min_pts
+    the ``core`` rows in scan order."""
     labels = np.full(len(core), NOISE, dtype=int)
     cluster = 0
     for seed in range(len(core)):
@@ -135,12 +143,14 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 
     It is three steps: the distinct rows depend on ``points`` alone,
     the neighbour booleans and weighted counts also on ``eps``, and
-    only the core test and scan on ``min_pts``. ``tune_dbscan`` runs
-    each step once per pool, per (pool, eps) and per grid point.
+    only the core test and scan on ``min_pts``. ``tune_dbscan`` finds
+    the distinct rows from fingerprint ids, runs the neighbour step once
+    per (pool, eps) and the scan once per distinct (booleans, core rows)
+    of a pool.
     """
     distinct, weights, inverse = _dbscan_prepare(points)
     within, reach = _dbscan_neighbours(distinct, weights, eps)
-    return _dbscan_scan(within, reach, min_pts)[inverse]
+    return _dbscan_scan(within, reach >= min_pts)[inverse]
 
 
 def dbscan(points: np.ndarray, config: DbscanConfig) -> np.ndarray:

@@ -219,7 +219,9 @@ def write_burst_rows(
 ) -> None:
     """``write_table`` of one row per burst: its id, MAC and truth name
     (empty when None), then the texts of ``columns``. The text of each
-    MAC and truth name is made once per distinct value."""
+    MAC and truth name is made once per distinct value. Raises
+    ValueError, before the file is opened, for a truth name holding a
+    NUL character."""
     ids = list(map(str, table.ids.tolist()))
     macs = _texts(table.source_macs.tolist(), mac_to_str)
     truths = _texts(table.truth_devices.tolist(), _csv_field)
@@ -234,9 +236,13 @@ def _texts(values: list, text: Callable[[object], str]) -> list[str]:
 
 def _csv_field(value: Optional[str]) -> str:
     """``value``, None read as empty, as ``csv.writer`` writes it among
-    other fields: quoted where it holds a comma, a quote or a line break."""
+    other fields: quoted where it holds a comma, a quote or a line break.
+    A NUL character is refused: ``csv.reader`` before Python 3.11 cannot
+    read it back."""
     if not value:
         return ""
+    if "\x00" in value:
+        raise ValueError(f"truth device {value!r} holds a NUL character")
     buffer = io.StringIO()
     csv.writer(buffer).writerow([value])
     return buffer.getvalue()[: -len("\r\n")]

@@ -21,8 +21,8 @@ from .clustering import (
     KmeansConfig,
     UsageError,
     _dbscan_neighbours,
-    _dbscan_prepare,
     _dbscan_scan,
+    _first_occurrence_order,
     ie_only_cluster,
     n_clusters,
     two_stage_cluster,
@@ -315,11 +315,19 @@ def tune_dbscan(
     for an empty grid, a grid point out of range, or bursts that name
     fewer than two devices.
 
-    The draws are ``run_protocol``'s, without the channel vectors. Each
-    draw's IE rows are normalized and collapsed to their distinct rows
-    once, their neighbour booleans are built once per eps, and only the
-    core test and scan run per grid point: the labels ``ie_only_cluster``
-    gives at each grid point, scores averaged in draw order.
+    The draws are ``run_protocol``'s, without the channel vectors, and
+    each grid point's scores are those of ``ie_only_cluster``'s labels,
+    averaged in draw order. One call numbers the raw IE rows once:
+    bursts with equal rows share a fingerprint id. A draw's distinct
+    rows, in first-occurrence order, and their weights come from a 1-D
+    ``np.unique`` of its ids, and only those rows are min-max scaled.
+    That is exact: the scaling does the same arithmetic per element
+    whichever copies of a row it sees, and raw rows that scale to one
+    value are at distance 0, so they share their neighbours, their
+    weighted core test and their cluster. The neighbour booleans are
+    built once per (draw, eps). Labels and scores are a function of the
+    booleans and the core rows, so each distinct pair of them is
+    scanned and scored once per draw.
     """
     if len(eps_grid) == 0 or len(minpts_grid) == 0:
         raise UsageError("hyperparameter grids must be non-empty")
@@ -330,15 +338,32 @@ def tune_dbscan(
         for eps in eps_grid
     ]
     (n_devices, codes), draws = _protocol_table(table, eval_cfg)
+    fingerprints = np.unique(table.ie_features, axis=0, return_inverse=True)[1]
     for p, _, idx in draws:
         truth = (n_devices, codes[idx])
-        distinct, weights, inverse = _dbscan_prepare(normalize_ie_matrix(table.ie_features[idx]))
+        first, weights, inverse = _first_occurrence_order(
+            *np.unique(fingerprints[idx], return_index=True, return_inverse=True, return_counts=True)[1:]
+        )
+        distinct = normalize_ie_matrix(table.ie_features[idx[first]])
+        # (neighbour pairs, core rows) -> (V, |Delta|). The counts name
+        # the arrays: a larger eps keeps every pair a smaller one finds,
+        # and a larger min_pts leaves out of the core every row a smaller
+        # one leaves out, so within one draw two neighbour matrices, or
+        # two core masks of one matrix, are equal exactly when their
+        # counts are.
+        scores: dict[tuple[int, int], tuple[float, int]] = {}
         for same_eps in grid:
             within, reach = _dbscan_neighbours(distinct, weights, same_eps[0][0].eps)
+            pairs = int(within.sum())
             for cfg, v_measures, abs_deltas in same_eps:
-                labels = _dbscan_scan(within, reach, cfg.min_pts)[inverse]
-                v_measures.append(_hcv(truth, labels)[2])
-                abs_deltas.append(abs(delta_error(n_clusters(labels), p)))
+                core = reach >= cfg.min_pts
+                key = (pairs, int(core.sum()))
+                if key not in scores:
+                    labels = _dbscan_scan(within, core)
+                    scores[key] = (_hcv(truth, labels[inverse])[2], abs(delta_error(n_clusters(labels), p)))
+                v_measure, abs_delta = scores[key]
+                v_measures.append(v_measure)
+                abs_deltas.append(abs_delta)
 
     rows = [
         TuneRow(

@@ -274,6 +274,12 @@ def reference_group_bursts(frames, gap_seconds=2.0, truths=None):
     return bursts
 
 
+def _refuse_nul_truths(rows):
+    for row in rows:
+        if "\x00" in (row.truth_device or ""):
+            raise ValueError(f"truth device {row.truth_device!r} holds a NUL character")
+
+
 def _reference_write_table(path, fields, rows, header_comment):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if header_comment:
@@ -285,7 +291,9 @@ def _reference_write_table(path, fields, rows, header_comment):
 
 def reference_write_feature_file(rows, path, header_comment=None):
     """``write_feature_file`` of ``BurstRow``s in id order as a row loop:
-    one ``csv.writer`` row per burst."""
+    one ``csv.writer`` row per burst. A truth name holding NUL is
+    refused before the file is opened."""
+    _refuse_nul_truths(rows)
 
     def number(x):
         return str(int(x)) if float(x).is_integer() else repr(float(x))
@@ -305,7 +313,9 @@ def reference_write_feature_file(rows, path, header_comment=None):
 
 
 def reference_write_labeling_file(rows, coarse, final, path, header_comment=None):
-    """``write_labeling_file`` of ``BurstRow``s in id order as a row loop."""
+    """``write_labeling_file`` of ``BurstRow``s in id order as a row
+    loop, refusing a truth name that holds NUL as the feature file's."""
+    _refuse_nul_truths(rows)
     _reference_write_table(
         path,
         LABELING_FIELDS,

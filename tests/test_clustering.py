@@ -248,7 +248,7 @@ class TestDbscan:
         for grid_eps in (eps, 1.5, 2.0):
             within, reach = _dbscan_neighbours(distinct, weights, grid_eps)
             for grid_min_pts in (1, min_pts, 30):
-                got = _dbscan_scan(within, reach, grid_min_pts)[inverse].tolist()
+                got = _dbscan_scan(within, reach >= grid_min_pts)[inverse].tolist()
                 assert got == all_rows_dbscan(data, grid_eps, grid_min_pts).tolist()
                 assert got == reference_dbscan(points, grid_eps, grid_min_pts)
 

@@ -426,7 +426,7 @@ class TestFeatureFile:
 # truth names that csv must quote, and None for an unlabelled burst
 TRUTHS = st.one_of(
     st.none(),
-    st.sampled_from(("", "dev-a", "a,b", 'say "hi"', "two\nlines", "cr\r", " pad ", "#x")),
+    st.sampled_from(("", "dev-a", "a,b", 'say "hi"', "two\nlines", "cr\r", " pad ", "#x", "nul\x00")),
     st.text(max_size=6),
 )
 IE_VALUES = st.one_of(
@@ -458,21 +458,36 @@ def labelled_rows(draw):
     return rows, np.array(draw(labels), dtype=np.int64), np.array(draw(labels), dtype=np.int64)
 
 
+def has_nul_truth(rows):
+    return any("\x00" in (row.truth_device or "") for row in rows)
+
+
 class TestWritersMatchRowLoop:
     @given(labelled_rows(), st.sampled_from((None, "", "probederand test")))
     @settings(max_examples=300, deadline=None)
     def test_same_bytes(self, drawn, header):
-        """Both writers write the bytes of one ``csv.writer`` row per burst."""
+        """Both writers write the bytes of one ``csv.writer`` row per burst,
+        or both refuse a truth name holding NUL and write no file."""
         rows, coarse, final = drawn
         table = burst_table(rows)
         with tempfile.TemporaryDirectory() as scratch:
             written, expected = Path(scratch) / "written.csv", Path(scratch) / "expected.csv"
-            write_feature_file(table, written, header)
-            reference_write_feature_file(rows, expected, header)
-            assert written.read_bytes() == expected.read_bytes()
-            write_labeling_file(table, coarse, final, written, header)
-            reference_write_labeling_file(rows, coarse, final, expected, header)
-            assert written.read_bytes() == expected.read_bytes()
+            writes = [
+                (lambda: write_feature_file(table, written, header),
+                 lambda: reference_write_feature_file(rows, expected, header)),
+                (lambda: write_labeling_file(table, coarse, final, written, header),
+                 lambda: reference_write_labeling_file(rows, coarse, final, expected, header)),
+            ]
+            for write, reference_write in writes:
+                if has_nul_truth(rows):
+                    for call in (write, reference_write):
+                        with pytest.raises(ValueError, match="holds a NUL character"):
+                            call()
+                    assert not written.exists() and not expected.exists()
+                    continue
+                write()
+                reference_write()
+                assert written.read_bytes() == expected.read_bytes()
 
     def test_label_count_checked(self, tmp_path):
         table = burst_table([(0, MACS[0], (1, 2, 3), (6,), "dev-a")])
@@ -488,7 +503,9 @@ class TestFeatureFileRoundTrip:
         wrote, truth names with commas, quotes, line breaks, a leading
         ``#`` and spaces among them; an empty name reads back as None.
         Rows with a non-finite IE value or no positive channel entry,
-        which the reader rejects, are left out."""
+        which the reader rejects, are left out. A name holding NUL, which
+        ``csv.reader`` before Python 3.11 cannot read, is refused and no
+        file is written."""
         rows = [
             row._replace(truth_device=row.truth_device or None)
             for row in drawn[0]
@@ -496,6 +513,11 @@ class TestFeatureFileRoundTrip:
         ]
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "bursts.csv"
+            if has_nul_truth(rows):
+                with pytest.raises(ValueError, match="holds a NUL character"):
+                    write_feature_file(burst_table(rows), path, header)
+                assert not path.exists()
+                return
             write_feature_file(burst_table(rows), path, header)
             assert table_rows(read_feature_file(path)) == rows
 

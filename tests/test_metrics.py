@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probederand import UsageError, clustering, metrics
@@ -30,6 +30,7 @@ from probederand.metrics import (
     summarize,
     tune_dbscan,
 )
+from probederand.features import normalize_ie_matrix
 from probederand.randomness import STREAM_KMEANS, child_seed
 
 from oracles import (
@@ -135,6 +136,13 @@ def synthetic_bursts(n_devices=14, bursts_per=12, twins=False):
             bursts.append((bid, bytes([0x02, 0, 0, 0, d, bid % 256]), ie, vector, f"dev{d:02d}"))
             bid += 1
     return burst_table(bursts)
+
+
+def tune_bursts(groups):
+    """Labelled bursts of (IE row, count, device index) groups, ids in
+    group order."""
+    features = [(row, f"dev{d}") for row, count, d in groups for _ in range(count)]
+    return [(i, bytes([2, 0, 0, 0, 0, i]), row, (1, 6, 11), device) for i, (row, device) in enumerate(features)]
 
 
 @st.composite
@@ -414,6 +422,34 @@ class TestTune:
 
     @given(duplicate_heavy_tunes())
     @settings(max_examples=60, deadline=None)
+    # 0.1 and 0.2 beside -1e17 scale to one value but are two fingerprints
+    @example(
+        (
+            tune_bursts([((0.1, 1, 1), 2, 0), ((0.2, 1, 1), 2, 0), ((-1e17, 1, 1), 1, 0), ((5, 5, 5), 3, 1)]),
+            [0.25],
+            [4, 5, 1],
+            EvalConfig(d=2, seed=3),
+        )
+    )
+    # 0.0 and -0.0: one fingerprint by value
+    @example(
+        (
+            tune_bursts([((0.0, 1, 2), 2, 0), ((-0.0, 1, 2), 3, 0), ((4, 4, 4), 4, 0), ((-0.0, 1, 2), 2, 1)]),
+            [0.5],
+            [4, 5, 6],
+            EvalConfig(d=2, seed=5),
+        )
+    )
+    # eps 0.25 and 0.3 give one neighbour matrix, min_pts 1 and 30 two
+    # core masks, so a memo keyed on the neighbours alone reuses a score
+    @example(
+        (
+            tune_bursts([((0, 0, 0), 3, 0), ((1, 0, 0), 2, 0), ((4, 4, 4), 3, 0), ((0, 0, 0), 2, 1), ((4, 4, 4), 2, 1)]),
+            [0.25, 0.3],
+            [1, 30],
+            EvalConfig(d=2, seed=1),
+        )
+    )
     def test_matches_per_point_oracle(self, instance):
         bursts, eps_grid, minpts_grid, cfg = instance
         want = per_point_tune(bursts, eps_grid, minpts_grid, cfg)
@@ -421,19 +457,24 @@ class TestTune:
 
     @staticmethod
     def count_steps(monkeypatch):
-        calls = {"_dbscan_prepare": 0, "_dbscan_neighbours": 0}
+        """Counts of the calls to the coarse steps and to scoring, each
+        patched where its caller looks it up, and of ``np.unique`` over
+        rows (an ``axis`` given)."""
+        calls = dict.fromkeys(["_dbscan_prepare", "_dbscan_neighbours", "_hcv", "unique"], 0)
 
-        def counted(name):
-            original = getattr(metrics, name)
+        def count(module, name, counts=lambda *args, **kwargs: True):
+            original = getattr(module, name)
 
-            def step(*args):
-                calls[name] += 1
-                return original(*args)
+            def step(*args, **kwargs):
+                calls[name] += counts(*args, **kwargs)
+                return original(*args, **kwargs)
 
-            return step
+            monkeypatch.setattr(module, name, step)
 
-        for name in calls:
-            monkeypatch.setattr(metrics, name, counted(name))
+        count(clustering, "_dbscan_prepare")
+        count(metrics, "_dbscan_neighbours")
+        count(metrics, "_hcv")
+        count(np, "unique", lambda *args, axis=None, **kwargs: axis is not None)
         return calls
 
     def test_grid_validated_before_any_pool_is_clustered(self, monkeypatch):
@@ -441,16 +482,31 @@ class TestTune:
         bursts = synthetic_bursts(n_devices=3)
         with pytest.raises(ValueError, match="min_pts"):
             tune_dbscan(bursts, [0.05], [5, 0], EvalConfig(d=1, seed=1))
-        assert calls == {"_dbscan_prepare": 0, "_dbscan_neighbours": 0}
+        assert calls == {"_dbscan_prepare": 0, "_dbscan_neighbours": 0, "_hcv": 0, "unique": 0}
 
-    def test_each_pool_prepared_once_and_its_neighbours_once_per_eps(self, monkeypatch):
-        calls = self.count_steps(monkeypatch)
+    def test_pools_found_from_ids_neighbours_once_per_eps_scored_once_per_key(self, monkeypatch):
+        """No pool is prepared row by row: one ``np.unique`` over the
+        table's rows per call. The neighbours are built once per (pool,
+        eps), and each pool's labels are scored once per distinct
+        (neighbour booleans, core rows), counted here the plain way."""
         bursts = synthetic_bursts(n_devices=5, bursts_per=12)
         cfg = EvalConfig(d=3, seed=21)
-        pools = len(reference_pools(table_rows(bursts), cfg))
+        eps_grid, minpts_grid = [0.05, 0.3, 0.9], [5, 13]
+        pools = reference_pools(table_rows(bursts), cfg)
+        keys = 0
+        for _, _, pool in pools:
+            distinct, weights, _ = clustering._dbscan_prepare(normalize_ie_matrix([b.ie_features for b in pool]))
+            found = set()
+            for eps in eps_grid:
+                within, reach = clustering._dbscan_neighbours(distinct, weights, eps)
+                found.update((within.tobytes(), (reach >= min_pts).tobytes()) for min_pts in minpts_grid)
+            keys += len(found)
+        assert keys < 6 * len(pools)  # the grid repeats labelings
+
+        calls = self.count_steps(monkeypatch)
         for _ in range(2):  # nothing carries over from one call to the next
-            tune_dbscan(bursts, [0.05, 0.3, 0.9], [5, 10], cfg)
-            assert calls == {"_dbscan_prepare": pools, "_dbscan_neighbours": 3 * pools}
+            tune_dbscan(bursts, eps_grid, minpts_grid, cfg)
+            assert calls == {"_dbscan_prepare": 0, "_dbscan_neighbours": 3 * len(pools), "_hcv": keys, "unique": 1}
             calls.update({name: 0 for name in calls})
 
 
