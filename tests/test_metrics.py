@@ -16,6 +16,7 @@ from probederand.clustering import (
     n_clusters,
     two_stage_cluster,
 )
+from probederand.features import normalize_ie_matrix
 from probederand.metrics import (
     METHOD_IE_ONLY,
     METHOD_TWO_STAGE,
@@ -30,7 +31,6 @@ from probederand.metrics import (
     summarize,
     tune_dbscan,
 )
-from probederand.features import normalize_ie_matrix
 from probederand.randomness import STREAM_KMEANS, child_seed
 
 from oracles import (
