@@ -63,24 +63,20 @@ class KmeansConfig:
             raise UsageError("k_max must be at least 1")
 
 
-def _first_occurrence_order(
-    first: np.ndarray, inverse: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.unique``'s index, inverse and counts with the distinct values
-    renumbered in order of first occurrence: (each one's first index,
-    its multiplicity, each input's distinct index)."""
+def _distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first index of each distinct row, its multiplicity, each row's
+    distinct index), the distinct rows numbered in order of first
+    occurrence. Rows are compared by their bytes, so 0.0 and -0.0
+    differ. A 1-D array's entries are its rows; zero-width rows are all
+    one row."""
+    rows = np.ascontiguousarray(values)
+    rows = rows.reshape(len(rows), int(np.prod(rows.shape[1:])))
+    # One void scalar per row holds the row's bytes; a zero-width row has none.
+    width = rows.itemsize * rows.shape[1]
+    keys = rows.view(np.dtype((np.void, width)))[:, 0] if width else np.zeros(len(rows))
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
     order = np.argsort(first)
     return first[order], counts[order], np.argsort(order)[inverse]
-
-
-def _dbscan_prepare(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(distinct rows in first-occurrence order, their multiplicities,
-    the distinct-row index of every input row)."""
-    data = np.asarray(points, dtype=float)
-    first, counts, inverse = _first_occurrence_order(
-        *np.unique(data, axis=0, return_index=True, return_inverse=True, return_counts=True)[1:]
-    )
-    return data[first], counts, inverse
 
 
 def _dbscan_neighbours(
@@ -138,8 +134,8 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     each weighted by its multiplicity. Copies of a row are at distance
     0 from each other, so they share their neighbours, their core test
     and, in scan order, their cluster: the labels are those of the scan
-    over every row. Rows are compared by value, so 0.0 and -0.0 are one
-    row; both give the same squared differences.
+    over every row. Rows are compared by bytes: 0.0 and -0.0 copies are
+    two distinct rows at distance 0, so the same holds of them.
 
     It is three steps: the distinct rows depend on ``points`` alone,
     the neighbour booleans and weighted counts also on ``eps``, and
@@ -148,8 +144,9 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     per (pool, eps) and the scan once per distinct (booleans, core rows)
     of a pool.
     """
-    distinct, weights, inverse = _dbscan_prepare(points)
-    within, reach = _dbscan_neighbours(distinct, weights, eps)
+    data = np.asarray(points, dtype=float)
+    first, weights, inverse = _distinct_rows(data)
+    within, reach = _dbscan_neighbours(data[first], weights, eps)
     return _dbscan_scan(within, reach >= min_pts)[inverse]
 
 
@@ -174,8 +171,8 @@ class _Pool:
     """One fine-stage pool's rows, prepared once for every k and restart
     that clusters them, and the memos of their D² seeding and Lloyd runs.
 
-    ``ids`` numbers each row's unit row by its bytes, so rows with one
-    direction share an id. ``distances`` maps an id to the cosine
+    ``ids`` numbers each row's unit row with ``_distinct_rows``: equal
+    unit-row bytes share an id. ``distances`` maps an id to the cosine
     distances of every row to that unit row; ``seedings`` maps a set of
     picked ids to (the cumulative D² weights of the rows, their total);
     ``runs`` maps the ids of seeded centres, in order, to ``_lloyd``'s
@@ -184,8 +181,7 @@ class _Pool:
 
     def __init__(self, rows: np.ndarray) -> None:
         self.unit = _unit_rows(rows)
-        first: dict[bytes, int] = {}
-        self.ids = [first.setdefault(row.tobytes(), len(first)) for row in self.unit]
+        self.ids = _distinct_rows(self.unit)[2].tolist()
         self.distances: dict[int, np.ndarray] = {}
         self.seedings: dict[frozenset[int], tuple[np.ndarray, float]] = {}
         self.runs: dict[
@@ -393,7 +389,7 @@ def _refine_labels(
     if key not in pools:
         # Once k reaches the pool's distinct rows, D² seeding has a centre on
         # each and the distortion is zero, so the elbow never picks a larger k.
-        cap = len({row.tobytes() for row in rows})
+        cap = len(_distinct_rows(rows)[0])
         pools[key] = (cap, None, None) if cap == 1 else (
             cap, dynamic_threshold(average_pairwise_similarity(rows)), _Pool(rows)
         )

@@ -306,8 +306,13 @@ def read_feature_file(path) -> BurstTable:
                             raise ValueError(f"burst_id {burst_id} is outside the signed 64-bit range")
                         first_line[burst_id] = lineno
                     lineno = skipped + reader.line_num + 1
+            except UnicodeDecodeError:
+                raise
             except (ValueError, csv.Error) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ValueError(f"{path}: not UTF-8 text (cannot decode byte 0x{byte:02x}: {exc.reason})") from None
     finally:
         csv.field_size_limit(limit)
     rows.sort(key=lambda row: row[0])

@@ -22,7 +22,7 @@ from .clustering import (
     UsageError,
     _dbscan_neighbours,
     _dbscan_scan,
-    _first_occurrence_order,
+    _distinct_rows,
     ie_only_cluster,
     n_clusters,
     two_stage_cluster,
@@ -317,17 +317,18 @@ def tune_dbscan(
 
     The draws are ``run_protocol``'s, without the channel vectors, and
     each grid point's scores are those of ``ie_only_cluster``'s labels,
-    averaged in draw order. One call numbers the raw IE rows once:
-    bursts with equal rows share a fingerprint id. A draw's distinct
-    rows, in first-occurrence order, and their weights come from a 1-D
-    ``np.unique`` of its ids, and only those rows are min-max scaled.
-    That is exact: the scaling does the same arithmetic per element
-    whichever copies of a row it sees, and raw rows that scale to one
-    value are at distance 0, so they share their neighbours, their
-    weighted core test and their cluster. The neighbour booleans are
-    built once per (draw, eps). Labels and scores are a function of the
-    booleans and the core rows, so each distinct pair of them is
-    scanned and scored once per draw.
+    averaged in draw order. One ``_distinct_rows`` of the raw IE rows
+    per call gives each burst a fingerprint id: bursts whose rows are
+    equal by bytes share one. A draw's distinct rows, in
+    first-occurrence order, and their weights come from
+    ``_distinct_rows`` of its ids, and only those rows are min-max
+    scaled. That is exact: the scaling does the same arithmetic per
+    element whichever copies of a row it sees, and raw rows that scale
+    to one value (0.0 and -0.0 among them) are at distance 0, so they
+    share their neighbours, their weighted core test and their cluster.
+    The neighbour booleans are built once per (draw, eps). Labels and
+    scores are a function of the booleans and the core rows, so each
+    distinct pair of them is scanned and scored once per draw.
     """
     if len(eps_grid) == 0 or len(minpts_grid) == 0:
         raise UsageError("hyperparameter grids must be non-empty")
@@ -338,12 +339,10 @@ def tune_dbscan(
         for eps in eps_grid
     ]
     (n_devices, codes), draws = _protocol_table(table, eval_cfg)
-    fingerprints = np.unique(table.ie_features, axis=0, return_inverse=True)[1]
+    fingerprints = _distinct_rows(table.ie_features)[2]
     for p, _, idx in draws:
         truth = (n_devices, codes[idx])
-        first, weights, inverse = _first_occurrence_order(
-            *np.unique(fingerprints[idx], return_index=True, return_inverse=True, return_counts=True)[1:]
-        )
+        first, weights, inverse = _distinct_rows(fingerprints[idx])
         distinct = normalize_ie_matrix(table.ie_features[idx[first]])
         # (neighbour pairs, core rows) -> (V, |Delta|). The counts name
         # the arrays: a larger eps keeps every pair a smaller one finds,

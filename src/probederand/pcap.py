@@ -483,7 +483,7 @@ def merge_captures(
 
 def _channel_sort_key(path: Path) -> tuple[int, str]:
     stem = path.stem
-    return (int(stem), stem) if stem.isdigit() else (1 << 16, stem)
+    return (int(stem), stem) if stem.isascii() and stem.isdigit() else (1 << 16, stem)
 
 
 def iter_dataset_files(root: Path) -> Iterator[tuple[str, Path, Optional[int]]]:
@@ -495,10 +495,8 @@ def iter_dataset_files(root: Path) -> Iterator[tuple[str, Path, Optional[int]]]:
     device_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     for ddir in device_dirs:
         for path in sorted(ddir.glob("*.pcap"), key=_channel_sort_key):
-            declared = None
-            if path.stem.isdigit() and 1 <= int(path.stem) <= 13:
-                declared = int(path.stem)
-            yield ddir.name, path, declared
+            channel = _channel_sort_key(path)[0]
+            yield ddir.name, path, channel if 1 <= channel <= 13 else None
 
 
 def read_dataset(

@@ -334,8 +334,12 @@ def reference_read_feature_file(path):
     with csv's field limit lifted for the call; blank records are
     dropped and every other row is checked as the library's reader
     checks it."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ValueError(f"{path}: not UTF-8 text (cannot decode byte 0x{byte:02x}: {exc.reason})") from None
     start = next((i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")), None)
     if start is None:
         raise ValueError(f"{path}: no header row found")
@@ -521,6 +525,22 @@ def all_rows_dbscan(points, eps, min_pts):
                 frontier.extend(reached)
         cluster += 1
     return labels
+
+
+def reference_distinct_rows(values):
+    """(first index of each distinct row, its multiplicity, each row's
+    distinct index) as lists, from a dict over each row's bytes that
+    numbers the rows in the order they first appear."""
+    ids, first, counts, index = {}, [], [], []
+    for i, row in enumerate(np.asarray(values)):
+        key = np.asarray(row).tobytes()
+        if key not in ids:
+            ids[key] = len(first)
+            first.append(i)
+            counts.append(0)
+        counts[ids[key]] += 1
+        index.append(ids[key])
+    return first, counts, index
 
 
 def reference_refine_labels(rows, config, seed_key):

@@ -519,6 +519,20 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: burst ") and "ground-truth" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command",
+        [["cluster"], ["evaluate"], ["tune", "--eps-grid", "0.05", "--minpts-grid", "5"]],
+        ids=lambda c: c[0],
+    )
+    def test_feature_file_not_utf8_is_one_line(self, workspace, tmp_path, capsys, command):
+        """A 0xff byte in a comment before the header is reported as one
+        line naming the file, with exit 1."""
+        broken = tmp_path / "latin.csv"
+        broken.write_bytes(b"# caf\xff\n" + workspace["features"].read_bytes())
+        assert main([command[0], str(broken), "--out", str(tmp_path / "x"), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {broken}: not UTF-8 text (cannot decode byte 0xff: invalid start byte)\n"
+
     def test_rerun_byte_identical(self, workspace, tmp_path):
         args = ["evaluate", str(workspace["features"]), "--d", "2", "--seed", "3"]
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -22,8 +22,8 @@ from probederand.clustering import (
     DbscanConfig,
     KmeansConfig,
     _dbscan_neighbours,
-    _dbscan_prepare,
     _dbscan_scan,
+    _distinct_rows,
     _Pool,
     _refine_labels,
     _seed_rows,
@@ -53,6 +53,7 @@ from oracles import (
     plain_seed_centers,
     plain_spherical_kmeans,
     reference_dbscan,
+    reference_distinct_rows,
     reference_refine_labels,
     table_rows,
     unguarded_fix_empty_clusters,
@@ -112,6 +113,49 @@ def contested_chains(draw):
     min_pts = sum(inner) + 1
     points = [row for row, c in zip(rows + extra, counts + extra_counts) for _ in range(c)]
     return draw(st.permutations(points)), 1.0, min_pts
+
+
+@st.composite
+def row_arrays(draw):
+    """Arrays for ``_distinct_rows``: 1-D int arrays, or float rows of
+    width 0 to 3, none to 30 of them, drawn from a pool of 1 to 30 rows
+    (so small pools repeat rows) whose entries mix 0.0, -0.0 and NaN with
+    any float. Each is given C-ordered, Fortran-ordered or as every other
+    column (entry) of a wider array."""
+    if draw(st.booleans()):
+        data = np.array(draw(st.lists(st.integers(-3, 3), max_size=30)), dtype=np.int64)
+    else:
+        width = draw(st.integers(0, 3))
+        entry = st.sampled_from((0.0, -0.0, math.nan, 1.0)) | st.floats()
+        pool = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=30))
+        rows = draw(st.lists(st.sampled_from(pool), max_size=30))
+        data = np.array(rows, dtype=float).reshape(len(rows), width)
+    layout = draw(st.sampled_from(("C", "F", "strided")))
+    if layout == "F":
+        return np.asfortranarray(data)
+    if layout == "strided":
+        return np.repeat(data, 2, axis=data.ndim - 1)[..., ::2]
+    return data
+
+
+class TestDistinctRows:
+    @given(row_arrays())
+    @settings(max_examples=300, deadline=None)
+    @example(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]]))
+    @example(np.array([[math.nan, 1.0], [0.5, 1.0], [math.nan, 1.0]]))
+    @example(np.asfortranarray(np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]])))
+    @example(np.arange(12.0).reshape(3, 4)[:, 1:3])
+    @example(np.array([4, 2, 4, 4], dtype=np.int64))
+    @example(np.zeros((0, 3)))
+    @example(np.zeros((4, 0)))
+    def test_matches_bytes_dict(self, values):
+        """First indices, multiplicities and each row's distinct index
+        are those of numbering the rows' bytes in a dict: 0.0 and -0.0
+        differ, copies of a NaN row are one row, and zero-width rows
+        are all one row."""
+        first, counts, inverse = _distinct_rows(values)
+        assert [first.tolist(), counts.tolist(), inverse.tolist()] == list(reference_distinct_rows(values))
+        assert inverse.dtype.kind == "i" and inverse.shape == (len(values),)
 
 
 class TestDbscan:
@@ -214,7 +258,8 @@ class TestDbscan:
         counts would need an n x n integer buffer unblocked."""
         n = 3000
         points = np.random.default_rng(4).uniform(0, 1, size=(n, 3))
-        distinct, weights, _ = _dbscan_prepare(points)
+        first, weights, _ = _distinct_rows(points)
+        distinct = points[first]
         assert len(distinct) == n
         for run in (
             lambda: dbscan_labels(points, 0.05, 10),
@@ -244,7 +289,8 @@ class TestDbscan:
         references."""
         points, eps, min_pts = instance
         data = np.array(points)
-        distinct, weights, inverse = _dbscan_prepare(data)
+        first, weights, inverse = _distinct_rows(data)
+        distinct = data[first]
         for grid_eps in (eps, 1.5, 2.0):
             within, reach = _dbscan_neighbours(distinct, weights, grid_eps)
             for grid_min_pts in (1, min_pts, 30):
@@ -271,9 +317,14 @@ class TestDbscan:
             (np.zeros((0, 3)), 1),
             (np.array([[0.3, 0.1, 0.7]]), 1),
             (np.array([[0.3, 0.1, 0.7]]), 2),
-            # 0.0 and -0.0 are one distinct row: only counted together do
-            # they reach min_pts
+            # 0.0 and -0.0 differ by bytes, so they are two distinct rows
+            # at distance 0: each one's weighted count holds both, so
+            # together they reach min_pts
             (np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.5, 1.0]]), 4),
+            # a NaN row is within eps of nothing, its copies included
+            (np.array([[math.nan, 1.0], [0.5, 1.0], [math.nan, 1.0], [0.5, 1.0]]), 1),
+            # zero-width rows are all one row
+            (np.zeros((4, 0)), 4),
         ],
     )
     def test_edge_cases_match_all_rows(self, points, min_pts):
@@ -728,8 +779,11 @@ class TestRefine:
             rows = rows[rng.permutation(len(rows))]
             config = KmeansConfig(k_max=k_max, seed=i)
             want = reference_refine_labels(rows, config, seed_key=(i,))
-            assert _refine_labels(rows, config, (i,), {}).tolist() == want.tolist()
+            entries = {}
+            assert _refine_labels(rows, config, (i,), entries).tolist() == want.tolist()
             distinct = len(np.unique(rows, axis=0))
+            # the entry's k cap; k_max 1 returns before building one
+            assert [cap for cap, _, _ in entries.values()] == ([distinct] if k_max > 1 else [])
             capped += distinct < min(k_max, len(rows))
             picked_distinct += 1 < distinct == len(set(want.tolist()))
             k_above_n += k_max > len(rows)

@@ -422,6 +422,33 @@ class TestFeatureFile:
         with pytest.raises(ValueError, match="header"):
             read_feature_file(path)
 
+    @pytest.mark.parametrize(
+        "rows, comment, good, bad, reason",
+        [
+            (1, "probederand test", b"probederand test", b"probederand \xfftest", "0xff: invalid start byte"),
+            (1, None, b"dev-0", b"dev-\xff0", "0xff: invalid start byte"),
+            # past the first 8 KiB the reader decodes, inside its csv loop
+            (400, None, b"dev-399", b"dev-\xe2399", "0xe2: invalid continuation byte"),
+            (400, None, b"dev-399,1,1,2,3,6\r\n", b"dev-399,1,1,2,3,6\r\n\xe2\x82", "0xe2: unexpected end of data"),
+        ],
+        ids=["comment", "truth-on-line-2", "truth-past-8-KiB", "cut-sequence"],
+    )
+    def test_not_utf8_names_the_file(self, tmp_path, rows, comment, good, bad, reason):
+        """Bytes that are not UTF-8 anywhere in the file give one message
+        naming the file and the first bad byte, with no line number,
+        from the reader and the reference reader alike."""
+        table = burst_table([(i, MACS[0], (1, 2, 3), (6,), f"dev-{i}") for i in range(rows)])
+        path = tmp_path / "bursts.csv"
+        write_feature_file(table, path, header_comment=comment)
+        data = path.read_bytes()
+        assert data.count(good) == 1 and (rows == 1 or len(data) > 8192)
+        path.write_bytes(data.replace(good, bad))
+        message = f"^{re.escape(str(path))}: not UTF-8 text \\(cannot decode byte {reason}\\)$"
+        with pytest.raises(ValueError, match=message):
+            read_feature_file(path)
+        with pytest.raises(ValueError, match=message):
+            reference_read_feature_file(path)
+
 
 # truth names that csv must quote, and None for an unlabelled burst
 TRUTHS = st.one_of(

@@ -431,7 +431,7 @@ class TestTune:
             EvalConfig(d=2, seed=3),
         )
     )
-    # 0.0 and -0.0: one fingerprint by value
+    # 0.0 and -0.0: two fingerprints by bytes, at distance 0
     @example(
         (
             tune_bursts([((0.0, 1, 2), 2, 0), ((-0.0, 1, 2), 3, 0), ((4, 4, 4), 4, 0), ((-0.0, 1, 2), 2, 1)]),
@@ -457,24 +457,28 @@ class TestTune:
 
     @staticmethod
     def count_steps(monkeypatch):
-        """Counts of the calls to the coarse steps and to scoring, each
-        patched where its caller looks it up, and of ``np.unique`` over
+        """Counts of the calls to ``_distinct_rows`` by the dimension of
+        its input, to the coarse neighbour step and to scoring, each
+        patched where its callers look it up, and of ``np.unique`` over
         rows (an ``axis`` given)."""
-        calls = dict.fromkeys(["_dbscan_prepare", "_dbscan_neighbours", "_hcv", "unique"], 0)
+        calls = dict.fromkeys(["distinct 2-D", "distinct 1-D", "_dbscan_neighbours", "_hcv", "unique axis"], 0)
 
-        def count(module, name, counts=lambda *args, **kwargs: True):
+        def count(module, name, key=None):
             original = getattr(module, name)
 
             def step(*args, **kwargs):
-                calls[name] += counts(*args, **kwargs)
+                counted = name if key is None else key(*args, **kwargs)
+                if counted is not None:
+                    calls[counted] += 1
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, step)
 
-        count(clustering, "_dbscan_prepare")
+        for module in (clustering, metrics):
+            count(module, "_distinct_rows", lambda values: f"distinct {np.ndim(values)}-D")
         count(metrics, "_dbscan_neighbours")
         count(metrics, "_hcv")
-        count(np, "unique", lambda *args, axis=None, **kwargs: axis is not None)
+        count(np, "unique", lambda *args, axis=None, **kwargs: None if axis is None else "unique axis")
         return calls
 
     def test_grid_validated_before_any_pool_is_clustered(self, monkeypatch):
@@ -482,23 +486,26 @@ class TestTune:
         bursts = synthetic_bursts(n_devices=3)
         with pytest.raises(ValueError, match="min_pts"):
             tune_dbscan(bursts, [0.05], [5, 0], EvalConfig(d=1, seed=1))
-        assert calls == {"_dbscan_prepare": 0, "_dbscan_neighbours": 0, "_hcv": 0, "unique": 0}
+        assert calls == dict.fromkeys(calls, 0)
 
     def test_pools_found_from_ids_neighbours_once_per_eps_scored_once_per_key(self, monkeypatch):
-        """No pool is prepared row by row: one ``np.unique`` over the
-        table's rows per call. The neighbours are built once per (pool,
-        eps), and each pool's labels are scored once per distinct
-        (neighbour booleans, core rows), counted here the plain way."""
+        """One ``_distinct_rows`` over the table's IE rows per call gives
+        the fingerprint ids, one over its ids per draw finds the draw's
+        distinct rows, and no ``np.unique`` runs over rows. The
+        neighbours are built once per (pool, eps), and each pool's
+        labels are scored once per distinct (neighbour booleans, core
+        rows), counted here the plain way."""
         bursts = synthetic_bursts(n_devices=5, bursts_per=12)
         cfg = EvalConfig(d=3, seed=21)
         eps_grid, minpts_grid = [0.05, 0.3, 0.9], [5, 13]
         pools = reference_pools(table_rows(bursts), cfg)
         keys = 0
         for _, _, pool in pools:
-            distinct, weights, _ = clustering._dbscan_prepare(normalize_ie_matrix([b.ie_features for b in pool]))
+            data = normalize_ie_matrix([b.ie_features for b in pool])
+            first, weights, _ = clustering._distinct_rows(data)
             found = set()
             for eps in eps_grid:
-                within, reach = clustering._dbscan_neighbours(distinct, weights, eps)
+                within, reach = clustering._dbscan_neighbours(data[first], weights, eps)
                 found.update((within.tobytes(), (reach >= min_pts).tobytes()) for min_pts in minpts_grid)
             keys += len(found)
         assert keys < 6 * len(pools)  # the grid repeats labelings
@@ -506,8 +513,14 @@ class TestTune:
         calls = self.count_steps(monkeypatch)
         for _ in range(2):  # nothing carries over from one call to the next
             tune_dbscan(bursts, eps_grid, minpts_grid, cfg)
-            assert calls == {"_dbscan_prepare": 0, "_dbscan_neighbours": 3 * len(pools), "_hcv": keys, "unique": 1}
-            calls.update({name: 0 for name in calls})
+            assert calls == {
+                "distinct 2-D": 1,
+                "distinct 1-D": len(pools),
+                "_dbscan_neighbours": 3 * len(pools),
+                "_hcv": keys,
+                "unique axis": 0,
+            }
+            calls.update(dict.fromkeys(calls, 0))
 
 
 class TestUsageError:

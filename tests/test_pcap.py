@@ -19,6 +19,7 @@ from probederand.pcap import (
     ParseDiagnostics,
     TruncationError,
     ie_fields,
+    iter_dataset_files,
     mac_from_str,
     mac_to_str,
     merge_captures,
@@ -408,6 +409,17 @@ class TestMergeCaptures:
             streams.append((frames, tag))
         merged, tags = merge_captures([(frame_table(frames), tag) for frames, tag in streams])
         assert list(zip(table_frames(merged), tags)) == decorated_merge(streams)
+
+
+class TestDatasetFiles:
+    def test_non_ascii_digit_stem_is_not_a_channel(self, tmp_path):
+        """``²`` is a digit to ``str.isdigit`` but not to ``int``: its
+        capture sorts after the numbered ones and declares no channel."""
+        (tmp_path / "dev").mkdir()
+        for name in ("².pcap", "6.pcap", "14.pcap"):
+            (tmp_path / "dev" / name).write_bytes(pcap_header())
+        found = [(label, path.name, declared) for label, path, declared in iter_dataset_files(tmp_path)]
+        assert found == [("dev", "6.pcap", 6), ("dev", "14.pcap", None), ("dev", "².pcap", None)]
 
 
 @st.composite
