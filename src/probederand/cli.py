@@ -58,7 +58,7 @@ from .metrics import (
 from .pcap import Error as CaptureError
 from .pcap import ParseDiagnostics, read_dataset
 from .randomness import DEFAULT_SEED
-from .synth import generate_scenario, load_scenario
+from .synth import generate_scenario, json_typed, load_scenario
 
 # The library's defaults, plus the CLI-only method and jobs settings.
 DEFAULTS = {
@@ -72,23 +72,29 @@ DEFAULTS = {
 }
 
 
-def _check_ranges(settings: dict) -> None:
-    """Raise UsageError for the first value out of range among
-    ``settings``, which holds every ``DEFAULTS`` key."""
-    DbscanConfig(eps=settings["eps"], min_pts=settings["min_pts"])
-    KmeansConfig(k_max=settings["k_max"], seed=settings["seed"])
-    EvalConfig(d=settings["d"], seed=settings["seed"])
+def _check_ranges(settings: dict) -> tuple[DbscanConfig, KmeansConfig, EvalConfig]:
+    """The library configs of ``settings``, which holds every ``DEFAULTS``
+    key; raise UsageError for the first value out of range."""
+    configs = (
+        DbscanConfig(eps=settings["eps"], min_pts=settings["min_pts"]),
+        KmeansConfig(k_max=settings["k_max"], seed=settings["seed"]),
+        EvalConfig(d=settings["d"], seed=settings["seed"]),
+    )
     if settings["jobs"] < 1:
         raise UsageError("jobs must be at least 1")
     if not settings["gap_seconds"] > 0:
         raise UsageError("gap_seconds must be positive")
     if settings["method"] not in METHODS:
         raise UsageError(f"method must be one of {', '.join(METHODS)}, got {settings['method']!r}")
+    return configs
 
 
-def _effective_config(args: argparse.Namespace) -> dict:
+def _effective_config(
+    args: argparse.Namespace,
+) -> tuple[dict, DbscanConfig, KmeansConfig, EvalConfig]:
     """Merge defaults, config-file values, and explicit flags for every
-    ``DEFAULTS`` key the subcommand's parser defines.
+    ``DEFAULTS`` key the subcommand's parser defines: the merged settings
+    and the library configs built from them.
 
     A config file may hold any ``DEFAULTS`` key, so one file serves every
     subcommand, and every command checks the whole file: a file that
@@ -106,32 +112,20 @@ def _effective_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
-        for k, value in loaded.items():
-            if k not in DEFAULTS:
-                raise UsageError(
-                    f"config file {args.config}: unknown key {k!r} "
-                    f"(known keys: {', '.join(sorted(DEFAULTS))})"
-                )
-            expected = (int, float) if isinstance(DEFAULTS[k], float) else type(DEFAULTS[k])
-            # An integer stands for a float only if float() can convert it.
-            too_big = expected == (int, float) and type(value) is int and abs(value) > sys.float_info.max
-            if isinstance(value, bool) or not isinstance(value, expected) or too_big:
-                name = type(DEFAULTS[k]).__name__
-                article = "an" if name[0] in "aeiou" else "a"
-                raise UsageError(
-                    f"config file {args.config}: {k} must be {article} {name}, not {value!r}"
-                )
         try:
+            for k, value in loaded.items():
+                if k not in DEFAULTS:
+                    raise UsageError(f"unknown key {k!r} (known keys: {', '.join(sorted(DEFAULTS))})")
+                json_typed(k, value, type(DEFAULTS[k]))
             _check_ranges({**DEFAULTS, **loaded})
-        except UsageError as exc:
+        except ValueError as exc:
             raise UsageError(f"config file {args.config}: {exc}") from exc
         config.update((k, loaded[k]) for k in keys if k in loaded)
     for k in keys:
         value = getattr(args, k)
         if value is not None:
             config[k] = value
-    _check_ranges({**DEFAULTS, **config})
-    return config
+    return (config, *_check_ranges({**DEFAULTS, **config}))
 
 
 def _header(subcommand: str, config: dict) -> str:
@@ -146,7 +140,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    config = _effective_config(args)
+    config = _effective_config(args)[0]
     diagnostics = ParseDiagnostics()
     frames, truths = read_dataset(args.dataset_root, diagnostics)
     bursts = group_bursts(frames, config["gap_seconds"], truths)
@@ -176,9 +170,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    config = _effective_config(args)
-    dbscan_cfg = DbscanConfig(eps=config["eps"], min_pts=config["min_pts"])
-    kmeans_cfg = KmeansConfig(k_max=config["k_max"], seed=config["seed"])
+    config, dbscan_cfg, kmeans_cfg, _ = _effective_config(args)
     bursts = read_feature_file(args.features)
     if len(bursts) == 0:
         raise ValueError("need at least one burst")
@@ -205,10 +197,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _effective_config(args)
-    dbscan_cfg = DbscanConfig(eps=config["eps"], min_pts=config["min_pts"])
-    kmeans_cfg = KmeansConfig(k_max=config["k_max"], seed=config["seed"])
-    eval_cfg = EvalConfig(d=config["d"], seed=config["seed"])
+    config, dbscan_cfg, kmeans_cfg, eval_cfg = _effective_config(args)
     bursts = read_feature_file(args.features)
     sections = run_protocol(bursts, eval_cfg, dbscan_cfg, kmeans_cfg, config["jobs"])
     out = _out_dir(args)
@@ -226,8 +215,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    config = _effective_config(args)
-    eval_cfg = EvalConfig(d=config["d"], seed=config["seed"])
+    config, _, _, eval_cfg = _effective_config(args)
     if any(c in args.eps_grid + args.minpts_grid for c in "\r\n"):
         raise UsageError("hyperparameter grid: holds a line break")
     try:

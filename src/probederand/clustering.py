@@ -172,48 +172,45 @@ class _Pool:
     that clusters them, and the memos of their D² seeding and Lloyd runs.
 
     ``ids`` numbers each row's unit row with ``_distinct_rows``: equal
-    unit-row bytes share an id. ``distances`` maps an id to the cosine
-    distances of every row to that unit row; ``seedings`` maps a set of
-    picked ids to (the cumulative D² weights of the rows, their total);
-    ``runs`` maps the ids of seeded centres, in order, to ``_lloyd``'s
-    (result, trace); each result's labels fill all k clusters.
+    unit-row bytes share an id. ``seedings`` maps a set of picked ids to
+    (the cumulative D² weights of the rows, their total); ``runs`` maps
+    the ids of seeded centres, in order, to ``_lloyd``'s (result, trace);
+    each result's labels fill all k clusters.
     """
 
     def __init__(self, rows: np.ndarray) -> None:
         self.unit = _unit_rows(rows)
         self.ids = _distinct_rows(self.unit)[2].tolist()
-        self.distances: dict[int, np.ndarray] = {}
         self.seedings: dict[frozenset[int], tuple[np.ndarray, float]] = {}
         self.runs: dict[
             tuple[int, ...], tuple[tuple[np.ndarray, np.ndarray, float], list[float]]
         ] = {}
 
-    def seeding(self, picks: list[int]) -> tuple[np.ndarray, float]:
+    def seeding(self, picked: frozenset[int], picks: list[int]) -> tuple[np.ndarray, float]:
         """(cumulative D² weights, total) of the rows given centres on
-        the ``picks`` rows. They depend only on the set of unit rows
-        picked: ``np.minimum`` is exact and order-free, equal unit rows
+        the ``picks`` rows, whose ids are ``picked``. They depend only on
+        that set: ``np.minimum`` is exact and order-free, equal unit rows
         give equal distances, and a -0.0 distance squares to +0.0."""
-        key = frozenset(self.ids[row] for row in picks)
-        state = self.seedings.get(key)
+        state = self.seedings.get(picked)
         if state is None:
-            for row in picks:
-                if self.ids[row] not in self.distances:
-                    distance = np.maximum(1.0 - self.unit @ self.unit[row], 0.0)
-                    self.distances[self.ids[row]] = distance
-            nearest = np.minimum.reduce([self.distances[i] for i in key])
+            distances = [np.maximum(1.0 - self.unit @ self.unit[row], 0.0) for row in picks]
+            nearest = np.minimum.reduce(distances)
             weights = nearest * nearest
-            state = self.seedings[key] = (np.cumsum(weights), float(weights.sum()))
+            state = self.seedings[picked] = (np.cumsum(weights), float(weights.sum()))
         return state
 
 
 def _seed_rows(pool: _Pool, k: int, rng: np.random.Generator) -> list[int]:
     """Distance-weighted (D²) seeding over cosine distance: the indices
     of the rows picked as centres. The draws from ``rng`` are those of a
-    plain D² loop; the weights are looked up in ``pool``."""
+    plain D² loop; the weights are looked up in ``pool`` by the set of
+    picked ids, which grows by one id per pick."""
     n = len(pool.ids)
     picks = [int(rng.integers(n))]
+    picked: frozenset[int] = frozenset()
     for _ in range(1, k):
-        cumulative, total = pool.seeding(picks)
+        picked |= {pool.ids[picks[-1]]}
+        cumulative, total = pool.seeding(picked, picks)
         if total <= 1e-12:
             pick = int(rng.integers(n))
         else:

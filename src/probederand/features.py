@@ -81,7 +81,7 @@ def group_bursts(
     predecessor in that order is the previous frame of its MAC, and the
     float64 gap is the same subtraction Python makes.
     """
-    if gap_seconds <= 0:
+    if not gap_seconds > 0:
         raise ValueError("gap_seconds must be positive")
     n = len(frames)
     if truths is not None and len(truths) != n:

@@ -340,7 +340,7 @@ def tune_dbscan(
     ]
     (n_devices, codes), draws = _protocol_table(table, eval_cfg)
     fingerprints = _distinct_rows(table.ie_features)[2]
-    for p, _, idx in draws:
+    for p, s, idx in draws:
         truth = (n_devices, codes[idx])
         first, weights, inverse = _distinct_rows(fingerprints[idx])
         distinct = normalize_ie_matrix(table.ie_features[idx[first]])
@@ -358,8 +358,8 @@ def tune_dbscan(
                 core = reach >= cfg.min_pts
                 key = (pairs, int(core.sum()))
                 if key not in scores:
-                    labels = _dbscan_scan(within, core)
-                    scores[key] = (_hcv(truth, labels[inverse])[2], abs(delta_error(n_clusters(labels), p)))
+                    report = _score(p, s, truth, _dbscan_scan(within, core)[inverse])
+                    scores[key] = (report.v_measure, abs(report.delta))
                 v_measure, abs_delta = scores[key]
                 v_measures.append(v_measure)
                 abs_deltas.append(abs_delta)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -335,26 +336,47 @@ def _spec_to_json(spec):
     return {"fixed": spec}
 
 
-def _spec_from_json(value, key: str, cast):
+def json_typed(key: str, value, kind: type):
+    """``value``, read from JSON for ``key``, if it is of type ``kind``:
+    a bool is only a bool, and an int stands for a float within a
+    float's range. Any other value raises ValueError naming ``key``."""
+    if type(value) is kind or (kind is float and type(value) is int and abs(value) <= sys.float_info.max):
+        return value
+    name = kind.__name__
+    article = "an" if name[0] in "aeiou" else "a"
+    raise ValueError(f"{key} must be {article} {name}, not {value!r}")
+
+
+def _value_from_json(value, key: str, kind: type):
+    """One document value of type ``kind``; a float field's is a float."""
+    return kind(json_typed(key, value, kind))
+
+
+def _tuple_from_json(value, key: str, kind: type):
+    return tuple(_value_from_json(v, key, kind) for v in json_typed(key, value, list))
+
+
+def _spec_from_json(value, key: str, kind: type):
     if isinstance(value, dict):
         if "fixed" in value:
-            return cast(value["fixed"])
+            return _value_from_json(value["fixed"], key, kind)
         if "uniform" in value and len(value["uniform"]) == 2:
             a, b = value["uniform"]
-            return (cast(a), cast(b))
+            return (_value_from_json(a, key, kind), _value_from_json(b, key, kind))
         raise ValueError(f"{key} must be {{'fixed': x}} or {{'uniform': [a, b]}}, got {value}")
-    return cast(value)
+    return _value_from_json(value, key, kind)
 
 
-# Casts of the optional document keys; an absent key keeps its default.
+# The reader and type of each optional document key; an absent key keeps
+# its default.
 _PROFILE_FIELDS = {
-    "burst_length": lambda v: _spec_from_json(v, "burst_length", int),
-    "inter_burst_interval": lambda v: _spec_from_json(v, "inter_burst_interval", float),
-    "intra_burst_gap": float,
-    "randomize_mac": bool,
-    "channel_jitter": float,
+    "burst_length": (_spec_from_json, int),
+    "inter_burst_interval": (_spec_from_json, float),
+    "intra_burst_gap": (_value_from_json, float),
+    "randomize_mac": (_value_from_json, bool),
+    "channel_jitter": (_value_from_json, float),
 }
-_SCENARIO_FIELDS = {"seed": int, "sniffer_channels": lambda v: tuple(int(c) for c in v)}
+_SCENARIO_FIELDS = {"seed": (_value_from_json, int), "sniffer_channels": (_tuple_from_json, int)}
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -399,16 +421,16 @@ def scenario_from_dict(data: dict) -> Scenario:
         )
         profiles.append(
             DeviceProfile(
-                device_id=str(entry["device_id"]),
+                device_id=_value_from_json(entry["device_id"], "device_id", str),
                 ie_template=template,
-                pnl_pattern=tuple(int(c) for c in entry["pnl_pattern"]),
-                **{k: cast(entry[k]) for k, cast in _PROFILE_FIELDS.items() if k in entry},
+                pnl_pattern=_tuple_from_json(entry["pnl_pattern"], "pnl_pattern", int),
+                **{k: read(entry[k], k, kind) for k, (read, kind) in _PROFILE_FIELDS.items() if k in entry},
             )
         )
     return Scenario(
         profiles=tuple(profiles),
-        duration=float(data["duration"]),
-        **{k: cast(data[k]) for k, cast in _SCENARIO_FIELDS.items() if k in data},
+        duration=_value_from_json(data["duration"], "duration", float),
+        **{k: read(data[k], k, kind) for k, (read, kind) in _SCENARIO_FIELDS.items() if k in data},
     )
 
 

@@ -660,10 +660,25 @@ class TestGenerate:
                 lambda data: data["profiles"][0].update(inter_burst_interval={"uniform": [9.0, 3.0]}),
                 "inter_burst_interval",
             ),
+            # a value of another JSON type than its field's is not cast
+            (
+                lambda data: data["profiles"][0].update(randomize_mac="false"),
+                "randomize_mac must be a bool, not 'false'",
+            ),
+            (lambda data: data.update(seed=1.9), "seed must be an int, not 1.9"),
+            (lambda data: data["profiles"][0].update(burst_length=8.7), "burst_length must be an int, not 8.7"),
+            (
+                lambda data: data["profiles"][0].update(pnl_pattern=[1.5, 6]),
+                "pnl_pattern must be an int, not 1.5",
+            ),
+            (lambda data: data.update(duration=True), "duration must be a float, not True"),
+            (lambda data: data["profiles"][0].update(device_id=5), "device_id must be a str, not 5"),
         ],
         ids=["not-an-object", "no-profiles", "no-duration", "no-device-id", "no-pnl-pattern",
              "one-bound-uniform", "bad-hex", "long-body", "escaping-device-id",
-             "sniffer-channel-out-of-range", "reversed-burst-length", "reversed-interval"],
+             "sniffer-channel-out-of-range", "reversed-burst-length", "reversed-interval",
+             "string-bool", "float-seed", "float-burst-length", "float-channel", "bool-duration",
+             "int-device-id"],
     )
     def test_malformed_scenario_is_one_line(self, workspace, tmp_path, capsys, edit, named):
         """``edit`` changes the scenario in place, or returns the whole

@@ -528,12 +528,12 @@ class TestSeeding:
 
     def test_one_state_per_set_of_directions(self):
         """``[1,0,0]`` and ``[2,0,0]`` share a unit row, so picking either
-        reaches the same seeding state."""
+        reaches the same seeding state, keyed by the set of picked ids."""
         rows = np.array([[1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 2, 0]], float)
         pool = _Pool(rows)
         assert pool.ids == [0, 0, 1, 1]
-        assert pool.seeding([0]) is pool.seeding([1])
-        assert pool.seeding([0, 2]) is pool.seeding([3, 1, 0])
+        assert pool.seeding(frozenset({0}), [0]) is pool.seeding(frozenset({0}), [1])
+        assert pool.seeding(frozenset({0, 1}), [0, 2]) is pool.seeding(frozenset({0, 1}), [3, 1, 0])
         assert len(pool.seedings) == 2
 
 

@@ -163,6 +163,12 @@ class TestGroupBursts:
         with pytest.raises(ValueError):
             group_bursts(frame_table([frame(0.0)]), 0.0)
 
+    def test_nan_gap_rejected(self):
+        """NaN is not positive: every comparison with it is false, so a
+        NaN gap would split each frame into its own burst."""
+        with pytest.raises(ValueError, match="gap_seconds must be positive"):
+            group_bursts(frame_table([frame(ts) for ts in (0.0, 0.1, 0.2)]), math.nan)
+
 
 MACS = tuple(bytes([0x02, 0, 0, 0, 0, i]) for i in range(3))
 # no DS Parameter Set, DS channel 0, DS Parameter Sets with and without a
