@@ -58,7 +58,7 @@ from .metrics import (
 from .pcap import Error as CaptureError
 from .pcap import ParseDiagnostics, read_dataset
 from .randomness import DEFAULT_SEED
-from .synth import generate_scenario, json_typed, load_scenario
+from .synth import generate_scenario, json_object, json_typed, load_scenario
 
 # The library's defaults, plus the CLI-only method and jobs settings.
 DEFAULTS = {
@@ -110,12 +110,8 @@ def _effective_config(
                 loaded = json.load(fh)
         except (OSError, ValueError) as exc:
             raise UsageError(f"config file {args.config}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise UsageError(f"config file {args.config} must hold a JSON object")
         try:
-            for k, value in loaded.items():
-                if k not in DEFAULTS:
-                    raise UsageError(f"unknown key {k!r} (known keys: {', '.join(sorted(DEFAULTS))})")
+            for k, value in json_object("settings", loaded, DEFAULTS).items():
                 json_typed(k, value, type(DEFAULTS[k]))
             _check_ranges({**DEFAULTS, **loaded})
         except ValueError as exc:
@@ -270,13 +266,17 @@ def _out_path(text: str) -> str:
     return text
 
 
-def _add_settings(parser: argparse.ArgumentParser, *, seeded: bool) -> None:
-    """``--out`` and ``--config`` for a command that reads settings, and
-    ``--seed`` when the command draws random numbers."""
+def _add_settings(parser: argparse.ArgumentParser, *keys: str, seeded: bool) -> None:
+    """A flag for each ``DEFAULTS`` key in ``keys``, and for ``seed`` when
+    the command draws random numbers, then ``--out`` and ``--config``.
+    Each flag is ``--`` plus its key with ``-`` for ``_``, typed as the
+    key's default; an absent flag parses as None, so a config-file value
+    or the default holds."""
+    for key in keys + ("seed",) * seeded:
+        flag = "--" + key.replace("_", "-")
+        parser.add_argument(flag, type=type(DEFAULTS[key]), help=f"default: {DEFAULTS[key]}")
     parser.add_argument("--out", required=True, type=_out_path, help="output directory")
     parser.add_argument("--config", help="JSON config file (flags take precedence)")
-    if seeded:
-        parser.add_argument("--seed", type=int, default=None, help=f"run seed (default {DEFAULT_SEED})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,35 +291,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument(
         "dataset_root", type=_existing_path, help="directory laid out as <root>/<device-id>/<channel>.pcap"
     )
-    p_ingest.add_argument("--gap-seconds", dest="gap_seconds", type=float, default=None)
-    _add_settings(p_ingest, seeded=False)
+    _add_settings(p_ingest, "gap_seconds", seeded=False)
     p_ingest.set_defaults(func=cmd_ingest)
 
     p_cluster = sub.add_parser("cluster", help="run the clustering pipeline on a feature file")
     p_cluster.add_argument("features", type=_existing_path, help="burst feature file from ingest")
-    p_cluster.add_argument("--eps", type=float, default=None)
-    p_cluster.add_argument("--min-pts", dest="min_pts", type=int, default=None)
-    p_cluster.add_argument("--k-max", dest="k_max", type=int, default=None)
-    p_cluster.add_argument("--method", choices=METHODS, default=None)
-    _add_settings(p_cluster, seeded=True)
+    _add_settings(p_cluster, "eps", "min_pts", "k_max", "method", seeded=True)
     p_cluster.set_defaults(func=cmd_cluster)
 
     p_eval = sub.add_parser("evaluate", help="run the subset protocol for both methods")
     p_eval.add_argument("features", type=_existing_path, help="labeled burst feature file")
-    p_eval.add_argument("--eps", type=float, default=None)
-    p_eval.add_argument("--min-pts", dest="min_pts", type=int, default=None)
-    p_eval.add_argument("--k-max", dest="k_max", type=int, default=None)
-    p_eval.add_argument("--d", type=int, default=None, help="subsets per population size")
-    p_eval.add_argument("--jobs", type=int, default=None, help="parallel protocol runs (at most one per CPU)")
-    _add_settings(p_eval, seeded=True)
+    _add_settings(p_eval, "eps", "min_pts", "k_max", "d", "jobs", seeded=True)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_tune = sub.add_parser("tune", help="sweep DBSCAN hyperparameters")
     p_tune.add_argument("features", type=_existing_path, help="labeled burst feature file")
     p_tune.add_argument("--eps-grid", required=True, help="comma-separated eps values")
     p_tune.add_argument("--minpts-grid", required=True, help="comma-separated MinPts values")
-    p_tune.add_argument("--d", type=int, default=None)
-    _add_settings(p_tune, seeded=True)
+    _add_settings(p_tune, "d", seeded=True)
     p_tune.set_defaults(func=cmd_tune)
 
     p_gen = sub.add_parser("generate", help="synthesize a labeled capture dataset")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import struct
 import sys
 from dataclasses import dataclass
@@ -339,12 +340,25 @@ def _spec_to_json(spec):
 def json_typed(key: str, value, kind: type):
     """``value``, read from JSON for ``key``, if it is of type ``kind``:
     a bool is only a bool, and an int stands for a float within a
-    float's range. Any other value raises ValueError naming ``key``."""
+    float's range. Any other value raises ValueError naming ``key``
+    and showing the value, cut short by ``reprlib`` when it is long."""
     if type(value) is kind or (kind is float and type(value) is int and abs(value) <= sys.float_info.max):
         return value
     name = kind.__name__
     article = "an" if name[0] in "aeiou" else "a"
-    raise ValueError(f"{key} must be {article} {name}, not {value!r}")
+    raise ValueError(f"{key} must be {article} {name}, not {reprlib.repr(value)}")
+
+
+def json_object(key: str, value, known) -> dict:
+    """``value``, read from JSON for ``key``, if it is an object whose
+    keys all lie in ``known``; otherwise ValueError naming ``key``, as
+    ``json_typed`` does, or the first unknown key."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be a JSON object, not {reprlib.repr(value)}")
+    for k in value:
+        if k not in known:
+            raise ValueError(f"unknown key {k!r} (known keys: {', '.join(sorted(known))})")
+    return value
 
 
 def _value_from_json(value, key: str, kind: type):
@@ -357,14 +371,24 @@ def _tuple_from_json(value, key: str, kind: type):
 
 
 def _spec_from_json(value, key: str, kind: type):
-    if isinstance(value, dict):
-        if "fixed" in value:
-            return _value_from_json(value["fixed"], key, kind)
-        if "uniform" in value and len(value["uniform"]) == 2:
-            a, b = value["uniform"]
-            return (_value_from_json(a, key, kind), _value_from_json(b, key, kind))
-        raise ValueError(f"{key} must be {{'fixed': x}} or {{'uniform': [a, b]}}, got {value}")
-    return _value_from_json(value, key, kind)
+    """A bare value or ``{"fixed": x}``, or ``{"uniform": [a, b]}`` as a pair."""
+    if not isinstance(value, dict):
+        return _value_from_json(value, key, kind)
+    forms = list(json_object(key, value, ("fixed", "uniform")))
+    if forms == ["fixed"]:
+        return _value_from_json(value["fixed"], key, kind)
+    if forms == ["uniform"] and len(bounds := _tuple_from_json(value["uniform"], key, kind)) == 2:
+        return bounds
+    raise ValueError(f"{key} must be {{'fixed': x}} or {{'uniform': [a, b]}}, got {reprlib.repr(value)}")
+
+
+def _hex_from_json(value, key: str) -> bytes:
+    """An IE body given as a hex string."""
+    text = json_typed(key, value, str)
+    try:
+        return bytes.fromhex(text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 # The reader and type of each optional document key; an absent key keeps
@@ -377,6 +401,10 @@ _PROFILE_FIELDS = {
     "channel_jitter": (_value_from_json, float),
 }
 _SCENARIO_FIELDS = {"seed": (_value_from_json, int), "sniffer_channels": (_tuple_from_json, int)}
+# Every key each document object may hold.
+_SCENARIO_KEYS = ("profiles", "duration", *_SCENARIO_FIELDS)
+_PROFILE_KEYS = ("device_id", "ie", "pnl_pattern", *_PROFILE_FIELDS)
+_IE_KEYS = ("ht", "extended", "vendor")
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -409,15 +437,17 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ValueError("a scenario must be a JSON object")
+    """The scenario a JSON document describes. Every object in it holds
+    only its known keys, and every value has its field's JSON type."""
+    data = json_object("scenario", data, _SCENARIO_KEYS)
     profiles = []
-    for entry in data["profiles"]:
-        ie = entry.get("ie", {})
+    for i, entry in enumerate(json_typed("profiles", data["profiles"], list)):
+        entry = json_object(f"profiles[{i}]", entry, _PROFILE_KEYS)
+        ie = json_object("ie", entry.get("ie", {}), _IE_KEYS)
+        vendor = json_typed("vendor", ie.get("vendor", []), list)
         template = IeTemplate(
-            ht=bytes.fromhex(ie["ht"]) if ie.get("ht") is not None else None,
-            extended=bytes.fromhex(ie["extended"]) if ie.get("extended") is not None else None,
-            vendor=tuple(bytes.fromhex(v) for v in ie.get("vendor", ())),
+            vendor=tuple(_hex_from_json(v, "vendor") for v in vendor),
+            **{k: _hex_from_json(ie[k], k) for k in ("ht", "extended") if ie.get(k) is not None},
         )
         profiles.append(
             DeviceProfile(

@@ -278,6 +278,31 @@ class TestConfigPrecedence:
         assert "min_pts=3" in first  # config file beats default
         assert "k_max=5" in first  # untouched default
 
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("ingest", {"gap_seconds"}),
+            ("cluster", {"eps", "min_pts", "k_max", "method", "seed"}),
+            ("evaluate", {"eps", "min_pts", "k_max", "d", "jobs", "seed"}),
+            ("tune", {"d", "seed"}),
+        ],
+    )
+    def test_settings_flags_are_named_and_typed_by_defaults(self, workspace, tmp_path, command, keys):
+        """Each command's settings flags are ``--`` plus these keys with
+        ``-`` for ``_``; an absent flag parses as None, a given one as a
+        value of its default's type."""
+        source = workspace["dataset" if command == "ingest" else "features"]
+        argv = [command, str(source), "--out", str(tmp_path / "o")]
+        if command == "tune":
+            argv += ["--eps-grid", "0.05", "--minpts-grid", "5"]
+        parse = cli.build_parser().parse_args
+        absent = vars(parse(argv))
+        assert {k: absent[k] for k in DEFAULTS if k in absent} == dict.fromkeys(keys)
+        flags = [arg for k in keys for arg in ("--" + k.replace("_", "-"), str(DEFAULTS[k]))]
+        given = vars(parse(argv + flags))
+        for k in keys:
+            assert (given[k], type(given[k])) == (DEFAULTS[k], type(DEFAULTS[k]))
+
 
 class TestUsageErrors:
     """Bad configuration or too little input ends with exit 2 and one line."""
@@ -290,6 +315,9 @@ class TestUsageErrors:
             pytest.param('{"min_pts": 2.5}', "min_pts must be an int, not 2.5", id='{"min_pts": 2.5}'),
             pytest.param('{"k_max": true}', "k_max must be an int, not True", id='{"k_max": true}'),
             pytest.param('{"d": "ten"}', "d must be an int, not 'ten'", id='{"d": "ten"}'),
+            # a long value is cut short, so the line stays short
+            pytest.param(json.dumps({"eps": [0] * 10000}), "eps must be a float, not [0, 0, 0, 0, 0, 0, ...]\n",
+                         id='{"eps": [0, ...]}'),
         ],
     )
     def test_config_value_of_wrong_type(self, workspace, tmp_path, capsys, content, message):
@@ -375,6 +403,13 @@ class TestUsageErrors:
             argv += ["--eps-grid", "0.05", "--minpts-grid", "5"]
         err = assert_usage_error(argv, capsys)
         assert f"config file {config}: {message}" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_method_flag_gets_the_config_message(self, workspace, tmp_path, capsys):
+        """``--method`` is range-checked where a config file's method is."""
+        argv = ["cluster", str(workspace["features"]), "--out", str(tmp_path / "o"), "--method", "bogus"]
+        err = assert_usage_error(argv, capsys)
+        assert err == "error: method must be one of two-stage, ie-only, got 'bogus'\n"
         assert not (tmp_path / "o").exists()
 
     def test_flag_does_not_excuse_a_bad_config_value(self, workspace, tmp_path, capsys):
@@ -673,12 +708,47 @@ class TestGenerate:
             ),
             (lambda data: data.update(duration=True), "duration must be a float, not True"),
             (lambda data: data["profiles"][0].update(device_id=5), "device_id must be a str, not 5"),
+            # the ie object follows the same rule: a hex body is a string, a bad one names its key
+            (lambda data: data["profiles"][0]["ie"].update(ht=5), "ht must be a str, not 5"),
+            (
+                lambda data: data["profiles"][0]["ie"].update(vendor="0050f208"),
+                "vendor must be a list, not '0050f208'",
+            ),
+            (lambda data: data["profiles"][0]["ie"].update(vendor=""), "vendor must be a list, not ''"),
+            (
+                lambda data: data["profiles"][0]["ie"].update(vendor=["0050f2zz"]),
+                "vendor: non-hexadecimal",
+            ),
+            (lambda data: data["profiles"][0].update(ie=None), "ie must be a JSON object, not None"),
+            (lambda data: data["profiles"][0].update(ie=[1]), "ie must be a JSON object, not [1]"),
+            # every object holds only its known keys, as a config file does
+            (lambda data: data["profiles"][0].update(burst_lenght=3), "unknown key 'burst_lenght' (known keys: "),
+            (lambda data: data.update(sniffers=[1]), "unknown key 'sniffers' (known keys: "),
+            (lambda data: data.update(duration=[0] * 10000), "duration must be a float, not [0, 0, 0, 0, 0, 0, ...]\n"),
+            (lambda data: data["profiles"][0]["ie"].update(vht="00"), "unknown key 'vht' (known keys: "),
+            (lambda data: data.update(profiles={"a": 1}), "profiles must be a list, not {'a': 1}"),
+            (lambda data: data["profiles"].__setitem__(0, [1]), "profiles[0] must be a JSON object, not [1]"),
+            (
+                lambda data: data["profiles"][0].update(burst_length={"fixed": 3, "uniform": [1]}),
+                "burst_length must be {'fixed': x} or {'uniform': [a, b]}",
+            ),
+            (
+                lambda data: data["profiles"][0].update(burst_length={"uniform": "ab"}),
+                "burst_length must be a list, not 'ab'",
+            ),
+            (
+                lambda data: data["profiles"][0].update(inter_burst_interval={"fixd": 3.0}),
+                "unknown key 'fixd' (known keys: fixed, uniform)",
+            ),
         ],
         ids=["not-an-object", "no-profiles", "no-duration", "no-device-id", "no-pnl-pattern",
              "one-bound-uniform", "bad-hex", "long-body", "escaping-device-id",
              "sniffer-channel-out-of-range", "reversed-burst-length", "reversed-interval",
              "string-bool", "float-seed", "float-burst-length", "float-channel", "bool-duration",
-             "int-device-id"],
+             "int-device-id", "int-ht", "string-vendor", "empty-string-vendor", "bad-hex-vendor",
+             "null-ie", "list-ie", "unknown-profile-key", "unknown-scenario-key", "long-value", "unknown-ie-key",
+             "object-profiles", "list-profile", "fixed-and-uniform", "string-uniform",
+             "unknown-distribution-key"],
     )
     def test_malformed_scenario_is_one_line(self, workspace, tmp_path, capsys, edit, named):
         """``edit`` changes the scenario in place, or returns the whole

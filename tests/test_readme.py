@@ -8,7 +8,7 @@ from pathlib import Path
 
 import probederand
 from probederand import cli
-from probederand.synth import generate_scenario, scenario_to_dict
+from probederand.synth import generate_scenario, scenario_from_dict, scenario_to_dict
 
 from scenarios import mixed_scenario
 
@@ -54,6 +54,21 @@ def test_command_line_block_runs(tmp_path, monkeypatch):
         assert named, f"the comment on {command!r} names no file"
         for name in named:
             assert (out / Path(name).name).is_file(), f"{command!r} wrote no {name}"
+
+
+def test_scenario_example_round_trips():
+    """The "Scenario files" example is a scenario the reader takes, and
+    the writer gives it back unchanged."""
+    example = json.loads(code_block("### Scenario files", "json"))
+    assert scenario_to_dict(scenario_from_dict(example)) == example
+
+
+def test_command_line_defaults_are_the_cli_defaults():
+    """The defaults listed under "Command line", as ``key=value``, are
+    ``cli.DEFAULTS``, every key once."""
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```", 1)[0]
+    listed = re.findall(r"`(\w+)=([^`]+)`", text)
+    assert listed == [(k, str(v)) for k, v in cli.DEFAULTS.items()]
 
 
 def test_every_exported_name_resolves():
