@@ -477,5 +477,5 @@ def _read_scenario(path, pick) -> Scenario:
             return scenario_from_dict(pick(json.load(fh)))
         except KeyError as exc:
             raise ValueError(f"{path}: missing field {exc}") from None
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: {exc}") from None
