@@ -60,10 +60,9 @@ class EvalConfig:
             raise UsageError("d must be at least 1")
 
 
-def _encode(labels: Sequence) -> tuple[int, np.ndarray]:
-    """(number of classes, each label's index among the sorted classes)."""
-    classes, codes = np.unique(np.asarray(labels), return_inverse=True)
-    return len(classes), codes
+def _encode(labels: Sequence) -> np.ndarray:
+    """Each label's index among the sorted classes."""
+    return np.unique(np.asarray(labels), return_inverse=True)[1]
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -86,13 +85,13 @@ def _conditional_entropy(table: np.ndarray) -> float:
     return value
 
 
-def _hcv(truth: tuple[int, np.ndarray], pred: Sequence) -> tuple[float, float, float]:
-    """``homogeneity_completeness_v`` of ``pred`` against truth labels
-    already encoded by ``_encode``."""
-    n_truth, t_idx = truth
-    n_pred, p_idx = _encode(pred)
-    joint = np.bincount(t_idx * n_pred + p_idx, minlength=n_truth * n_pred)
-    table = joint.reshape(n_truth, n_pred).astype(float)
+def _hcv(truth: np.ndarray, pred: np.ndarray) -> tuple[float, float, float]:
+    """``homogeneity_completeness_v`` of two labelings given as
+    non-negative integer codes. A code that no row takes only adds zero
+    counts, which every entropy drops, so the codes need not be dense."""
+    n_pred = int(pred.max()) + 1
+    joint = np.bincount(truth * n_pred + pred, minlength=(int(truth.max()) + 1) * n_pred)
+    table = joint.reshape(-1, n_pred).astype(float)
     h_truth = _entropy(table.sum(axis=1))
     h_pred = _entropy(table.sum(axis=0))
     h = 1.0 if h_truth == 0 else 1.0 - _conditional_entropy(table) / h_truth
@@ -114,7 +113,7 @@ def homogeneity_completeness_v(
         raise ValueError("truth and predicted labelings must cover the same bursts")
     if len(truth) == 0:
         raise ValueError("cannot score an empty labeling")
-    return _hcv(_encode(truth), pred)
+    return _hcv(_encode(truth), _encode(pred))
 
 
 def delta_error(n_clusters: int, cardinality: int) -> int:
@@ -132,9 +131,7 @@ def rmse(counts: Sequence[float], targets: Sequence[float]) -> float:
     return float(np.sqrt((diff * diff).mean()))
 
 
-def draw_subsets(
-    devices: Sequence[str], eval_cfg: EvalConfig
-) -> list[tuple[int, int, tuple[str, ...]]]:
+def draw_subsets(devices: Sequence, eval_cfg: EvalConfig) -> list[tuple[int, int, tuple]]:
     """All (p, subset_index, device subset) draws of the protocol, for
     every population size p from 1 to one less than the device count.
 
@@ -152,10 +149,10 @@ def draw_subsets(
 
 
 def _protocol_table(table: BurstTable, eval_cfg: EvalConfig) -> tuple:
-    """(the bursts' truth devices encoded for ``_hcv``, and (p, subset
-    index, its devices' rows in id order) per draw). Raises ValueError
-    naming the lowest unlabelled burst id, and UsageError for fewer than
-    two devices: no draw to score."""
+    """(the bursts' truth device codes, each its device's index among
+    the sorted devices, and (p, subset index, the draw's codes) per
+    draw). Raises ValueError naming the lowest unlabelled burst id, and
+    UsageError for fewer than two devices: no draw to score."""
     unlabelled = np.flatnonzero(np.equal(table.truth_devices, None))
     if unlabelled.size:
         raise ValueError(
@@ -167,19 +164,14 @@ def _protocol_table(table: BurstTable, eval_cfg: EvalConfig) -> tuple:
         raise UsageError(
             f"the subset protocol needs at least 2 labelled devices, found {len(devices)}"
         )
-    positions = {device: np.flatnonzero(codes == i) for i, device in enumerate(devices)}
-    draws = [
-        (p, s, np.sort(np.concatenate([positions[device] for device in subset])))
-        for p, s, subset in draw_subsets(list(positions), eval_cfg)
-    ]
-    return (len(devices), codes), draws
+    return codes, draw_subsets(range(len(devices)), eval_cfg)
 
 
-def _score(
-    p: int, subset_index: int, truth: tuple[int, np.ndarray], labels: np.ndarray
-) -> MetricReport:
-    """Scores of the labels of one draw against its encoded truth."""
-    h, c, v = _hcv(truth, labels)
+def _score(p: int, subset_index: int, truth: np.ndarray, labels: np.ndarray) -> MetricReport:
+    """Scores of the labels of one draw against its rows' truth device
+    codes. Labels are ``NOISE`` or 0..k-1, so ``labels + 1`` are codes
+    in the same order as the sorted labels."""
+    h, c, v = _hcv(truth, labels + 1)
     count = n_clusters(labels)
     return MetricReport(
         homogeneity=h,
@@ -193,22 +185,22 @@ def _score(
 
 
 def _score_draws(
-    ie: np.ndarray, channels: np.ndarray, lengths: np.ndarray, truth: tuple[int, np.ndarray],
-    dbscan_cfg: DbscanConfig, kmeans_cfg: KmeansConfig, seed: int, draws: list[tuple[int, int, np.ndarray]],
+    ie: np.ndarray, channels: np.ndarray, lengths: np.ndarray, codes: np.ndarray,
+    dbscan_cfg: DbscanConfig, kmeans_cfg: KmeansConfig, seed: int, draws: list[tuple[int, int, tuple]],
 ) -> list[dict[str, MetricReport]]:
     """Both methods' reports of each draw of ``run_protocol``'s table,
     sharing one fine-stage pool cache that is dropped on return."""
-    n_devices, codes = truth
     pools: dict = {}
     reports = []
-    for p, s, idx in draws:
+    for p, s, picked in draws:
+        idx = np.flatnonzero(np.isin(codes, picked))
         coarse = ie_only_cluster(ie[idx], dbscan_cfg)
         run_cfg = replace(kmeans_cfg, seed=child_seed(seed, STREAM_KMEANS, p, s))
         # Cut to the draw's widest burst: each pool's rows, key and sums
         # are then those of padding the draw alone.
-        final = two_stage_cluster(channels[idx][:, : lengths[idx].max()], coarse, run_cfg, pools)
+        final = two_stage_cluster(channels[idx, : lengths[idx].max()], coarse, run_cfg, pools)
         labels = {METHOD_TWO_STAGE: final, METHOD_IE_ONLY: coarse}
-        reports.append({m: _score(p, s, (n_devices, codes[idx]), labels[m]) for m in METHODS})
+        reports.append({m: _score(p, s, codes[idx], labels[m]) for m in METHODS})
     return reports
 
 
@@ -227,22 +219,24 @@ def run_protocol(
     seed, p, subset), is the two-stage run, so reports are reproducible
     and independent of execution order. ``kmeans_cfg.seed`` is not read:
     every draw's k-means seed comes from ``eval_cfg.seed``. ``jobs``
-    worker processes (at most one per CPU) share the draws. Raises
-    ValueError for an unlabelled burst, and UsageError when the bursts
-    name fewer than two devices.
+    worker processes (at most one per CPU the process may run on) share
+    the draws. Raises ValueError for an unlabelled burst, and UsageError
+    when the bursts name fewer than two devices.
 
     One call pads the channel vectors and encodes the truth devices
-    once; a draw is its rows' positions in ``table``. Draws often refine
-    the same pool, so each worker takes every ``jobs``-th draw and keeps
-    one cache of prepared pools, with their D² seeding and Lloyd memos,
-    for them; no cache outlives the call.
+    once. A draw is its device codes; its rows, in id order, are found
+    when it is scored, so the call holds one draw's rows at a time.
+    Draws often refine the same pool, so each worker takes every
+    ``jobs``-th draw and keeps one cache of prepared pools, with their
+    D² seeding and Lloyd memos, for them; no cache outlives the call.
     """
-    truth, draws = _protocol_table(table, eval_cfg)
+    codes, draws = _protocol_table(table, eval_cfg)
     score = partial(
-        _score_draws, table.ie_features, pad_matrix(table), np.diff(table.offsets), truth,
+        _score_draws, table.ie_features, pad_matrix(table), np.diff(table.offsets), codes,
         dbscan_cfg, kmeans_cfg, eval_cfg.seed,
     )
-    jobs = min(jobs, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    jobs = min(jobs, cpus)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
             chunks = list(pool_exec.map(score, [draws[i::jobs] for i in range(jobs)]))
@@ -338,10 +332,11 @@ def tune_dbscan(
         [(DbscanConfig(eps=eps, min_pts=min_pts), [], []) for min_pts in minpts_grid]
         for eps in eps_grid
     ]
-    (n_devices, codes), draws = _protocol_table(table, eval_cfg)
+    codes, draws = _protocol_table(table, eval_cfg)
     fingerprints = _distinct_rows(table.ie_features)[2]
-    for p, s, idx in draws:
-        truth = (n_devices, codes[idx])
+    for p, s, picked in draws:
+        idx = np.flatnonzero(np.isin(codes, picked))
+        truth = codes[idx]
         first, weights, inverse = _distinct_rows(fingerprints[idx])
         distinct = normalize_ie_matrix(table.ie_features[idx[first]])
         # (neighbour pairs, core rows) -> (V, |Delta|). The counts name

@@ -481,7 +481,10 @@ class TestJobs:
     @pytest.fixture
     def executor(self, monkeypatch):
         """Stands in for ProcessPoolExecutor and runs tasks in-process,
-        recording each executor's worker count and the tasks it maps."""
+        recording each executor's worker count and the tasks it maps.
+        The process may run on every CPU ``os.cpu_count`` reports, so a
+        test that patches that alone sets the usable CPUs too."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(os.cpu_count())), raising=False)
         record = types.SimpleNamespace(started=[], mapped=[])
 
         class RecordingExecutor:
@@ -501,13 +504,23 @@ class TestJobs:
         monkeypatch.setattr(metrics, "ProcessPoolExecutor", RecordingExecutor)
         return record
 
-    @pytest.mark.parametrize("requested, cpus, workers", [(64, 2, 2), (2, 4, 2), (3, 1, None), (1, 4, None)])
+    @pytest.mark.parametrize("requested, cpus, workers", [(64, 2, 2), (2, 4, 2), (3, 1, None), (1, 4, None), (2, 1, None)])
     def test_clamped_to_cpu_count(self, workspace, tmp_path, monkeypatch, executor, requested, cpus, workers):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        """The machine reports four CPUs, of which the process may run on
+        ``cpus``: workers are capped by the latter."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         argv = ["evaluate", str(workspace["features"]), "--out", str(tmp_path / "o"), "--d", "1"]
         assert main(argv + ["--jobs", str(requested)]) == 0
         # one executor per evaluate, or none when the runs stay serial
         assert executor.started == ([] if workers is None else [workers])
+
+    def test_cpu_count_where_affinity_is_unknown(self, workspace, tmp_path, monkeypatch, executor):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        argv = ["evaluate", str(workspace["features"]), "--out", str(tmp_path / "o"), "--d", "1"]
+        assert main(argv + ["--jobs", "2"]) == 0
+        assert executor.started == []
 
     def test_worker_chunks_match_serial(self, workspace, monkeypatch, executor):
         """Each worker gets every jobs-th draw as one task (one fine-stage

@@ -1,6 +1,7 @@
 """Evaluation metrics and the random-subset protocol."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from probederand import UsageError, clustering, metrics
 from probederand.clustering import (
+    NOISE,
     DbscanConfig,
     KmeansConfig,
     ie_only_cluster,
@@ -43,6 +45,24 @@ from oracles import (
     reference_score,
     table_rows,
 )
+
+
+@st.composite
+def coded_draws(draw):
+    """One draw's truth device codes, which may skip values, and its
+    labels: ``NOISE`` or 0..k-1 at random, one cluster, or every row a
+    cluster of its own. Up to 40 rows, so predicted columns often hold
+    8 rows or more, where numpy's sums turn pairwise."""
+    n = draw(st.integers(1, 40))
+    devices = draw(st.lists(st.integers(0, 30), min_size=1, max_size=6, unique=True))
+    truth = np.array(draw(st.lists(st.sampled_from(devices), min_size=n, max_size=n)), dtype=np.intp)
+    shape = draw(st.sampled_from(["random", "one", "singletons"]))
+    if shape == "one":
+        return truth, np.zeros(n, dtype=int)
+    if shape == "singletons":
+        return truth, np.arange(n)
+    low = NOISE if draw(st.booleans()) else 0
+    return truth, np.array(draw(st.lists(st.integers(low, draw(st.integers(0, 4))), min_size=n, max_size=n)))
 
 
 class TestHomogeneityCompletenessV:
@@ -84,6 +104,21 @@ class TestHomogeneityCompletenessV:
             got = homogeneity_completeness_v(truth, pred)
             want = oracle_hcv(truth, pred)
             assert got == pytest.approx(want, abs=1e-9)
+
+    @given(coded_draws())
+    @settings(max_examples=200, deadline=None)
+    @example((np.array([0, 5, 9] * 7, dtype=np.intp), np.zeros(21, dtype=int)))
+    @example((np.array([3] * 9 + [7] * 9, dtype=np.intp), np.array([NOISE] * 10 + [0] * 8)))
+    def test_score_from_codes_is_exact(self, instance):
+        """A draw scored from its truth codes and ``labels + 1`` reports,
+        bit for bit, what its device names and labels score through
+        ``np.unique``."""
+        truth, labels = instance
+        p, s = len(set(truth.tolist())), 3
+        h, c, v = homogeneity_completeness_v([f"dev{code:02d}" for code in truth], labels.tolist())
+        count = n_clusters(labels)
+        assert metrics._score(p, s, truth, labels) == MetricReport(h, c, v, count, delta_error(count, p), p, s)
+        assert (h, c, v) == pytest.approx(oracle_hcv(truth.tolist(), labels.tolist()), abs=1e-12)
 
     def test_symmetry_of_conditionals(self):
         rng = np.random.default_rng(37)
@@ -366,6 +401,28 @@ class TestProtocol:
             run_protocol(burst_table(rows), cfg, DbscanConfig(), KmeansConfig())
         with pytest.raises(ValueError, match=match):
             tune_dbscan(burst_table(rows), [0.05], [5], cfg)
+
+    @pytest.mark.parametrize("entry", ["run_protocol", "tune_dbscan"])
+    def test_memory_flat_in_d(self, entry):
+        """A call holds one draw's rows at a time, so going from 1 to 4
+        draws per population size adds reports, not four times the
+        draws' rows. Each device is one coarse pool with one distinct
+        channel row, so no k-means work hides the draws' memory."""
+        bursts = synthetic_bursts(n_devices=30, bursts_per=40)
+        call = {
+            "run_protocol": lambda d: run_protocol(bursts, EvalConfig(d=d), DbscanConfig(), KmeansConfig()),
+            "tune_dbscan": lambda d: tune_dbscan(bursts, [0.05], [5], EvalConfig(d=d)),
+        }[entry]
+        call(1)  # the first call's imports would inflate its peak
+        peaks = []
+        for d in (1, 4):
+            tracemalloc.start()
+            try:
+                call(d)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.75 * peaks[0], peaks
 
     def test_draw_subsets_shape(self):
         cfg = EvalConfig(d=7, seed=2)
