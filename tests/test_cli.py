@@ -1007,7 +1007,8 @@ def mutate_feature_lines(lines, edits):
             lines[at], lines[partner] = lines[partner], lines[at]
             continue
         elif kind == "wrong-L":
-            fields[3] = str(int(fields[3]) + 1 + column % 2)
+            # an earlier "quote" edit may have quoted L
+            fields[3] = str(int(fields[3].strip('"')) + 1 + column % 2)
         elif kind == "over-limit":
             # three characters an entry: 44 000 of them pass 131 072
             fields[3], fields[7] = "44000", ";".join(["11"] * 44_000)
@@ -1034,6 +1035,7 @@ class TestMutatedFeatureFiles:
     @example([("quote", 1, 7, 0), ("blank", 2, 1, 0), ("comment", 2, 0, 0)])
     @example([("repeat-id", 1, 0, 2)])
     @example([("wrong-L", 1, 0, 0)])
+    @example([("quote", 0, 3, 0), ("wrong-L", 0, 0, 0)])
     @settings(max_examples=40, deadline=None)
     def test_end_in_exit_0_or_one_line(self, small_features, edits):
         """A mutated feature file never escapes ``main`` as a traceback
