@@ -275,9 +275,29 @@ def read_feature_file(path) -> BurstTable:
     """Load the bursts of a feature file in burst-id order, reporting
     bad rows (and a ``burst_id`` that repeats an earlier row's) by the
     line their record starts on. Blank and ``#`` lines before the header
-    are skipped; after it every csv record is a row but a blank one."""
-    rows = []
-    first_line = {}  # burst_id -> line its record starts on
+    are skipped; after it every csv record is a row but a blank one.
+
+    One ``csv.reader`` pass collects the rows. Each distinct text of a
+    column is then parsed once, and the cross-field and cross-row checks
+    (L against the vector, repeated ids, the signed 64-bit range) run on
+    arrays. Only the first bad row is checked field by field again, for
+    its message; a file error met after it is raised when no row before
+    it is bad. Ids that already ascend are not sorted.
+    """
+    rows, lines, failure = _feature_records(path)
+    table = _feature_table(path, rows, lines)
+    if failure is not None:
+        raise failure
+    return table
+
+
+def _feature_records(path) -> tuple[list[list[str]], list[int], Optional[ValueError]]:
+    """(each non-blank record after the header, the line each starts on,
+    and the error that ended the read early, or None). A file that is
+    not UTF-8 text, or not csv past the rows read, gives that error; a
+    missing or unexpected header raises at once."""
+    rows: list[list[str]] = []
+    lines: list[int] = []
     # No field is longer than the file's byte size, so with csv's limit
     # raised to that every channel vector reads back.
     limit = csv.field_size_limit()
@@ -294,35 +314,112 @@ def read_feature_file(path) -> BurstTable:
             try:
                 header = next(reader)
                 if tuple(header) != FEATURE_FIELDS:
-                    raise ValueError(f"unexpected header {header}")
+                    raise ValueError(f"{path}:{lineno}: unexpected header {header}")
                 lineno = skipped + reader.line_num + 1
                 for row in reader:
                     if len(row) > 1 or "".join(row).strip():  # blank: no field, or one of whitespace
-                        rows.append(_feature_row(row))
-                        burst_id = rows[-1][0]
-                        if burst_id in first_line:
-                            raise ValueError(f"burst_id {burst_id} repeats line {first_line[burst_id]}")
-                        if not -(2**63) <= burst_id < 2**63:
-                            raise ValueError(f"burst_id {burst_id} is outside the signed 64-bit range")
-                        first_line[burst_id] = lineno
+                        rows.append(row)
+                        lines.append(lineno)
                     lineno = skipped + reader.line_num + 1
-            except UnicodeDecodeError:
-                raise
-            except (ValueError, csv.Error) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            except csv.Error as exc:
+                return rows, lines, ValueError(f"{path}:{lineno}: {exc}")
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
-        raise ValueError(f"{path}: not UTF-8 text (cannot decode byte 0x{byte:02x}: {exc.reason})") from None
+        return rows, lines, ValueError(f"{path}: not UTF-8 text (cannot decode byte 0x{byte:02x}: {exc.reason})")
     finally:
         csv.field_size_limit(limit)
-    rows.sort(key=lambda row: row[0])
-    ids, macs, truths, ie_features, vectors = zip(*rows) if rows else ([],) * 5
+    return rows, lines, None
+
+
+def _feature_table(path, rows: list[list[str]], lines: list[int]) -> BurstTable:
+    """The table of feature-file rows, each read from the line in
+    ``lines``; ValueError ``path:line: message`` for the first bad row.
+
+    Every field check depends on its own text alone, so it runs once per
+    distinct text of its column. Rows from the first one of the wrong
+    width on are not parsed: none of them can be bad before it.
+    """
+    wrong_width = np.flatnonzero(np.fromiter(map(len, rows), np.int64, len(rows)) != len(FEATURE_FIELDS))
+    n = int(wrong_width[0]) if len(wrong_width) else len(rows)
+    columns = list(zip(*rows[:n])) or [()] * len(FEATURE_FIELDS)
+    id_values, id_failed, id_of = _parse_column(columns[0], _int64, 0)
+    macs, mac_failed, mac_of = _parse_column(columns[1], mac_from_str, None)
+    truths, _, truth_of = _parse_column(columns[2], lambda text: text or None, None)
+    claimed, _, claimed_of = _parse_column(columns[3], _int64, -1)  # L; -1 matches no vector
+    ie_values = [_parse_column(columns[j], float, math.nan) for j in (4, 5, 6)]
+    vectors, vector_failed, vector_of = _parse_column(columns[7], _channel_vector, ())
+    sizes = np.fromiter(map(len, vectors), np.int64, len(vectors))
+
+    ids = np.array(id_values, dtype=np.int64)[id_of]
+    ie_features = np.column_stack([np.array(values)[of] for values, _, of in ie_values])
+    lengths = sizes[vector_of]
+    bad = id_failed[id_of] | mac_failed[mac_of] | vector_failed[vector_of] | (lengths == 0)
+    bad |= ~np.isfinite(ie_features).all(axis=1)
+    bad |= np.array(claimed, dtype=np.int64)[claimed_of] != lengths
+    order = None
+    if np.any(ids[1:] <= ids[:-1]):
+        order = np.argsort(ids, kind="stable")
+        # a stable sort puts each copy of an id after the earlier ones
+        bad[order[1:]] |= ids[order[1:]] == ids[order[:-1]]
+    if bad.any() or n < len(rows):
+        _raise_first_bad_row(path, rows, lines, ids, int(np.argmax(bad)) if bad.any() else n)
+    if order is None:
+        order = slice(None)
     return BurstTable(
-        ids, macs, truths, ie_features,
-        channels=np.fromiter(chain.from_iterable(vectors), np.int64),
-        offsets=np.cumsum([0, *map(len, vectors)]),
-        ie_stable=np.ones(len(rows), dtype=bool),
+        ids[order],
+        np.array(macs, dtype=object)[mac_of][order],
+        np.array(truths, dtype=object)[truth_of][order],
+        ie_features[order],
+        channels=np.fromiter(chain.from_iterable(map(vectors.__getitem__, vector_of[order].tolist())), np.int64),
+        offsets=np.concatenate(([0], np.cumsum(lengths[order]))),
+        ie_stable=np.ones(n, dtype=bool),
     )
+
+
+def _parse_column(texts: Sequence[str], parse: Callable[[str], object], fill) -> tuple[list, np.ndarray, np.ndarray]:
+    """``parse`` of each distinct text of a column, called once per
+    distinct text: (its value per distinct text, ``fill`` where it raised
+    ValueError; whether it raised; each text's distinct index)."""
+    index = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    values, failed = [], np.zeros(len(index), dtype=bool)
+    for i, text in enumerate(index):
+        try:
+            values.append(parse(text))
+        except ValueError:
+            values.append(fill)
+            failed[i] = True
+    return values, failed, np.fromiter(map(index.__getitem__, texts), np.int64, len(texts))
+
+
+def _raise_first_bad_row(path, rows: list[list[str]], lines: list[int], ids: np.ndarray, i: int) -> None:
+    """Raise the error of row i, the first bad one, whose id, when it is
+    a valid field in range, repeats an earlier row's."""
+    try:
+        burst_id = _feature_row(rows[i])[0]
+        if not -(2**63) <= burst_id < 2**63:
+            raise ValueError(f"burst_id {burst_id} is outside the signed 64-bit range")
+        earlier = lines[int(np.flatnonzero(ids[:i] == burst_id)[0])]
+        raise ValueError(f"burst_id {burst_id} repeats line {earlier}")
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lines[i]}: {exc}") from None
+
+
+def _int64(text: str) -> int:
+    """A signed 64-bit integer field; ValueError for any other text."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} is outside the signed 64-bit range")
+    return value
+
+
+def _channel_vector(text: str) -> tuple[int, ...]:
+    """The entries of a ``;``-joined channel vector; empty entries are
+    skipped, and a vector with any entry must hold them in 0..255 and
+    one of them positive."""
+    vector = tuple([int(c) for c in text.split(";") if c != ""])
+    if vector and (min(vector) < 0 or not 0 < max(vector) <= 255):
+        raise ValueError(f"channel_vector needs entries in 0..255 and a positive one, got {text!r}")
+    return vector
 
 
 def _feature_row(row: list[str]) -> tuple:
@@ -330,9 +427,7 @@ def _feature_row(row: list[str]) -> tuple:
     vector) of one feature-file row, checked field by field."""
     if len(row) != len(FEATURE_FIELDS):
         raise ValueError(f"expected {len(FEATURE_FIELDS)} fields, got {len(row)}")
-    channel_vector = tuple([int(c) for c in row[7].split(";") if c != ""])
-    if channel_vector and (min(channel_vector) < 0 or not 0 < max(channel_vector) <= 255):
-        raise ValueError(f"channel_vector needs entries in 0..255 and a positive one, got {row[7]!r}")
+    channel_vector = _channel_vector(row[7])
     ie_features = (float(row[4]), float(row[5]), float(row[6]))
     if not all(math.isfinite(x) for x in ie_features):
         raise ValueError(f"IE features must be finite, got {ie_features}")

@@ -189,7 +189,9 @@ def _score_draws(
     dbscan_cfg: DbscanConfig, kmeans_cfg: KmeansConfig, seed: int, draws: list[tuple[int, int, tuple]],
 ) -> list[dict[str, MetricReport]]:
     """Both methods' reports of each draw of ``run_protocol``'s table,
-    sharing one fine-stage pool cache that is dropped on return."""
+    sharing one fine-stage pool cache that is dropped on return. A draw
+    whose two labelings are equal is scored once, and the one report
+    stands for both methods."""
     pools: dict = {}
     reports = []
     for p, s, picked in draws:
@@ -199,8 +201,11 @@ def _score_draws(
         # Cut to the draw's widest burst: each pool's rows, key and sums
         # are then those of padding the draw alone.
         final = two_stage_cluster(channels[idx, : lengths[idx].max()], coarse, run_cfg, pools)
-        labels = {METHOD_TWO_STAGE: final, METHOD_IE_ONLY: coarse}
-        reports.append({m: _score(p, s, codes[idx], labels[m]) for m in METHODS})
+        if np.array_equal(final, coarse):  # _score is pure, so one report serves both
+            reports.append(dict.fromkeys(METHODS, _score(p, s, codes[idx], coarse)))
+        else:
+            labels = {METHOD_TWO_STAGE: final, METHOD_IE_ONLY: coarse}
+            reports.append({m: _score(p, s, codes[idx], labels[m]) for m in METHODS})
     return reports
 
 

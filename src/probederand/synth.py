@@ -12,6 +12,7 @@ checks.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import reprlib
@@ -123,17 +124,13 @@ def _draw_interval(spec: IntervalSpec, rng: np.random.Generator) -> float:
 
 
 def _random_mac(rng: np.random.Generator, locally_administered: bool) -> bytes:
-    raw = bytearray(int(b) for b in rng.integers(0, 256, size=6))
+    raw = bytearray(rng.integers(0, 256, size=6).astype(np.uint8))
     raw[0] &= 0xFE  # never multicast
     if locally_administered:
         raw[0] |= 0x02
     else:
         raw[0] &= 0xFD
     return bytes(raw)
-
-
-def _quantize(seconds: float) -> float:
-    return round(seconds * 1e6) / 1e6
 
 
 def _frame_ies(template: IeTemplate, channel: int) -> bytes:
@@ -157,30 +154,45 @@ def generate_device(profile: DeviceProfile, duration: float, rng: np.random.Gene
     capture channel is its DS channel, and sequence numbers count up
     by one per frame, modulo 4096, from a drawn start. The frames carry
     no label: the caller knows them as ``profile.device_id``.
+
+    The loop draws per burst, in a fixed order (length, jitter test,
+    jitter slot and channel, MAC, interval), and keeps only the burst's
+    start, length, MAC and perturbed entry; the frame columns are built
+    from those after it. Frame i of a burst starting at t is stamped
+    ``t + i * intra_burst_gap``, rounded to the microsecond.
     """
-    timestamps, macs, capture_channels, regions = [], [], [], []
+    pattern = profile.pnl_pattern
     first_sequence = int(rng.integers(4096))
     fixed_mac = None if profile.randomize_mac else _random_mac(rng, locally_administered=False)
-    ies_of = {channel: _frame_ies(profile.ie_template, channel) for channel in range(1, 14)}
+    starts, lengths, macs, jitter_rows, jitter_channels = [], [], [], [], []
+    n = 0  # frames so far
     t = 0.0
     while t < duration - 1e-12:
         length = _draw_length(profile.burst_length, rng)
-        channels = [profile.pnl_pattern[i % len(profile.pnl_pattern)] for i in range(length)]
         if rng.random() < profile.channel_jitter:
             slot = int(rng.integers(length))
-            alternatives = [c for c in range(1, 14) if c != channels[slot]]
-            channels[slot] = alternatives[int(rng.integers(len(alternatives)))]
-        if profile.randomize_mac:
-            mac = _random_mac(rng, locally_administered=True)
-        else:
-            mac = fixed_mac
-        timestamps += [_quantize(t + i * profile.intra_burst_gap) for i in range(length)]
-        macs += [mac] * length
-        capture_channels += channels
-        regions += [ies_of[channel] for channel in channels]
+            alternatives = [c for c in range(1, 14) if c != pattern[slot % len(pattern)]]
+            jitter_rows.append(n + slot)
+            jitter_channels.append(alternatives[int(rng.integers(len(alternatives)))])
+        macs.append(_random_mac(rng, locally_administered=True) if profile.randomize_mac else fixed_mac)
+        starts.append(t)
+        lengths.append(length)
+        n += length
         t += _draw_interval(profile.inter_burst_interval, rng)
-    sequence_numbers = (first_sequence + np.arange(len(timestamps))) % 4096
-    return FrameTable(timestamps, macs, capture_channels, sequence_numbers, regions)
+    counts = np.array(lengths, dtype=np.int64)
+    steps = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)  # index within the burst
+    timestamps = np.rint((np.repeat(starts, counts) + steps * profile.intra_burst_gap) * 1e6) / 1e6
+    channels = np.array(pattern)[steps % len(pattern)]
+    channels[jitter_rows] = jitter_channels
+    ies_of = np.empty(14, dtype=object)
+    ies_of[1:] = [_frame_ies(profile.ie_template, channel) for channel in range(1, 14)]
+    return FrameTable(
+        timestamps,
+        np.repeat(np.array(macs, dtype=object), counts),
+        channels,
+        (first_sequence + np.arange(n)) % 4096,
+        ies_of[channels],
+    )
 
 
 def assign_to_sniffers(frames: FrameTable, sniffer_channels: Sequence[int]) -> dict[int, FrameTable]:
@@ -193,13 +205,23 @@ def assign_to_sniffers(frames: FrameTable, sniffer_channels: Sequence[int]) -> d
 
 
 # Record header, then a 12-byte Radiotap header carrying only the channel
-# field, then the 802.11 management header of a Probe Request.
-_RECORD = struct.Struct(
-    "<IIII"  # ts_sec, ts_usec, incl_len, orig_len
-    "BBHIHH"  # Radiotap: version, pad, length, presence (Channel), frequency, flags
-    "BB2s6s6s6sH"  # Frame Control, Duration, Address 1-3, Sequence Control
+# field, then the 802.11 management header of a Probe Request, packed.
+_RECORD = np.dtype(
+    [
+        ("ts_sec", "<u4"), ("ts_usec", "<u4"), ("incl_len", "<u4"), ("orig_len", "<u4"),
+        # Radiotap: version, pad, length, presence (Channel), frequency, flags
+        ("rt_version", "u1"), ("rt_pad", "u1"), ("rt_length", "<u2"), ("rt_present", "<u4"),
+        ("frequency", "<u2"), ("channel_flags", "<u2"),
+        # Frame Control, Duration, Address 1-3, Sequence Control
+        ("frame_control", "u1"), ("fc_flags", "u1"), ("duration", "<u2"),
+        ("address1", "u1", 6), ("address2", "u1", 6), ("address3", "u1", 6), ("sequence_control", "<u2"),
+    ]
 )
-_BROADCAST = b"\xff" * 6
+# The fields every record shares; the rest are zero until filled per row.
+_HEADER = np.array(
+    (0, 0, 0, 0, 0, 0, 12, 1 << 3, 0, _CHANNEL_FLAGS_2GHZ, FC_PROBE_REQUEST, 0, 0, [0xFF] * 6, [0] * 6, [0xFF] * 6, 0),
+    dtype=_RECORD,
+)
 
 
 def write_capture(frames: FrameTable, path) -> None:
@@ -211,38 +233,92 @@ def write_capture(frames: FrameTable, path) -> None:
     the one before, or a timestamp whose rounded microseconds fall
     outside a record's unsigned 32-bit seconds (negative, 2**32 s or
     more, NaN or infinite) raises ``ValueError``, and no file is written.
+
+    The checks run over whole columns, and the first bad row raises the
+    message of the first check it fails. The record headers are one
+    structured array; they and the IE regions are scattered by offset
+    into one buffer, which is written at once.
     """
-    out = bytearray(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, LINKTYPE_RADIOTAP))
-    previous = -math.inf
-    rows = zip(
-        frames.timestamps.tolist(),
-        frames.source_macs.tolist(),
-        frames.capture_channels.tolist(),
-        frames.sequence_numbers.tolist(),
-        frames.ies.tolist(),
-    )
-    for timestamp, mac, channel, sequence, ies in rows:
-        if len(mac) != 6:
-            raise ValueError("source_mac must be exactly 6 bytes")
-        if not 1 <= channel <= 13:
-            raise ValueError(f"capture_channel out of range: {channel}")
-        if not 0 <= sequence <= 4095:
-            raise ValueError(f"sequence_number out of range: {sequence}")
-        if timestamp < previous:
-            raise ValueError("frames must be time-ordered")
-        previous = timestamp
-        ticks = round(timestamp * 1e6) if math.isfinite(timestamp) else -1
-        if not 0 <= ticks < 2**32 * 1_000_000:  # pcap's seconds are unsigned 32-bit
-            raise ValueError(f"timestamp out of range: {timestamp}")
-        sec, usec = divmod(ticks, 1_000_000)
-        size = _RECORD.size - 16 + len(ies)
-        out += _RECORD.pack(
-            sec, usec, size, size,
-            0, 0, 12, 1 << 3, 2407 + 5 * channel, _CHANNEL_FLAGS_2GHZ,
-            FC_PROBE_REQUEST, 0, bytes(2), _BROADCAST, mac, _BROADCAST, sequence << 4,
-        )
-        out += ies
+    n = len(frames)
+    regions = frames.ies.tolist()
+    ie_sizes = np.fromiter(map(len, regions), np.int64, n)
+    headers = _record_headers(frames, ie_sizes).view(np.uint8).reshape(n, _RECORD.itemsize)
+    starts = np.cumsum(_RECORD.itemsize + ie_sizes) - _RECORD.itemsize - ie_sizes  # in the body
+    out = np.empty(24 + headers.size + int(ie_sizes.sum()), dtype=np.uint8)
+    out[:24] = np.frombuffer(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, LINKTYPE_RADIOTAP), np.uint8)
+    body = out[24:]
+    if n:  # a window is a whole header, so it needs one record
+        _header_windows(body)[starts] = headers
+    del headers  # before the mask is made, to keep the peak below three copies of the file
+    # every byte that is not a header's is an IE region's, in row order
+    is_ie = np.ones(len(body), dtype=bool)
+    if n:
+        _header_windows(is_ie)[starts] = False
+    body[is_ie] = _joined(regions)
     Path(path).write_bytes(out)
+
+
+def _header_windows(buffer: np.ndarray) -> np.ndarray:
+    """Overlapping rows over a 1-D buffer that holds whole records: row j
+    is ``buffer[j:j + 52]``, so the row at a record's start is its
+    header. Writing through it writes the buffer."""
+    step = buffer.itemsize
+    return np.ndarray((len(buffer) - _RECORD.itemsize + 1, _RECORD.itemsize), buffer.dtype, buffer, strides=(step, step))
+
+
+def _joined(chunks: list[bytes]) -> np.ndarray:
+    """The bytes of ``chunks`` end to end, as uint8. ``BytesIO.writelines``
+    copies one chunk at a time, where ``bytes.join`` first takes a buffer
+    view of every chunk, 80 bytes each."""
+    buffer = io.BytesIO()
+    buffer.writelines(chunks)
+    return np.frombuffer(buffer.getbuffer(), np.uint8)
+
+
+def _record_headers(frames: FrameTable, ie_sizes: np.ndarray) -> np.ndarray:
+    """The record header of each row, as ``_RECORD``s, once the rows pass
+    the checks of ``write_capture``."""
+    ticks = _record_ticks(frames)
+    headers = _HEADER.repeat(len(frames))
+    headers["ts_sec"], headers["ts_usec"] = np.divmod(ticks, 1_000_000)
+    headers["incl_len"] = headers["orig_len"] = _RECORD.itemsize - 16 + ie_sizes
+    headers["frequency"] = 2407 + 5 * frames.capture_channels
+    headers["address2"] = _joined(frames.source_macs.tolist()).reshape(-1, 6)
+    headers["sequence_control"] = frames.sequence_numbers << 4
+    return headers
+
+
+def _record_ticks(frames: FrameTable) -> np.ndarray:
+    """Each row's timestamp in whole microseconds, after the checks of
+    ``write_capture``: ValueError for the first row failing any of them,
+    with the message of the first check that row fails."""
+    n = len(frames)
+    timestamps = frames.timestamps
+    channels, sequences = frames.capture_channels, frames.sequence_numbers
+    with np.errstate(over="ignore", invalid="ignore"):
+        ticks = np.rint(timestamps * 1e6)  # round half to even, as round() does
+    disordered = np.zeros(n, dtype=bool)
+    disordered[1:] = timestamps[1:] < timestamps[:-1]
+    failing = (  # each check's failing rows, in the order a row is checked
+        np.fromiter(map(len, frames.source_macs.tolist()), np.int64, n) != 6,
+        (channels < 1) | (channels > 13),
+        (sequences < 0) | (sequences > 4095),
+        disordered,
+        # pcap's seconds are unsigned 32-bit; NaN fails both comparisons
+        ~((ticks >= 0) & (ticks < 2**32 * 1_000_000)),
+    )
+    bad = failing[0] | failing[1] | failing[2] | failing[3] | failing[4]
+    if bad.any():
+        i = int(bad.argmax())
+        messages = (
+            "source_mac must be exactly 6 bytes",
+            f"capture_channel out of range: {int(channels[i])}",
+            f"sequence_number out of range: {int(sequences[i])}",
+            "frames must be time-ordered",
+            f"timestamp out of range: {float(timestamps[i])}",
+        )
+        raise ValueError(next(message for rows, message in zip(failing, messages) if rows[i]))
+    return ticks.astype(np.int64)
 
 
 def _dedupe_macs(per_device: list[FrameTable], seed: int) -> None:

@@ -15,6 +15,10 @@ blank and ``#`` lines skipped before the header and every csv record
 after it a row numbered by the line it starts on, with the reader's
 checks, giving rows in file order; it parses every record before it
 checks any;
+``reference_generate_device`` and ``reference_write_capture`` are the
+generator's and the pcap writer's loops over frames, before they built
+whole columns; the generator reuses the library's draw helpers and IE
+encoding, and draws each MAC with ``reference_random_mac``;
 ``reference_write_feature_file`` and ``reference_write_labeling_file``
 are the two writers as one ``csv.writer`` row per burst, before their
 text was built from columns; ``parse_radiotap_fields`` is the
@@ -90,6 +94,7 @@ from probederand.pcap import (
     mac_from_str,
 )
 from probederand.randomness import STREAM_KMEANS, child_seed, substream
+from probederand.synth import _draw_interval, _draw_length, _frame_ies
 
 IE_DS_PARAMETER_SET, IE_HT, IE_EXTENDED, IE_VENDOR = 3, 45, 127, 221
 CHANNEL_OF_FREQUENCY = {2407 + 5 * channel: channel for channel in range(1, 14)}
@@ -224,6 +229,91 @@ def table_frames(table):
         assert 1 <= frame.capture_channel <= 13, frame
         assert 0 <= frame.sequence_number <= 4095, frame
     return frames
+
+
+def reference_random_mac(rng, locally_administered):
+    """``synth._random_mac`` one octet at a time: the same one draw of
+    six integers, then the multicast and locally-administered bits."""
+    raw = bytearray(int(b) for b in rng.integers(0, 256, size=6))
+    raw[0] &= 0xFE
+    if locally_administered:
+        raw[0] |= 0x02
+    else:
+        raw[0] &= 0xFD
+    return bytes(raw)
+
+
+def reference_generate_device(profile, duration, rng):
+    """``generate_device`` as one loop over bursts that appends every
+    frame's timestamp, MAC, channel and IE region to lists, each
+    timestamp ``round(t * 1e6) / 1e6`` of the frame's own time."""
+    timestamps, macs, capture_channels, regions = [], [], [], []
+    first_sequence = int(rng.integers(4096))
+    fixed_mac = None if profile.randomize_mac else reference_random_mac(rng, locally_administered=False)
+    ies_of = {channel: _frame_ies(profile.ie_template, channel) for channel in range(1, 14)}
+    t = 0.0
+    while t < duration - 1e-12:
+        length = _draw_length(profile.burst_length, rng)
+        channels = [profile.pnl_pattern[i % len(profile.pnl_pattern)] for i in range(length)]
+        if rng.random() < profile.channel_jitter:
+            slot = int(rng.integers(length))
+            alternatives = [c for c in range(1, 14) if c != channels[slot]]
+            channels[slot] = alternatives[int(rng.integers(len(alternatives)))]
+        if profile.randomize_mac:
+            mac = reference_random_mac(rng, locally_administered=True)
+        else:
+            mac = fixed_mac
+        timestamps += [round((t + i * profile.intra_burst_gap) * 1e6) / 1e6 for i in range(length)]
+        macs += [mac] * length
+        capture_channels += channels
+        regions += [ies_of[channel] for channel in channels]
+        t += _draw_interval(profile.inter_burst_interval, rng)
+    sequence_numbers = (first_sequence + np.arange(len(timestamps))) % 4096
+    return FrameTable(timestamps, macs, capture_channels, sequence_numbers, regions)
+
+
+# pcap record header, Radiotap header with the channel field only, and the
+# 802.11 management header of a Probe Request
+_PCAP_RECORD = struct.Struct("<IIII" "BBHIHH" "BB2s6s6s6sH")
+
+
+def reference_write_capture(frames, path):
+    """``write_capture`` as one loop over rows: each row checked in turn
+    (MAC length, channel, sequence number, time order against the row
+    before, then the timestamp's rounded microseconds against pcap's
+    unsigned 32-bit seconds) and packed with ``struct``."""
+    out = bytearray(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, LINKTYPE_RADIOTAP))
+    previous = -math.inf
+    rows = zip(
+        frames.timestamps.tolist(),
+        frames.source_macs.tolist(),
+        frames.capture_channels.tolist(),
+        frames.sequence_numbers.tolist(),
+        frames.ies.tolist(),
+    )
+    for timestamp, mac, channel, sequence, ies in rows:
+        if len(mac) != 6:
+            raise ValueError("source_mac must be exactly 6 bytes")
+        if not 1 <= channel <= 13:
+            raise ValueError(f"capture_channel out of range: {channel}")
+        if not 0 <= sequence <= 4095:
+            raise ValueError(f"sequence_number out of range: {sequence}")
+        if timestamp < previous:
+            raise ValueError("frames must be time-ordered")
+        previous = timestamp
+        ticks = round(timestamp * 1e6) if math.isfinite(timestamp) else -1
+        if not 0 <= ticks < 2**32 * 1_000_000:
+            raise ValueError(f"timestamp out of range: {timestamp}")
+        sec, usec = divmod(ticks, 1_000_000)
+        size = _PCAP_RECORD.size - 16 + len(ies)
+        out += _PCAP_RECORD.pack(
+            sec, usec, size, size,
+            0, 0, 12, 1 << 3, 2407 + 5 * channel, 0x0080,
+            FC_PROBE_REQUEST, 0, bytes(2), b"\xff" * 6, mac, b"\xff" * 6, sequence << 4,
+        )
+        out += ies
+    with open(path, "wb") as fh:
+        fh.write(out)
 
 
 def reference_group_bursts(frames, gap_seconds=2.0, truths=None):
@@ -385,6 +475,8 @@ def _reference_feature_rows(path, numbered):
                 raise ValueError(
                     f"burst_id {burst.burst_id} repeats line {first_line[burst.burst_id]}"
                 )
+            if not -(2**63) <= burst.burst_id < 2**63:
+                raise ValueError(f"burst_id {burst.burst_id} is outside the signed 64-bit range")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         first_line[burst.burst_id] = lineno

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from probederand import features as features_module
 from probederand.clustering import write_labeling_file
 from probederand.features import (
     FEATURE_FIELDS,
@@ -553,6 +554,140 @@ class TestFeatureFileRoundTrip:
                 return
             write_feature_file(burst_table(rows), path, header)
             assert table_rows(read_feature_file(path)) == rows
+
+
+def crowd_style_rows(n=120, seed=0):
+    """Bursts shaped like a crowd capture's: ascending ids with gaps, a
+    MAC per burst but for two devices that keep theirs, ten devices'
+    IE rows and channel patterns, so most field texts repeat."""
+    rng = np.random.default_rng(seed)
+    patterns = [(1, 6, 11), (11, 6, 1), (1, 1, 6, 6, 11, 11), (6,), (1, 11, 1, 11)]
+    rows = []
+    for burst_id in np.cumsum(rng.integers(1, 4, size=n)).tolist():
+        device = int(rng.integers(10))
+        mac = bytes([0x00, 0, 0, 0, 0, device]) if device < 2 else bytes([0x02, *rng.integers(0, 256, 5).tolist()])
+        ie = (float(40 * device), float(8 * device + 1), 0.5 * device)
+        rows.append((burst_id, mac, ie, patterns[device % len(patterns)], f"dev-{device:02d}"))
+    return rows
+
+
+# Python's spellings of numbers that int() or float() may take or refuse
+SPELLINGS = ["1_000", " 7", "+3", "\u0663", "nan", "inf", "-inf", "1e3", "-0", "0x1", "", "7 ", "1__0", "3.0"]
+# the fields a spelling may replace whole
+SPELLED = ("burst_id", "L", "ie_ht", "ie_extcap", "ie_vendor", "channel_vector")
+
+
+def edited(fields, kind, value, lines):
+    """A row's fields after one edit; ``lines`` holds every row's fields,
+    for edits that copy from another row."""
+    fields = list(fields)
+    if kind in SPELLED:
+        fields[FEATURE_FIELDS.index(kind)] = value
+    elif kind == "vector-entry":  # one entry of the vector respelled
+        entries = fields[7].split(";")
+        entries[len(entries) // 2] = value
+        fields[7] = ";".join(entries)
+    elif kind == "empty-entry":
+        fields[7] = fields[7].replace(";", ";;", 1) if ";" in fields[7] else fields[7] + ";"
+    elif kind == "repeat-id":
+        fields[0] = lines[value][0]
+    elif kind == "id":
+        fields[0] = str(value)
+    elif kind == "L-mismatch":  # ten times L, whatever an earlier edit left there
+        fields[3] += "0"
+    return fields
+
+
+EDIT_KINDS = st.one_of(
+    st.tuples(st.sampled_from([*SPELLED, "vector-entry"]), st.sampled_from(SPELLINGS)),
+    st.tuples(st.just("empty-entry"), st.none()),
+    st.tuples(st.just("repeat-id"), st.integers(0, 119)),
+    st.tuples(st.just("id"), st.sampled_from([2**63, 2**63 - 1, -(2**63), -(2**63) - 1, 10**30])),
+    st.tuples(st.just("L-mismatch"), st.none()),
+)
+
+
+class TestColumnReader:
+    """``read_feature_file`` parses each distinct field text once and
+    checks rows as arrays; it must agree with the per-row reference."""
+
+    @staticmethod
+    def agree(path):
+        try:
+            want = sorted(reference_read_feature_file(path))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                read_feature_file(path)
+            assert str(raised.value) == str(exc)
+            return exc
+        assert table_rows(read_feature_file(path)) == want
+        return None
+
+    @staticmethod
+    def write_edited(path, edits):
+        write_feature_file(burst_table(crowd_style_rows()), path, header_comment="probederand test")
+        text = path.read_text(encoding="utf-8").splitlines()
+        head, lines = text[:2], [line.split(",") for line in text[2:]]
+        for row, (kind, value) in edits:
+            lines[row] = edited(lines[row], kind, value, lines)
+        path.write_text("\n".join([*head, *map(",".join, lines)]) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    @pytest.mark.parametrize("kind", [*SPELLED, "vector-entry"])
+    def test_each_spelling_in_each_column(self, tmp_path, kind, spelling):
+        path = tmp_path / "bursts.csv"
+        self.write_edited(path, [(5, (kind, spelling))])
+        self.agree(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [("empty-entry", None), ("repeat-id", 2), ("repeat-id", 90), ("id", 2**63), ("id", -(2**63) - 1),
+         ("id", 2**63 - 1), ("L-mismatch", None)],
+    )
+    def test_each_row_edit(self, tmp_path, edit):
+        path = tmp_path / "bursts.csv"
+        self.write_edited(path, [(40, edit)])
+        self.agree(path)
+
+    @given(st.lists(st.tuples(st.integers(0, 119), EDIT_KINDS), min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_edits_anywhere_match_reference(self, edits):
+        """Up to three edits: the first bad row in the file raises its
+        first failing check, or the table is the reference's."""
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "bursts.csv"
+            self.write_edited(path, edits)
+            self.agree(path)
+
+    def test_fields_parsed_once_per_distinct_text(self, tmp_path, monkeypatch):
+        """A good file parses each distinct MAC text once and checks no
+        row field by field; a bad file checks its first bad row alone."""
+        path = tmp_path / "bursts.csv"
+        rows = crowd_style_rows()
+        write_feature_file(burst_table(rows), path)
+        calls = {"mac_from_str": [], "_feature_row": []}
+
+        def count(name):
+            original = getattr(features_module, name)
+
+            def counted(arg):
+                calls[name].append(arg)
+                return original(arg)
+
+            monkeypatch.setattr(features_module, name, counted)
+
+        for name in calls:
+            count(name)
+        assert len(read_feature_file(path)) == len(rows)
+        assert len(calls["mac_from_str"]) == len({row[1] for row in rows}) < len(rows)
+        assert calls["_feature_row"] == []
+        lines = path.read_text().splitlines()
+        lines[30] = lines[30].replace(",dev-", ",x,dev-", 1)
+        lines[60] = lines[60].replace(",dev-", ",x,dev-", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:31: expected 8 fields, got 9$"):
+            read_feature_file(path)
+        assert len(calls["_feature_row"]) == 1
 
 
 @pytest.mark.parametrize("comment", ["two\nlines", "cr\r", "crlf\r\n", "\n"])

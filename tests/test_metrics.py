@@ -323,6 +323,34 @@ class TestProtocol:
         assert results[METHOD_IE_ONLY] == want
         assert len(results[METHOD_TWO_STAGE]) == len(pools)
 
+    @pytest.mark.parametrize("twins", [False, True])
+    def test_equal_labelings_scored_once(self, monkeypatch, twins):
+        """A draw whose fine stage keeps the coarse labels is scored by
+        one ``_hcv`` call, and that one report stands for both methods;
+        any other draw is scored twice. Separated templates give only
+        equal labelings, twins split their pools."""
+        bursts = synthetic_bursts(n_devices=6, bursts_per=12, twins=twins)
+        args = (bursts, EvalConfig(d=4, seed=3), DbscanConfig(min_pts=5), KmeansConfig(seed=3))
+        coarse_runs, final_runs, hcv_calls = [], [], []
+
+        def recorded(runs, original):
+            def wrapper(*call_args, **kwargs):
+                runs.append(original(*call_args, **kwargs))
+                return runs[-1]
+
+            return wrapper
+
+        monkeypatch.setattr(metrics, "ie_only_cluster", recorded(coarse_runs, metrics.ie_only_cluster))
+        monkeypatch.setattr(metrics, "two_stage_cluster", recorded(final_runs, metrics.two_stage_cluster))
+        monkeypatch.setattr(metrics, "_hcv", recorded(hcv_calls, metrics._hcv))
+        results = run_protocol(*args, jobs=1)
+        equal = [np.array_equal(final, coarse) for final, coarse in zip(final_runs, coarse_runs)]
+        assert len(equal) == len(results[METHOD_IE_ONLY]) > 0
+        assert all(equal) != twins
+        assert len(hcv_calls) == sum(1 if same else 2 for same in equal)
+        for same, two_stage, ie_only in zip(equal, results[METHOD_TWO_STAGE], results[METHOD_IE_ONLY]):
+            assert (two_stage is ie_only) == same
+
     @given(duplicate_heavy_tunes())
     @settings(max_examples=30, deadline=None)
     def test_draw_scores_match_oracle(self, instance):

@@ -5,6 +5,7 @@ import math
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,9 @@ from oracles import (
     decorated_merge,
     frame_table,
     reference_group_bursts,
+    reference_generate_device,
     reference_read_capture,
+    reference_write_capture,
     table_frames,
     table_rows,
 )
@@ -119,6 +122,33 @@ class TestGenerateDevice:
         assert stamps == sorted(stamps)
         for ts in stamps:
             assert round(ts * 1e6) / 1e6 == ts
+
+    @given(
+        pattern=st.lists(st.integers(1, 13), min_size=1, max_size=4).map(tuple),
+        burst_length=st.one_of(st.integers(1, 9), st.tuples(st.integers(1, 4), st.integers(4, 9))),
+        interval=st.one_of(st.sampled_from([0.25, 1.0, 7.5]), st.just((0.05, 3.0))),
+        gap=st.sampled_from([0.005, 1e-3, 0.1, 1 / 3, 0.7, 1]),
+        jitter=st.sampled_from([0.0, 0.5, 1.0]),
+        randomize_mac=st.booleans(),
+        duration=st.floats(1e-3, 40.0),
+        seed=st.integers(0, 2**32),
+    )
+    @example((1,), 1, 0.25, 0.005, 0.0, True, 1e-13, 0)  # no burst at all
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_frame_reference(
+        self, pattern, burst_length, interval, gap, jitter, randomize_mac, duration, seed
+    ):
+        """The table built from per-burst draws equals the per-frame loop's,
+        and both leave the generator in the same state: the draws are
+        the same calls in the same order."""
+        device = profile(
+            pnl_pattern=pattern, burst_length=burst_length, inter_burst_interval=interval,
+            intra_burst_gap=gap, channel_jitter=jitter, randomize_mac=randomize_mac,
+        )
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        frames = generate_device(device, duration, rng)
+        assert table_frames(frames) == table_frames(reference_generate_device(device, duration, reference_rng))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestAssignToSniffers:
@@ -277,6 +307,114 @@ class TestWriteCapture:
             with pytest.raises(ValueError, match=re.escape(message)):
                 write_capture(table, path)
             assert not path.exists()
+
+
+# The last timestamp a record holds, and the float below 2**32 s, which
+# rounds up to 2**32 s.
+LAST_TICK = (2**32 * 10**6 - 1) / 1e6
+BELOW_2_32 = math.nextafter(2.0**32, 0.0)
+# column -> values that pass or fail its check, for the writer's edits
+WRITER_EDITS = {
+    "timestamps": st.one_of(
+        st.sampled_from(
+            [math.nan, math.inf, -math.inf, -4e-7, -5e-7, -1.0, 0.0, 5e-7, 2.5e-6, LAST_TICK, BELOW_2_32, 2.0**32]
+        ),
+        st.floats(-1.0, 5e9),
+    ),
+    "source_macs": st.binary(min_size=5, max_size=7),
+    "capture_channels": st.integers(-1, 14),
+    "sequence_numbers": st.integers(-2, 4097),
+}
+
+
+def outcome(write, table, path):
+    """The bytes ``write`` gives for ``table``, or the type and message
+    of what it raises, with no file left behind."""
+    try:
+        write(table, path)
+    except (ValueError, OverflowError) as exc:
+        assert not path.exists()
+        return type(exc), str(exc)
+    data = path.read_bytes()
+    path.unlink()
+    return data
+
+
+class TestColumnWriter:
+    """``write_capture`` against the per-row loop it replaced."""
+
+    @given(table=frame_tables(), data=st.data())
+    @example(table=EDGE_TABLE, data=None)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_row_reference(self, table, data):
+        """Equal bytes, or the same exception and message, when up to
+        three cells anywhere hold values that may fail any check: the
+        lowest bad row raises its first failing check's message."""
+        if data is not None and len(table):
+            for _ in range(data.draw(st.integers(0, 3))):
+                column = data.draw(st.sampled_from(sorted(WRITER_EDITS)))
+                row = data.draw(st.integers(0, len(table) - 1))
+                getattr(table, column)[row] = data.draw(WRITER_EDITS[column])
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "out.pcap"
+            assert outcome(write_capture, table, path) == outcome(reference_write_capture, table, path)
+
+    @pytest.mark.parametrize("row", range(len(EDGE_TABLE)))
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("source_macs", b"\x02" * 5),
+            ("capture_channels", 0),
+            ("capture_channels", 14),
+            ("sequence_numbers", -1),
+            ("sequence_numbers", 4096),
+            ("timestamps", 0.5),  # below row 2's, above row 1's
+            ("timestamps", math.nan),
+            ("timestamps", math.inf),
+            ("timestamps", -math.inf),
+            ("timestamps", -4e-7),
+            ("timestamps", -5e-7),
+            ("timestamps", 2.5e-6),  # a half-microsecond tie, rounded to even
+            ("timestamps", LAST_TICK),
+            ("timestamps", BELOW_2_32),
+        ],
+    )
+    def test_each_check_at_each_row(self, tmp_path, row, column, value):
+        table = EDGE_TABLE.take(np.arange(len(EDGE_TABLE)))
+        getattr(table, column)[row] = value
+        path = tmp_path / "out.pcap"
+        assert outcome(write_capture, table, path) == outcome(reference_write_capture, table, path)
+
+    def test_huge_finite_timestamp_is_out_of_range(self, tmp_path):
+        """A finite timestamp whose microseconds overflow a float is out
+        of range like any other, where the row loop's ``round`` raised
+        OverflowError."""
+        table = EDGE_TABLE.take([0])
+        table.timestamps[0] = 1e303
+        path = tmp_path / "out.pcap"
+        assert outcome(write_capture, table, path) == (ValueError, "timestamp out of range: 1e+303")
+        assert outcome(reference_write_capture, table, path)[0] is OverflowError
+
+    def test_memory_stays_within_three_times_the_file(self, tmp_path):
+        """About 120k frames: tracemalloc's peak while writing stays below
+        three times the bytes written, so the writer holds the file once
+        plus columns, not one object per record."""
+        device = profile(
+            ie_template=IeTemplate(vendor=(bytes(range(20)),)),
+            pnl_pattern=(1, 6, 11),
+            burst_length=12,
+            inter_burst_interval=(0.1, 0.2),
+        )
+        frames = generate_device(device, 1500.0, np.random.default_rng(1))
+        assert len(frames) > 100_000
+        path = tmp_path / "big.pcap"
+        tracemalloc.start()
+        try:
+            write_capture(frames, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * path.stat().st_size
 
 
 def two_device_scenario(seed=5, jitter=0.0, sniffers=SNIFFERS_DEFAULT):
