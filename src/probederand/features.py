@@ -343,7 +343,7 @@ def _feature_table(path, rows: list[list[str]], lines: list[int]) -> BurstTable:
     n = int(wrong_width[0]) if len(wrong_width) else len(rows)
     columns = list(zip(*rows[:n])) or [()] * len(FEATURE_FIELDS)
     id_values, id_failed, id_of = _parse_column(columns[0], _int64, 0)
-    macs, mac_failed, mac_of = _parse_column(columns[1], mac_from_str, None)
+    macs, mac_failed, mac_of = _parse_macs(columns[1])
     truths, _, truth_of = _parse_column(columns[2], lambda text: text or None, None)
     claimed, _, claimed_of = _parse_column(columns[3], _int64, -1)  # L; -1 matches no vector
     ie_values = [_parse_column(columns[j], float, math.nan) for j in (4, 5, 6)]
@@ -389,6 +389,32 @@ def _parse_column(texts: Sequence[str], parse: Callable[[str], object], fill) ->
             values.append(fill)
             failed[i] = True
     return values, failed, np.fromiter(map(index.__getitem__, texts), np.int64, len(texts))
+
+
+# the value of each ASCII hex digit, in either case; -1 for any other byte
+_HEX_DIGIT = np.full(256, -1, dtype=np.int64)
+_HEX_DIGIT[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
+_HEX_DIGIT[np.frombuffer(b"ABCDEF", np.uint8)] = np.arange(10, 16)
+# the columns of the 12 hex digits in ``xx:xx:xx:xx:xx:xx``
+_MAC_DIGITS = np.array([i for i in range(17) if i % 3 != 2])
+
+
+def _parse_macs(texts: Sequence[str]) -> tuple[list, np.ndarray, np.ndarray]:
+    """``_parse_column(texts, mac_from_str, None)``, with one array pass
+    over the distinct texts when every one is 17 ASCII characters shaped
+    ``xx:xx:xx:xx:xx:xx``, the shape ``mac_from_str`` accepts. Any other
+    text sends the column through ``mac_from_str``, text by text."""
+    index = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    joined = "".join(index)
+    if not (joined.isascii() and set(map(len, index)) <= {17}):
+        return _parse_column(texts, mac_from_str, None)
+    chars = np.frombuffer(joined.encode("ascii"), np.uint8).reshape(-1, 17)
+    digits = _HEX_DIGIT[chars[:, _MAC_DIGITS]]
+    if np.count_nonzero(digits < 0) or np.count_nonzero(chars[:, 2::3] != ord(":")):
+        return _parse_column(texts, mac_from_str, None)
+    octets = (digits[:, 0::2] * 16 + digits[:, 1::2]).astype(np.uint8, order="C")
+    values = octets.view("V6")[:, 0].astype(object).tolist()
+    return values, np.zeros(len(index), dtype=bool), np.fromiter(map(index.__getitem__, texts), np.int64, len(texts))
 
 
 def _raise_first_bad_row(path, rows: list[list[str]], lines: list[int], ids: np.ndarray, i: int) -> None:

@@ -4,14 +4,16 @@ Reads classic pcap files (libpcap format, both byte orders, microsecond
 and nanosecond timestamp magic) with link type 127 (Radiotap over
 802.11) or 105 (bare 802.11), keeps only Probe Request frames, and
 merges per-channel sniffer captures into one time-ordered stream.
-:func:`read_capture` alone gives a frame its capture channel: the
-Radiotap channel field, else the channel the file declares.
+The decoder alone gives a frame its capture channel: the Radiotap
+channel field, else the channel the file declares.
 
 Frames travel as one :class:`FrameTable` of numpy columns, never as an
 object per frame: the parser decodes one with array operations after a
 single walk over the record offsets, :func:`merge_captures` orders the
 rows of several with one ``take``, and ``synth.write_capture`` writes
-one.
+one. :func:`read_dataset` decodes a tree's files in batches, several
+small files to one decode, and orders the rows of its batches as
+:func:`merge_captures` would order per-file tables.
 
 Only the fields the burst pipeline consumes are decoded: capture
 timestamp, source MAC (Address 2), capture channel, sequence number,
@@ -55,6 +57,18 @@ RT_FLAG_HAS_FCS = 0x10
 RT_FLAG_BAD_FCS = 0x40
 
 _MGMT_HEADER_LEN = 24
+
+# Capture bytes read_dataset decodes at once: enough small files that a
+# decode's array set-up is paid once for many of them, few enough that
+# the batch's buffers and per-record columns (about 3.5 times its bytes)
+# stay small next to the merged table and the process's working set.
+_BATCH_BYTES = 1 << 17
+
+# Size fields a record walk checks first when it guesses that a run of
+# equal-size records follows, and the run such a guess must find to be
+# worth its array calls over stepping record by record (see _walk).
+_RUN_PROBE = 256
+_RUN_MIN = 16
 
 
 class Error(Exception):
@@ -352,29 +366,50 @@ def read_capture(
     Radiotap channel comes from the 2.4 GHz map of channels 1..13.
     Consecutive rows with one MAC share one bytes object.
 
-    One Python loop walks the record headers for their offsets; the
-    rest is decoded with array operations over all records at once.
-    Each record is checked in the order a per-record loop checks it
-    (bad Radiotap header, FCS-bad, empty body, not a Probe Request,
-    short header), and its first failed check is the one tallied.
-    Radiotap layouts are decoded as :func:`_radiotap_columns` says.
+    This is the one-file case of the decoder :func:`read_dataset` runs
+    on a batch of files, :func:`_decode`.
     """
     diag = diagnostics if diagnostics is not None else ParseDiagnostics()
-    order, nanos, network = _unpack_global_header(data)
+    return _decode(data, [(0, len(data), meta)], _unpack_global_header(data), diag)[0]
 
-    incl_len_at = struct.Struct(order + "8xI").unpack_from
-    offsets = []
-    add_offset = offsets.append
-    offset, total = 24, len(data)
-    while offset + 16 <= total:
-        end = offset + 16 + incl_len_at(data, offset)[0]
-        if end > total:
-            break
-        add_offset(offset)
-        offset = end
 
-    at = np.array(offsets, dtype=np.int64)
-    ts_sec, ts_frac, sizes = _windows(data, order + "u4")[at[:, None] + (0, 4, 8)].astype(np.int64).T
+def _decode(
+    data: bytes,
+    files: list[tuple[int, int, CaptureMeta]],
+    header: tuple[str, bool, int],
+    diag: ParseDiagnostics,
+) -> tuple[FrameTable, np.ndarray]:
+    """The Probe Requests of captures laid end to end in ``data``, in file
+    and then record order, and the index in ``files`` of each row's file.
+
+    ``files`` holds each capture's (start, end, meta), and every capture
+    has the global ``header`` (byte order, nanosecond flag, link type).
+    Each file's records are found by :func:`_walk`; the rest is decoded
+    with array operations over all records at once, each record carrying
+    its file's index and declared channel as columns. Each record is
+    checked in the order a per-record loop checks it (bad Radiotap
+    header, FCS-bad, empty body, not a Probe Request, short header), and
+    its first failed check is the one tallied. Radiotap layouts are
+    decoded as :func:`_radiotap_columns` says. ``diag`` ends as
+    :func:`read_capture` of each file in turn leaves it: a frame with no
+    channel to take raises after the files before its own are tallied in
+    full and its own up to and including it.
+
+    A kept record whose IE region repeats the previous kept record's
+    shares its bytes object; only the first region of each such run is
+    sliced, looked up and, when new, walked.
+    """
+    order, nanos, network = header
+    words = _windows(data, order + "u4")
+    pieces: list = []
+    counts, tails = [], []
+    for start, end, _ in files:
+        first = len(pieces)
+        tails.append(_walk(data, words[8:], start + 24, end, order, pieces) < end)
+        counts.append(sum(map(len, pieces[first:])))
+    at = np.concatenate(pieces) if len(pieces) > 1 else np.array(pieces[0] if pieces else (), dtype=np.int64)
+    file_of = np.arange(len(files)).repeat(counts)
+    ts_sec, ts_frac, sizes = words[at[:, None] + (0, 4, 8)].astype(np.int64).T
     usec = ts_frac // 1000 if nanos else ts_frac
     timestamps = (ts_sec * 1_000_000 + usec) / 1e6
     starts = at + 16
@@ -391,33 +426,43 @@ def read_capture(
     # probe. The checks are set from the last to the first, so a record
     # keeps the code of the first check it fails.
     lengths = ends - bodies
-    frame_control = np.frombuffer(data, np.uint8)[np.minimum(bodies, total - 1)]
+    frame_control = np.frombuffer(data, np.uint8)[np.minimum(bodies, len(data) - 1)]
     skip = np.where((lengths > 0) & (frame_control != FC_PROBE_REQUEST), 4, 3 * (lengths < _MGMT_HEADER_LEN))
     skip[flags & RT_FLAG_BAD_FCS != 0] = 2
     skip[bad] = 1
     kept = (skip == 0).nonzero()[0]
     channels = channels[kept]
-    failure = None
     unresolved = (channels == 0).nonzero()[0]
     if len(unresolved):
-        declared = meta.declared_channel
-        if declared is not None and 1 <= declared <= 13:
-            channels[unresolved] = declared
+        # each file's declared channel, 0 where a frame cannot take it
+        declared = [meta.declared_channel for *_, meta in files]
+        declared = np.array([c if c is not None and 1 <= c <= 13 else 0 for c in declared], dtype=np.uint8)
+        channels[unresolved] = declared[file_of[kept[unresolved]]]
+        unresolved = unresolved[channels[unresolved] == 0]
+    done, failure = len(files), None  # files tallied in full, and the error
+    if len(unresolved):
+        # the walk stops at this frame, tallies and all
+        kept = kept[: unresolved[0] + 1]
+        skip = skip[: kept[-1] + 1]
+        done = int(file_of[kept[-1]])
+        meta = files[done][2]
+        if meta.declared_channel is None:
+            failure = ChannelResolutionError(
+                f"frame in {meta.path} has no Radiotap channel and the file declares none"
+            )
         else:
-            # the walk stops at this frame, tallies and all
-            kept = kept[: unresolved[0] + 1]
-            skip = skip[: kept[-1] + 1]
-            if declared is None:
-                failure = ChannelResolutionError(
-                    f"frame in {meta.path} has no Radiotap channel and the file declares none"
-                )
-            else:
-                failure = ValueError(f"capture_channel out of range: {declared}")
+            failure = ValueError(f"capture_channel out of range: {meta.declared_channel}")
 
     bodies = bodies[kept]
-    regions = [data[lo:hi] for lo, hi in zip((bodies + _MGMT_HEADER_LEN).tolist(), ends[kept].tolist())]
+    region_starts, region_ends = bodies + _MGMT_HEADER_LEN, ends[kept]
+    heads = _region_run_starts(data, region_starts, region_ends - region_starts)
+    if heads is not None:
+        region_starts, region_ends = region_starts[heads], region_ends[heads]
+    regions = [data[lo:hi] for lo, hi in zip(region_starts.tolist(), region_ends.tolist())]
     region_rows = {region: row for row, region in enumerate(dict.fromkeys(regions))}
     region_of = np.fromiter(map(region_rows.__getitem__, regions), np.int64, len(regions))
+    if heads is not None:
+        region_of = region_of[heads.cumsum() - 1]
     kept_regions, cut = [], []
     for region in region_rows:
         whole = ie_fields(region)[2]
@@ -431,26 +476,123 @@ def read_capture(
     diag.skipped_truncated += tallies[3]
     diag.skipped_other += tallies[4]
     diag.ie_overruns += int(np.count_nonzero(np.array(cut, dtype=bool)[region_of]))
+    diag.truncated_tail += sum(tails[:done])
+    diag.empty_files += [meta.path for (*_, meta), count in zip(files[:done], counts) if not count]
     if failure is not None:
         diag.probe_requests += len(kept) - 1
         raise failure
     diag.probe_requests += len(kept)
-    diag.truncated_tail += int(offset < total)
-    if not offsets:
-        diag.empty_files.append(meta.path)
 
     # Address 2, the 6 bytes at offset 10, as the low bytes of a u64;
     # one bytes object per run of frames with one MAC
-    macs = _windows(data, "<u8")[bodies + 10] & 0xFFFF_FFFF_FFFF
-    run_starts = _run_starts(macs)
-    run_macs = np.array([mac.to_bytes(8, "little")[:6] for mac in macs[run_starts].tolist()], dtype=object)
-    return FrameTable(
+    run_starts = _run_starts(_windows(data, "<u8")[bodies + 10] & 0xFFFF_FFFF_FFFF)
+    run_macs = _windows(data, "V6")[bodies[run_starts] + 10].astype(object)
+    table = FrameTable(
         timestamps[kept],
-        run_macs[np.cumsum(run_starts) - 1],
+        run_macs[run_starts.cumsum() - 1],
         channels,
         _windows(data, "<u2")[bodies + 22] >> 4,
         np.array(kept_regions, dtype=object)[region_of],
     )
+    return table, file_of[kept]
+
+
+def _walk(data: bytes, sizes_at: np.ndarray, offset: int, end: int, order: str, pieces: list) -> int:
+    """Append the offsets of the whole records from ``offset`` to ``end``
+    to ``pieces``, as lists and arrays in file order; return where the
+    walk stopped: ``end``, or the start of a cut record or header.
+
+    ``sizes_at[i]`` is the ``incl_len`` field of a record header at
+    ``data[i]``. Two records of one size in a row start a guess that a
+    run of that size follows: its records would start at equal steps,
+    so one gather from ``sizes_at`` checks the next ``_RUN_PROBE`` of
+    them, and twice as many again while every one checked has that
+    size. The walk goes on after the last record of the run. A guess
+    that finds fewer than ``_RUN_MIN`` records doubles how many equal
+    sizes in a row the next guess waits for, so record sizes that repeat
+    in short runs cost few gathers.
+    """
+    incl_len_at = struct.Struct(order + "8xI").unpack_from
+    singles: list[int] = []
+    add = singles.append
+    previous, streak, wait = -1, 0, 1
+    while offset + 16 <= end:
+        size = incl_len_at(data, offset)[0]
+        stop = offset + 16 + size
+        if stop > end:
+            break
+        add(offset)
+        offset = stop
+        if size != previous:
+            previous, streak = size, 0
+            continue
+        streak += 1
+        if streak < wait:
+            continue
+        step, probe, found = 16 + size, _RUN_PROBE, 0
+        while True:
+            starts = np.arange(offset, offset + step * min(probe, (end - offset) // step), step)
+            same = sizes_at[starts] == size
+            run = len(starts) if same.all() else int(same.argmin())
+            if run:
+                if singles:
+                    pieces.append(singles)
+                    singles = []
+                    add = singles.append
+                pieces.append(starts[:run])
+                offset += step * run
+                found += run
+            if run < probe:
+                break
+            probe *= 2
+        wait = 1 if found >= _RUN_MIN else 2 * wait
+    if singles:
+        pieces.append(singles)
+    return offset
+
+
+def _region_run_starts(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> Optional[np.ndarray]:
+    """True where the ``lengths[i]`` bytes at ``data[starts[i]:]`` differ
+    from row i - 1's, in length or bytes: where a run of equal regions
+    starts. None when no two neighbouring rows have one length, so
+    every row starts a run.
+
+    Rows of equal length are compared in 8-byte words, word j at byte
+    ``min(8 * j, length - 8)`` of each: the last word of a region of 8
+    bytes or more overlaps the one before it, and the one word of a
+    shorter region holds the bytes before it in its low bytes, shifted
+    out before the compare. Every row starts at least 8 bytes into
+    ``data``, after its 802.11 header.
+    """
+    rows = (lengths[1:] == lengths[:-1]).nonzero()[0] + 1
+    if not len(rows):
+        return None
+    counts = (lengths[rows] + 7) // 8
+    row_of = np.repeat(rows, counts)
+    word = np.arange(len(row_of)) - np.repeat(np.cumsum(counts) - counts, counts)
+    at = np.minimum(8 * word, lengths[row_of] - 8)
+    shift = np.where(at < 0, -8 * at, 0).astype(np.uint64)
+    windows = _windows(data, "<u8")
+    differ = (windows[starts[row_of] + at] ^ windows[starts[row_of - 1] + at]) >> shift != 0
+    heads = np.ones(len(starts), dtype=bool)
+    heads[rows] = False
+    heads[row_of[differ]] = True
+    return heads
+
+
+def _time_ordered(tables: list[FrameTable]) -> tuple[FrameTable, np.ndarray]:
+    """The rows of ``tables`` end to end, reordered by timestamp, ties by
+    capture channel, then by input order; and that order.
+
+    ``np.lexsort`` gives exactly that order: it is stable, and its float64
+    and int64 comparisons equal Python's on finite timestamps and channel
+    numbers.
+    """
+    columns = {name: np.concatenate([vars(table)[name] for table in tables]) for name in vars(tables[0])}
+    order = np.lexsort((columns["capture_channels"], columns["timestamps"]))
+    for name, column in columns.items():  # one at a time: one column is held twice, not the table
+        columns[name] = column[order]
+    return FrameTable(**columns), order
 
 
 def merge_captures(
@@ -460,25 +602,17 @@ def merge_captures(
     the tag of each merged row.
 
     Rows are ordered by timestamp, ties by capture channel ascending,
-    then by input order. ``np.lexsort`` gives exactly that order: it is
-    stable, and its float64 and int64 comparisons equal Python's on
-    finite timestamps and channel numbers. The merged ``source_macs``
-    and ``ies`` hold the input tables' own ``bytes`` objects.
+    then by input order, as :func:`_time_ordered` orders them. The merged
+    ``source_macs`` and ``ies`` hold the input tables' own ``bytes``
+    objects.
     """
     streams = list(streams)
     if not streams:
         return FrameTable(), []
     tables = [table for table, _ in streams]
-    merged = FrameTable(
-        np.concatenate([table.timestamps for table in tables]),
-        np.concatenate([table.source_macs for table in tables]),
-        np.concatenate([table.capture_channels for table in tables]),
-        np.concatenate([table.sequence_numbers for table in tables]),
-        np.concatenate([table.ies for table in tables]),
-    )
-    order = np.lexsort((merged.capture_channels, merged.timestamps))
+    merged, order = _time_ordered(tables)
     stream_of = np.repeat(np.arange(len(streams)), [len(table) for table in tables])[order]
-    return merged.take(order), [streams[i][1] for i in stream_of.tolist()]
+    return merged, [streams[i][1] for i in stream_of.tolist()]
 
 
 def _channel_sort_key(path: Path) -> tuple[int, str]:
@@ -508,16 +642,59 @@ def read_dataset(
     sniffer channels, ordered as :func:`merge_captures` orders it, and
     the device label of each row. Duplicate frames captured by several
     sniffers are kept.
+
+    The rows, labels, ``diagnostics`` and first error are those of
+    :func:`read_capture` on each file in turn and one
+    :func:`merge_captures`, but consecutive files that share a global
+    header are decoded together by :func:`_decode`, up to
+    ``_BATCH_BYTES`` at a time, and no table is built per file. A file
+    that cannot be read, or whose global header is bad, raises once the
+    files before it are decoded.
     """
     root = Path(root)
     if not root.is_dir():
         raise FormatError(f"dataset root {root} is not a directory")
-    streams = []
+    diag = diagnostics if diagnostics is not None else ParseDiagnostics()
+    labels, paths, metas = [], [], []
     for label, path, declared in iter_dataset_files(root):
-        meta = CaptureMeta(str(path), declared_channel=declared)
-        streams.append((read_capture(path.read_bytes(), meta, diagnostics), label))
-    if not streams:
+        labels.append(label)
+        paths.append(path)
+        metas.append(CaptureMeta(str(path), declared_channel=declared))
+    if not metas:
         raise FormatError(
             f"no captures under {root}; expected <root>/<device-id>/<channel>.pcap"
         )
-    return merge_captures(streams)
+    tables, sources = [], []
+    for header, batch in _batches(paths):
+        ends = np.cumsum([len(data) for data, _ in batch]).tolist()
+        files = [(end - len(data), end, metas[index]) for (data, index), end in zip(batch, ends)]
+        table, file_of = _decode(b"".join(data for data, _ in batch), files, header, diag)
+        tables.append(table)
+        sources.append(file_of + batch[0][1])
+    merged, order = _time_ordered(tables)
+    return merged, [labels[i] for i in np.concatenate(sources)[order].tolist()]
+
+
+def _batches(paths: list[Path]) -> Iterator[tuple[tuple[str, bool, int], list[tuple[bytes, int]]]]:
+    """Runs of consecutive captures that share a global header, as (that
+    header, the bytes and index of each file), each run holding at most
+    ``_BATCH_BYTES`` unless one file alone is larger. A file that cannot
+    be read, or whose global header is bad, raises once the run before
+    it has been yielded."""
+    batch: list[tuple[bytes, int]] = []
+    header, size = None, 0
+    for index, path in enumerate(paths):
+        try:
+            data = path.read_bytes()
+            this = _unpack_global_header(data)
+        except (OSError, FormatError):
+            if batch:
+                yield header, batch
+            raise
+        if batch and (this != header or size + len(data) > _BATCH_BYTES):
+            yield header, batch
+            batch, size = [], 0
+        batch.append((data, index))
+        header, size = this, size + len(data)
+    if batch:
+        yield header, batch

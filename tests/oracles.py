@@ -84,6 +84,7 @@ from probederand.pcap import (
     LINKTYPE_RADIOTAP,
     RT_FLAG_BAD_FCS,
     RT_FLAG_HAS_FCS,
+    CaptureMeta,
     ChannelResolutionError,
     Error,
     FrameTable,
@@ -91,6 +92,7 @@ from probederand.pcap import (
     _radiotap_layout,
     _unpack_global_header,
     ie_fields,
+    iter_dataset_files,
     mac_from_str,
 )
 from probederand.randomness import STREAM_KMEANS, child_seed, substream
@@ -547,7 +549,9 @@ def reference_read_capture(data, meta, diagnostics=None):
         if channel is None:
             channel = meta.declared_channel
         if channel is None:
-            raise ChannelResolutionError(f"frame in {meta.path} has no channel")
+            raise ChannelResolutionError(
+                f"frame in {meta.path} has no Radiotap channel and the file declares none"
+            )
         if not 1 <= channel <= 13:
             raise ValueError(f"capture_channel out of range: {channel}")
         ies = b"".join(bytes([ie_id, len(element)]) + element for ie_id, element in elements)
@@ -557,6 +561,17 @@ def reference_read_capture(data, meta, diagnostics=None):
     if diag.records_total == records_before:
         diag.empty_files.append(meta.path)
     return frames
+
+
+def reference_read_dataset(root, diagnostics):
+    """``read_dataset`` as a loop over files: ``reference_read_capture``
+    of each in turn, then ``decorated_merge``. Each (frame, tag) pair's
+    tag is (device label, index of the frame's file)."""
+    streams = []
+    for index, (label, path, declared) in enumerate(iter_dataset_files(root)):
+        frames = reference_read_capture(path.read_bytes(), CaptureMeta(str(path), declared), diagnostics)
+        streams.append((frames, (label, index)))
+    return decorated_merge(streams)
 
 
 def reference_dbscan(points, eps, min_pts):

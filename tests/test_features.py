@@ -24,7 +24,7 @@ from probederand.features import (
     write_feature_file,
     write_table,
 )
-from probederand.pcap import ie_fields, merge_captures
+from probederand.pcap import ie_fields, mac_from_str, mac_to_str, merge_captures
 
 from oracles import (
     BurstRow,
@@ -660,8 +660,8 @@ class TestColumnReader:
             self.agree(path)
 
     def test_fields_parsed_once_per_distinct_text(self, tmp_path, monkeypatch):
-        """A good file parses each distinct MAC text once and checks no
-        row field by field; a bad file checks its first bad row alone."""
+        """A good file parses its MAC texts in one array pass and checks
+        no row field by field; a bad file checks its first bad row alone."""
         path = tmp_path / "bursts.csv"
         rows = crowd_style_rows()
         write_feature_file(burst_table(rows), path)
@@ -679,7 +679,7 @@ class TestColumnReader:
         for name in calls:
             count(name)
         assert len(read_feature_file(path)) == len(rows)
-        assert len(calls["mac_from_str"]) == len({row[1] for row in rows}) < len(rows)
+        assert calls["mac_from_str"] == []
         assert calls["_feature_row"] == []
         lines = path.read_text().splitlines()
         lines[30] = lines[30].replace(",dev-", ",x,dev-", 1)
@@ -688,6 +688,39 @@ class TestColumnReader:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:31: expected 8 fields, got 9$"):
             read_feature_file(path)
         assert len(calls["_feature_row"]) == 1
+
+
+    def test_unshaped_mac_parses_column_text_by_text(self, tmp_path, monkeypatch):
+        """One MAC text that is not ``xx:xx:xx:xx:xx:xx`` sends the column
+        through ``mac_from_str``, once per distinct text, and its row
+        fails with ``mac_from_str``'s message."""
+        path = tmp_path / "bursts.csv"
+        rows = crowd_style_rows()
+        write_feature_file(burst_table(rows), path)
+        lines = path.read_text().splitlines()
+        bad = lines[30].split(",")[1].replace(":", "-")
+        lines[30] = lines[30].replace(lines[30].split(",")[1], bad, 1)
+        path.write_text("\n".join(lines) + "\n")
+        parsed = []
+        monkeypatch.setattr(features_module, "mac_from_str", lambda text: parsed.append(text) or mac_from_str(text))
+        message = f"^{re.escape(str(path))}:31: not a MAC address: {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            read_feature_file(path)
+        distinct = {row[1] for row in csv.reader(lines) if row[0] != "burst_id" and not row[0].startswith("#")}
+        assert sorted(parsed[:-1]) == sorted(distinct)
+        assert parsed[-1] == bad  # the first bad row, checked field by field
+
+    @given(st.lists(st.one_of(st.binary(min_size=6, max_size=6).map(mac_to_str), st.text(max_size=18)), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_mac_column_matches_text_by_text(self, texts):
+        """The array pass gives ``_parse_column``'s values, failures and
+        index, whatever mix of MAC texts (either case) and other text."""
+        texts = [text.upper() if i % 3 == 1 else text for i, text in enumerate(texts)]
+        values, failed, index = features_module._parse_macs(texts)
+        want_values, want_failed, want_index = features_module._parse_column(texts, mac_from_str, None)
+        assert values == want_values
+        assert failed.tolist() == want_failed.tolist()
+        assert index.tolist() == want_index.tolist()
 
 
 @pytest.mark.parametrize("comment", ["two\nlines", "cr\r", "crlf\r\n", "\n"])

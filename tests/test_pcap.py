@@ -1,7 +1,12 @@
 """Capture parsing, Radiotap decoding and multi-sniffer merging."""
 
+import importlib.util
 import re
 import struct
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +31,7 @@ from probederand.pcap import (
     read_capture,
     read_dataset,
 )
+from probederand.synth import generate_scenario
 
 from oracles import (
     Frame,
@@ -36,6 +42,7 @@ from oracles import (
     reference_ie_features,
     reference_parse_ies,
     reference_read_capture,
+    reference_read_dataset,
     table_frames,
 )
 
@@ -647,3 +654,267 @@ class TestRadiotapLayoutMemo:
         assert table_frames(read_capture(data, meta())) == table_frames(read_capture(data, meta()))
         assert len(layout_calls) == 2
 
+
+def plain_walk(data, order):
+    """(record offsets, where the walk stopped) of a loop that reads
+    every record header."""
+    offsets, offset = [], 24
+    while offset + 16 <= len(data):
+        end = offset + 16 + struct.unpack_from(order + "8xI", data, offset)[0]
+        if end > len(data):
+            break
+        offsets.append(offset)
+        offset = end
+    return offsets, offset
+
+
+def walk(data, order):
+    """(record offsets, where the walk stopped) of ``pcap._walk``."""
+    pieces = []
+    stop = pcap._walk(data, pcap._windows(data, order + "u4")[8:], 24, len(data), order, pieces)
+    return [offset for piece in pieces for offset in list(piece)], stop
+
+
+class TestRecordWalk:
+    @pytest.mark.parametrize("probe", [pcap._RUN_PROBE, 2])
+    @pytest.mark.parametrize("kind", ["other size", "cut record", "cut header"])
+    def test_equal_size_run_broken_at_every_position(self, monkeypatch, probe, kind):
+        """Records of one size with the run broken at each position k: a
+        record of another size, or a record or record header cut short
+        right after the run, gives the plain loop's offsets and the
+        reference loop's frames and tallies."""
+        monkeypatch.setattr(pcap, "_RUN_PROBE", probe)
+        n = 40
+        records = [pcap_record(radiotap_channel(1 + t % 13) + dot11_probe(seq=t), ts_sec=t) for t in range(n)]
+        longer = pcap_record(radiotap_channel(6) + dot11_probe(ies=b"\x00\x00"), ts_sec=n)
+        for k in range(n + 1):
+            if kind == "other size":
+                data = pcap_header() + b"".join(records[:k]) + longer + b"".join(records[k:])
+            elif kind == "cut record":
+                data = pcap_header() + b"".join(records[:k]) + records[k % n][:-1]
+            else:
+                data = pcap_header() + b"".join(records[:k]) + records[k % n][:15]
+            assert walk(data, "<") == plain_walk(data, "<")
+            (frames, diag), (expected, expected_diag) = parse_both(data, None)
+            assert frames == expected
+            assert diag == expected_diag
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 40)), max_size=12),
+        st.binary(max_size=30),
+        st.sampled_from("<>"),
+        st.sampled_from(((256, 16), (2, 1), (2, 3), (4, 40))),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_walk_matches_plain_loop(self, runs, tail, order, tuning):
+        """Runs of equal sizes of any length, in any order, then any
+        tail: the offsets and stop of the plain loop, however soon a
+        guess is made and however it grows."""
+        data = pcap_header(order) + b"".join(
+            pcap_record(bytes(size), order=order) for size, count in runs for _ in range(count)
+        ) + tail
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pcap, "_RUN_PROBE", tuning[0])
+            patch.setattr(pcap, "_RUN_MIN", tuning[1])
+            assert walk(data, order) == plain_walk(data, order)
+
+
+class TestRegionRuns:
+    @given(
+        st.lists(st.binary(max_size=20), min_size=1, max_size=3),
+        st.lists(st.tuples(st.integers(0, 2), st.integers(-1, 19), st.integers(1, 255), st.binary(max_size=3)), max_size=16),
+        st.binary(min_size=8, max_size=8),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_run_starts_match_plain_compare(self, bases, picks, first):
+        """Regions drawn from a few bases, some with one byte changed at
+        any position, each after a few other bytes: a run starts exactly
+        where a region differs from the one before it."""
+        regions, data, starts = [], bytearray(first), []
+        for base, at, flip, gap in picks:
+            region = bytearray(bases[base % len(bases)])
+            if 0 <= at < len(region):
+                region[at] ^= flip
+            data += gap
+            starts.append(len(data))
+            data += region
+            regions.append(bytes(region))
+        starts = np.array(starts, dtype=np.int64)
+        lengths = np.array([len(region) for region in regions], dtype=np.int64)
+        heads = pcap._region_run_starts(bytes(data), starts, lengths)
+        got = list(range(len(regions))) if heads is None else heads.nonzero()[0].tolist()
+        assert got == [i for i in range(len(regions)) if i == 0 or regions[i] != regions[i - 1]]
+
+
+# Capture file names in a dataset tree, weighted: three channels a file
+# declares, and two names that declare none.
+FILE_NAMES = ("1", "6", "11") * 4 + ("x", "14")
+BAD_HEADERS = (b"", pcap_header()[:20], b"\x00" * 32, pcap_header(linktype=1))
+
+
+@st.composite
+def dataset_files(draw):
+    """A capture file's bytes: mostly records of every kind, else a file
+    with no record or one whose global header is bad."""
+    kind = draw(st.sampled_from(("records",) * 10 + ("no records",) * 2 + ("bad header",)))
+    if kind == "records":
+        return draw(radiotap_captures())
+    if kind == "no records":
+        return pcap_header(draw(st.sampled_from("<>")), draw(st.booleans()), draw(st.sampled_from((105, 127))))
+    return draw(st.sampled_from(BAD_HEADERS))
+
+
+dataset_trees = st.lists(
+    st.dictionaries(st.sampled_from(FILE_NAMES), dataset_files(), min_size=1, max_size=3), min_size=1, max_size=3
+)
+
+
+def write_tree(root, devices):
+    """Device i's files under ``root/d<i>/<name>.pcap``."""
+    for i, files in enumerate(devices):
+        (root / f"d{i}").mkdir()
+        for name, data in files.items():
+            (root / f"d{i}" / f"{name}.pcap").write_bytes(data)
+
+
+def sharing(objects, files):
+    """For each row, the first row of the same file that holds the same
+    object."""
+    first = {}
+    return [first.setdefault((file, id(obj)), row) for row, (obj, file) in enumerate(zip(objects, files))]
+
+
+class TestReadDataset:
+    @pytest.mark.parametrize("budget", [0, 1 << 40], ids=["file-per-batch", "tree-per-batch"])
+    @given(dataset_trees)
+    # the second record of the middle file has no channel to take: the
+    # files before it are tallied in full, that file up to and including
+    # the frame, the bad global header after it is never met
+    @example(
+        [
+            {"1": pcap_header() + pcap_record(radiotap_channel(1) + dot11_probe()) + b"\x00" * 5, "6": pcap_header()},
+            {
+                "x": pcap_header()
+                + pcap_record(radiotap_channel(6) + dot11_probe(ies=b"\x03\x05\x01"))
+                + pcap_record(RADIOTAP_NO_CHANNEL + dot11_probe(ies=b"\x03\x05\x01"))
+                + pcap_record(radiotap_channel(6, flags=0x40) + dot11_probe())
+                + b"\x00" * 3
+            },
+            {"1": pcap_header(linktype=1)},
+            {"6": pcap_header() + pcap_record(radiotap_channel(6) + dot11_probe())},
+        ]
+    )
+    # every header kind, a run of one header over several devices, and
+    # equal IE regions in several files
+    @example(
+        [
+            {name: pcap_header(order, nanos, linktype) + pcap_record(
+                (radiotap_channel(6) if linktype == 127 else b"") + dot11_probe(ies=b"\x00\x00"), ts_sec=7, order=order
+            ) for name, (order, nanos, linktype) in zip(("1", "6", "11"), headers)}
+            for headers in (
+                (("<", False, 127), ("<", False, 127), (">", True, 127)),
+                ((">", True, 127), ("<", True, 105), ("<", True, 105)),
+            )
+        ]
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_file_reference(self, budget, devices):
+        """Rows, labels, every diagnostics field, and the type and text of
+        the first error equal those of the reference loop over files; the
+        rows of one file share MAC and IE bytes objects as they do when
+        ``read_capture`` reads that file alone."""
+        with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pcap, "_BATCH_BYTES", budget)
+            root = Path(scratch)
+            write_tree(root, devices)
+            results = []
+            for read in (read_dataset, reference_read_dataset):
+                diag = ParseDiagnostics()
+                try:
+                    results.append((read(root, diag), diag))
+                except (Error, ValueError) as exc:
+                    results.append(((type(exc), str(exc)), diag))
+            (outcome, diag), (expected, expected_diag) = results
+            assert diag == expected_diag
+            if isinstance(expected, tuple):
+                assert outcome == expected
+                return
+            frames, labels = outcome
+            assert table_frames(frames) == [frame for frame, _ in expected]
+            assert labels == [label for _, (label, _) in expected]
+            alone, files = merge_captures(
+                (read_capture(path.read_bytes(), CaptureMeta(str(path), declared)), index)
+                for index, (_, path, declared) in enumerate(iter_dataset_files(root))
+            )
+            for column in ("source_macs", "ies"):
+                assert sharing(getattr(frames, column), files) == sharing(getattr(alone, column), files)
+
+    def test_batches_follow_headers_and_budget(self, tmp_path, monkeypatch):
+        """Consecutive files with one global header are decoded together;
+        another header, or a file past the byte budget, starts a batch."""
+        decoded = []
+        decode = pcap._decode
+
+        def spy(data, files, header, diag):
+            decoded.append([Path(meta.path).parent.name + "/" + Path(meta.path).stem for *_, meta in files])
+            return decode(data, files, header, diag)
+
+        monkeypatch.setattr(pcap, "_decode", spy)
+        record = pcap_record(radiotap_channel(6) + dot11_probe())
+        headers = {"a": pcap_header(), "b": pcap_header(), "c": pcap_header(nanos=True), "d": pcap_header(nanos=True)}
+        write_tree(tmp_path, [{"1": headers[device] + record, "6": headers[device] + record * 3} for device in "abcd"])
+        read_dataset(tmp_path)
+        assert decoded == [["d0/1", "d0/6", "d1/1", "d1/6"], ["d2/1", "d2/6", "d3/1", "d3/6"]]
+        decoded.clear()
+        monkeypatch.setattr(pcap, "_BATCH_BYTES", 2 * 24 + 4 * len(record))
+        read_dataset(tmp_path)
+        assert decoded == [["d0/1", "d0/6"], ["d1/1", "d1/6"], ["d2/1", "d2/6"], ["d3/1", "d3/6"]]
+
+    def test_unreadable_file_raised_after_earlier_files(self, tmp_path):
+        """A capture path that cannot be read raises OSError once the
+        files before it are decoded, and not when one of them fails."""
+        write_tree(tmp_path, [{"1": pcap_header() + pcap_record(radiotap_channel(1) + dot11_probe())}])
+        (tmp_path / "d1").mkdir()
+        (tmp_path / "d1" / "6.pcap").mkdir()
+        diag = ParseDiagnostics()
+        with pytest.raises(IsADirectoryError):
+            read_dataset(tmp_path, diag)
+        assert diag.records_total == diag.probe_requests == 1
+        (tmp_path / "d0" / "x.pcap").write_bytes(pcap_header() + pcap_record(RADIOTAP_NO_CHANNEL + dot11_probe()))
+        with pytest.raises(ChannelResolutionError, match="x.pcap"):
+            read_dataset(tmp_path)
+
+
+def load_workloads():
+    """``perfbench/workloads.py``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+class TestDatasetMemory:
+    # tracemalloc peak, in bytes, of read_dataset on the benchmark's crowd
+    # tree (seed 1) when it read each file with read_capture into a table
+    # of its own and merged the tables with merge_captures (CPython 3.11,
+    # numpy 2.4)
+    PER_FILE_PEAK = {50: 11_887_149, 200: 52_602_817}
+
+    @pytest.mark.parametrize("devices", sorted(PER_FILE_PEAK))
+    def test_peak_no_higher_than_per_file_reader(self, tmp_path, monkeypatch, devices):
+        workloads = load_workloads()
+        monkeypatch.setattr(workloads, "CROWD_DEVICES", devices)
+        root = generate_scenario(workloads.crowd_scenario(1), tmp_path / "crowd")
+        tracemalloc.start()
+        try:
+            frames, _ = read_dataset(root)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(frames) > 1000 * devices
+        assert peak <= self.PER_FILE_PEAK[devices]
